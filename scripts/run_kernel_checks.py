@@ -15,7 +15,7 @@ import numpy as np
 
 from ncdomains import (OperatorTuple, RegularPolynomial, poisson_kernel,
                        verify_kernel_identities)
-from ncdomains.domain import phi_identity_iterates
+from ncdomains.domain import phi_identity_power
 from ncdomains.harness import scale_into_domain
 
 POLYS = {
@@ -50,7 +50,7 @@ def main(argv=None) -> int:
             K.matrix.conj().T @ K.matrix - np.eye(args.dim), 2))
         # word-length tail of the kernel: dominated by this Phi iterate
         tail = float(np.linalg.norm(
-            phi_identity_iterates(f, T, args.level // f.degree + 1)[-1], 2))
+            phi_identity_power(f, T, args.level // f.degree + 1), 2))
         worst = max(c.value for c in rep.checks
                     if c.name.startswith("intertwine"))
         ok = ok and rep.passed and gram <= tail + 1e-12

@@ -4,7 +4,8 @@ Layers:
 
 * :mod:`ncdomains.words`   -- free-semigroup words, graded-lex order
 * :mod:`ncdomains.domain`  -- positive regular polynomials, inverse-series
-  weights, weighted creation operators, domain membership and purity
+  weights, the weighted left/right creation operators as weighted shifts
+  (one builder, :func:`weighted_creation`), domain membership and purity
 * :mod:`ncdomains.poisson` -- defect operators and Poisson kernels
 * :mod:`ncdomains.colligation` -- structural isometries and their unitary
   completions
@@ -15,11 +16,11 @@ Layers:
   operator-inequality battery
 """
 
-from .domain import (BCoefficients, OperatorTuple, RegularPolynomial, apply_phi,
-                     b_coefficients, block_count, coefficient_words,
-                     domain_membership, flip_unitary, purity_estimate,
-                     purity_horizon, weighted_left_creation,
-                     weighted_right_creation)
+from .domain import (BCoefficients, OperatorTuple, RegularPolynomial,
+                     WeightedShift, apply_phi, b_coefficients, block_count,
+                     coefficient_words, domain_membership, flip_unitary,
+                     phi_identity_power, purity_estimate, purity_horizon,
+                     shift_word, weighted_creation)
 from .colligation import (Colligation, IntertwiningTriple, PartialIsometry,
                           build_isometry, complete_to_unitary, series_oracle)
 from .harness import (BiPolynomial, CommutingPair, HermitianBiPolynomial,

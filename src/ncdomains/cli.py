@@ -7,9 +7,9 @@ Verbs:
   battery       seeded sweep of random commuting pairs
   report        re-render a structured report file as a table
 
-When both a config file and command-line flags set the same knob, the config
-file wins and a warning is printed.  The default tolerance can be set through
-the NCDOMAINS_TOL environment variable.
+A command-line flag sets its knob unless the config file sets the same key;
+then the config file wins and a warning names both values.  A tolerance set
+by neither comes from the NCDOMAINS_TOL environment variable (default 1e-9).
 """
 
 from __future__ import annotations
@@ -17,14 +17,16 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import ConfigError, ExperimentConfig, default_tolerance
-from .domain import domain_membership, purity_estimate
+from .config import ConfigError, ExperimentConfig
+from .domain import RegularPolynomial, domain_membership, purity_estimate
 from .harness import (CommutingPair, ando_dilation, builtin_bipolynomials,
                       builtin_hermitian, builtin_matrix_polys, run_battery,
                       verify_hermitian_inequality, verify_inequality)
 from .poisson import poisson_kernel, verify_kernel_identities
 from .report import VerificationReport, parse_report
 from .variety import build_variety, constrained_poisson, verify_constrained_kernel
+
+Z = RegularPolynomial.single_variable([1.0])  # the default f = g = z
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -46,27 +48,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _merge(cfg: ExperimentConfig, ns: argparse.Namespace) -> ExperimentConfig:
-    """Flags fill unset knobs; on conflict the config file wins with a warning."""
+    """A flag sets its knob unless the config file set it; then the file wins."""
     for attr in ("tol", "seed", "count", "dims", "N", "output"):
         flag = getattr(ns, attr)
         if flag is None:
             continue
         current = getattr(cfg, attr)
-        defaults = {"tol": default_tolerance(), "seed": 0, "count": 10,
-                    "dims": [2, 3, 4], "N": None, "output": "text"}
-        if current != defaults[attr] and current != flag:
-            print(f"warning: --{attr} {flag} ignored, config file sets "
-                  f"{attr}={current}", file=sys.stderr)
-        else:
+        if attr not in cfg.file_keys:
             setattr(cfg, attr, flag)
-    return cfg
-
-
-def _default_config(ns: argparse.Namespace) -> ExperimentConfig:
-    from .domain import RegularPolynomial
-    z = RegularPolynomial.single_variable([1.0])
-    cfg = ExperimentConfig(f=z, g=z)
-    cfg.tol = default_tolerance()
+        elif current != flag:
+            option = "--level" if attr == "N" else f"--{attr}"
+            print(f"warning: {option} {flag} ignored, config file sets "
+                  f"{attr}={current}", file=sys.stderr)
     return cfg
 
 
@@ -150,14 +143,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if ns.config:
             cfg = ExperimentConfig.from_file(ns.config)
-            cfg = _merge(cfg, ns)
         else:
-            cfg = _default_config(ns)
-            cfg = _merge(cfg, ns)
-            # without a config file, flags always win over built-in defaults
-            for attr in ("tol", "seed", "count", "dims", "N", "output"):
-                if getattr(ns, attr) is not None:
-                    setattr(cfg, attr, getattr(ns, attr))
+            cfg = ExperimentConfig(f=Z, g=Z)
+        cfg = _merge(cfg, ns)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -14,13 +14,14 @@ the transfer function.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .domain import (OperatorTuple, RegularPolynomial, block_count,
-                     coefficient_words, phi_identity_iterates)
-from .poisson import DefectData, defect
+                     coefficient_words, phi_identity_power)
+from .poisson import DefectData, canonical_phases, defect
 from .report import VerificationReport
 from .words import Word
 
@@ -129,15 +130,22 @@ def solve_padding(d1: int, d1p: int, d2: int, m1: int, m2: int,
     return 0, u, v, True
 
 
-def _pad_rows(mat: np.ndarray, block: int, pad: int, nblocks: int) -> np.ndarray:
-    """Insert `pad` zero rows after every `block` rows (nblocks times)."""
-    if pad == 0:
+def embed_inner(mat: np.ndarray, fock: int, inner_from: int, inner_to: int,
+                axis: int) -> np.ndarray:
+    """Zero-pad the inner (per-Fock-block) dimension of a tensor-shaped matrix.
+
+    Along ``axis``, ``mat`` is ``fock`` blocks of ``inner_from``; each block
+    gets ``inner_to - inner_from`` zeros appended.
+    """
+    if inner_from == inner_to:
         return mat
-    cols = mat.shape[1]
-    out = np.zeros(((block + pad) * nblocks, cols), dtype=complex)
-    for j in range(nblocks):
-        out[j * (block + pad): j * (block + pad) + block] = mat[j * block:(j + 1) * block]
-    return out
+    if axis == 0:
+        out = np.zeros((fock, inner_to, mat.shape[1]), dtype=complex)
+        out[:, :inner_from] = mat.reshape(fock, inner_from, mat.shape[1])
+        return out.reshape(fock * inner_to, mat.shape[1])
+    out = np.zeros((mat.shape[0], fock, inner_to), dtype=complex)
+    out[:, :, :inner_from] = mat.reshape(mat.shape[0], fock, inner_from)
+    return out.reshape(mat.shape[0], fock * inner_to)
 
 
 @dataclass(frozen=True)
@@ -205,12 +213,12 @@ def complete_to_unitary(partial: PartialIsometry, tol: float = 1e-8,
     e, uu, vv, fallback = solve_padding(d1, d1p, d2, m1, m2, max_pad)
 
     dom = np.vstack([
-        _pad_rows(partial.domain_vectors[:d1], d1, uu, 1),
-        _pad_rows(partial.domain_vectors[d1:], d2, e, m1),
+        embed_inner(partial.domain_vectors[:d1], 1, d1, d1 + uu, axis=0),
+        embed_inner(partial.domain_vectors[d1:], m1, d2, d2 + e, axis=0),
     ])
     ran = np.vstack([
-        _pad_rows(partial.range_vectors[:m2 * d1p], d1p, vv, m2),
-        _pad_rows(partial.range_vectors[m2 * d1p:], d2, e, 1),
+        embed_inner(partial.range_vectors[:m2 * d1p], m2, d1p, d1p + vv, axis=0),
+        embed_inner(partial.range_vectors[m2 * d1p:], 1, d2, d2 + e, axis=0),
     ])
     total = dom.shape[0]
     assert ran.shape[0] == total
@@ -223,7 +231,6 @@ def complete_to_unitary(partial: PartialIsometry, tol: float = 1e-8,
     u_r, _, rank_r = _ordered_frames(ran)
     # the ranks agree when the Gram matrices do; complement bases are mapped
     # onto each other in SVD order with canonical column phases
-    from .poisson import canonical_phases
     comp_d = canonical_phases(u_d[:, rank:])
     comp_r = canonical_phases(u_r[:, rank_r:])
     u0 = qy @ qx.conj().T + comp_r @ comp_d.conj().T
@@ -255,8 +262,9 @@ def complete_to_unitary(partial: PartialIsometry, tol: float = 1e-8,
 
 def _delta1_hat(col: Colligation) -> np.ndarray:
     p = col.partial
-    block = p.d1_defect.coords(p.d1_defect.delta)
-    return np.vstack([block, np.zeros((col.dims["pad_u"], block.shape[1]))])
+    d1 = col.dims["d1"]
+    return embed_inner(p.d1_defect.coords(p.d1_defect.delta), 1, d1,
+                       d1 + col.dims["pad_u"], axis=0)
 
 
 def series_terms(col: Colligation, p_max: int) -> list[np.ndarray]:
@@ -280,8 +288,6 @@ def series_term_by_words(col: Colligation, p: int) -> np.ndarray:
       sum over (w_1..w_p) of D_(w_p)...D_(w_1) C Delta1 *
           sqrt(a_{w_1}...a_{w_{p+1}}) (T1_{w_{p+1} w_p ... w_1})^*.
     """
-    import itertools
-
     f, T1 = col.triple.f, col.triple.T1
     words = coefficient_words(f)
     cd1 = col.C @ _delta1_hat(col)
@@ -322,15 +328,15 @@ def series_oracle(col: Colligation, p_max: int, tol: float = 1e-10,
     terms = series_terms(col, p_max)
     rhs = col.A @ _delta1_hat(col) + sum(terms)
     lhs_blocks = []
-    vv = col.dims["pad_v"]
     for w in coefficient_words(g):
         c = g.coeffs.get(w, 0.0)
-        blk = np.sqrt(c) * p.d1p_defect.coords(p.d1p_defect.delta @ T2.word(w).conj().T)
-        lhs_blocks.append(np.vstack([blk, np.zeros((vv, blk.shape[1]))]))
-    lhs = np.vstack(lhs_blocks)
+        lhs_blocks.append(np.sqrt(c) * p.d1p_defect.coords(
+            p.d1p_defect.delta @ T2.word(w).conj().T))
+    d1p = col.dims["d1p"]
+    lhs = embed_inner(np.vstack(lhs_blocks), len(lhs_blocks), d1p,
+                      d1p + col.dims["pad_v"], axis=0)
     residual = float(np.linalg.norm(lhs - rhs, 2))
-    tail = float(np.linalg.norm(
-        phi_identity_iterates(f, T1, p_max + 2)[-1], 2)) ** 0.5
+    tail = float(np.linalg.norm(phi_identity_power(f, T1, p_max + 2), 2)) ** 0.5
     rep.add_residual("series_vs_intertwining", residual, max(tol, tail + tol))
     rep.environment["tail_bound"] = repr(tail)
 

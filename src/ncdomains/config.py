@@ -39,6 +39,14 @@ def word_key(w: Word) -> str:
     return ",".join(str(c) for c in w)
 
 
+def _scalar(kind: type, v, where: str):
+    """int(v) or float(v); a value that does not convert raises ConfigError at where."""
+    try:
+        return kind(v)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where}: expected {kind.__name__}, got {v!r}") from None
+
+
 def _complex(v, where: str) -> complex:
     if isinstance(v, (int, float)):
         return complex(v)
@@ -54,10 +62,14 @@ def parse_polynomial(obj, where: str) -> RegularPolynomial:
     if unknown:
         raise ConfigError(f"{where}: unknown fields {sorted(unknown)}")
     try:
-        n = int(obj["n"])
-        coeffs = {parse_word(k): float(v) for k, v in obj["coeffs"].items()}
+        n = _scalar(int, obj["n"], f"{where}.n")
+        raw = obj["coeffs"]
     except KeyError as exc:
         raise ConfigError(f"{where}: missing field {exc}") from None
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where}.coeffs: expected an object keyed by words")
+    coeffs = {parse_word(k): _scalar(float, v, f"{where}.coeffs[{k!r}]")
+              for k, v in raw.items()}
     try:
         return RegularPolynomial(n, coeffs)
     except ValueError as exc:
@@ -120,12 +132,18 @@ def parse_variety_spec(obj, where: str, n: int) -> list[Generator] | None:
     raise ConfigError(f"{where}: unknown variety kind {kind!r}")
 
 
+def default_tolerance(fallback: float = 1e-9) -> float:
+    """Default check tolerance, overridable via the NCDOMAINS_TOL variable."""
+    raw = os.environ.get(DEFAULT_TOL_ENV)
+    return fallback if raw is None else _scalar(float, raw, DEFAULT_TOL_ENV)
+
+
 @dataclass
 class ExperimentConfig:
     f: RegularPolynomial
     g: RegularPolynomial | None = None
     N: int | None = None
-    tol: float = 1e-9
+    tol: float = field(default_factory=default_tolerance)
     seed: int = 0
     count: int = 10
     dims: list[int] = field(default_factory=lambda: [2, 3, 4])
@@ -134,6 +152,7 @@ class ExperimentConfig:
     T2: OperatorTuple | None = None
     variety: list[Generator] | None = None
     output: str = "text"  # "text" or "table"
+    file_keys: frozenset[str] = frozenset()  # top-level keys the config file set
 
     KNOWN = {"f", "g", "N", "tol", "seed", "count", "dims", "kinds",
              "matrices", "variety", "output"}
@@ -154,17 +173,14 @@ class ExperimentConfig:
             raise ConfigError("missing required field 'f'")
         f = parse_polynomial(obj["f"], "f")
         g = parse_polynomial(obj["g"], "g") if "g" in obj else None
-        cfg = ExperimentConfig(f=f, g=g)
-        if "N" in obj:
-            cfg.N = int(obj["N"])
-        if "tol" in obj:
-            cfg.tol = float(obj["tol"])
-        if "seed" in obj:
-            cfg.seed = int(obj["seed"])
-        if "count" in obj:
-            cfg.count = int(obj["count"])
+        cfg = ExperimentConfig(f=f, g=g, file_keys=frozenset(obj))
+        for key, kind in (("N", int), ("tol", float), ("seed", int), ("count", int)):
+            if key in obj:
+                setattr(cfg, key, _scalar(kind, obj[key], key))
         if "dims" in obj:
-            cfg.dims = [int(d) for d in obj["dims"]]
+            if not isinstance(obj["dims"], list):
+                raise ConfigError(f"dims: expected a list, got {obj['dims']!r}")
+            cfg.dims = [_scalar(int, d, f"dims[{i}]") for i, d in enumerate(obj["dims"])]
         if "kinds" in obj:
             cfg.kinds = [str(k) for k in obj["kinds"]]
         if "output" in obj:
@@ -185,14 +201,3 @@ class ExperimentConfig:
     def from_file(path: str) -> "ExperimentConfig":
         with open(path) as fh:
             return ExperimentConfig.from_json(fh.read(), base=os.path.dirname(path) or ".")
-
-
-def default_tolerance(fallback: float = 1e-9) -> float:
-    """Default check tolerance, overridable via the NCDOMAINS_TOL variable."""
-    raw = os.environ.get(DEFAULT_TOL_ENV)
-    if raw is None:
-        return fallback
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"{DEFAULT_TOL_ENV} must be a float, got {raw!r}") from None

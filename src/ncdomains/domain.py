@@ -6,7 +6,9 @@ positive single-letter coefficients) defines
 
 * the regular domain: tuples X with  sum a_w X_w X_w* <= I,
 * the weights b_w of the inverse series (1 - f)^{-1},
-* weighted left/right creation operators W_i, L_i on the truncated Fock space.
+* the weighted left/right creation operators W_i, L_i on the truncated Fock
+  space, stored as weighted shifts (a target index and a weight per basis
+  vector) rather than as dense matrices.
 
 Truncation semantics: creation operators are compressions to levels <= N, so
 the top level maps to 0.  Identities that involve only adjoints of creation
@@ -15,6 +17,7 @@ operators hold exactly below the truncation boundary.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,10 +97,6 @@ class BCoefficients:
     def __getitem__(self, w: Word) -> float:
         return self.values[tuple(w)]
 
-    def sqrt_ratio(self, num: Word, den: Word) -> float:
-        """sqrt(b_num / b_den) computed from the stored values."""
-        return float(np.sqrt(self.values[tuple(num)] / self.values[tuple(den)]))
-
 
 def b_coefficients(f: RegularPolynomial, N: int) -> BCoefficients:
     """Weights via the linear recursion b_w = sum_{uv=w, u in supp f} a_u b_v.
@@ -174,38 +173,103 @@ class MembershipReport:
     min_eig_ellipsoid: float
 
 
-def weighted_left_creation(f: RegularPolynomial, N: int,
-                           b: BCoefficients | None = None) -> OperatorTuple:
-    """Truncated weighted left creation operators: W_i e_w = sqrt(b_w/b_{g_i w}) e_{g_i w}."""
-    table = enumerate_words(f.n, N)
-    b = b if b is not None else b_coefficients(f, N)
-    size = len(table)
-    mats = []
-    for i in range(1, f.n + 1):
-        m = np.zeros((size, size), dtype=complex)
-        for j, w in enumerate(table.words):
-            if len(w) < N:
-                tgt = (i,) + w
-                m[table.index[tgt], j] = b.sqrt_ratio(w, tgt)
-        mats.append(m)
-    return OperatorTuple(tuple(mats))
+@dataclass(frozen=True)
+class WeightedShift:
+    """S e_j = weight[j] e_{target[j]} on the truncated Fock space (0 if weight[j] = 0).
+
+    Creation operators and their words have this form.  The methods take
+    Fock-stacked matrices (Fock blocks of an inner dimension r, as in
+    np.kron(Fock factor, inner factor)); each entry of such a product has one
+    nonzero term, so every method agrees exactly with the dense product.
+    """
+
+    target: np.ndarray
+    weight: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return len(self.target)
+
+    def __matmul__(self, other: "WeightedShift") -> "WeightedShift":
+        """The composition self o other (other acts first)."""
+        return WeightedShift(self.target[other.target],
+                             self.weight[other.target] * other.weight)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """(S (x) I_r) x, scattered block by block."""
+        xb = np.asarray(x, dtype=complex).reshape(self.size, x.shape[0] // self.size,
+                                                  x.shape[1])
+        out = np.zeros_like(xb)
+        live = np.flatnonzero(self.weight)
+        out[self.target[live]] = self.weight[live, None, None] * xb[live]
+        return out.reshape(x.shape)
+
+    def apply_adjoint(self, x: np.ndarray) -> np.ndarray:
+        """(S^* (x) I_r) x, gathered block by block."""
+        xb = np.asarray(x, dtype=complex).reshape(self.size, x.shape[0] // self.size,
+                                                  x.shape[1])
+        return (self.weight[:, None, None] * xb[self.target]).reshape(x.shape)
+
+    def rmul(self, x: np.ndarray) -> np.ndarray:
+        """x (S (x) I_r), gathered column block by column block."""
+        xb = np.asarray(x, dtype=complex).reshape(x.shape[0], self.size,
+                                                  x.shape[1] // self.size)
+        return (xb[:, self.target] * self.weight[None, :, None]).reshape(x.shape)
+
+    def add_kron(self, out: np.ndarray, inner: np.ndarray, scale: complex = 1.0) -> None:
+        """out += scale * kron(S, inner), in place, one Fock block per live column."""
+        ob = out.reshape(self.size, inner.shape[0], self.size, inner.shape[1])
+        live = np.flatnonzero(self.weight)
+        ob[self.target[live], :, live, :] += scale * (self.weight[live, None, None] * inner)
+
+    def dense(self, inner: np.ndarray | None = None) -> np.ndarray:
+        """The dense matrix kron(S, inner); inner defaults to the 1 x 1 identity."""
+        inner = np.ones((1, 1)) if inner is None else inner
+        out = np.zeros((self.size * inner.shape[0], self.size * inner.shape[1]),
+                       dtype=complex)
+        self.add_kron(out, inner)
+        return out
 
 
-def weighted_right_creation(f: RegularPolynomial, N: int,
-                            b: BCoefficients | None = None) -> OperatorTuple:
-    """Truncated weighted right creation operators: L_i e_w = sqrt(b_w/b_{w g_i}) e_{w g_i}."""
+def shift_word(shifts: tuple[WeightedShift, ...], w: Word) -> WeightedShift:
+    """S_w = S_{i_1} ... S_{i_k}, in the order of OperatorTuple.word; S_empty = I."""
+    out = WeightedShift(np.arange(shifts[0].size), np.ones(shifts[0].size))
+    for c in w:
+        out = out @ shifts[c - 1]
+    return out
+
+
+def weighted_creation(f: RegularPolynomial, N: int,
+                      side: str = "left") -> tuple[WeightedShift, ...]:
+    """Truncated weighted creation operators, one per letter; words of length N map to 0.
+
+    side="left":  W_i e_w = sqrt(b_w / b_{g_i w}) e_{g_i w};
+    side="right": L_i e_w = sqrt(b_w / b_{w g_i}) e_{w g_i}.
+    """
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     table = enumerate_words(f.n, N)
-    b = b if b is not None else b_coefficients(f, N)
-    size = len(table)
-    mats = []
+    b = b_coefficients(f, N)
+    weights = np.array([b[w] for w in table.words])
+    below = table.max_level_index(N - 1)  # the columns below the top level
+    out = []
     for i in range(1, f.n + 1):
-        m = np.zeros((size, size), dtype=complex)
-        for j, w in enumerate(table.words):
-            if len(w) < N:
-                tgt = w + (i,)
-                m[table.index[tgt], j] = b.sqrt_ratio(w, tgt)
-        mats.append(m)
-    return OperatorTuple(tuple(mats))
+        target = np.arange(len(table))
+        target[:below] = [table.index[(i,) + w if side == "left" else w + (i,)]
+                          for w in table.words[:below]]
+        weight = np.zeros(len(table))
+        weight[:below] = np.sqrt(weights[:below] / weights[target[:below]])
+        out.append(WeightedShift(target, weight))
+    return tuple(out)
+
+
+def weighted_left_creation(f: RegularPolynomial, N: int) -> tuple[WeightedShift, ...]:
+    """weighted_creation(f, N, "left").
+
+    Kept under this name because the benchmark tracer (bench/tracer.py) keys a
+    per-layer metric on it.
+    """
+    return weighted_creation(f, N, "left")
 
 
 def flip_unitary(n: int, N: int) -> np.ndarray:
@@ -237,14 +301,21 @@ def apply_phi(f: RegularPolynomial, T: OperatorTuple, X: np.ndarray) -> np.ndarr
     return out
 
 
-def phi_identity_iterates(f: RegularPolynomial, T: OperatorTuple, m_max: int) -> list[np.ndarray]:
-    """[Phi(I), Phi^2(I), ..., Phi^{m_max}(I)]."""
-    out = []
+def phi_identity_iterates(f: RegularPolynomial, T: OperatorTuple,
+                         m_max: int) -> Iterator[np.ndarray]:
+    """Phi(I), Phi^2(I), ..., Phi^{m_max}(I), one at a time."""
     x = np.eye(T.cols, dtype=complex)
     for _ in range(m_max):
         x = apply_phi(f, T, x)
-        out.append(x)
-    return out
+        yield x
+
+
+def phi_identity_power(f: RegularPolynomial, T: OperatorTuple, m: int) -> np.ndarray:
+    """Phi^m(I); Phi^0(I) = I."""
+    x = np.eye(T.cols, dtype=complex)
+    for x in phi_identity_iterates(f, T, m):
+        pass
+    return x
 
 
 def domain_membership(f: RegularPolynomial, T: OperatorTuple, tol: float = 1e-9) -> MembershipReport:
@@ -278,10 +349,8 @@ def purity_horizon(f: RegularPolynomial, T: OperatorTuple, tail_tol: float = 1e-
 
     Returns (cap, last norm) when the tolerance is unreachable within the cap.
     """
-    x = np.eye(T.cols, dtype=complex)
-    nrm = float(np.linalg.norm(x, 2))
-    for m in range(1, cap + 1):
-        x = apply_phi(f, T, x)
+    nrm = 1.0  # ||Phi^0(I)||
+    for m, x in enumerate(phi_identity_iterates(f, T, cap), start=1):
         nrm = float(np.linalg.norm(x, 2))
         if nrm <= tail_tol:
             return m, nrm

@@ -22,13 +22,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .colligation import (IntertwiningTriple, build_isometry, colligation_report,
-                          complete_to_unitary)
+                          complete_to_unitary, embed_inner)
 from .domain import (OperatorTuple, RegularPolynomial, apply_phi,
-                     domain_membership, purity_horizon, weighted_left_creation)
+                     domain_membership, purity_horizon, weighted_creation)
 from .poisson import poisson_kernel
 from .report import VerificationReport
-from .transfer import (TransferFunction, dilation_identity_report, embed_inner,
-                       eval_transfer, multi_analytic_residual, pad_kernel_matrix)
+from .transfer import (TransferFunction, dilation_identity_report, eval_transfer,
+                       multi_analytic_residual)
 from .variety import VarietyModel
 from .words import Word, check_word
 
@@ -296,9 +296,8 @@ def ando_dilation(pair: CommutingPair, N: int | None = None,
         blk = embed_inner(blk, size, tf.r_in, r, axis=1)
         psi.append(blk / np.sqrt(g.coeffs[(j,)]))
     K1 = poisson_kernel(f, T1, N)
-    kmat = pad_kernel_matrix(K1, r)
-    wf = weighted_left_creation(f, N)
-    left = [np.kron(m, np.eye(r)) for m in wf.mats]
+    kmat = embed_inner(K1.matrix, size, K1.multiplicity, r, axis=0)
+    left = [w.dense(np.eye(r)) for w in weighted_creation(f, N)]
 
     if variety is not None:
         if variety.N != N or variety.f.coeffs != f.coeffs:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import (BCoefficients, OperatorTuple, RegularPolynomial, apply_phi,
-                     b_coefficients, phi_identity_iterates, weighted_left_creation)
+                     b_coefficients, phi_identity_power, weighted_creation)
 from .report import VerificationReport
 from .words import enumerate_words
 
@@ -90,19 +90,36 @@ def poisson_kernel(f: RegularPolynomial, T: OperatorTuple, N: int,
     return PoissonKernel(matrix=np.vstack(blocks), N=N, f=f, T=T, defect=dd, b=b)
 
 
+def add_gram_check(rep: VerificationReport, kmat: np.ndarray, f: RegularPolynomial,
+                   T: OperatorTuple, N: int, horizon: int, tol: float,
+                   tail: np.ndarray | None = None) -> None:
+    """Compare the Gram matrix of a kernel truncated at N with I - Phi^M(I).
+
+    M is the horizon; ``tail`` is Phi^M(I) when the caller has it.  For
+    deg f >= 2 the word-length truncation does not line up with any Phi
+    horizon; both mismatched tails are dominated by Phi^m(I) with
+    m = floor(N / deg f) + 1, so 2 ||Phi^m(I)|| is allowed on top of tol and
+    recorded as graded_tail_bound.
+    """
+    if f.degree >= 2:
+        bound = 2.0 * float(np.linalg.norm(phi_identity_power(f, T, N // f.degree + 1), 2))
+        rep.environment["graded_tail_bound"] = repr(bound)
+        tol = max(tol, bound + tol)
+    tail = tail if tail is not None else phi_identity_power(f, T, horizon)
+    gram = kmat.conj().T @ kmat
+    rep.add_residual("gram_vs_defect_horizon",
+                     float(np.linalg.norm(gram - (np.eye(T.dim) - tail), 2)), tol)
+    rep.environment["horizon"] = str(horizon)
+
+
 def verify_kernel_identities(K: PoissonKernel, tol: float = 1e-9,
                              horizon: int | None = None) -> VerificationReport:
     """Check the creation intertwinings and the Gram identity of a kernel.
 
     The intertwining K T_i^* = (W_i^* (x) I) K is compared on word rows of
     length <= N-1 only: the top level is cut by the truncation.  The Gram
-    matrix K^* K is compared against I - Phi^M(I) at the given horizon M.
-
-    For deg f = 1 the Gram comparison is exact in exact arithmetic.  For
-    deg f >= 2 the word-length truncation does not line up with any Phi
-    horizon; both mismatched tails are dominated by Phi^m(I) with
-    m = floor(N / deg f) + 1, so the check allows 2 ||Phi^m(I)|| on top of
-    the tolerance (recorded as graded_tail_bound).
+    matrix K^* K is compared against I - Phi^M(I) at the given horizon M
+    (:func:`add_gram_check`).
     """
     f, T, N = K.f, K.T, K.N
     rep = VerificationReport("poisson-kernel",
@@ -110,25 +127,13 @@ def verify_kernel_identities(K: PoissonKernel, tol: float = 1e-9,
     r = K.defect.rank
     table = enumerate_words(f.n, N)
     low_rows = table.max_level_index(N - 1) * r if N >= 1 else 0
-    W = weighted_left_creation(f, N)
-    for i in range(f.n):
+    for i, wi in enumerate(weighted_creation(f, N)):
         lhs = K.matrix @ T.mats[i].conj().T
-        rhs = np.kron(W.mats[i].conj().T, np.eye(r)) @ K.matrix
+        rhs = wi.apply_adjoint(K.matrix)
         res = float(np.linalg.norm((lhs - rhs)[:low_rows], 2)) if low_rows else 0.0
         rep.add_residual(f"intertwine_W{i + 1}", res, tol)
 
-    horizon = horizon if horizon is not None else N + 1
-    tail = phi_identity_iterates(f, T, horizon)[-1] if horizon >= 1 else np.eye(T.dim)
-    gram_tol = tol
-    if f.degree >= 2:
-        graded = phi_identity_iterates(f, T, N // f.degree + 1)[-1]
-        bound = 2.0 * float(np.linalg.norm(graded, 2))
-        gram_tol = max(tol, bound + tol)
-        rep.environment["graded_tail_bound"] = repr(bound)
-    gram = K.matrix.conj().T @ K.matrix
-    rep.add_residual("gram_vs_defect_horizon",
-                     float(np.linalg.norm(gram - (np.eye(T.dim) - tail), 2)), gram_tol)
-    rep.environment["horizon"] = str(horizon)
+    add_gram_check(rep, K.matrix, f, T, N, horizon if horizon is not None else N + 1, tol)
     sigma = float(np.linalg.norm(K.matrix, 2))
     rep.add_residual("contraction_sigma_max_minus_1", max(sigma - 1.0, 0.0), 1e-10)
     return rep

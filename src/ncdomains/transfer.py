@@ -15,15 +15,15 @@ Tensor convention throughout: np.kron(Fock factor, inner factor).
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .colligation import Colligation, INTERPRETIVE_FLAGS
-from .domain import (RegularPolynomial, b_coefficients,
-                     coefficient_words, weighted_left_creation,
-                     weighted_right_creation)
-from .poisson import PoissonKernel
+from .colligation import Colligation, INTERPRETIVE_FLAGS, embed_inner
+from .domain import (RegularPolynomial, b_coefficients, coefficient_words,
+                     shift_word, weighted_creation)
+from .poisson import PoissonKernel, verify_kernel_identities
 from .report import VerificationReport
 from .words import Word, enumerate_words, reverse
 
@@ -54,33 +54,34 @@ class TransferFunction:
         return self.blocks[self.block_words.index(tuple(w))]
 
 
-def _lambda_word_ops(f: RegularPolynomial, N: int) -> dict[Word, np.ndarray]:
-    """L_{w~} for every coefficient word w of f (so that L_{w~} e_u = c e_{u w})."""
-    lam = weighted_right_creation(f, N)
-    return {w: lam.word(reverse(w)) for w in coefficient_words(f)}
+def _lambda_sum(col: Colligation, N: int, block: Callable[[int], np.ndarray]) -> np.ndarray:
+    """sum_w sqrt(a_w) L_{w~} (x) block(i)^*, w the i-th coefficient word of f.
+
+    With block = col.d_block this is Q; each term is scattered into Fock blocks.
+    """
+    f = col.triple.f
+    lam = weighted_creation(f, N, "right")
+    size = lam[0].size
+    rows, cols = block(0).shape[::-1]
+    out = np.zeros((size * rows, size * cols), dtype=complex)
+    for i, w in enumerate(coefficient_words(f)):
+        a = f.coeffs.get(w, 0.0)
+        if a != 0.0:
+            shift_word(lam, reverse(w)).add_kron(out, block(i).conj().T, np.sqrt(a))
+    return out
 
 
 def eval_transfer(col: Colligation, N: int) -> TransferFunction:
     """Evaluate the transfer row of a colligation at truncation level N."""
     f = col.triple.f
     g = col.triple.g
-    table = enumerate_words(f.n, N)
-    size = len(table)
+    size = len(enumerate_words(f.n, N))
     w_mid = col.slot_dim
     r_out, r_in = col.r_out, col.r_in
     m2 = col.dims["m2"]
-    words_f = coefficient_words(f)
-    lam_ops = _lambda_word_ops(f, N)
 
-    q = np.zeros((size * w_mid, size * w_mid), dtype=complex)
-    gamma_bstar = np.zeros((size * w_mid, size * m2 * r_in), dtype=complex)
-    for i, w in enumerate(words_f):
-        a = f.coeffs.get(w, 0.0)
-        if a == 0.0:
-            continue
-        q += np.sqrt(a) * np.kron(lam_ops[w], col.d_block(i).conj().T)
-        gamma_bstar += np.sqrt(a) * np.kron(lam_ops[w], col.b_block(i).conj().T)
-
+    q = _lambda_sum(col, N, col.d_block)
+    gamma_bstar = _lambda_sum(col, N, col.b_block)
     rhs = np.kron(np.eye(size), col.C.conj().T) @ np.linalg.solve(
         np.eye(size * w_mid) - q, gamma_bstar)
     phi_full = np.kron(np.eye(size), col.A.conj().T) + rhs
@@ -118,12 +119,6 @@ def fourier_coefficients(tf: TransferFunction, w: Word,
     return out
 
 
-def _level_projector_indices(table, level: int, inner: int) -> np.ndarray:
-    """Row/column indices of the tensor blocks at word levels <= level."""
-    top = table.max_level_index(level)
-    return np.arange(top * inner)
-
-
 def fourier_roundtrip_residual(tf: TransferFunction, w: Word, max_level: int) -> float:
     """|| P_rows (phi_(w) - sum_{|u|<=M} L_u (x) coef_u) P_cols ||.
 
@@ -133,15 +128,14 @@ def fourier_roundtrip_residual(tf: TransferFunction, w: Word, max_level: int) ->
     """
     f, N = tf.f, tf.N
     table = enumerate_words(f.n, N)
-    lam = weighted_right_creation(f, N)
-    coefs = fourier_coefficients(tf, w, max_level)
+    lam = weighted_creation(f, N, "right")
     recon = np.zeros_like(tf.block(w))
-    for u, c in coefs.items():
-        recon += np.kron(lam.word(u), c)
+    for u, c in fourier_coefficients(tf, w, max_level).items():
+        shift_word(lam, u).add_kron(recon, c)
     diff = tf.block(w) - recon
-    rows = _level_projector_indices(table, min(max_level, N - max_level), tf.r_out)
-    cols = _level_projector_indices(table, N - max_level, tf.r_in)
-    return float(np.linalg.norm(diff[np.ix_(rows, cols)], 2))
+    rows = table.max_level_index(min(max_level, N - max_level)) * tf.r_out
+    cols = table.max_level_index(N - max_level) * tf.r_in
+    return float(np.linalg.norm(diff[:rows, :cols], 2))
 
 
 def multi_analytic_residual(tf: TransferFunction, w: Word) -> float:
@@ -151,76 +145,45 @@ def multi_analytic_residual(tf: TransferFunction, w: Word) -> float:
     creation operators raise the grading monotonically.
     """
     f, N = tf.f, tf.N
-    table = enumerate_words(f.n, N)
-    wl = weighted_left_creation(f, N)
     phi = tf.block(w)
-    cols = _level_projector_indices(table, N - 1, tf.r_in)
+    cols = enumerate_words(f.n, N).max_level_index(N - 1) * tf.r_in
     res = 0.0
-    for i in range(f.n):
-        lhs = phi @ np.kron(wl.mats[i], np.eye(tf.r_in))
-        rhs = np.kron(wl.mats[i], np.eye(tf.r_out)) @ phi
-        res = max(res, float(np.linalg.norm((lhs - rhs)[:, cols], 2)))
+    for wi in weighted_creation(f, N):
+        diff = wi.rmul(phi) - wi.apply(phi)
+        res = max(res, float(np.linalg.norm(diff[:, :cols], 2)))
     return res
 
 
 def defect_identity_residual(tf: TransferFunction) -> float:
-    """Residual of I - phi phi* = C~ (I - sum a_w L_{w~} L_{w~}^* (x) I) C~*.
+    """Residual of I - phi phi* = M ((I - sum a_w L_{w~} L_{w~}^*) (x) I) M^*.
 
-    with C~ = (I (x) C^*)(I - Q)^{-1}-style factor; equivalently the identity
-    I - phi phi* = M (Delta_L^2 (x) I) M^* with M = (I (x) C^*)(I - Q)^{-1}.
-    Exact on the corner of levels <= N - deg f (rows and columns).
+    M = (I (x) C^*)(I - Q)^{-1}.  Exact on the corner of levels <= N - deg f.
     """
     col = tf.colligation
     f, N = tf.f, tf.N
     table = enumerate_words(f.n, N)
     size = len(table)
     w_mid = col.slot_dim
-    lam_ops = _lambda_word_ops(f, N)
+    lam = weighted_creation(f, N, "right")
 
-    q = np.zeros((size * w_mid, size * w_mid), dtype=complex)
-    lam_gram = np.zeros((size, size), dtype=complex)
-    for i, w in enumerate(coefficient_words(f)):
-        a = f.coeffs.get(w, 0.0)
-        if a == 0.0:
-            continue
-        q += np.sqrt(a) * np.kron(lam_ops[w], col.d_block(i).conj().T)
-        lam_gram += a * (lam_ops[w] @ lam_ops[w].conj().T)
+    lam_gram = np.zeros(size)  # the diagonal of sum_w a_w L_{w~} L_{w~}^*
+    for w in f.support():
+        lw = shift_word(lam, reverse(w))
+        live = np.flatnonzero(lw.weight)
+        lam_gram[lw.target[live]] += f.coeffs[w] * lw.weight[live] ** 2
 
+    q = _lambda_sum(col, N, col.d_block)
     m = np.kron(np.eye(size), col.C.conj().T) @ np.linalg.inv(np.eye(size * w_mid) - q)
     phi_row = np.hstack(tf.blocks)
     lhs = np.eye(size * tf.r_out) - phi_row @ phi_row.conj().T
-    rhs = m @ np.kron(np.eye(size) - lam_gram, np.eye(w_mid)) @ m.conj().T
-    rows = _level_projector_indices(table, N - f.degree, tf.r_out)
-    return float(np.linalg.norm((lhs - rhs)[np.ix_(rows, rows)], 2))
+    rhs = (m * np.repeat(1.0 - lam_gram, w_mid)) @ m.conj().T
+    rows = table.max_level_index(N - f.degree) * tf.r_out
+    return float(np.linalg.norm((lhs - rhs)[:rows, :rows], 2))
 
 
 def contraction_excess(tf: TransferFunction) -> float:
     """max(0, sigma_max(full transfer row) - 1)."""
     return max(0.0, float(np.linalg.norm(np.hstack(tf.blocks), 2)) - 1.0)
-
-
-def embed_inner(mat: np.ndarray, fock: int, inner_from: int, inner_to: int,
-                axis: int) -> np.ndarray:
-    """Zero-pad the inner (per-Fock-block) dimension of a tensor-shaped matrix."""
-    if inner_from == inner_to:
-        return mat
-    if axis == 0:
-        out = np.zeros((fock * inner_to, mat.shape[1]), dtype=complex)
-        for j in range(fock):
-            out[j * inner_to: j * inner_to + inner_from] = \
-                mat[j * inner_from:(j + 1) * inner_from]
-        return out
-    out = np.zeros((mat.shape[0], fock * inner_to), dtype=complex)
-    for j in range(fock):
-        out[:, j * inner_to: j * inner_to + inner_from] = \
-            mat[:, j * inner_from:(j + 1) * inner_from]
-    return out
-
-
-def pad_kernel_matrix(K: PoissonKernel, inner_to: int) -> np.ndarray:
-    """Poisson kernel matrix re-indexed with the inner dimension padded to inner_to."""
-    size = K.matrix.shape[0] // K.multiplicity
-    return embed_inner(K.matrix, size, K.multiplicity, inner_to, axis=0)
 
 
 def dilation_identity_report(tf: TransferFunction, K1: PoissonKernel,
@@ -234,8 +197,8 @@ def dilation_identity_report(tf: TransferFunction, K1: PoissonKernel,
     g, T2 = col.triple.g, col.triple.T2
     rep = VerificationReport("dilation-identity",
                              environment={"N": str(tf.N), **INTERPRETIVE_FLAGS})
-    k1 = pad_kernel_matrix(K1, tf.r_out)
-    k1p = pad_kernel_matrix(K1p, tf.r_in)
+    k1 = embed_inner(K1.matrix, tf.fock_size, K1.multiplicity, tf.r_out, axis=0)
+    k1p = embed_inner(K1p.matrix, tf.fock_size, K1p.multiplicity, tf.r_in, axis=0)
     for w in g.support():
         c = g.coeffs[w]
         lhs = k1p @ T2.word(w).conj().T
@@ -243,7 +206,6 @@ def dilation_identity_report(tf: TransferFunction, K1: PoissonKernel,
         name = "g" + "".join(str(c_) for c_ in w)
         rep.add_residual(f"kernel_intertwine_{name}", float(np.linalg.norm(lhs - rhs, 2)), tol)
     # the two creation intertwinings accompanying the identity
-    from .poisson import verify_kernel_identities
     for tag, kern in (("K1", K1), ("K1p", K1p)):
         sub = verify_kernel_identities(kern, tol=tol)
         for rec in sub.checks:

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import (OperatorTuple, RegularPolynomial, b_coefficients,
-                     weighted_left_creation, weighted_right_creation)
-from .poisson import PoissonKernel, canonical_phases, poisson_kernel
+from .domain import (OperatorTuple, RegularPolynomial, WeightedShift, b_coefficients,
+                     phi_identity_power, shift_word, weighted_creation)
+from .poisson import PoissonKernel, add_gram_check, canonical_phases, poisson_kernel
 from .report import VerificationReport
 from .words import Word, check_word, enumerate_words
 
@@ -41,6 +41,11 @@ def eval_generator(q: Generator, T: OperatorTuple) -> np.ndarray:
         if c != 0:
             out += c * T.word(w)
     return out
+
+
+def _generator_on_shifts(q: Generator, W: tuple[WeightedShift, ...]) -> np.ndarray:
+    """The dense matrix q(W) of a nonconstant generator, from the word shifts W_w."""
+    return sum(c * shift_word(W, w).dense() for w, c in q.items() if c != 0)
 
 
 def commutator_generators(n: int) -> list[Generator]:
@@ -94,7 +99,7 @@ def _is_homogeneous(q: Generator) -> bool:
     return len(lengths) <= 1
 
 
-def _ideal_span_homogeneous(W: "OperatorTuple", generators: list[Generator],
+def _ideal_span_homogeneous(W: tuple[WeightedShift, ...], generators: list[Generator],
                             table, N: int, rank_tol: float) -> np.ndarray:
     """Orthonormal basis of span{W_u q(W) e_v} via closure under the W_i.
 
@@ -108,7 +113,7 @@ def _ideal_span_homogeneous(W: "OperatorTuple", generators: list[Generator],
         dq = generator_degree(q)
         if dq == 0:
             continue
-        qw = eval_generator(q, W)
+        qw = _generator_on_shifts(q, W)
         seeds.append(qw[:, :table.max_level_index(N - dq)])
     if not seeds:
         return np.zeros((len(table), 0), dtype=complex)
@@ -119,7 +124,7 @@ def _ideal_span_homogeneous(W: "OperatorTuple", generators: list[Generator],
     span = u_m[:, :rank]
     frontier = span
     for _ in range(N):
-        new = np.hstack([w @ frontier for w in W.mats])
+        new = np.hstack([w.apply(frontier) for w in W])
         new = new - span @ (span.conj().T @ new)
         new = new - span @ (span.conj().T @ new)  # second pass for orthogonality
         u_m, s, _ = np.linalg.svd(new, full_matrices=False)
@@ -141,8 +146,8 @@ def build_variety(f: RegularPolynomial, N: int, generators: list[Generator],
             raise ValueError("a nonzero constant generator collapses the model space")
     table = enumerate_words(f.n, N)
     size = len(table)
-    W = weighted_left_creation(f, N)
-    lam = weighted_right_creation(f, N)
+    W = weighted_creation(f, N, "left")
+    lam = weighted_creation(f, N, "right")
 
     if generators and all(_is_homogeneous(q) for q in generators):
         span = _ideal_span_homogeneous(W, generators, table, N, rank_tol)
@@ -152,35 +157,30 @@ def build_variety(f: RegularPolynomial, N: int, generators: list[Generator],
             u_m, s, _ = np.linalg.svd(span, full_matrices=True)
             rank = int(np.sum(s > 0.5))  # span columns are orthonormal
             basis = canonical_phases(u_m[:, rank:])
-        left = OperatorTuple(tuple(basis.conj().T @ w @ basis for w in W.mats))
-        right = OperatorTuple(tuple(basis.conj().T @ l @ basis for l in lam.mats))
-        margin = max((generator_degree(q) for q in generators), default=0)
-        return VarietyModel(f=f, N=N, generators=tuple(generators), basis=basis,
-                            left=left, right=right, unstable_margin=margin)
-
-    cols = []
-    for q in generators:
-        dq = generator_degree(q)
-        if dq == 0:
-            continue
-        qw = eval_generator(q, W)
-        for u in table.words:
-            if len(u) > N - dq:
-                break
-            mat = W.word(u) @ qw
-            top = table.max_level_index(N - dq - len(u))
-            cols.append(mat[:, :top])
-    if not cols:
-        basis = np.eye(size, dtype=complex)
     else:
-        m = np.hstack(cols)
-        u_m, s, _ = np.linalg.svd(m, full_matrices=True)
-        scale = s[0] if s.size and s[0] > 0 else 1.0
-        rank = int(np.sum(s > rank_tol * scale))
-        basis = canonical_phases(u_m[:, rank:])
+        cols = []
+        for q in generators:
+            dq = generator_degree(q)
+            if dq == 0:
+                continue
+            qw = _generator_on_shifts(q, W)
+            for u in table.words:
+                if len(u) > N - dq:
+                    break
+                mat = shift_word(W, u).apply(qw)
+                top = table.max_level_index(N - dq - len(u))
+                cols.append(mat[:, :top])
+        if not cols:
+            basis = np.eye(size, dtype=complex)
+        else:
+            u_m, s, _ = np.linalg.svd(np.hstack(cols), full_matrices=True)
+            scale = s[0] if s.size and s[0] > 0 else 1.0
+            rank = int(np.sum(s > rank_tol * scale))
+            basis = canonical_phases(u_m[:, rank:])
 
-    left = OperatorTuple(tuple(basis.conj().T @ w @ basis for w in W.mats))
-    right = OperatorTuple(tuple(basis.conj().T @ l @ basis for l in lam.mats))
+    basis_h = basis.conj().T
+    left = OperatorTuple(tuple(w.rmul(basis_h) @ basis for w in W))
+    right = OperatorTuple(tuple(l.rmul(basis_h) @ basis for l in lam))
     margin = max((generator_degree(q) for q in generators), default=0)
     return VarietyModel(f=f, N=N, generators=tuple(generators), basis=basis,
                         left=left, right=right, unstable_margin=margin)
@@ -227,11 +227,11 @@ def verify_constrained_kernel(ck: ConstrainedKernel, tol: float = 1e-9,
     row_idx = np.concatenate([j * r + np.arange(r) for j in stable_cols]) \
         if stable_cols.size else np.array([], dtype=int)
 
-    from .domain import phi_identity_iterates
     horizon = horizon if horizon is not None else N + 1
     # kernel mass beyond the truncation; bounds the boundary leakage of the
     # non-graded part of the intertwining
-    leak = float(np.linalg.norm(phi_identity_iterates(f, T, N + 1)[-1], 2)) ** 0.5
+    edge = phi_identity_power(f, T, N + 1)
+    leak = float(np.linalg.norm(edge, 2)) ** 0.5
     for i in range(f.n):
         lhs = ck.matrix @ T.mats[i].conj().T
         rhs = np.kron(variety.left.mats[i].conj().T, np.eye(r)) @ ck.matrix
@@ -240,19 +240,8 @@ def verify_constrained_kernel(ck: ConstrainedKernel, tol: float = 1e-9,
         full = float(np.linalg.norm(lhs - rhs, 2))
         rep.add_residual(f"intertwine_B{i + 1}_full", full, max(tol, 10.0 * leak))
     rep.environment["tail_leak"] = repr(leak)
-    tail_op = phi_identity_iterates(f, T, horizon)[-1]
-    gram_tol = tol
-    if f.degree >= 2:
-        # word-length truncation vs Phi-horizon mismatch, as for the
-        # unconstrained kernel Gram check
-        graded = phi_identity_iterates(f, T, N // f.degree + 1)[-1]
-        bound = 2.0 * float(np.linalg.norm(graded, 2))
-        gram_tol = max(tol, bound + tol)
-        rep.environment["graded_tail_bound"] = repr(bound)
-    gram = ck.matrix.conj().T @ ck.matrix
-    rep.add_residual("gram_vs_defect_horizon",
-                     float(np.linalg.norm(gram - (np.eye(T.dim) - tail_op), 2)), gram_tol)
-    rep.environment["horizon"] = str(horizon)
+    add_gram_check(rep, ck.matrix, f, T, N, horizon, tol,
+                   tail=edge if horizon == N + 1 else None)
     return rep
 
 

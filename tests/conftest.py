@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ncdomains import OperatorTuple, RegularPolynomial
+from ncdomains import OperatorTuple, RegularPolynomial, weighted_creation
 from ncdomains.harness import scale_into_domain
 
 
@@ -14,6 +14,11 @@ def f_battery() -> list[RegularPolynomial]:
         RegularPolynomial(2, {(1,): 1.0, (2,): 1.0}),      # z1 + z2
         RegularPolynomial(2, {(1,): 1.0, (2,): 1.0, (1, 2): 1.0}),  # z1+z2+z1z2
     ]
+
+
+def dense_creation(f: RegularPolynomial, N: int, side: str = "left") -> OperatorTuple:
+    """The weighted creation operators of f at truncation N as dense matrices."""
+    return OperatorTuple(tuple(s.dense() for s in weighted_creation(f, N, side)))
 
 
 def random_nilpotent_tuple(seed: int, n: int, dim: int,

@@ -224,8 +224,43 @@ def test_cli_config_wins_over_flags(tmp_path, capsys):
     rc = main(["--config", cfg, "--level", "9", "check-model"])
     captured = capsys.readouterr()
     assert rc == 0
-    assert "warning" in captured.err
+    assert "warning: --level 9 ignored, config file sets N=4" in captured.err
     assert "kernel_N=4" in captured.out
+
+
+def test_cli_config_default_value_still_wins(tmp_path, capsys):
+    """A key the file sets wins even when it equals the built-in default."""
+    cfg = scalar_config(tmp_path, tol=1e-9)
+    rc = main(["--config", cfg, "--tol", "1e-3", "check-model"])
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert "--tol 0.001 ignored" in captured.err and "tol=1e-09" in captured.err
+    assert "env tol=1e-09" in captured.out
+
+
+def test_cli_config_without_tol_uses_env(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("NCDOMAINS_TOL", "1e-7")
+    rc = main(["--config", scalar_config(tmp_path), "check-model"])
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert "env tol=1e-07" in captured.out
+    assert "warning" not in captured.err
+
+
+@pytest.mark.parametrize("field, patch", [
+    ("N", {"N": "x"}),
+    ("tol", {"tol": "tight"}),
+    ("seed", {"seed": [1]}),
+    ("count", {"count": "many"}),
+    ("dims[1]", {"dims": [3, "a"]}),
+    ("f.n", {"f": {"n": "one", "coeffs": {"1": 1.0}}}),
+    ("f.coeffs['1']", {"f": {"n": 1, "coeffs": {"1": "x"}}}),
+])
+def test_cli_malformed_scalar_exit_code(tmp_path, capsys, field, patch):
+    rc = main(["--config", scalar_config(tmp_path, **patch), "check-model"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"error: {field}:" in err
 
 
 def test_cli_matrix_from_file(tmp_path, capsys):

@@ -4,11 +4,11 @@ from hypothesis import given, strategies as st
 
 from ncdomains import (OperatorTuple, RegularPolynomial, apply_phi, b_coefficients,
                        block_count, coefficient_words, domain_membership,
-                       flip_unitary, purity_estimate, purity_horizon,
-                       weighted_left_creation, weighted_right_creation)
+                       flip_unitary, purity_estimate, purity_horizon, shift_word,
+                       weighted_creation)
 from ncdomains.words import enumerate_words, words_of_lengths
 
-from conftest import f_battery, random_nilpotent_tuple
+from conftest import dense_creation, f_battery, random_nilpotent_tuple
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +120,7 @@ def test_b_positive(seed):
 
 def test_left_creation_action_elementwise(fib_poly):
     f, N = fib_poly, 5
-    W = weighted_left_creation(f, N)
+    W = dense_creation(f, N)
     b = b_coefficients(f, N)
     table = enumerate_words(1, N)
     for j, w in enumerate(table.words):
@@ -137,7 +137,7 @@ def test_left_creation_action_elementwise(fib_poly):
 def test_right_creation_action_elementwise():
     f = RegularPolynomial(2, {(1,): 1.0, (2,): 1.0, (2, 1): 0.5})
     N = 3
-    L = weighted_right_creation(f, N)
+    L = dense_creation(f, N, "right")
     b = b_coefficients(f, N)
     table = enumerate_words(2, N)
     for i in (1, 2):
@@ -151,14 +151,65 @@ def test_right_creation_action_elementwise():
                 assert np.count_nonzero(col) == 1
 
 
+def dense_creation_oracle(f: RegularPolynomial, N: int, side: str) -> list[np.ndarray]:
+    """Dense creation matrices built entry by entry from their definition."""
+    table = enumerate_words(f.n, N)
+    b = b_coefficients(f, N)
+    mats = []
+    for i in range(1, f.n + 1):
+        m = np.zeros((len(table), len(table)), dtype=complex)
+        for j, w in enumerate(table.words):
+            if len(w) < N:
+                tgt = (i,) + w if side == "left" else w + (i,)
+                m[table.index[tgt], j] = np.sqrt(b[w] / b[tgt])
+        mats.append(m)
+    return mats
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("r", [1, 3])
+def test_weighted_shift_matches_dense_kron(side, r):
+    """Gathers, scatters and word composition agree bitwise with dense kron products."""
+    rng = np.random.default_rng(11)
+    N = 3
+    for f in f_battery():
+        shifts = weighted_creation(f, N, side)
+        dense = dense_creation_oracle(f, N, side)
+        size = len(dense[0])
+        x = rng.standard_normal((size * r, 4)) + 1j * rng.standard_normal((size * r, 4))
+        y = rng.standard_normal((5, size * r)) + 1j * rng.standard_normal((5, size * r))
+        inner = rng.standard_normal((r, 2)) + 1j * rng.standard_normal((r, 2))
+        for s, m in zip(shifts, dense):
+            big = np.kron(m, np.eye(r))
+            assert np.array_equal(s.dense(), m)
+            assert np.array_equal(s.dense(np.eye(r)), big)
+            assert np.array_equal(s.apply(x), big @ x)
+            assert np.array_equal(s.apply_adjoint(x), big.conj().T @ x)
+            assert np.array_equal(s.rmul(y), y @ big)
+        oracle = OperatorTuple(tuple(dense))
+        for w in words_of_lengths(f.n, 0, N):
+            sw = shift_word(shifts, w)
+            assert np.array_equal(sw.dense(), oracle.word(w))
+            assert np.array_equal(sw.dense(inner), np.kron(oracle.word(w), inner))
+            big = np.kron(oracle.word(w), np.eye(r))
+            assert np.array_equal(sw.apply(x), big @ x)
+            assert np.array_equal(sw.apply_adjoint(x), big.conj().T @ x)
+            assert np.array_equal(sw.rmul(y), y @ big)
+
+
+def test_weighted_creation_side_checked():
+    with pytest.raises(ValueError):
+        weighted_creation(RegularPolynomial.single_variable([1.0]), 2, "up")
+
+
 def test_flip_conjugation_for_reversal_symmetric():
     for f in f_battery():
         if not f.is_reversal_symmetric():
             continue
         N = 4
         U = flip_unitary(f.n, N)
-        W = weighted_left_creation(f, N)
-        L = weighted_right_creation(f, N)
+        W = dense_creation(f, N)
+        L = dense_creation(f, N, "right")
         assert np.linalg.norm(U @ U.T - np.eye(len(U))) == 0.0
         for i in range(f.n):
             assert np.linalg.norm(U.T @ L.mats[i] @ U - W.mats[i]) <= 1e-14
@@ -168,7 +219,7 @@ def test_vacuum_projection_identity():
     """I - Phi_{f,W}(I) is the vacuum projection below the truncation boundary."""
     N = 8
     for f in f_battery():
-        W = weighted_left_creation(f, N)
+        W = dense_creation(f, N)
         size = W.rows
         gap = np.eye(size, dtype=complex) - apply_phi(f, W, np.eye(size, dtype=complex))
         proj = np.zeros((size, size), dtype=complex)
@@ -179,7 +230,7 @@ def test_vacuum_projection_identity():
 
 def test_left_creation_row_contraction():
     for f in f_battery():
-        W = weighted_left_creation(f, 5)
+        W = dense_creation(f, 5)
         rep = domain_membership(f, W)
         assert rep.in_domain and rep.in_ellipsoid
 

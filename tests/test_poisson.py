@@ -3,7 +3,7 @@ import pytest
 
 from ncdomains import (OperatorTuple, RegularPolynomial, defect, poisson_kernel,
                        verify_kernel_identities)
-from ncdomains.domain import phi_identity_iterates
+from ncdomains.domain import phi_identity_power
 from ncdomains.poisson import canonical_phases
 
 from conftest import f_battery, random_nilpotent_tuple
@@ -57,7 +57,7 @@ def test_kernel_gram_tail_scalar_contraction():
         for N in (4, 8):
             K = poisson_kernel(f, T, N)
             gram = float((K.matrix.conj().T @ K.matrix).real[0, 0])
-            tail = float(np.linalg.norm(phi_identity_iterates(f, T, N + 1)[-1], 2))
+            tail = float(np.linalg.norm(phi_identity_power(f, T, N + 1), 2))
             assert abs(gram - 1.0) <= tail + 1e-12
 
 

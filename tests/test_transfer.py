@@ -6,7 +6,7 @@ from ncdomains import (IntertwiningTriple, OperatorTuple, RegularPolynomial,
                        fourier_coefficients, fourier_roundtrip_residual,
                        poisson_kernel)
 from ncdomains.colligation import Colligation
-from ncdomains.domain import weighted_right_creation
+from ncdomains.domain import weighted_creation
 from ncdomains.transfer import (contraction_excess, defect_identity_residual,
                                 dilation_identity_report, multi_analytic_residual)
 
@@ -27,8 +27,8 @@ def test_swap_transfer_is_lambda():
     col = swap_colligation()
     N = 5
     tf = eval_transfer(col, N)
-    lam = weighted_right_creation(Z, N)
-    assert np.linalg.norm(tf.block((1,)) - lam.mats[0], 2) <= 1e-13
+    lam = weighted_creation(Z, N, "right")
+    assert np.linalg.norm(tf.block((1,)) - lam[0].dense(), 2) <= 1e-13
 
 
 def test_swap_fourier_single_coefficient():

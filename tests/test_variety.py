@@ -8,7 +8,7 @@ from ncdomains import (OperatorTuple, RegularPolynomial, build_variety,
                        minpoly_generator, verify_constrained_kernel)
 from ncdomains.variety import generator_degree
 
-from conftest import f_battery
+from conftest import dense_creation, f_battery
 
 
 def drury_poly(n: int) -> RegularPolynomial:
@@ -28,8 +28,7 @@ def test_trivial_variety_is_full_fock():
     v = build_variety(drury_poly(2), 3, [])
     assert v.dim == v.basis.shape[0]
     W = v.left
-    from ncdomains import weighted_left_creation
-    W0 = weighted_left_creation(drury_poly(2), 3)
+    W0 = dense_creation(drury_poly(2), 3)
     assert all(np.linalg.norm(a - b) <= 1e-14 for a, b in zip(W.mats, W0.mats))
 
 
