@@ -210,6 +210,9 @@ def complete_to_unitary(partial: PartialIsometry, tol: float = 1e-8,
     result is snapped to the nearest unitary.
     """
     d1, d1p, d2, m1, m2 = partial.dims
+    rows = (partial.domain_vectors.shape[0], partial.range_vectors.shape[0])
+    if rows != (d1 + m1 * d2, m2 * d1p + d2):
+        raise ValueError(f"domain/range rows {rows} do not match the dims {partial.dims}")
     e, uu, vv, fallback = solve_padding(d1, d1p, d2, m1, m2, max_pad)
 
     dom = np.vstack([
@@ -221,7 +224,6 @@ def complete_to_unitary(partial: PartialIsometry, tol: float = 1e-8,
         embed_inner(partial.range_vectors[m2 * d1p:], 1, d2, d2 + e, axis=0),
     ])
     total = dom.shape[0]
-    assert ran.shape[0] == total
 
     u_d, vh, rank = _ordered_frames(dom)
     qx = u_d[:, :rank]

@@ -323,9 +323,11 @@ def domain_membership(f: RegularPolynomial, T: OperatorTuple, tol: float = 1e-9)
     eye = np.eye(T.cols, dtype=complex)
     gap = np.eye(T.rows) - apply_phi(f, T, eye)
     min_eig = float(np.linalg.eigvalsh((gap + gap.conj().T) / 2).min())
-    f1 = RegularPolynomial(f.n, {w: a for w, a in f.coeffs.items() if len(w) == 1})
-    gap1 = np.eye(T.rows) - apply_phi(f1, T, eye)
-    min_eig1 = float(np.linalg.eigvalsh((gap1 + gap1.conj().T) / 2).min())
+    min_eig1 = min_eig  # a degree-1 f is its own degree-1 part
+    if f.degree > 1:
+        f1 = RegularPolynomial(f.n, {w: a for w, a in f.coeffs.items() if len(w) == 1})
+        gap1 = np.eye(T.rows) - apply_phi(f1, T, eye)
+        min_eig1 = float(np.linalg.eigvalsh((gap1 + gap1.conj().T) / 2).min())
     return MembershipReport(
         in_domain=min_eig >= -tol,
         in_ellipsoid=min_eig1 >= -tol,

@@ -3,11 +3,18 @@
 Given a positive regular polynomial f and generators q_s (polynomials in the
 weighted left creation operators W), the constrained model space is
 
-    N_J = (truncated Fock) minus span{ W_u q_s(W) e_v },
+    N_J = (truncated Fock) minus J,   J = span{ W_u q_s(W) e_v },
 
 with compressed tuples B_i = P W_i P (left) and C_i = P L_i P (right).  Tuples
 T that annihilate every generator admit a constrained Poisson kernel obtained
 by projecting the unconstrained one onto N_J.
+
+For homogeneous generators J is graded: W_i raises the level by one, so
+J_m = sum_i W_i J_{m-1} + span{ q_s(W) e_v : |v| = m - deg q_s }.  The model
+is then built one level at a time, one SVD of an n^m-row block per level, and
+its basis is the level complements in level order.  Other generators go
+through one SVD of the whole span.  Both use one rank rule: a singular value
+counts when it exceeds rank_tol times the largest one of its block.
 
 Truncation semantics: the span above is only reliable at levels
 |u| + deg q_s + |v| <= N, so levels within max(deg q_s) of the boundary are
@@ -26,7 +33,7 @@ from .domain import (OperatorTuple, RegularPolynomial, WeightedShift, b_coeffici
                      phi_identity_power, shift_word, weighted_creation)
 from .poisson import PoissonKernel, add_gram_check, canonical_phases, poisson_kernel
 from .report import VerificationReport
-from .words import Word, check_word, enumerate_words
+from .words import Word, WordTable, check_word, enumerate_words
 
 Generator = dict[Word, complex]  # polynomial sum coeff * Z_w with |w| >= 1
 
@@ -43,9 +50,16 @@ def eval_generator(q: Generator, T: OperatorTuple) -> np.ndarray:
     return out
 
 
-def _generator_on_shifts(q: Generator, W: tuple[WeightedShift, ...]) -> np.ndarray:
-    """The dense matrix q(W) of a nonconstant generator, from the word shifts W_w."""
-    return sum(c * shift_word(W, w).dense() for w, c in q.items() if c != 0)
+def _generator_columns(q: Generator, W: tuple[WeightedShift, ...],
+                       cols: slice) -> np.ndarray:
+    """The columns q(W) e_v for the Fock indices v in cols, scattered from the shifts W_w."""
+    idx = np.arange(W[0].size)[cols]
+    out = np.zeros((W[0].size, idx.size), dtype=complex)
+    for w, c in q.items():
+        if c != 0:
+            s = shift_word(W, w)
+            out[s.target[idx], np.arange(idx.size)] += c * s.weight[idx]
+    return out
 
 
 def commutator_generators(n: int) -> list[Generator]:
@@ -99,84 +113,64 @@ def _is_homogeneous(q: Generator) -> bool:
     return len(lengths) <= 1
 
 
-def _ideal_span_homogeneous(W: tuple[WeightedShift, ...], generators: list[Generator],
-                            table, N: int, rank_tol: float) -> np.ndarray:
-    """Orthonormal basis of span{W_u q(W) e_v} via closure under the W_i.
+def _split_span(cand: np.ndarray, rows: slice, rank_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal bases of the span of cand[rows] and of its complement in those rows.
 
-    Valid for homogeneous generators only: there a column whose level exceeds
-    N is truncated to zero rather than to a spurious lower-level vector, so
-    repeatedly applying the creations to the seed columns q(W) e_v reproduces
-    the ideal span exactly.
+    The one rank rule: keep the singular values s > rank_tol * max(s).  Both
+    bases come back placed at their rows; the complement gets canonical phases.
     """
-    seeds = []
-    for q in generators:
-        dq = generator_degree(q)
-        if dq == 0:
-            continue
-        qw = _generator_on_shifts(q, W)
-        seeds.append(qw[:, :table.max_level_index(N - dq)])
-    if not seeds:
-        return np.zeros((len(table), 0), dtype=complex)
-    seed = np.hstack(seeds)
-    u_m, s, _ = np.linalg.svd(seed, full_matrices=False)
-    scale = s[0] if s.size and s[0] > 0 else 1.0
-    rank = int(np.sum(s > rank_tol * scale))
-    span = u_m[:, :rank]
-    frontier = span
-    for _ in range(N):
-        new = np.hstack([w.apply(frontier) for w in W])
-        new = new - span @ (span.conj().T @ new)
-        new = new - span @ (span.conj().T @ new)  # second pass for orthogonality
-        u_m, s, _ = np.linalg.svd(new, full_matrices=False)
-        added = int(np.sum(s > rank_tol * scale))
-        if added == 0:
-            break
-        frontier = u_m[:, :added]
-        span = np.hstack([span, frontier])
-    return span
+    u_m, s, _ = np.linalg.svd(cand[rows], full_matrices=True)
+    rank = int(np.sum(s > rank_tol * (s[0] if s.size else 0.0)))
+    out = np.zeros((cand.shape[0], u_m.shape[1]), dtype=complex)
+    out[rows] = u_m
+    return out[:, :rank], canonical_phases(out[:, rank:])
+
+
+def _graded_complement(table: WordTable, W: tuple[WeightedShift, ...],
+                       live: list[tuple[Generator, int]], rank_tol: float) -> np.ndarray:
+    """N_J level by level: the SVD of W_i J_{m-1} + {q(W) e_v : |v| = m - deg q} gives J_m."""
+    ideal = np.zeros((len(table), 0), dtype=complex)
+    levels = []
+    for m in range(table.N + 1):
+        cand = [w.apply(ideal) for w in W]
+        cand += [_generator_columns(q, W, table.level_slice(m - dq)) for q, dq in live if dq <= m]
+        ideal, comp = _split_span(np.hstack(cand), table.level_slice(m), rank_tol)
+        levels.append(comp)
+    return np.hstack(levels)
+
+
+def _span_complement(table: WordTable, W: tuple[WeightedShift, ...],
+                     live: list[tuple[Generator, int]], rank_tol: float) -> np.ndarray:
+    """N_J for any generators: one SVD of {W_u q(W) e_v : |u| + deg q + |v| <= N}."""
+    cols = [np.zeros((len(table), 0), dtype=complex)]
+    for q, dq in live:
+        qw = _generator_columns(q, W, slice(0, table.max_level_index(table.N - dq)))
+        for u in table.words:
+            if len(u) > table.N - dq:
+                break
+            top = table.max_level_index(table.N - dq - len(u))
+            cols.append(shift_word(W, u).apply(qw[:, :top]))
+    return _split_span(np.hstack(cols), slice(None), rank_tol)[1]
 
 
 def build_variety(f: RegularPolynomial, N: int, generators: list[Generator],
                   rank_tol: float = 1e-9) -> VarietyModel:
-    """Orthonormal basis of N_J and the compressed creation tuples."""
+    """Orthonormal basis of N_J and the compressed creation tuples.
+
+    Built level by level when every generator is homogeneous, else by one SVD
+    of the whole span; rank_tol is relative to the largest singular value.
+    """
     for q in generators:
         for w in q:
             check_word(w, f.n)
         if generator_degree(q) == 0 and any(c != 0 for c in q.values()):
             raise ValueError("a nonzero constant generator collapses the model space")
     table = enumerate_words(f.n, N)
-    size = len(table)
     W = weighted_creation(f, N, "left")
     lam = weighted_creation(f, N, "right")
-
-    if generators and all(_is_homogeneous(q) for q in generators):
-        span = _ideal_span_homogeneous(W, generators, table, N, rank_tol)
-        if span.shape[1] == 0:
-            basis = np.eye(size, dtype=complex)
-        else:
-            u_m, s, _ = np.linalg.svd(span, full_matrices=True)
-            rank = int(np.sum(s > 0.5))  # span columns are orthonormal
-            basis = canonical_phases(u_m[:, rank:])
-    else:
-        cols = []
-        for q in generators:
-            dq = generator_degree(q)
-            if dq == 0:
-                continue
-            qw = _generator_on_shifts(q, W)
-            for u in table.words:
-                if len(u) > N - dq:
-                    break
-                mat = shift_word(W, u).apply(qw)
-                top = table.max_level_index(N - dq - len(u))
-                cols.append(mat[:, :top])
-        if not cols:
-            basis = np.eye(size, dtype=complex)
-        else:
-            u_m, s, _ = np.linalg.svd(np.hstack(cols), full_matrices=True)
-            scale = s[0] if s.size and s[0] > 0 else 1.0
-            rank = int(np.sum(s > rank_tol * scale))
-            basis = canonical_phases(u_m[:, rank:])
+    live = [(q, generator_degree(q)) for q in generators if generator_degree(q) > 0]
+    build = _graded_complement if all(_is_homogeneous(q) for q, _ in live) else _span_complement
+    basis = build(table, W, live, rank_tol)
 
     basis_h = basis.conj().T
     left = OperatorTuple(tuple(w.rmul(basis_h) @ basis for w in W))

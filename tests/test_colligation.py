@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,13 @@ def test_scalar_swap_example():
     assert np.allclose(col.matrix, [[0.0, 1.0], [1.0, 0.0]], atol=1e-12)
     assert col.unitarity_residual <= 1e-12
     assert col.prescribed_residual <= 1e-12
+
+
+def test_complete_to_unitary_rejects_row_mismatch():
+    partial = build_isometry(scalar_zero_triple())
+    short = dataclasses.replace(partial, range_vectors=partial.range_vectors[:-1])
+    with pytest.raises(ValueError, match="do not match the dims"):
+        complete_to_unitary(short)
 
 
 def test_zero_second_tuple_range():

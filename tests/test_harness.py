@@ -97,7 +97,8 @@ def test_swapped_dilation_tightens():
 
 def test_von_neumann_baseline():
     pair = random_commuting_pair(3, 4, "upper-triangular-commuting", Z, Z)
-    rep = von_neumann_check(pair, builtin_bipolynomials() + builtin_matrix_polys())
+    polys = builtin_bipolynomials() + builtin_matrix_polys()
+    rep = von_neumann_check(pair, polys, [grid_sup_norm(p, 512) for p in polys])
     assert rep.passed, rep.render()
 
 
@@ -105,7 +106,7 @@ def test_von_neumann_requires_baseline():
     f2 = RegularPolynomial.single_variable([1.0, 1.0])
     pair = random_commuting_pair(3, 3, "jointly-nilpotent", f2, Z)
     with pytest.raises(ValueError):
-        von_neumann_check(pair, builtin_bipolynomials())
+        von_neumann_check(pair, builtin_bipolynomials(), [1.0] * 10)
 
 
 def test_degree_two_f_dilation():

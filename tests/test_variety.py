@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from ncdomains import (OperatorTuple, RegularPolynomial, build_variety,
-                       commutator_generators, constrained_poisson, kappa_eval,
-                       minpoly_generator, verify_constrained_kernel)
-from ncdomains.variety import generator_degree
+                       commutator_generators, constrained_poisson, enumerate_words,
+                       kappa_eval, minpoly_generator, verify_constrained_kernel,
+                       weighted_creation)
+from ncdomains.variety import _span_complement, generator_degree
 
 from conftest import dense_creation, f_battery
 
@@ -16,12 +17,29 @@ def drury_poly(n: int) -> RegularPolynomial:
 
 
 def test_symmetric_fock_dimensions():
-    for n, N in ((2, 6), (3, 5)):
-        v = build_variety(drury_poly(n), N, commutator_generators(n))
-        dims = v.level_dimensions()
-        stable = N - v.unstable_margin
-        for m in range(stable + 1):
-            assert dims[m] == comb(n + m - 1, m)
+    """The graded build is exact up to the top level: C(n+m-1, m) for m = 0..N."""
+    weighted = RegularPolynomial(2, {(1,): 0.5, (2,): 2.0})
+    for f, N in ((drury_poly(2), 6), (drury_poly(3), 5), (weighted, 6)):
+        v = build_variety(f, N, commutator_generators(f.n))
+        assert v.level_dimensions() == [comb(f.n + m - 1, m) for m in range(N + 1)]
+
+
+def test_graded_build_matches_span_oracle():
+    """The level-by-level basis spans the model space of one SVD of the whole span."""
+    mixed = {(1, 1): 1.0, (1, 2): 0.5 - 0.2j, (2, 1): -0.3, (2, 2): 0.25j}
+    cases = [(f, 5, gens) for f in f_battery() if f.n > 1
+             for gens in (commutator_generators(f.n), [mixed])]
+    cases += [(drury_poly(3), 4, commutator_generators(3))]
+    cases += [(f, 8, [{(1,) * k: 1.0}]) for f in f_battery() if f.n == 1 for k in (1, 2, 3)]
+    for f, N, gens in cases:
+        v = build_variety(f, N, gens)
+        live = [(q, generator_degree(q)) for q in gens]
+        oracle = _span_complement(enumerate_words(f.n, N), weighted_creation(f, N),
+                                  live, 1e-9)
+        assert v.dim == oracle.shape[1]
+        assert np.linalg.norm(v.basis.conj().T @ v.basis - np.eye(v.dim), 2) <= 1e-12
+        proj_gap = v.basis @ v.basis.conj().T - oracle @ oracle.conj().T
+        assert np.linalg.norm(proj_gap, 2) <= 1e-12
 
 
 def test_trivial_variety_is_full_fock():
