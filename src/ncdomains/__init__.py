@@ -9,8 +9,8 @@ Layers:
 * :mod:`ncdomains.poisson` -- defect operators and Poisson kernels
 * :mod:`ncdomains.colligation` -- structural isometries and their unitary
   completions
-* :mod:`ncdomains.transfer` -- transfer functions, Fourier coefficients,
-  dilation identities
+* :mod:`ncdomains.transfer` -- transfer functions as coefficient tables,
+  Fourier coefficients, dilation identities
 * :mod:`ncdomains.variety` -- constrained (polynomially cut) model spaces
 * :mod:`ncdomains.harness` -- commuting pairs, two-tuple dilations, and the
   operator-inequality battery

@@ -10,6 +10,9 @@ Verbs:
 A command-line flag sets its knob unless the config file sets the same key;
 then the config file wins and a warning names both values.  A tolerance set
 by neither comes from the NCDOMAINS_TOL environment variable (default 1e-9).
+Flags, config keys and NCDOMAINS_TOL share one range rule (count >= 1, every
+dims[i] >= 1, N >= 0, tol finite and >= 0); a value outside it exits with
+code 2 and a message naming the flag, key or variable.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import ConfigError, ExperimentConfig
+from .config import ConfigError, ExperimentConfig, check_range
 from .domain import RegularPolynomial, domain_membership, purity_estimate
 from .harness import (CommutingPair, ando_dilation, builtin_bipolynomials,
                       builtin_hermitian, builtin_matrix_polys, run_battery,
@@ -53,11 +56,12 @@ def _merge(cfg: ExperimentConfig, ns: argparse.Namespace) -> ExperimentConfig:
         flag = getattr(ns, attr)
         if flag is None:
             continue
+        option = "--level" if attr == "N" else f"--{attr}"
+        check_range(attr, flag, option)
         current = getattr(cfg, attr)
         if attr not in cfg.file_keys:
             setattr(cfg, attr, flag)
         elif current != flag:
-            option = "--level" if attr == "N" else f"--{attr}"
             print(f"warning: {option} {flag} ignored, config file sets "
                   f"{attr}={current}", file=sys.stderr)
     return cfg

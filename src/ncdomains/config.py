@@ -8,6 +8,7 @@ offending location.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -132,10 +133,37 @@ def parse_variety_spec(obj, where: str, n: int) -> list[Generator] | None:
     raise ConfigError(f"{where}: unknown variety kind {kind!r}")
 
 
+def _at_least(low: int, value, where: str) -> None:
+    if value < low:
+        raise ConfigError(f"{where}: expected a value >= {low}, got {value!r}")
+
+
+def check_range(key: str, value, where: str) -> None:
+    """The range rule of the numeric knobs, for config keys, flags and NCDOMAINS_TOL.
+
+    count >= 1, every dims[i] >= 1, N >= 0, tol finite and >= 0; other keys
+    are unrestricted.  A violation raises ConfigError naming ``where``.
+    """
+    if key == "tol":
+        if not (math.isfinite(value) and value >= 0.0):
+            raise ConfigError(f"{where}: expected a finite value >= 0, got {value!r}")
+    elif key == "dims":
+        for i, d in enumerate(value):
+            _at_least(1, d, f"{where}[{i}]")
+    elif key == "count":
+        _at_least(1, value, where)
+    elif key == "N":
+        _at_least(0, value, where)
+
+
 def default_tolerance(fallback: float = 1e-9) -> float:
     """Default check tolerance, overridable via the NCDOMAINS_TOL variable."""
     raw = os.environ.get(DEFAULT_TOL_ENV)
-    return fallback if raw is None else _scalar(float, raw, DEFAULT_TOL_ENV)
+    if raw is None:
+        return fallback
+    tol = _scalar(float, raw, DEFAULT_TOL_ENV)
+    check_range("tol", tol, DEFAULT_TOL_ENV)
+    return tol
 
 
 @dataclass
@@ -177,10 +205,12 @@ class ExperimentConfig:
         for key, kind in (("N", int), ("tol", float), ("seed", int), ("count", int)):
             if key in obj:
                 setattr(cfg, key, _scalar(kind, obj[key], key))
+                check_range(key, getattr(cfg, key), key)
         if "dims" in obj:
             if not isinstance(obj["dims"], list):
                 raise ConfigError(f"dims: expected a list, got {obj['dims']!r}")
             cfg.dims = [_scalar(int, d, f"dims[{i}]") for i, d in enumerate(obj["dims"])]
+            check_range("dims", cfg.dims, "dims")
         if "kinds" in obj:
             cfg.kinds = [str(k) for k in obj["kinds"]]
         if "output" in obj:

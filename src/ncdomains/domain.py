@@ -210,11 +210,15 @@ class WeightedShift:
                                                   x.shape[1])
         return (self.weight[:, None, None] * xb[self.target]).reshape(x.shape)
 
-    def rmul(self, x: np.ndarray) -> np.ndarray:
-        """x (S (x) I_r), gathered column block by column block."""
+    def rmul(self, x: np.ndarray, blocks: int | None = None) -> np.ndarray:
+        """x (S (x) I_r), gathered column block by column block.
+
+        With ``blocks`` given, only the first ``blocks`` column blocks are formed.
+        """
+        k = self.size if blocks is None else blocks
         xb = np.asarray(x, dtype=complex).reshape(x.shape[0], self.size,
                                                   x.shape[1] // self.size)
-        return (xb[:, self.target] * self.weight[None, :, None]).reshape(x.shape)
+        return (xb[:, self.target[:k]] * self.weight[None, :k, None]).reshape(x.shape[0], -1)
 
     def add_kron(self, out: np.ndarray, inner: np.ndarray, scale: complex = 1.0) -> None:
         """out += scale * kron(S, inner), in place, one Fock block per live column."""
@@ -281,52 +285,57 @@ def flip_unitary(n: int, N: int) -> np.ndarray:
     return u
 
 
-def apply_phi(f: RegularPolynomial, T: OperatorTuple, X: np.ndarray) -> np.ndarray:
+def apply_phi(f: RegularPolynomial, T: OperatorTuple,
+              X: np.ndarray | None = None) -> np.ndarray:
     """The completely positive map sum_{1<=|w|<=k} a_w T_w X T_w^*.
 
     ``T`` may be rectangular (maps H' -> H); then X acts on H' and the result
-    on H, and words of length >= 2 require square matrices.
+    on H, and words of length >= 2 require square matrices.  Without X this is
+    Phi(I) = sum a_w T_w T_w^*, with no product by the identity.
     """
     if T.n != f.n:
         raise ValueError(f"tuple length {T.n} does not match the {f.n} indeterminates of f")
-    X = np.asarray(X, dtype=complex)
-    if X.shape != (T.cols, T.cols):
-        raise ValueError(f"argument shape {X.shape} does not match tuple domain {T.cols}")
+    if X is not None:
+        X = np.asarray(X, dtype=complex)
+        if X.shape != (T.cols, T.cols):
+            raise ValueError(f"argument shape {X.shape} does not match tuple domain {T.cols}")
     if f.degree >= 2 and T.rows != T.cols:
         raise ValueError("degree >= 2 terms need a square operator tuple")
     out = np.zeros((T.rows, T.rows), dtype=complex)
     for w, a in f.coeffs.items():
         tw = T.word(w)
-        out += a * (tw @ X @ tw.conj().T)
+        out += a * ((tw if X is None else tw @ X) @ tw.conj().T)
     return out
 
 
 def phi_identity_iterates(f: RegularPolynomial, T: OperatorTuple,
                          m_max: int) -> Iterator[np.ndarray]:
     """Phi(I), Phi^2(I), ..., Phi^{m_max}(I), one at a time."""
-    x = np.eye(T.cols, dtype=complex)
-    for _ in range(m_max):
+    if m_max < 1:
+        return
+    x = apply_phi(f, T)
+    yield x
+    for _ in range(m_max - 1):
         x = apply_phi(f, T, x)
         yield x
 
 
 def phi_identity_power(f: RegularPolynomial, T: OperatorTuple, m: int) -> np.ndarray:
     """Phi^m(I); Phi^0(I) = I."""
-    x = np.eye(T.cols, dtype=complex)
+    x = None
     for x in phi_identity_iterates(f, T, m):
         pass
-    return x
+    return np.eye(T.cols, dtype=complex) if x is None else x
 
 
 def domain_membership(f: RegularPolynomial, T: OperatorTuple, tol: float = 1e-9) -> MembershipReport:
     """Check sum a_w T_w T_w* <= I (domain) and its degree-1 part (ellipsoid)."""
-    eye = np.eye(T.cols, dtype=complex)
-    gap = np.eye(T.rows) - apply_phi(f, T, eye)
+    gap = np.eye(T.rows) - apply_phi(f, T)
     min_eig = float(np.linalg.eigvalsh((gap + gap.conj().T) / 2).min())
     min_eig1 = min_eig  # a degree-1 f is its own degree-1 part
     if f.degree > 1:
         f1 = RegularPolynomial(f.n, {w: a for w, a in f.coeffs.items() if len(w) == 1})
-        gap1 = np.eye(T.rows) - apply_phi(f1, T, eye)
+        gap1 = np.eye(T.rows) - apply_phi(f1, T)
         min_eig1 = float(np.linalg.eigvalsh((gap1 + gap1.conj().T) / 2).min())
     return MembershipReport(
         in_domain=min_eig >= -tol,

@@ -165,7 +165,7 @@ def scale_into_domain(f: RegularPolynomial, T: OperatorTuple,
 
     def top(s: float) -> float:
         st = OperatorTuple(tuple(s * m for m in T.mats))
-        val = apply_phi(f, st, np.eye(T.cols, dtype=complex))
+        val = apply_phi(f, st)
         return float(np.linalg.eigvalsh((val + val.conj().T) / 2).max())
 
     if top(1.0) <= target:

@@ -47,7 +47,7 @@ def defect(f: RegularPolynomial, T: OperatorTuple, tol: float = 1e-9,
     Eigenvalues are sorted descending; tiny negatives (>= -tol) are clamped
     to zero, anything below -tol means the tuple is outside the domain.
     """
-    gap = np.eye(T.rows) - apply_phi(f, T, np.eye(T.cols, dtype=complex))
+    gap = np.eye(T.rows) - apply_phi(f, T)
     gap = (gap + gap.conj().T) / 2
     evals, evecs = np.linalg.eigh(gap)
     order = np.argsort(-evals, kind="stable")

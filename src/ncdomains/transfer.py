@@ -6,9 +6,16 @@ row of multi-analytic operators
     phi_(b) = I (x) A_(b)^* + (I (x) C^*) (I - Q)^{-1} Gamma (I (x) B_(b)^*),
     Q = sum_w sqrt(a_w) L_{w~} (x) D_(w)^*,
 
-is evaluated at the boundary (radius 1).  Since the right creation operators
-raise the grading, I - Q is unit lower-triangular in the graded basis and the
-resolvent is a single linear solve (exact, no series truncation).
+is evaluated at the boundary (radius 1).  L_{w~} appends the word w, so
+L_{w~} L_{v~} appends v then w and Q is nilpotent: the row is the finite sum
+phi = sum_{|u| <= N} L_{u~} (x) Theta_u with Theta_empty = A^* and
+Theta_u = C^* X_u, where
+
+    X_u = [u = w] sqrt(a_w) B_(w)^* + sum_{u = v w, v nonempty} sqrt(a_w) D_(w)^* X_v
+
+(the structured noncommutative realization formula of Ball, Groenewald and
+Malakorn).  The coefficient table is exact, with no series truncation; the
+dense blocks are scattered from it, one Fock block per column of L_{u~}.
 
 Tensor convention throughout: np.kron(Fock factor, inner factor).
 """
@@ -21,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .colligation import Colligation, INTERPRETIVE_FLAGS, embed_inner
-from .domain import (RegularPolynomial, b_coefficients, coefficient_words,
+from .domain import (RegularPolynomial, WeightedShift, coefficient_words,
                      shift_word, weighted_creation)
 from .poisson import PoissonKernel, verify_kernel_identities
 from .report import VerificationReport
@@ -32,7 +39,10 @@ from .words import Word, enumerate_words, reverse
 class TransferFunction:
     """phi_(b) blocks of the transfer row, one per coefficient word of g.
 
-    Each block maps (Fock) (x) C^{r_in} -> (Fock) (x) C^{r_out}.
+    Each block maps (Fock) (x) C^{r_in} -> (Fock) (x) C^{r_out}.  ``theta``
+    is the coefficient table: Theta_u (r_out x m2*r_in, the m2 blocks side by
+    side) for every word |u| <= N, the coefficient of the operator that
+    appends u.
     """
 
     colligation: Colligation
@@ -41,6 +51,7 @@ class TransferFunction:
     blocks: tuple[np.ndarray, ...]
     block_words: tuple[Word, ...]
     fock_size: int
+    theta: dict[Word, np.ndarray]
 
     @property
     def r_out(self) -> int:
@@ -54,37 +65,63 @@ class TransferFunction:
         return self.blocks[self.block_words.index(tuple(w))]
 
 
-def _lambda_sum(col: Colligation, N: int, block: Callable[[int], np.ndarray]) -> np.ndarray:
-    """sum_w sqrt(a_w) L_{w~} (x) block(i)^*, w the i-th coefficient word of f.
+def _coefficient_table(col: Colligation, N: int, head: Callable[[int], np.ndarray],
+                       empty: np.ndarray) -> dict[Word, np.ndarray]:
+    """``empty`` at the empty word and C^* Z_u for 1 <= |u| <= N, where Z_u is
+    the sum over u = v w, w a coefficient word of f, of sqrt(a_w) head(w)^*
+    when v is empty and sqrt(a_w) D_(w)^* Z_v otherwise.
 
-    With block = col.d_block this is Q; each term is scattered into Fock blocks.
+    head(i) is the block of the i-th coefficient word of f.  Z_u is the inner
+    coefficient, at the operator appending u, of (I - Q)^{-1} Gamma (I (x) B^*)
+    for head = col.b_block and of (I - Q)^{-1} - I for head = col.d_block.
     """
     f = col.triple.f
-    lam = weighted_creation(f, N, "right")
+    terms = [(w, np.sqrt(a), col.d_block(i).conj().T, head(i).conj().T)
+             for i, w in enumerate(coefficient_words(f))
+             if (a := f.coeffs.get(w, 0.0)) != 0.0]
+    shape = (col.slot_dim, head(0).shape[0])
+    cstar = col.C.conj().T
+    z: dict[Word, np.ndarray] = {}
+    table = {(): empty}
+    for u in enumerate_words(f.n, N).words[1:]:
+        acc = np.zeros(shape, dtype=complex)
+        for w, s, dstar, hstar in terms:
+            k = len(u) - len(w)
+            if k >= 0 and u[k:] == w:
+                acc += s * (dstar @ z[u[:k]] if k else hstar)
+        z[u] = acc
+        table[u] = cstar @ acc
+    return table
+
+
+def _scatter(table: dict[Word, np.ndarray], lam: tuple[WeightedShift, ...]) -> np.ndarray:
+    """The dense sum_u L_{u~} (x) table[u] over the right creation operators lam.
+
+    The table holds the empty word, whose entry fixes the inner block shape.
+    """
+    rows, cols = table[()].shape
     size = lam[0].size
-    rows, cols = block(0).shape[::-1]
     out = np.zeros((size * rows, size * cols), dtype=complex)
-    for i, w in enumerate(coefficient_words(f)):
-        a = f.coeffs.get(w, 0.0)
-        if a != 0.0:
-            shift_word(lam, reverse(w)).add_kron(out, block(i).conj().T, np.sqrt(a))
+    for u, coef in table.items():
+        shift_word(lam, reverse(u)).add_kron(out, coef)
     return out
 
 
 def eval_transfer(col: Colligation, N: int) -> TransferFunction:
-    """Evaluate the transfer row of a colligation at truncation level N."""
+    """Evaluate the transfer row of a colligation at truncation level N.
+
+    The coefficient table Theta comes from the word recursion of X_u (module
+    docstring), with no resolvent solve; the dense blocks are scattered from it.
+    """
     f = col.triple.f
     g = col.triple.g
-    size = len(enumerate_words(f.n, N))
-    w_mid = col.slot_dim
+    lam = weighted_creation(f, N, "right")
+    size = lam[0].size
     r_out, r_in = col.r_out, col.r_in
     m2 = col.dims["m2"]
 
-    q = _lambda_sum(col, N, col.d_block)
-    gamma_bstar = _lambda_sum(col, N, col.b_block)
-    rhs = np.kron(np.eye(size), col.C.conj().T) @ np.linalg.solve(
-        np.eye(size * w_mid) - q, gamma_bstar)
-    phi_full = np.kron(np.eye(size), col.A.conj().T) + rhs
+    theta = _coefficient_table(col, N, col.b_block, col.A.conj().T)
+    phi_full = _scatter(theta, lam)
 
     # split the m2 inner column blocks into one matrix per coefficient word of g
     shaped = phi_full.reshape(size * r_out, size, m2, r_in)
@@ -92,31 +129,23 @@ def eval_transfer(col: Colligation, N: int) -> TransferFunction:
                    for j in range(m2))
     return TransferFunction(colligation=col, f=f, N=N, blocks=blocks,
                             block_words=tuple(coefficient_words(g)),
-                            fock_size=size)
+                            fock_size=size, theta=theta)
 
 
 def fourier_coefficients(tf: TransferFunction, w: Word,
                          max_level: int) -> dict[Word, np.ndarray]:
     """Coefficients of phi_(w) = sum_u L_u (x) coef_u for |u| <= max_level.
 
-    coef_u = sqrt(b_{u~}) * (block of phi_(w) from the vacuum columns to the
-    rows of the word u~).
+    L_u = shift_word(lam, u) appends u~, so coef_u is the phi_(w) column block
+    of Theta_{u~}.
     """
     f, N = tf.f, tf.N
     if max_level > N - f.degree:
         raise ValueError(f"max_level {max_level} exceeds N - deg f = {N - f.degree}")
-    table = enumerate_words(f.n, N)
-    b = b_coefficients(f, N)
-    phi = tf.block(w)
-    out: dict[Word, np.ndarray] = {}
-    for u in table.words:
-        if len(u) > max_level:
-            continue
-        ut = reverse(u)
-        i = table.index[ut]
-        rows = slice(i * tf.r_out, (i + 1) * tf.r_out)
-        out[u] = np.sqrt(b[ut]) * phi[rows, :tf.r_in]
-    return out
+    j = tf.block_words.index(tuple(w))
+    cols = slice(j * tf.r_in, (j + 1) * tf.r_in)
+    return {u: tf.theta[reverse(u)][:, cols]
+            for u in enumerate_words(f.n, max_level).words}
 
 
 def fourier_roundtrip_residual(tf: TransferFunction, w: Word, max_level: int) -> float:
@@ -124,66 +153,90 @@ def fourier_roundtrip_residual(tf: TransferFunction, w: Word, max_level: int) ->
 
     Rows are restricted to levels <= min(M, N-M) and columns to levels
     <= N-M: on that corner the truncated transfer block agrees exactly with
-    its multi-analytic Fourier expansion.
+    its multi-analytic Fourier expansion.  The expansion is formed on the
+    corner only, where it equals the expansion at truncation N-M.
     """
     f, N = tf.f, tf.N
-    table = enumerate_words(f.n, N)
-    lam = weighted_creation(f, N, "right")
-    recon = np.zeros_like(tf.block(w))
+    K = N - max_level
+    lam = weighted_creation(f, K, "right")
+    recon = np.zeros((lam[0].size * tf.r_out, lam[0].size * tf.r_in), dtype=complex)
     for u, c in fourier_coefficients(tf, w, max_level).items():
         shift_word(lam, u).add_kron(recon, c)
-    diff = tf.block(w) - recon
-    rows = table.max_level_index(min(max_level, N - max_level)) * tf.r_out
-    cols = table.max_level_index(N - max_level) * tf.r_in
-    return float(np.linalg.norm(diff[:rows, :cols], 2))
+    rows = enumerate_words(f.n, N).max_level_index(min(max_level, K)) * tf.r_out
+    diff = tf.block(w)[:rows, :recon.shape[1]] - recon[:rows]
+    return float(np.linalg.norm(diff, 2))
+
+
+def _spectral_norm(x: np.ndarray) -> float:
+    """sigma_max(x) = sqrt(lambda_max) of the Gram matrix on the short side of x.
+
+    For a wide or tall x this is one small eigvalsh in place of an SVD of x;
+    the relative error is O(min(x.shape) * eps), the order of the SVD's.
+    """
+    gram = x @ x.conj().T if x.shape[0] <= x.shape[1] else x.conj().T @ x
+    return float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
 
 
 def multi_analytic_residual(tf: TransferFunction, w: Word) -> float:
     """|| phi_(w) (W_i (x) I) - (W_i (x) I) phi_(w) || on columns of level <= N-1.
 
     Both compositions agree exactly below the truncation boundary because the
-    creation operators raise the grading monotonically.
+    creation operators raise the grading monotonically; the commutator is
+    formed on those columns only.
     """
     f, N = tf.f, tf.N
     phi = tf.block(w)
-    cols = enumerate_words(f.n, N).max_level_index(N - 1) * tf.r_in
+    below = enumerate_words(f.n, N).max_level_index(N - 1)
     res = 0.0
     for wi in weighted_creation(f, N):
-        diff = wi.rmul(phi) - wi.apply(phi)
-        res = max(res, float(np.linalg.norm(diff[:, :cols], 2)))
+        diff = wi.rmul(phi, below) - wi.apply(phi[:, :below * tf.r_in])
+        res = max(res, _spectral_norm(diff))
     return res
+
+
+def _resolvent_corner(col: Colligation, K: int) -> np.ndarray:
+    """M = (I (x) C^*)(I - Q)^{-1} on the rows of levels <= K.
+
+    M = sum_u L_{u~} (x) C^* Y_u with Y_empty = I and
+    Y_u = sum_{u = v w} sqrt(a_w) D_(w)^* Y_v.  On those rows only |u| <= K
+    and columns of level <= K contribute, so the corner (its other columns
+    vanish) is M at truncation K, whatever the truncation of the transfer row.
+    """
+    return _scatter(_coefficient_table(col, K, col.d_block, col.C.conj().T),
+                    weighted_creation(col.triple.f, K, "right"))
 
 
 def defect_identity_residual(tf: TransferFunction) -> float:
     """Residual of I - phi phi* = M ((I - sum a_w L_{w~} L_{w~}^*) (x) I) M^*.
 
-    M = (I (x) C^*)(I - Q)^{-1}.  Exact on the corner of levels <= N - deg f.
+    M = (I (x) C^*)(I - Q)^{-1}.  The identity is exact on the rows of levels
+    <= K = N - deg f, and both sides are formed on those rows only; N < deg f
+    leaves no such row and raises ValueError.
     """
     col = tf.colligation
-    f, N = tf.f, tf.N
-    table = enumerate_words(f.n, N)
-    size = len(table)
-    w_mid = col.slot_dim
-    lam = weighted_creation(f, N, "right")
+    f = tf.f
+    K = tf.N - f.degree
+    if K < 0:
+        raise ValueError(f"N = {tf.N} is below deg f = {f.degree}: no level is checked")
+    lam = weighted_creation(f, K, "right")
 
-    lam_gram = np.zeros(size)  # the diagonal of sum_w a_w L_{w~} L_{w~}^*
+    lam_gram = np.zeros(lam[0].size)  # the diagonal of sum_w a_w L_{w~} L_{w~}^*
     for w in f.support():
         lw = shift_word(lam, reverse(w))
         live = np.flatnonzero(lw.weight)
         lam_gram[lw.target[live]] += f.coeffs[w] * lw.weight[live] ** 2
 
-    q = _lambda_sum(col, N, col.d_block)
-    m = np.kron(np.eye(size), col.C.conj().T) @ np.linalg.inv(np.eye(size * w_mid) - q)
-    phi_row = np.hstack(tf.blocks)
-    lhs = np.eye(size * tf.r_out) - phi_row @ phi_row.conj().T
-    rhs = (m * np.repeat(1.0 - lam_gram, w_mid)) @ m.conj().T
-    rows = table.max_level_index(N - f.degree) * tf.r_out
-    return float(np.linalg.norm((lhs - rhs)[:rows, :rows], 2))
+    m = _resolvent_corner(col, K)
+    rows = m.shape[0]
+    phi_top = np.hstack([b[:rows] for b in tf.blocks])
+    lhs = np.eye(rows) - phi_top @ phi_top.conj().T
+    rhs = (m * np.repeat(1.0 - lam_gram, col.slot_dim)) @ m.conj().T
+    return float(np.linalg.norm(lhs - rhs, 2))
 
 
 def contraction_excess(tf: TransferFunction) -> float:
     """max(0, sigma_max(full transfer row) - 1)."""
-    return max(0.0, float(np.linalg.norm(np.hstack(tf.blocks), 2)) - 1.0)
+    return max(0.0, _spectral_norm(np.hstack(tf.blocks)) - 1.0)
 
 
 def dilation_identity_report(tf: TransferFunction, K1: PoissonKernel,

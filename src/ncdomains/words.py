@@ -8,8 +8,11 @@ truncated Fock space.
 
 from __future__ import annotations
 
+import functools
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 Word = tuple[int, ...]
 
@@ -36,12 +39,16 @@ def word_key(w: Word) -> tuple[int, Word]:
 
 @dataclass(frozen=True)
 class WordTable:
-    """All words of length <= N over {1..n}, graded-lex ordered and indexed."""
+    """All words of length <= N over {1..n}, graded-lex ordered and indexed.
+
+    Tables are shared between callers, so they are immutable: ``words`` is a
+    tuple and ``index`` a read-only mapping.
+    """
 
     n: int
     N: int
-    words: list[Word]
-    index: dict[Word, int] = field(repr=False)
+    words: tuple[Word, ...]
+    index: Mapping[Word, int] = field(repr=False)
 
     def __len__(self) -> int:
         return len(self.words)
@@ -61,16 +68,23 @@ class WordTable:
         return sum(self.n**j for j in range(m + 1))
 
 
+@functools.lru_cache(maxsize=64)
+def _word_table(n: int, N: int) -> WordTable:
+    words = tuple(words_of_lengths(n, 0, N))
+    return WordTable(n=n, N=N, words=words,
+                     index=MappingProxyType({w: i for i, w in enumerate(words)}))
+
+
 def enumerate_words(n: int, N: int) -> WordTable:
-    """Enumerate all words of length <= N over the alphabet {1..n}."""
+    """Enumerate all words of length <= N over the alphabet {1..n}.
+
+    The table is built once per (n, N) and shared.
+    """
     if n < 1:
         raise ValueError(f"alphabet size must be >= 1, got {n}")
     if N < 0:
         raise ValueError(f"truncation level must be >= 0, got {N}")
-    words: list[Word] = []
-    for m in range(N + 1):
-        words.extend(itertools.product(range(1, n + 1), repeat=m))
-    return WordTable(n=n, N=N, words=words, index={w: i for i, w in enumerate(words)})
+    return _word_table(n, N)
 
 
 def words_of_lengths(n: int, lo: int, hi: int) -> list[Word]:

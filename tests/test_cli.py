@@ -99,9 +99,10 @@ def test_default_tolerance_env(monkeypatch):
     assert default_tolerance() == 1e-9
     monkeypatch.setenv("NCDOMAINS_TOL", "1e-7")
     assert default_tolerance() == 1e-7
-    monkeypatch.setenv("NCDOMAINS_TOL", "junk")
-    with pytest.raises(ConfigError):
-        default_tolerance()
+    for raw in ("junk", "-1", "inf", "nan"):
+        monkeypatch.setenv("NCDOMAINS_TOL", raw)
+        with pytest.raises(ConfigError, match="NCDOMAINS_TOL"):
+            default_tolerance()
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +262,32 @@ def test_cli_malformed_scalar_exit_code(tmp_path, capsys, field, patch):
     err = capsys.readouterr().err
     assert rc == 2
     assert f"error: {field}:" in err
+
+
+@pytest.mark.parametrize("key, value, field", [
+    ("count", 0, "count"),
+    ("count", -1, "count"),
+    ("dims", [0], "dims[0]"),
+    ("dims", [3, -2], "dims[1]"),
+    ("N", -1, "N"),
+    ("tol", -1.0, "tol"),
+    ("tol", float("inf"), "tol"),
+    ("tol", float("nan"), "tol"),
+])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_cli_out_of_range_knob_exit_code(tmp_path, capsys, key, value, field, source):
+    """One range rule for flags and config keys: exit 2, naming the field."""
+    if source == "config":
+        argv = ["--config", scalar_config(tmp_path, **{key: value}), "check-model"]
+    else:
+        option = "--level" if key == "N" else f"--{key}"
+        values = value if isinstance(value, list) else [value]
+        argv = ["--config", scalar_config(tmp_path), "check-model", option, *map(str, values)]
+        field = option + field[len(key):]
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"error: {field}: expected" in err
 
 
 def test_cli_matrix_from_file(tmp_path, capsys):

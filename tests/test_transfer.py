@@ -6,13 +6,124 @@ from ncdomains import (IntertwiningTriple, OperatorTuple, RegularPolynomial,
                        fourier_coefficients, fourier_roundtrip_residual,
                        poisson_kernel)
 from ncdomains.colligation import Colligation
-from ncdomains.domain import weighted_creation
-from ncdomains.transfer import (contraction_excess, defect_identity_residual,
-                                dilation_identity_report, multi_analytic_residual)
+from ncdomains.domain import (b_coefficients, coefficient_words, shift_word,
+                              weighted_creation)
+from ncdomains.harness import scale_into_domain
+from ncdomains.transfer import (_resolvent_corner, _spectral_norm, contraction_excess,
+                                defect_identity_residual, dilation_identity_report,
+                                multi_analytic_residual)
+from ncdomains.words import enumerate_words, reverse
 
+from conftest import f_battery
 from test_colligation import nilpotent_triple
 
 Z = RegularPolynomial.single_variable([1.0])
+
+
+def dense_resolvent(col: Colligation, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle: the full transfer row and M = (I (x) C^*)(I - Q)^{-1} from the
+    dense (Fock w)^2 resolvent, Q = sum_w sqrt(a_w) L_{w~} (x) D_(w)^*."""
+    f = col.triple.f
+    lam = weighted_creation(f, N, "right")
+    size = lam[0].size
+
+    def lambda_sum(block):
+        out = 0.0
+        for i, w in enumerate(coefficient_words(f)):
+            a = f.coeffs.get(w, 0.0)
+            if a != 0.0:
+                out = out + np.sqrt(a) * np.kron(shift_word(lam, reverse(w)).dense(),
+                                                 block(i).conj().T)
+        return out
+
+    resolvent = np.eye(size * col.slot_dim) - lambda_sum(col.d_block)
+    cstar = np.kron(np.eye(size), col.C.conj().T)
+    phi = (np.kron(np.eye(size), col.A.conj().T)
+           + cstar @ np.linalg.solve(resolvent, lambda_sum(col.b_block)))
+    return phi, cstar @ np.linalg.inv(resolvent)
+
+
+def oracle_blocks(col: Colligation, N: int) -> list[np.ndarray]:
+    phi, _ = dense_resolvent(col, N)
+    size, r_out, r_in, m2 = phi.shape[0] // col.r_out, col.r_out, col.r_in, col.dims["m2"]
+    shaped = phi.reshape(size * r_out, size, m2, r_in)
+    return [shaped[:, :, j, :].reshape(size * r_out, size * r_in) for j in range(m2)]
+
+
+def commuting_triple(seed: int, dim: int, f: RegularPolynomial,
+                     g: RegularPolynomial = Z) -> IntertwiningTriple:
+    """T1: f.n polynomials in one nilpotent; T2 (one variable) another one."""
+    rng = np.random.default_rng(seed)
+    nil = np.triu(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)), 1)
+    mats = [nil]
+    for _ in range(f.n - 1):
+        c = rng.standard_normal(2)
+        mats.append(c[0] * nil + c[1] * nil @ nil)
+    T1 = scale_into_domain(f, OperatorTuple(tuple(mats)), 0.9)
+    c = rng.standard_normal(2)
+    t2 = c[0] * T1.mats[0] + c[1] * T1.mats[0] @ T1.mats[0]
+    T2 = scale_into_domain(g, OperatorTuple((t2,)), 0.9)
+    return IntertwiningTriple(f, g, T1, T1, T2)
+
+
+def oracle_colligations() -> list[Colligation]:
+    """Every f of the battery with g = z, and f = z with the degree-2 g = z + z^2
+    (m2 = 2, and a colligation that needs the fallback padding)."""
+    triples = [commuting_triple(seed, 3, f) for seed, f in enumerate(f_battery())]
+    triples.append(commuting_triple(7, 3, Z, RegularPolynomial.single_variable([1.0, 1.0])))
+    cols = [complete_to_unitary(build_isometry(tr)) for tr in triples]
+    assert any(col.dims["m2"] > 1 for col in cols)
+    assert any(col.fallback_padding for col in cols)
+    return cols
+
+
+def test_table_blocks_match_dense_resolvent():
+    for col in oracle_colligations():
+        for N in range(6):
+            tf = eval_transfer(col, N)
+            for blk, ref in zip(tf.blocks, oracle_blocks(col, N), strict=True):
+                assert np.linalg.norm(blk - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_fourier_coefficients_match_vacuum_columns():
+    """coef_u = sqrt(b_{u~}) (rows of u~, vacuum columns) of the oracle block."""
+    for col in oracle_colligations():
+        f, N = col.triple.f, 5
+        tf = eval_transfer(col, N)
+        table = enumerate_words(f.n, N)
+        b = b_coefficients(f, N)
+        for w, ref in zip(tf.block_words, oracle_blocks(col, N), strict=True):
+            coefs = fourier_coefficients(tf, w, N - f.degree)
+            assert list(coefs) == list(enumerate_words(f.n, N - f.degree).words)
+            for u, c in coefs.items():
+                i = table.index[reverse(u)]
+                old = np.sqrt(b[reverse(u)]) * ref[i * tf.r_out:(i + 1) * tf.r_out, :tf.r_in]
+                assert np.linalg.norm(c - old) <= 1e-12 * max(np.linalg.norm(ref), 1.0)
+
+
+def test_resolvent_corner_matches_inverse():
+    """The Y-table M is the corner of the dense inverse; its other columns vanish."""
+    for col in oracle_colligations():
+        f, N = col.triple.f, 5
+        K = N - f.degree
+        _, m_ref = dense_resolvent(col, N)
+        m = _resolvent_corner(col, K)
+        rows, cols = m.shape
+        assert np.linalg.norm(m - m_ref[:rows, :cols]) <= 1e-12 * np.linalg.norm(m_ref)
+        assert np.linalg.norm(m_ref[:rows, cols:]) <= 1e-12 * np.linalg.norm(m_ref)
+
+
+def test_spectral_norm_matches_svd():
+    rng = np.random.default_rng(5)
+
+    def cplx(r, c):
+        return rng.standard_normal((r, c)) + 1j * rng.standard_normal((r, c))
+
+    cases = [cplx(40, 300), cplx(300, 40), cplx(60, 60),
+             np.outer(cplx(50, 1), cplx(1, 80)), 1e-17 * cplx(30, 200)]
+    for x in cases:
+        ref = np.linalg.norm(x, 2)
+        assert abs(_spectral_norm(x) - ref) <= 1e-13 * ref
 
 
 def swap_colligation() -> Colligation:
@@ -91,6 +202,14 @@ def test_defect_identity():
         col = complete_to_unitary(build_isometry(tr))
         tf = eval_transfer(col, 5)
         assert defect_identity_residual(tf) <= 1e-8
+
+
+def test_defect_identity_needs_a_checked_level(fib_poly):
+    """N < deg f leaves no row on which the identity is exact."""
+    col = complete_to_unitary(build_isometry(nilpotent_triple(0, 3, f=fib_poly)))
+    assert defect_identity_residual(eval_transfer(col, 2)) <= 1e-8
+    with pytest.raises(ValueError, match="deg f"):
+        defect_identity_residual(eval_transfer(col, 1))
 
 
 def test_dilation_identity_nilpotent():

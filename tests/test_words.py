@@ -15,7 +15,7 @@ def test_empty_alphabet_rejected():
 
 def test_enumeration_order_n2_level2():
     table = enumerate_words(2, 2)
-    assert table.words == [(), (1,), (2,), (1, 1), (1, 2), (2, 1), (2, 2)]
+    assert table.words == ((), (1,), (2,), (1, 1), (1, 2), (2, 1), (2, 2))
     assert len(table) == 7
     assert table.index[(2, 1)] == 5
 
@@ -31,14 +31,23 @@ def test_counts():
 def test_level_slice():
     table = enumerate_words(2, 3)
     sl = table.level_slice(2)
-    assert table.words[sl] == [(1, 1), (1, 2), (2, 1), (2, 2)]
+    assert table.words[sl] == ((1, 1), (1, 2), (2, 1), (2, 2))
     with pytest.raises(ValueError):
         table.level_slice(4)
 
 
 def test_graded_lex_is_sorted_by_key():
     table = enumerate_words(3, 3)
-    assert table.words == sorted(table.words, key=word_key)
+    assert list(table.words) == sorted(table.words, key=word_key)
+
+
+def test_table_is_shared_and_immutable():
+    table = enumerate_words(2, 3)
+    assert enumerate_words(2, 3) is table
+    with pytest.raises(TypeError):
+        table.index[(1,)] = 0
+    with pytest.raises(AttributeError):
+        table.words.append((1,))
 
 
 def test_check_word():
