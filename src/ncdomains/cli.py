@@ -95,7 +95,7 @@ def cmd_check_model(cfg: ExperimentConfig) -> int:
         rep.extend(verify_kernel_identities(K, tol=max(cfg.tol, 1e-9)), prefix="kernel_")
         if cfg.variety:
             variety = build_variety(f, N, cfg.variety)
-            ck = constrained_poisson(variety, T)
+            ck = constrained_poisson(variety, T, base=K)
             rep.extend(verify_constrained_kernel(ck, tol=max(cfg.tol, 1e-9)),
                        prefix="variety_")
     return _emit(rep, cfg.output)

@@ -107,10 +107,11 @@ def b_coefficients(f: RegularPolynomial, N: int) -> BCoefficients:
     if N < 0:
         raise ValueError("level must be >= 0")
     table = enumerate_words(f.n, N)
+    k = f.degree
     values: dict[Word, float] = {EMPTY: 1.0}
     for w in table.words[1:]:
         acc = 0.0
-        for m in range(1, min(f.degree, len(w)) + 1):
+        for m in range(1, min(k, len(w)) + 1):
             a = f.coeffs.get(w[:m])
             if a:
                 acc += a * values[w[m:]]
@@ -233,6 +234,12 @@ class WeightedShift:
                        dtype=complex)
         self.add_kron(out, inner)
         return out
+
+
+def kron_identity_matmul(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(a (x) I_r) x for a Fock-stacked x with r = x.rows / a.cols, without forming the kron."""
+    r = x.shape[0] // a.shape[1]
+    return (a @ x.reshape(a.shape[1], r * x.shape[1])).reshape(a.shape[0] * r, x.shape[1])
 
 
 def shift_word(shifts: tuple[WeightedShift, ...], w: Word) -> WeightedShift:

@@ -23,8 +23,8 @@ import numpy as np
 
 from .colligation import (IntertwiningTriple, build_isometry, colligation_report,
                           complete_to_unitary, embed_inner)
-from .domain import (OperatorTuple, RegularPolynomial, apply_phi,
-                     domain_membership, purity_horizon, weighted_creation)
+from .domain import (OperatorTuple, RegularPolynomial, apply_phi, domain_membership,
+                     kron_identity_matmul, purity_horizon, weighted_creation)
 from .poisson import poisson_kernel
 from .report import VerificationReport
 from .transfer import (TransferFunction, dilation_identity_report, eval_transfer,
@@ -111,6 +111,25 @@ class MatrixBiPolynomial:
         return np.stack([np.stack(r, axis=-1) for r in vals], axis=-2)
 
 
+def spectral_norms(vals: np.ndarray) -> np.ndarray:
+    """The largest singular value of each k x k matrix in a stack (..., k, k).
+
+    For k = 2 it comes from the Gram entries g = A^* A in closed form,
+    sigma^2 = (g11 + g22)/2 + hypot((g11 - g22)/2, |g12|), which adds only
+    nonnegative terms (unlike the form built from the Frobenius norm and the
+    determinant); other k go through np.linalg.norm.  The squares of the
+    entries must neither overflow nor underflow (|entries| within about
+    1e-150 .. 1e150), as holds for polynomial values on the torus.
+    """
+    if vals.shape[-2:] != (2, 2):
+        return np.linalg.norm(vals, 2, axis=(-2, -1))
+    a, b, c, d = vals[..., 0, 0], vals[..., 0, 1], vals[..., 1, 0], vals[..., 1, 1]
+    g11 = a.real**2 + a.imag**2 + c.real**2 + c.imag**2
+    g22 = b.real**2 + b.imag**2 + d.real**2 + d.imag**2
+    g12 = np.abs(a.conj() * b + c.conj() * d)
+    return np.sqrt((g11 + g22) / 2 + np.hypot((g11 - g22) / 2, g12))
+
+
 def grid_sup_norm(p: BiPolynomial | MatrixBiPolynomial, resolution: int) -> float:
     """sup over the torus grid of |p(z, w)| (largest singular value if matrix)."""
     angles = 2.0 * np.pi * np.arange(resolution) / resolution
@@ -118,7 +137,7 @@ def grid_sup_norm(p: BiPolynomial | MatrixBiPolynomial, resolution: int) -> floa
     w = np.exp(1j * angles)[None, :]
     vals = p.eval_scalar(z, w)
     if isinstance(p, MatrixBiPolynomial):
-        return float(np.linalg.norm(vals, 2, axis=(-2, -1)).max())
+        return float(spectral_norms(vals).max())
     return float(np.abs(vals).max())
 
 
@@ -303,10 +322,15 @@ def ando_dilation(pair: CommutingPair, N: int | None = None,
     if variety is not None:
         if variety.N != N or variety.f.coeffs != f.coeffs:
             raise ValueError("variety model must be built from f at the dilation truncation")
-        proj = np.kron(variety.basis.conj().T, np.eye(r))
-        left = [proj @ m @ proj.conj().T for m in left]
-        psi = [proj @ m @ proj.conj().T for m in psi]
-        kmat = proj @ kmat
+        p_h = variety.basis.conj().T
+
+        def compress(m: np.ndarray) -> np.ndarray:
+            """(P (x) I) m (P (x) I)^* with P = basis^*."""
+            return kron_identity_matmul(p_h, kron_identity_matmul(p_h, m).conj().T).conj().T
+
+        left = [compress(m) for m in left]
+        psi = [compress(m) for m in psi]
+        kmat = kron_identity_matmul(p_h, kmat)
 
     rep = VerificationReport("pair-dilation", environment={
         "N": str(N), "r": str(r), "kind": pair.kind, "seed": str(pair.seed)})

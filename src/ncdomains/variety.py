@@ -10,9 +10,11 @@ T that annihilate every generator admit a constrained Poisson kernel obtained
 by projecting the unconstrained one onto N_J.
 
 For homogeneous generators J is graded: W_i raises the level by one, so
-J_m = sum_i W_i J_{m-1} + span{ q_s(W) e_v : |v| = m - deg q_s }.  The model
-is then built one level at a time, one SVD of an n^m-row block per level, and
-its basis is the level complements in level order.  Other generators go
+J_m = sum_i W_i J_{m-1} + span{ q_s(W) e_v : |v| = m - deg q_s }.  N_J is then
+co-invariant (W_i^* N_J in N_J), and its level m is cut from the n d_{m-1}
+vectors W_i (W_i^* W_i)^{-1} N_{m-1} by the generator columns at level m: one
+thin QR and one SVD of an (n d_{m-1})-row block per level, with no basis of J.
+The model basis is the level complements in level order.  Other generators go
 through one SVD of the whole span.  Both use one rank rule: a singular value
 counts when it exceeds rank_tol times the largest one of its block.
 
@@ -30,7 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import (OperatorTuple, RegularPolynomial, WeightedShift, b_coefficients,
-                     phi_identity_power, shift_word, weighted_creation)
+                     kron_identity_matmul, phi_identity_power, shift_word,
+                     weighted_creation)
 from .poisson import PoissonKernel, add_gram_check, canonical_phases, poisson_kernel
 from .report import VerificationReport
 from .words import Word, WordTable, check_word, enumerate_words
@@ -113,30 +116,46 @@ def _is_homogeneous(q: Generator) -> bool:
     return len(lengths) <= 1
 
 
-def _split_span(cand: np.ndarray, rows: slice, rank_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal bases of the span of cand[rows] and of its complement in those rows.
+def _split_span(cand: np.ndarray, rank_tol: float) -> np.ndarray:
+    """Orthonormal basis of the complement of the column span of cand.
 
-    The one rank rule: keep the singular values s > rank_tol * max(s).  Both
-    bases come back placed at their rows; the complement gets canonical phases.
+    The one rank rule: keep the singular values s > rank_tol * max(s).
     """
-    u_m, s, _ = np.linalg.svd(cand[rows], full_matrices=True)
+    u_m, s, _ = np.linalg.svd(cand, full_matrices=True)
     rank = int(np.sum(s > rank_tol * (s[0] if s.size else 0.0)))
-    out = np.zeros((cand.shape[0], u_m.shape[1]), dtype=complex)
-    out[rows] = u_m
-    return out[:, :rank], canonical_phases(out[:, rank:])
+    return u_m[:, rank:]
 
 
 def _graded_complement(table: WordTable, W: tuple[WeightedShift, ...],
                        live: list[tuple[Generator, int]], rank_tol: float) -> np.ndarray:
-    """N_J level by level: the SVD of W_i J_{m-1} + {q(W) e_v : |v| = m - deg q} gives J_m."""
-    ideal = np.zeros((len(table), 0), dtype=complex)
-    levels = []
-    for m in range(table.N + 1):
-        cand = [w.apply(ideal) for w in W]
-        cand += [_generator_columns(q, W, table.level_slice(m - dq)) for q, dq in live if dq <= m]
-        ideal, comp = _split_span(np.hstack(cand), table.level_slice(m), rank_tol)
-        levels.append(comp)
-    return np.hstack(levels)
+    """N_J level by level from its co-invariance W_i^* N_J in N_J.
+
+    x at level m lies in N_m exactly when each W_i^* x lies in N_{m-1} and x is
+    orthogonal to the generator columns q(W) e_v at level m.  The first condition
+    puts the slot-i block of x in N_{m-1} / w_i, so N_m is the complement of the
+    generator columns inside the span V_m of those n d_{m-1} candidates.
+    """
+    below = np.ones((1, 1), dtype=complex)  # N_0 = C e_empty: generators have degree >= 1
+    levels = [below]
+    for m in range(1, table.N + 1):
+        prev, cur = table.level_slice(m - 1), table.level_slice(m)
+        d = below.shape[1]
+        cand = np.zeros((cur.stop - cur.start, len(W) * d), dtype=complex)
+        for i, w in enumerate(W):
+            cand[w.target[prev] - cur.start, i * d:(i + 1) * d] = below / w.weight[prev, None]
+        frame = np.linalg.qr(cand)[0]
+        gens = [np.zeros((cand.shape[0], 0), dtype=complex)]
+        gens += [_generator_columns(q, W, table.level_slice(m - dq))[cur]
+                 for q, dq in live if dq <= m]
+        below = canonical_phases(frame @ _split_span(frame.conj().T @ np.hstack(gens),
+                                                     rank_tol))
+        levels.append(below)
+    basis = np.zeros((len(table), sum(b.shape[1] for b in levels)), dtype=complex)
+    col = 0
+    for m, b in enumerate(levels):
+        basis[table.level_slice(m), col:col + b.shape[1]] = b
+        col += b.shape[1]
+    return basis
 
 
 def _span_complement(table: WordTable, W: tuple[WeightedShift, ...],
@@ -150,15 +169,16 @@ def _span_complement(table: WordTable, W: tuple[WeightedShift, ...],
                 break
             top = table.max_level_index(table.N - dq - len(u))
             cols.append(shift_word(W, u).apply(qw[:, :top]))
-    return _split_span(np.hstack(cols), slice(None), rank_tol)[1]
+    return canonical_phases(_split_span(np.hstack(cols), rank_tol))
 
 
 def build_variety(f: RegularPolynomial, N: int, generators: list[Generator],
                   rank_tol: float = 1e-9) -> VarietyModel:
     """Orthonormal basis of N_J and the compressed creation tuples.
 
-    Built level by level when every generator is homogeneous, else by one SVD
-    of the whole span; rank_tol is relative to the largest singular value.
+    Built level by level from the level below when every generator is
+    homogeneous, else by one SVD of the whole span; rank_tol is relative to the
+    largest singular value of each block.
     """
     for q in generators:
         for w in q:
@@ -188,16 +208,23 @@ class ConstrainedKernel:
 
 
 def constrained_poisson(variety: VarietyModel, T: OperatorTuple,
-                        annihilation_tol: float = 1e-8) -> ConstrainedKernel:
-    """(P_{N_J} (x) I) K_{f,T} for a tuple satisfying the generators."""
+                        annihilation_tol: float = 1e-8,
+                        base: PoissonKernel | None = None) -> ConstrainedKernel:
+    """(P_{N_J} (x) I) K_{f,T} for a tuple satisfying the generators.
+
+    ``base`` is poisson_kernel(variety.f, T, variety.N) when the caller has it.
+    """
     for q in variety.generators:
         res = float(np.linalg.norm(eval_generator(q, T), 2))
         if res > annihilation_tol:
             raise ValueError(f"tuple does not satisfy a generator (residual {res:.3e})")
-    base = poisson_kernel(variety.f, T, variety.N)
-    r = base.multiplicity
-    proj = np.kron(variety.basis.conj().T, np.eye(r))
-    return ConstrainedKernel(matrix=proj @ base.matrix, variety=variety, base=base)
+    if base is None:
+        base = poisson_kernel(variety.f, T, variety.N)
+    elif (base.N != variety.N or base.f.coeffs != variety.f.coeffs
+          or not all(np.array_equal(a, b) for a, b in zip(base.T.mats, T.mats, strict=True))):
+        raise ValueError("the Poisson kernel must be built from the model's f and N and from T")
+    return ConstrainedKernel(matrix=kron_identity_matmul(variety.basis.conj().T, base.matrix),
+                             variety=variety, base=base)
 
 
 def verify_constrained_kernel(ck: ConstrainedKernel, tol: float = 1e-9,
@@ -228,7 +255,7 @@ def verify_constrained_kernel(ck: ConstrainedKernel, tol: float = 1e-9,
     leak = float(np.linalg.norm(edge, 2)) ** 0.5
     for i in range(f.n):
         lhs = ck.matrix @ T.mats[i].conj().T
-        rhs = np.kron(variety.left.mats[i].conj().T, np.eye(r)) @ ck.matrix
+        rhs = kron_identity_matmul(variety.left.mats[i].conj().T, ck.matrix)
         res = float(np.linalg.norm((lhs - rhs)[row_idx], 2)) if row_idx.size else 0.0
         rep.add_residual(f"intertwine_B{i + 1}", res, tol)
         full = float(np.linalg.norm(lhs - rhs, 2))

@@ -6,6 +6,7 @@ from ncdomains import (OperatorTuple, RegularPolynomial, apply_phi, b_coefficien
                        block_count, coefficient_words, domain_membership,
                        flip_unitary, purity_estimate, purity_horizon, shift_word,
                        weighted_creation)
+from ncdomains.domain import kron_identity_matmul
 from ncdomains.words import enumerate_words, words_of_lengths
 
 from conftest import dense_creation, f_battery, random_nilpotent_tuple
@@ -195,6 +196,19 @@ def test_weighted_shift_matches_dense_kron(side, r):
             assert np.array_equal(sw.apply(x), big @ x)
             assert np.array_equal(sw.apply_adjoint(x), big.conj().T @ x)
             assert np.array_equal(sw.rmul(y), y @ big)
+
+
+@pytest.mark.parametrize("r", [1, 3])
+def test_kron_identity_matmul_matches_kron(r):
+    """(A (x) I_r) X by reshape agrees with the np.kron product."""
+    rng = np.random.default_rng(12)
+    for p, q in ((4, 7), (7, 4), (1, 5), (5, 1)):
+        a = rng.standard_normal((p, q)) + 1j * rng.standard_normal((p, q))
+        x = rng.standard_normal((q * r, 6)) + 1j * rng.standard_normal((q * r, 6))
+        got = kron_identity_matmul(a, x)
+        want = np.kron(a, np.eye(r)) @ x
+        assert got.shape == want.shape
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 
 
 def test_weighted_creation_side_checked():

@@ -7,7 +7,8 @@ from ncdomains import (BiPolynomial, OperatorTuple,
                        random_commuting_pair, run_battery, verify_inequality)
 from ncdomains.harness import (commutant_lifting, compression_residual,
                                cross_commutation_residual, scale_into_domain,
-                               verify_hermitian_inequality, von_neumann_check)
+                               spectral_norms, verify_hermitian_inequality,
+                               von_neumann_check)
 
 from conftest import random_nilpotent_tuple
 
@@ -52,6 +53,34 @@ def test_grid_sup_norm_known_values():
     assert abs(grid_sup_norm(p, 64) - 1.0) <= 1e-12
     s = BiPolynomial("sum", 1, 1, {((1,), ()): 1.0, ((), (1,)): 1.0})
     assert abs(grid_sup_norm(s, 512) - 2.0) <= 1e-3
+
+
+def test_spectral_norms_closed_form_matches_svd():
+    """The closed-form 2 x 2 spectral norm agrees with np.linalg.norm(., 2) to 1e-15."""
+    rng = np.random.default_rng(5)
+
+    def check(vals):
+        want = np.linalg.norm(vals, 2, axis=(-2, -1))
+        np.testing.assert_allclose(spectral_norms(vals), want, rtol=1e-15, atol=0.0)
+
+    for scale in (1e-100, 1e-8, 1.0, 1e8, 1e100):
+        check(scale * (rng.standard_normal((2000, 2, 2))
+                       + 1j * rng.standard_normal((2000, 2, 2))))
+    # equal singular values: multiples of unitaries
+    th = rng.uniform(0.0, 2.0 * np.pi, (200, 3))
+    c, s = np.cos(th[:, 0]), np.sin(th[:, 0])
+    u = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
+    check(u * (np.exp(1j * th[:, 1]) * (1.0 + th[:, 2]))[:, None, None])
+    # rank one
+    x = rng.standard_normal((200, 2)) + 1j * rng.standard_normal((200, 2))
+    y = rng.standard_normal((200, 2)) + 1j * rng.standard_normal((200, 2))
+    check(x[:, :, None] * y[:, None, :].conj())
+    check(np.zeros((3, 2, 2), dtype=complex))
+    angles = 2.0 * np.pi * np.arange(64) / 64
+    for p in builtin_matrix_polys():
+        check(p.eval_scalar(np.exp(1j * angles)[:, None], np.exp(1j * angles)[None, :]))
+    # other sizes go through np.linalg.norm
+    check(rng.standard_normal((10, 3, 3)) + 1j * rng.standard_normal((10, 3, 3)))
 
 
 def test_dilation_reports_pass_nilpotent():

@@ -5,8 +5,8 @@ import pytest
 
 from ncdomains import (OperatorTuple, RegularPolynomial, build_variety,
                        commutator_generators, constrained_poisson, enumerate_words,
-                       kappa_eval, minpoly_generator, verify_constrained_kernel,
-                       weighted_creation)
+                       kappa_eval, minpoly_generator, poisson_kernel,
+                       verify_constrained_kernel, weighted_creation)
 from ncdomains.variety import _span_complement, generator_degree
 
 from conftest import dense_creation, f_battery
@@ -19,7 +19,7 @@ def drury_poly(n: int) -> RegularPolynomial:
 def test_symmetric_fock_dimensions():
     """The graded build is exact up to the top level: C(n+m-1, m) for m = 0..N."""
     weighted = RegularPolynomial(2, {(1,): 0.5, (2,): 2.0})
-    for f, N in ((drury_poly(2), 6), (drury_poly(3), 5), (weighted, 6)):
+    for f, N in ((drury_poly(2), 6), (drury_poly(3), 5), (weighted, 6), (drury_poly(3), 7)):
         v = build_variety(f, N, commutator_generators(f.n))
         assert v.level_dimensions() == [comb(f.n + m - 1, m) for m in range(N + 1)]
 
@@ -30,6 +30,15 @@ def test_graded_build_matches_span_oracle():
     cases = [(f, 5, gens) for f in f_battery() if f.n > 1
              for gens in (commutator_generators(f.n), [mixed])]
     cases += [(drury_poly(3), 4, commutator_generators(3))]
+    # homogeneous generators of degrees 2 and 3
+    cubic = {(1, 1, 2): 1.0, (2, 1, 1): -0.5j, (2, 2, 2): 0.3}
+    cases += [(f, 5, commutator_generators(2) + [cubic]) for f in f_battery() if f.n > 1]
+    # weights that vary within each level (deg f = 2), redundant generators
+    varying = RegularPolynomial(2, {(1,): 0.5, (2,): 2.0, (1, 2): 0.7, (2, 2): 0.2})
+    cases += [(varying, 5, commutator_generators(2) * 2 + [mixed])]
+    # the complement is empty from level 3 on: C[z1, z2] / (z1^2, z2^2)
+    squares = commutator_generators(2) + [{(1, 1): 1.0}, {(2, 2): 1.0}]
+    cases += [(f, 5, squares) for f in f_battery() if f.n > 1]
     cases += [(f, 8, [{(1,) * k: 1.0}]) for f in f_battery() if f.n == 1 for k in (1, 2, 3)]
     for f, N, gens in cases:
         v = build_variety(f, N, gens)
@@ -65,6 +74,19 @@ def test_minpoly_generator_coefficients():
     gen = minpoly_generator([0.5])
     assert gen[(1,)] == 1.0 and gen[()] == -0.5
     assert generator_degree(gen) == 1
+
+
+def test_constrained_poisson_reuses_caller_kernel():
+    """A kernel passed in gives the same matrix bitwise; a mismatched one is refused."""
+    z = RegularPolynomial.single_variable([1.0])
+    roots = [0.3, -0.2 + 0.1j]
+    T = OperatorTuple((np.diag(roots).astype(complex),))
+    v = build_variety(z, 8, [minpoly_generator(roots)])
+    K = poisson_kernel(z, T, 8)
+    assert np.array_equal(constrained_poisson(v, T, base=K).matrix,
+                          constrained_poisson(v, T).matrix)
+    with pytest.raises(ValueError):
+        constrained_poisson(v, T, base=poisson_kernel(z, T, 7))
 
 
 def test_generator_annihilation_enforced():
