@@ -12,15 +12,19 @@ then the config file wins and a warning names both values.  A tolerance set
 by neither comes from the NCDOMAINS_TOL environment variable (default 1e-9).
 Flags, config keys and NCDOMAINS_TOL share one range rule (count >= 1, every
 dims[i] >= 1, N >= 0, tol finite and >= 0); a value outside it exits with
-code 2 and a message naming the flag, key or variable.
+code 2 and a message naming the flag, key or variable.  Some checks have a
+tolerance floor (1e-9 for the kernel checks of check-model, 1e-6 for the
+inequality checks of verify and battery); when it replaces a tolerance the
+user gave, a warning on stderr names both values.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
-from .config import ConfigError, ExperimentConfig, check_range
+from .config import DEFAULT_TOL_ENV, ConfigError, ExperimentConfig, check_range
 from .domain import RegularPolynomial, domain_membership, purity_estimate
 from .harness import (CommutingPair, ando_dilation, builtin_bipolynomials,
                       builtin_hermitian, builtin_matrix_polys, run_battery,
@@ -67,6 +71,15 @@ def _merge(cfg: ExperimentConfig, ns: argparse.Namespace) -> ExperimentConfig:
     return cfg
 
 
+def _floored(cfg: ExperimentConfig, floor: float, tol_given: bool) -> float:
+    """max(cfg.tol, floor); a warning on stderr names both values when the floor
+    replaces a tolerance the user gave (flag, config key or NCDOMAINS_TOL)."""
+    if tol_given and floor > cfg.tol:
+        print(f"warning: tol={cfg.tol!r} is below the floor {floor!r} of these checks; "
+              f"they use tol={floor!r}", file=sys.stderr)
+    return max(cfg.tol, floor)
+
+
 def _emit(rep: VerificationReport, output: str) -> int:
     sys.stdout.write(rep.render())
     if output == "table":
@@ -80,7 +93,7 @@ def _require(cfg: ExperimentConfig, *fields: str) -> None:
             raise ConfigError(f"this verb needs {name!r} (set it in the config file)")
 
 
-def cmd_check_model(cfg: ExperimentConfig) -> int:
+def cmd_check_model(cfg: ExperimentConfig, tol_given: bool) -> int:
     _require(cfg, "T1")
     f, T = cfg.f, cfg.T1
     rep = VerificationReport("check-model", environment={"tol": repr(cfg.tol)})
@@ -92,11 +105,12 @@ def cmd_check_model(cfg: ExperimentConfig) -> int:
         rep.add_residual("purity_norm_at_24", decay[-1], 1e-6)
         N = cfg.N if cfg.N is not None else 8
         K = poisson_kernel(f, T, N)
-        rep.extend(verify_kernel_identities(K, tol=max(cfg.tol, 1e-9)), prefix="kernel_")
+        kernel_tol = _floored(cfg, 1e-9, tol_given)
+        rep.extend(verify_kernel_identities(K, tol=kernel_tol), prefix="kernel_")
         if cfg.variety:
             variety = build_variety(f, N, cfg.variety)
             ck = constrained_poisson(variety, T, base=K)
-            rep.extend(verify_constrained_kernel(ck, tol=max(cfg.tol, 1e-9)),
+            rep.extend(verify_constrained_kernel(ck, tol=kernel_tol),
                        prefix="variety_")
     return _emit(rep, cfg.output)
 
@@ -110,23 +124,24 @@ def cmd_dilate(cfg: ExperimentConfig) -> int:
     return _emit(dil.report, cfg.output)
 
 
-def cmd_verify(cfg: ExperimentConfig) -> int:
+def cmd_verify(cfg: ExperimentConfig, tol_given: bool) -> int:
     _require(cfg, "g", "T1", "T2")
     pair = CommutingPair(cfg.f, cfg.g, cfg.T1, cfg.T2)
     dil = ando_dilation(pair, N=cfg.N, tol=cfg.tol)
+    tol = _floored(cfg, 1e-6, tol_given)
     rep = verify_inequality(pair, builtin_bipolynomials() + builtin_matrix_polys(),
-                            dil, tol=max(cfg.tol, 1e-6))
-    rep.extend(verify_hermitian_inequality(pair, builtin_hermitian(), dil,
-                                           tol=max(cfg.tol, 1e-6)), prefix="")
+                            dil, tol=tol)
+    rep.extend(verify_hermitian_inequality(pair, builtin_hermitian(), dil, tol=tol),
+               prefix="")
     rep.extend(dil.report, prefix="dilation_")
     return _emit(rep, cfg.output)
 
 
-def cmd_battery(cfg: ExperimentConfig) -> int:
+def cmd_battery(cfg: ExperimentConfig, tol_given: bool) -> int:
     g = cfg.g if cfg.g is not None else cfg.f
     seeds = [cfg.seed + i for i in range(cfg.count)]
     rep = run_battery(cfg.f, g, seeds, cfg.dims, cfg.kinds,
-                      tol=max(cfg.tol, 1e-6))
+                      tol=_floored(cfg, 1e-6, tol_given))
     return _emit(rep, cfg.output)
 
 
@@ -153,15 +168,17 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    tol_given = (ns.tol is not None or "tol" in cfg.file_keys
+                 or DEFAULT_TOL_ENV in os.environ)
     try:
         if ns.verb == "check-model":
-            return cmd_check_model(cfg)
+            return cmd_check_model(cfg, tol_given)
         if ns.verb == "dilate":
             return cmd_dilate(cfg)
         if ns.verb == "verify":
-            return cmd_verify(cfg)
+            return cmd_verify(cfg, tol_given)
         if ns.verb == "battery":
-            return cmd_battery(cfg)
+            return cmd_battery(cfg, tol_given)
         return cmd_report(cfg, ns.args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

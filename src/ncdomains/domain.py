@@ -211,15 +211,11 @@ class WeightedShift:
                                                   x.shape[1])
         return (self.weight[:, None, None] * xb[self.target]).reshape(x.shape)
 
-    def rmul(self, x: np.ndarray, blocks: int | None = None) -> np.ndarray:
-        """x (S (x) I_r), gathered column block by column block.
-
-        With ``blocks`` given, only the first ``blocks`` column blocks are formed.
-        """
-        k = self.size if blocks is None else blocks
+    def rmul(self, x: np.ndarray) -> np.ndarray:
+        """x (S (x) I_r), gathered column block by column block."""
         xb = np.asarray(x, dtype=complex).reshape(x.shape[0], self.size,
                                                   x.shape[1] // self.size)
-        return (xb[:, self.target[:k]] * self.weight[None, :k, None]).reshape(x.shape[0], -1)
+        return (xb[:, self.target] * self.weight[None, :, None]).reshape(x.shape[0], -1)
 
     def add_kron(self, out: np.ndarray, inner: np.ndarray, scale: complex = 1.0) -> None:
         """out += scale * kron(S, inner), in place, one Fock block per live column."""

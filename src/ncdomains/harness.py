@@ -23,12 +23,12 @@ import numpy as np
 
 from .colligation import (IntertwiningTriple, build_isometry, colligation_report,
                           complete_to_unitary, embed_inner)
-from .domain import (OperatorTuple, RegularPolynomial, apply_phi, domain_membership,
-                     kron_identity_matmul, purity_horizon, weighted_creation)
+from .domain import (OperatorTuple, RegularPolynomial, apply_phi, kron_identity_matmul,
+                     purity_horizon, weighted_creation)
 from .poisson import poisson_kernel
 from .report import VerificationReport
-from .transfer import (TransferFunction, dilation_identity_report, eval_transfer,
-                       multi_analytic_residual)
+from .transfer import (TransferFunction, _row_gram, _row_norm, dilation_identity_report,
+                       eval_transfer, multi_analytic_residual)
 from .variety import VarietyModel
 from .words import Word, check_word
 
@@ -300,6 +300,11 @@ def ando_dilation(pair: CommutingPair, N: int | None = None,
     roots of their coefficients, are embedded into a common inner dimension
     r = max(r_out, r_in); padding coordinates carry no content, so the
     compression identities are unaffected.
+
+    psi_ellipsoid_min_eig is the least eigenvalue of I - sum_j c_j psi_j psi_j^*,
+    1 - lambda_max of the Gram of the content rows: the padded rows only add
+    the eigenvalue 1.  Without a variety model the Gram comes from the
+    coefficient table (transfer._row_gram).
     """
     f, g, T1, T2 = pair.f, pair.g, pair.T1, pair.T2
     N = N if N is not None else choose_truncation(f, T1)
@@ -331,6 +336,12 @@ def ando_dilation(pair: CommutingPair, N: int | None = None,
         left = [compress(m) for m in left]
         psi = [compress(m) for m in psi]
         kmat = kron_identity_matmul(p_h, kmat)
+        dim = p_h.shape[0]
+        content = np.hstack([np.sqrt(g.coeffs[(j,)]) * m.reshape(dim, r, -1)[:, :tf.r_out]
+                             .reshape(dim * tf.r_out, -1) for j, m in enumerate(psi, 1)])
+        gram = content @ content.conj().T
+    else:
+        gram = _row_gram(tf, N, [(j,) for j in range(1, g.n + 1)])
 
     rep = VerificationReport("pair-dilation", environment={
         "N": str(N), "r": str(r), "kind": pair.kind, "seed": str(pair.seed)})
@@ -343,10 +354,7 @@ def ando_dilation(pair: CommutingPair, N: int | None = None,
     for j in range(1, g.n + 1):
         rep.add_residual(f"psi{j}_multi_analytic", multi_analytic_residual(tf, (j,)),
                          max(tol, 1e-7))
-    mem = domain_membership(RegularPolynomial(g.n, {(j,): g.coeffs[(j,)]
-                                                    for j in range(1, g.n + 1)}),
-                            OperatorTuple(tuple(psi)))
-    rep.add_slack("psi_ellipsoid_min_eig", mem.min_eig_ellipsoid, 1e-8)
+    rep.add_slack("psi_ellipsoid_min_eig", 1.0 - float(np.linalg.eigvalsh(gram)[-1]), 1e-8)
 
     return PairDilation(pair=pair, N=N, left=OperatorTuple(tuple(left)),
                         right=OperatorTuple(tuple(psi)), kernel=kmat,
@@ -379,14 +387,13 @@ def commutant_lifting(f: RegularPolynomial, T1: OperatorTuple, T1p: OperatorTupl
     N = N if N is not None else max(choose_truncation(f, T1),
                                     choose_truncation(f, T1p))
     tf = eval_transfer(col, N)
-    psi = tf.block((1,))
 
     rep = VerificationReport("commutant-lifting",
                              environment={"N": str(N), "norm_A": repr(1.0)})
     K1 = poisson_kernel(f, T1, N)
     K1p = poisson_kernel(f, T1p, N)
     rep.extend(dilation_identity_report(tf, K1, K1p, tol=max(tol, 1e-7)), prefix="")
-    lift_norm = float(np.linalg.norm(psi, 2))
+    lift_norm = _row_norm(tf)
     rep.environment["lift_norm"] = repr(lift_norm)
     rep.add_residual("lift_norm_vs_A", abs(lift_norm - 1.0), max(tol, 1e-8))
     rep.add_residual("lift_multi_analytic", multi_analytic_residual(tf, (1,)),

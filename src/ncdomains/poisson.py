@@ -9,7 +9,7 @@ import numpy as np
 from .domain import (BCoefficients, OperatorTuple, RegularPolynomial, apply_phi,
                      b_coefficients, phi_identity_power, weighted_creation)
 from .report import VerificationReport
-from .words import enumerate_words
+from .words import WordTable, enumerate_words
 
 
 def canonical_phases(vectors: np.ndarray) -> np.ndarray:
@@ -80,13 +80,28 @@ class PoissonKernel:
         return self.defect.rank
 
 
+def _word_operators(T: OperatorTuple, table: WordTable) -> list[np.ndarray]:
+    """T_w for every word of the table, each from its prefix: T_{w i} = T_w T_i.
+
+    OperatorTuple.word multiplies left to right in the same way, so every
+    T_w is bitwise identical to T.word(w), at one product per word.
+    """
+    ops: list[np.ndarray] = []
+    for w in table.words:
+        if len(w) <= 1:
+            ops.append(T.word(w))
+        else:
+            ops.append(ops[table.index[w[:-1]]] @ T.mats[w[-1] - 1])
+    return ops
+
+
 def poisson_kernel(f: RegularPolynomial, T: OperatorTuple, N: int,
                    dd: DefectData | None = None, tol: float = 1e-9) -> PoissonKernel:
     dd = dd if dd is not None else defect(f, T, tol)
     table = enumerate_words(f.n, N)
     b = b_coefficients(f, N)
-    blocks = [np.sqrt(b[w]) * dd.coords(dd.delta @ T.word(w).conj().T)
-              for w in table.words]
+    blocks = [np.sqrt(b[w]) * dd.coords(dd.delta @ tw.conj().T)
+              for w, tw in zip(table.words, _word_operators(T, table))]
     return PoissonKernel(matrix=np.vstack(blocks), N=N, f=f, T=T, defect=dd, b=b)
 
 

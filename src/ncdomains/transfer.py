@@ -17,19 +17,27 @@ Theta_u = C^* X_u, where
 Malakorn).  The coefficient table is exact, with no series truncation; the
 dense blocks are scattered from it, one Fock block per column of L_{u~}.
 
+The checks read the table, not the dense blocks.  L_{u~} e_y =
+sqrt(b_y / b_{yu}) e_{yu}, so column block y of the row is
+sum_u sqrt(b_y / b_{yu}) e_{yu} (x) Theta_u and its row Gram is one batched
+product per level of y (``_row_gram``).  Left and right creation operators
+commute, so [W_i (x) I, phi] = sum_u [W_i, L_{u~}] (x) Theta_u is bounded from
+the index maps and the norms of Theta_u (``multi_analytic_residual``).
+
 Tensor convention throughout: np.kron(Fock factor, inner factor).
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .colligation import Colligation, INTERPRETIVE_FLAGS, embed_inner
-from .domain import (RegularPolynomial, WeightedShift, coefficient_words,
-                     shift_word, weighted_creation)
+from .domain import (RegularPolynomial, WeightedShift, b_coefficients,
+                     coefficient_words, shift_word, weighted_creation)
 from .poisson import PoissonKernel, verify_kernel_identities
 from .report import VerificationReport
 from .words import Word, enumerate_words, reverse
@@ -155,6 +163,10 @@ def fourier_roundtrip_residual(tf: TransferFunction, w: Word, max_level: int) ->
     <= N-M: on that corner the truncated transfer block agrees exactly with
     its multi-analytic Fourier expansion.  The expansion is formed on the
     corner only, where it equals the expansion at truncation N-M.
+
+    Both the block and the coefficients come from ``tf.theta``, so this
+    compares the dense scatter with table lookups only; it is not an
+    independent test of Theta (the dense-resolvent oracle tests are).
     """
     f, N = tf.f, tf.N
     K = N - max_level
@@ -167,31 +179,134 @@ def fourier_roundtrip_residual(tf: TransferFunction, w: Word, max_level: int) ->
     return float(np.linalg.norm(diff, 2))
 
 
-def _spectral_norm(x: np.ndarray) -> float:
-    """sigma_max(x) = sqrt(lambda_max) of the Gram matrix on the short side of x.
+def _poly_key(f: RegularPolynomial) -> tuple[int, tuple[tuple[Word, float], ...]]:
+    """A hashable key of f for the caches below."""
+    return f.n, tuple(sorted(f.coeffs.items()))
 
-    For a wide or tall x this is one small eigvalsh in place of an SVD of x;
-    the relative error is O(min(x.shape) * eps), the order of the SVD's.
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+@functools.lru_cache(maxsize=64)
+def _gram_plan(n: int, coeffs: tuple[tuple[Word, float], ...],
+               K: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Per level l <= K of a column word y: the Fock rows of the words yu and
+    the weights sqrt(b_y / b_{yu}) of L_{u~} e_y, for |u| <= K - l.
+
+    Both are (n^l, #{|u| <= K - l}) arrays, y in rows and u in columns, in
+    graded-lex order.  The row of yu is arithmetic: the start of level
+    l + |u|, plus rank(y) n^|u| + rank(u).  Shared between callers, so read-only.
     """
-    gram = x @ x.conj().T if x.shape[0] <= x.shape[1] else x.conj().T @ x
-    return float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
+    table = enumerate_words(n, K)
+    b = b_coefficients(RegularPolynomial(n, dict(coeffs)), K)
+    bw = np.array([b[w] for w in table.words])
+    start = np.array([table.max_level_index(m - 1) for m in range(K + 1)])
+    plan = []
+    for lev in range(K + 1):
+        ulev = np.repeat(np.arange(K - lev + 1), n ** np.arange(K - lev + 1))
+        urank = np.arange(len(ulev)) - start[ulev]
+        y = np.arange(n**lev)[:, None]
+        rows = start[lev + ulev] + y * n**ulev + urank
+        plan.append((_frozen(rows), _frozen(np.sqrt(bw[start[lev] + y] / bw[rows]))))
+    return tuple(plan)
+
+
+def _theta_stack(tf: TransferFunction, K: int) -> np.ndarray:
+    """Theta_u for |u| <= K as one (words, r_out, m2*r_in) array, graded-lex in u."""
+    table = enumerate_words(tf.f.n, K)
+    return np.stack([tf.theta[u] for u in table.words])
+
+
+def _block_columns(tf: TransferFunction, words: list[Word]) -> np.ndarray:
+    """Inner column indices of the blocks phi_(w), w in words, within Theta_u."""
+    r = tf.r_in
+    return np.concatenate([np.arange(j * r, (j + 1) * r)
+                           for j in map(tf.block_words.index, map(tuple, words))])
+
+
+def _row_gram(tf: TransferFunction, K: int, words: list[Word] | None = None) -> np.ndarray:
+    """G = sum_j B_j B_j^* on the rows of levels <= K, from the coefficient table.
+
+    B_j runs over the blocks phi_(w), w in ``words`` (default: all of them).
+    Column block y of the row is sum_{|u| <= K - |y|} sqrt(b_y / b_{yu})
+    e_{yu} (x) Theta_u on those rows, and distinct columns of one level reach
+    disjoint rows, so each level of y is one batched product and one
+    scattered sum.  G is (Fock_K r_out)^2; no dense block is read.
+    """
+    theta = _theta_stack(tf, K)
+    if words is not None:
+        theta = theta[:, :, _block_columns(tf, words)]
+    r = tf.r_out
+    gram = np.zeros((theta.shape[0] * r, theta.shape[0] * r), dtype=complex)
+    for rows, weights in _gram_plan(*_poly_key(tf.f), K):
+        count, span = rows.shape
+        v = (weights[:, :, None, None] * theta[:span]).reshape(count, span * r, -1)
+        idx = (rows[:, :, None] * r + np.arange(r)).reshape(count, span * r)
+        gram[idx[:, :, None], idx[:, None, :]] += v @ v.conj().transpose(0, 2, 1)
+    return gram
+
+
+def _row_norm(tf: TransferFunction, words: list[Word] | None = None) -> float:
+    """||[phi_(w) : w in words]|| = sqrt(lambda_max) of the row Gram on all rows."""
+    lam = float(np.linalg.eigvalsh(_row_gram(tf, tf.N, words))[-1])
+    return float(np.sqrt(max(lam, 0.0)))
+
+
+def _difference_norm(x: WeightedShift, y: WeightedShift, cols: int) -> float:
+    """A bound on ||x - y|| over the first ``cols`` columns.
+
+    x and y are words in creation operators, whose live targets are distinct.
+    Where the live targets of x and y agree, x - y holds one entry per column,
+    in distinct rows, and its norm is the largest weight difference;
+    otherwise ||x|| + ||y|| bounds it.
+    """
+    tx, wx, ty, wy = x.target[:cols], x.weight[:cols], y.target[:cols], y.weight[:cols]
+    if np.all((tx == ty) | (wx == 0) | (wy == 0)):
+        return float(np.abs(wx - wy).max(initial=0.0))
+    return float(np.abs(wx).max(initial=0.0) + np.abs(wy).max(initial=0.0))
+
+
+def _commutator_norms(left: tuple[WeightedShift, ...], right: tuple[WeightedShift, ...],
+                      N: int) -> np.ndarray:
+    """Bounds on ||[W_i, L_{u~}]|| over the columns of levels <= N-1.
+
+    Row i - 1 is the letter i, column k the k-th word u of length <= N in
+    graded-lex order.  L_{(u i)~} = L_i L_{u~}, so each word costs one
+    composition; [W_i, L_{u~}] is a difference of two weighted shifts.
+    """
+    table = enumerate_words(len(right), N)
+    below = table.max_level_index(N - 1)
+    lam: list[WeightedShift] = []
+    out = np.zeros((len(left), len(table)))
+    for k, u in enumerate(table.words):
+        lam.append(right[u[-1] - 1] @ lam[table.index[u[:-1]]] if u else shift_word(right, ()))
+        for i, wi in enumerate(left):
+            out[i, k] = _difference_norm(wi @ lam[k], lam[k] @ wi, below)
+    return out
+
+
+@functools.lru_cache(maxsize=64)
+def _creation_commutators(n: int, coeffs: tuple[tuple[Word, float], ...], N: int) -> np.ndarray:
+    """_commutator_norms of the weighted creation operators of f; read-only."""
+    f = RegularPolynomial(n, dict(coeffs))
+    return _frozen(_commutator_norms(weighted_creation(f, N),
+                                     weighted_creation(f, N, "right"), N))
 
 
 def multi_analytic_residual(tf: TransferFunction, w: Word) -> float:
-    """|| phi_(w) (W_i (x) I) - (W_i (x) I) phi_(w) || on columns of level <= N-1.
+    """A bound on || phi_(w) (W_i (x) I) - (W_i (x) I) phi_(w) || on columns of level <= N-1.
 
-    Both compositions agree exactly below the truncation boundary because the
-    creation operators raise the grading monotonically; the commutator is
-    formed on those columns only.
+    phi_(w) = sum_u L_{u~} (x) Theta_u (block w), so the commutator is
+    sum_u [W_i, L_{u~}] (x) Theta_u and its norm is at most
+    max_i sum_u ||[W_i, L_{u~}]|| ||Theta_u||.  The commutator norms come from
+    the index maps and are cached per (f, N); left and right creation
+    operators commute, so they vanish up to rounding in the weights.
     """
-    f, N = tf.f, tf.N
-    phi = tf.block(w)
-    below = enumerate_words(f.n, N).max_level_index(N - 1)
-    res = 0.0
-    for wi in weighted_creation(f, N):
-        diff = wi.rmul(phi, below) - wi.apply(phi[:, :below * tf.r_in])
-        res = max(res, _spectral_norm(diff))
-    return res
+    theta = _theta_stack(tf, tf.N)[:, :, _block_columns(tf, [w])]
+    comm = _creation_commutators(*_poly_key(tf.f), tf.N)
+    return float((comm @ np.linalg.norm(theta, 2, axis=(1, 2))).max())
 
 
 def _resolvent_corner(col: Colligation, K: int) -> np.ndarray:
@@ -227,16 +342,14 @@ def defect_identity_residual(tf: TransferFunction) -> float:
         lam_gram[lw.target[live]] += f.coeffs[w] * lw.weight[live] ** 2
 
     m = _resolvent_corner(col, K)
-    rows = m.shape[0]
-    phi_top = np.hstack([b[:rows] for b in tf.blocks])
-    lhs = np.eye(rows) - phi_top @ phi_top.conj().T
+    lhs = np.eye(m.shape[0]) - _row_gram(tf, K)
     rhs = (m * np.repeat(1.0 - lam_gram, col.slot_dim)) @ m.conj().T
     return float(np.linalg.norm(lhs - rhs, 2))
 
 
 def contraction_excess(tf: TransferFunction) -> float:
-    """max(0, sigma_max(full transfer row) - 1)."""
-    return max(0.0, _spectral_norm(np.hstack(tf.blocks)) - 1.0)
+    """max(0, sigma_max(full transfer row) - 1), from the row Gram of the table."""
+    return max(0.0, _row_norm(tf) - 1.0)
 
 
 def dilation_identity_report(tf: TransferFunction, K1: PoissonKernel,

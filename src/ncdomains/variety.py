@@ -119,9 +119,11 @@ def _is_homogeneous(q: Generator) -> bool:
 def _split_span(cand: np.ndarray, rank_tol: float) -> np.ndarray:
     """Orthonormal basis of the complement of the column span of cand.
 
-    The one rank rule: keep the singular values s > rank_tol * max(s).
+    The one rank rule: keep the singular values s > rank_tol * max(s).  Only
+    a tall block needs the full left factor; for a wide one the thin SVD's is
+    already square and no cols^2 right factor is formed.
     """
-    u_m, s, _ = np.linalg.svd(cand, full_matrices=True)
+    u_m, s, _ = np.linalg.svd(cand, full_matrices=cand.shape[0] > cand.shape[1])
     rank = int(np.sum(s > rank_tol * (s[0] if s.size else 0.0)))
     return u_m[:, rank:]
 

@@ -297,3 +297,25 @@ def test_cli_matrix_from_file(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(obj))
     assert main(["--config", str(path), "check-model"]) == 0
+
+
+@pytest.mark.parametrize("verb, floor", [("check-model", "1e-09"), ("verify", "1e-06"),
+                                         ("battery", "1e-06")])
+def test_cli_tolerance_floor_warns(tmp_path, capsys, monkeypatch, verb, floor):
+    """A floor that replaces the user's tolerance is named on stderr, with the
+    user's value; a tolerance the user did not give is floored silently."""
+    monkeypatch.delenv("NCDOMAINS_TOL", raising=False)
+    args = ["--config", scalar_config(tmp_path), "--dims", "3", "--count", "1", verb]
+    warning = (f"warning: tol=1e-12 is below the floor {floor} of these checks; "
+               f"they use tol={floor}")
+    main(args)
+    assert "warning" not in capsys.readouterr().err
+    main(["--tol", "1e-12"] + args)
+    assert warning in capsys.readouterr().err
+    main(["--tol", "1e-3"] + args)
+    assert "warning" not in capsys.readouterr().err
+    main(["--config", scalar_config(tmp_path, tol=1e-12), "--dims", "3", "--count", "1", verb])
+    assert warning in capsys.readouterr().err
+    monkeypatch.setenv("NCDOMAINS_TOL", "1e-12")
+    main(args)
+    assert warning in capsys.readouterr().err

@@ -1,16 +1,25 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from ncdomains import (BiPolynomial, OperatorTuple,
-                       RegularPolynomial, ando_dilation, builtin_bipolynomials,
-                       builtin_hermitian, builtin_matrix_polys, grid_sup_norm,
-                       random_commuting_pair, run_battery, verify_inequality)
-from ncdomains.harness import (commutant_lifting, compression_residual,
+                       RegularPolynomial, ando_dilation, build_isometry, build_variety,
+                       builtin_bipolynomials, builtin_hermitian, builtin_matrix_polys,
+                       complete_to_unitary, domain_membership, grid_sup_norm,
+                       poisson_kernel, random_commuting_pair, run_battery,
+                       verify_inequality)
+from ncdomains.harness import (CommutingPair, commutant_lifting, compression_residual,
                                cross_commutation_residual, scale_into_domain,
                                spectral_norms, verify_hermitian_inequality,
                                von_neumann_check)
+from ncdomains.transfer import (contraction_excess, defect_identity_residual,
+                                dilation_identity_report, eval_transfer,
+                                fourier_roundtrip_residual, multi_analytic_residual)
+from ncdomains.variety import commutator_generators, minpoly_generator
 
 from conftest import random_nilpotent_tuple
+from test_transfer import commuting_triple
 
 Z = RegularPolynomial.single_variable([1.0])
 
@@ -190,3 +199,65 @@ def test_battery_determinism():
     a = run_battery(Z, Z, seeds=[7, 8], dims=[3], with_swapped=False).render()
     b = run_battery(Z, Z, seeds=[7, 8], dims=[3], with_swapped=False).render()
     assert a == b
+
+
+def check_value(rep, name: str) -> float:
+    return next(c.value for c in rep.checks if c.name == name)
+
+
+def test_psi_ellipsoid_gap_matches_dense_membership():
+    """1 - lambda_max of the content-row Gram equals the least eigenvalue of the
+    dense padded gap, with and without a variety model."""
+    pair = random_commuting_pair(17, 3, "upper-triangular-commuting", Z, Z)
+    dil = ando_dilation(pair)
+    roots = list(np.linalg.eigvals(pair.T1.mats[0]))
+    dils = [dil, ando_dilation(pair, N=dil.N, variety=build_variety(Z, dil.N,
+                                                                    [minpoly_generator(roots)]))]
+    f2 = RegularPolynomial(2, {(1,): 1.0, (2,): 1.0})
+    tr = commuting_triple(3, 3, f2)
+    pair2 = CommutingPair(f2, Z, tr.T1, tr.T2)
+    dils += [ando_dilation(pair2, N=4),
+             ando_dilation(pair2, N=4, variety=build_variety(f2, 4, commutator_generators(2)))]
+    assert any(d.transfer.r_in > d.transfer.r_out for d in dils)  # padded rows occur
+    for d in dils:
+        dense = domain_membership(Z, d.right).min_eig_ellipsoid
+        assert abs(check_value(d.report, "psi_ellipsoid_min_eig") - dense) <= 1e-12
+
+
+def test_transfer_checks_stay_on_the_fock_r_out_side(monkeypatch):
+    """Complexity guard on twovar-shaped inputs at N = 4..6.
+
+    ando_dilation and the transfer checks pass eigvalsh, eigh and svd no matrix
+    taller than Fock r_out (the padded psi of ando_dilation has Fock r rows),
+    and contraction, multi-analyticity and the defect identity read no dense
+    (Fock r_in)-wide block.
+    """
+    shapes = []
+    for name in ("eigvalsh", "eigh", "svd"):
+        def spy(a, *args, real=getattr(np.linalg, name), **kwargs):
+            shapes.append(np.shape(a))
+            return real(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, spy)
+
+    f_pair = RegularPolynomial(2, {(1,): 1.0, (2,): 1.0})
+    f_triple = RegularPolynomial(2, {(1,): 1.0, (2,): 1.0, (1, 2): 0.5})
+    for N in (4, 5, 6):
+        tr = commuting_triple(N, 4, f_pair)
+        shapes.clear()
+        dil = ando_dilation(CommutingPair(f_pair, Z, tr.T1, tr.T2), N=N)
+        assert dil.report.passed, dil.report.render()
+        assert dil.transfer.r_in > dil.transfer.r_out
+        assert shapes and max(s[-2] for s in shapes) <= dil.transfer.fock_size * dil.transfer.r_out
+
+        tr = commuting_triple(N + 10, 4, f_triple)
+        col = complete_to_unitary(build_isometry(tr))
+        shapes.clear()
+        tf = eval_transfer(col, N)
+        no_blocks = dataclasses.replace(tf, blocks=())
+        for check in (contraction_excess, defect_identity_residual):
+            assert check(no_blocks) == check(tf)
+        assert multi_analytic_residual(no_blocks, (1,)) == multi_analytic_residual(tf, (1,))
+        fourier_roundtrip_residual(tf, (1,), 2)
+        dilation_identity_report(tf, poisson_kernel(f_triple, tr.T1, N),
+                                 poisson_kernel(f_triple, tr.T1, N))
+        assert shapes and max(s[-2] for s in shapes) <= tf.fock_size * tf.r_out

@@ -3,8 +3,10 @@ import pytest
 
 from ncdomains import (OperatorTuple, RegularPolynomial, defect, poisson_kernel,
                        verify_kernel_identities)
-from ncdomains.domain import phi_identity_power
+from ncdomains.domain import b_coefficients, phi_identity_power
+from ncdomains.harness import scale_into_domain
 from ncdomains.poisson import canonical_phases
+from ncdomains.words import enumerate_words
 
 from conftest import f_battery, random_nilpotent_tuple
 
@@ -82,3 +84,18 @@ def test_kernel_contraction_for_battery():
         T = random_nilpotent_tuple(11, f.n, 3, f, target=0.8)
         K = poisson_kernel(f, T, 5)
         assert np.linalg.norm(K.matrix, 2) <= 1.0 + 1e-10
+
+
+def test_prefix_kernel_matches_word_path_bitwise():
+    """The prefix-cached T_w give the kernel of the per-word OperatorTuple.word path."""
+    rng = np.random.default_rng(11)
+    N = 5
+    for seed, f in enumerate(f_battery()):
+        dense = OperatorTuple(tuple(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+                                    for _ in range(f.n)))
+        for T in (random_nilpotent_tuple(seed, f.n, 4, f), scale_into_domain(f, dense, 0.5)):
+            K = poisson_kernel(f, T, N)
+            dd, b = K.defect, b_coefficients(f, N)
+            ref = np.vstack([np.sqrt(b[w]) * dd.coords(dd.delta @ T.word(w).conj().T)
+                             for w in enumerate_words(f.n, N).words])
+            assert np.array_equal(K.matrix, ref)

@@ -4,14 +4,14 @@ import pytest
 from ncdomains import (IntertwiningTriple, OperatorTuple, RegularPolynomial,
                        build_isometry, complete_to_unitary, eval_transfer,
                        fourier_coefficients, fourier_roundtrip_residual,
-                       poisson_kernel)
+                       poisson_kernel, transfer)
 from ncdomains.colligation import Colligation
-from ncdomains.domain import (b_coefficients, coefficient_words, shift_word,
+from ncdomains.domain import (WeightedShift, b_coefficients, coefficient_words, shift_word,
                               weighted_creation)
 from ncdomains.harness import scale_into_domain
-from ncdomains.transfer import (_resolvent_corner, _spectral_norm, contraction_excess,
-                                defect_identity_residual, dilation_identity_report,
-                                multi_analytic_residual)
+from ncdomains.transfer import (_commutator_norms, _resolvent_corner, _row_gram,
+                                contraction_excess, defect_identity_residual,
+                                dilation_identity_report, multi_analytic_residual)
 from ncdomains.words import enumerate_words, reverse
 
 from conftest import f_battery
@@ -113,17 +113,91 @@ def test_resolvent_corner_matches_inverse():
         assert np.linalg.norm(m_ref[:rows, cols:]) <= 1e-12 * np.linalg.norm(m_ref)
 
 
-def test_spectral_norm_matches_svd():
-    rng = np.random.default_rng(5)
+def gram_colligations() -> list[Colligation]:
+    """n = 1 and n = 2 with deg f = 2, both with g = z + z^2 (m2 = 2 blocks)."""
+    g = RegularPolynomial.single_variable([1.0, 1.0])
+    fs = [RegularPolynomial.single_variable([1.0, 0.5]),
+          RegularPolynomial(2, {(1,): 1.0, (2,): 1.0, (1, 2): 0.5})]
+    cols = [complete_to_unitary(build_isometry(commuting_triple(seed, 3, f, g)))
+            for seed, f in enumerate(fs)]
+    assert all(col.dims["m2"] >= 2 for col in cols)
+    return cols
 
-    def cplx(r, c):
-        return rng.standard_normal((r, c)) + 1j * rng.standard_normal((r, c))
 
-    cases = [cplx(40, 300), cplx(300, 40), cplx(60, 60),
-             np.outer(cplx(50, 1), cplx(1, 80)), 1e-17 * cplx(30, 200)]
-    for x in cases:
-        ref = np.linalg.norm(x, 2)
-        assert abs(_spectral_norm(x) - ref) <= 1e-13 * ref
+def test_row_gram_matches_dense_blocks():
+    """The table Gram equals the Gram of the stacked dense blocks, on every row level."""
+    for col in gram_colligations():
+        N = 4
+        tf = eval_transfer(col, N)
+        table = enumerate_words(col.triple.f.n, N)
+        for K in range(N + 1):
+            rows = table.max_level_index(K) * tf.r_out
+            for words in (None, [(1,)], [(1, 1)], list(tf.block_words)):
+                x = np.hstack([tf.block(w)[:rows] for w in (words or tf.block_words)])
+                ref = x @ x.conj().T
+                err = np.linalg.norm(_row_gram(tf, K, words) - ref)
+                assert err <= 1e-13 * np.linalg.norm(ref)
+
+
+def dense_commutator_norm(tf, w, left) -> float:
+    """Oracle: max_i ||[W_i (x) I, phi_(w)]|| on columns of level <= N-1, all dense."""
+    phi = tf.block(w)
+    cols = enumerate_words(tf.f.n, tf.N).max_level_index(tf.N - 1) * tf.r_in
+    out = 0.0
+    for wi in left:
+        comm = (wi.dense(np.eye(tf.r_out)) @ phi - phi @ wi.dense(np.eye(tf.r_in)))[:, :cols]
+        out = max(out, float(np.linalg.norm(comm, 2)))
+    return out
+
+
+def perturbed(shift: WeightedShift, col: int, scale: float) -> WeightedShift:
+    weight = shift.weight.copy()
+    weight[col] *= scale
+    return WeightedShift(shift.target, weight)
+
+
+def test_commutator_norms_match_dense():
+    """Each index-map commutator norm equals the dense one, also for a perturbed
+    weight; a permuted target (targets that disagree) is bounded from above."""
+    f = RegularPolynomial(2, {(1,): 1.0, (2,): 1.0, (1, 2): 0.5})
+    N = 4
+    left, right = weighted_creation(f, N), weighted_creation(f, N, "right")
+    table = enumerate_words(2, N)
+    cols = table.max_level_index(N - 1)
+    swapped = left[0].target.copy()
+    swapped[[1, 2]] = swapped[[2, 1]]
+    cases = [(left, True), ((perturbed(left[0], 3, 1.1), left[1]), True),
+             ((WeightedShift(swapped, left[0].weight), left[1]), False)]
+    for shifts, exact in cases:
+        bound = _commutator_norms(shifts, right, N)
+        for k, u in enumerate(table.words):
+            lu = shift_word(right, reverse(u)).dense()
+            for i, wi in enumerate(shifts):
+                ref = np.linalg.norm((wi.dense() @ lu - lu @ wi.dense())[:, :cols], 2)
+                assert bound[i, k] >= ref - 1e-15
+                if exact:
+                    assert abs(bound[i, k] - ref) <= 1e-15
+    assert _commutator_norms(left, right, N).max() <= 1e-15
+
+
+def test_multi_analytic_bound_against_dense_commutator(monkeypatch):
+    """The bound dominates the dense commutator and becomes nonzero when a shift
+    weight is perturbed."""
+    for col in gram_colligations():
+        f, N = col.triple.f, 4
+        tf = eval_transfer(col, N)
+        left, right = weighted_creation(f, N), weighted_creation(f, N, "right")
+        for w in tf.block_words:
+            assert multi_analytic_residual(tf, w) <= 1e-14
+            assert dense_commutator_norm(tf, w, left) <= 1e-13
+        bad = (perturbed(left[0], 0, 1.0 + 1e-3),) + left[1:]
+        monkeypatch.setattr(transfer, "_creation_commutators",
+                            lambda *key, bad=bad, right=right: _commutator_norms(bad, right, N))
+        for w in tf.block_words:
+            ref = dense_commutator_norm(tf, w, bad)
+            assert ref > 1e-6
+            assert ref <= multi_analytic_residual(tf, w) * (1 + 1e-12)
+        monkeypatch.undo()
 
 
 def swap_colligation() -> Colligation:
