@@ -305,6 +305,10 @@ def ando_dilation(pair: CommutingPair, N: int | None = None,
     1 - lambda_max of the Gram of the content rows: the padded rows only add
     the eigenvalue 1.  Without a variety model the Gram comes from the
     coefficient table (transfer._row_gram).
+
+    psi{j}_multi_analytic checks the shift structure of the table, the bound
+    of transfer.multi_analytic_residual, not the dense psi returned as
+    ``right``; nothing in this report compares the dense psi with the table.
     """
     f, g, T1, T2 = pair.f, pair.g, pair.T1, pair.T2
     N = N if N is not None else choose_truncation(f, T1)

@@ -29,7 +29,6 @@ Tensor convention throughout: np.kron(Fock factor, inner factor).
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -179,40 +178,6 @@ def fourier_roundtrip_residual(tf: TransferFunction, w: Word, max_level: int) ->
     return float(np.linalg.norm(diff, 2))
 
 
-def _poly_key(f: RegularPolynomial) -> tuple[int, tuple[tuple[Word, float], ...]]:
-    """A hashable key of f for the caches below."""
-    return f.n, tuple(sorted(f.coeffs.items()))
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
-@functools.lru_cache(maxsize=64)
-def _gram_plan(n: int, coeffs: tuple[tuple[Word, float], ...],
-               K: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Per level l <= K of a column word y: the Fock rows of the words yu and
-    the weights sqrt(b_y / b_{yu}) of L_{u~} e_y, for |u| <= K - l.
-
-    Both are (n^l, #{|u| <= K - l}) arrays, y in rows and u in columns, in
-    graded-lex order.  The row of yu is arithmetic: the start of level
-    l + |u|, plus rank(y) n^|u| + rank(u).  Shared between callers, so read-only.
-    """
-    table = enumerate_words(n, K)
-    b = b_coefficients(RegularPolynomial(n, dict(coeffs)), K)
-    bw = np.array([b[w] for w in table.words])
-    start = np.array([table.max_level_index(m - 1) for m in range(K + 1)])
-    plan = []
-    for lev in range(K + 1):
-        ulev = np.repeat(np.arange(K - lev + 1), n ** np.arange(K - lev + 1))
-        urank = np.arange(len(ulev)) - start[ulev]
-        y = np.arange(n**lev)[:, None]
-        rows = start[lev + ulev] + y * n**ulev + urank
-        plan.append((_frozen(rows), _frozen(np.sqrt(bw[start[lev] + y] / bw[rows]))))
-    return tuple(plan)
-
-
 def _theta_stack(tf: TransferFunction, K: int) -> np.ndarray:
     """Theta_u for |u| <= K as one (words, r_out, m2*r_in) array, graded-lex in u."""
     table = enumerate_words(tf.f.n, K)
@@ -233,14 +198,25 @@ def _row_gram(tf: TransferFunction, K: int, words: list[Word] | None = None) -> 
     Column block y of the row is sum_{|u| <= K - |y|} sqrt(b_y / b_{yu})
     e_{yu} (x) Theta_u on those rows, and distinct columns of one level reach
     disjoint rows, so each level of y is one batched product and one
-    scattered sum.  G is (Fock_K r_out)^2; no dense block is read.
+    scattered sum.  In graded-lex order the row of yu is arithmetic: the start
+    of level |y| + |u|, plus rank(y) n^|u| + rank(u).  G is (Fock_K r_out)^2;
+    no dense block is read.
     """
+    n, r = tf.f.n, tf.r_out
+    table = enumerate_words(n, K)
+    b = b_coefficients(tf.f, K)
+    bw = np.array([b[w] for w in table.words])
+    start = np.array([table.max_level_index(m - 1) for m in range(K + 1)])
     theta = _theta_stack(tf, K)
     if words is not None:
         theta = theta[:, :, _block_columns(tf, words)]
-    r = tf.r_out
-    gram = np.zeros((theta.shape[0] * r, theta.shape[0] * r), dtype=complex)
-    for rows, weights in _gram_plan(*_poly_key(tf.f), K):
+    gram = np.zeros((len(table) * r, len(table) * r), dtype=complex)
+    for lev in range(K + 1):
+        # y in rows, u in columns: the Fock row of yu and the weight of L_{u~} e_y
+        ulev = np.repeat(np.arange(K - lev + 1), n ** np.arange(K - lev + 1))
+        y = np.arange(n**lev)[:, None]
+        rows = start[lev + ulev] + y * n**ulev + np.arange(len(ulev)) - start[ulev]
+        weights = np.sqrt(bw[start[lev] + y] / bw[rows])
         count, span = rows.shape
         v = (weights[:, :, None, None] * theta[:span]).reshape(count, span * r, -1)
         idx = (rows[:, :, None] * r + np.arange(r)).reshape(count, span * r)
@@ -258,12 +234,12 @@ def _difference_norm(x: WeightedShift, y: WeightedShift, cols: int) -> float:
     """A bound on ||x - y|| over the first ``cols`` columns.
 
     x and y are words in creation operators, whose live targets are distinct.
-    Where the live targets of x and y agree, x - y holds one entry per column,
-    in distinct rows, and its norm is the largest weight difference;
-    otherwise ||x|| + ||y|| bounds it.
+    Where x and y are live on the same columns and send each of them to the
+    same row, x - y holds one entry per column, in distinct rows, and its norm
+    is the largest weight difference; otherwise ||x|| + ||y|| bounds it.
     """
     tx, wx, ty, wy = x.target[:cols], x.weight[:cols], y.target[:cols], y.weight[:cols]
-    if np.all((tx == ty) | (wx == 0) | (wy == 0)):
+    if np.all(((wx != 0) == (wy != 0)) & ((tx == ty) | (wx == 0))):
         return float(np.abs(wx - wy).max(initial=0.0))
     return float(np.abs(wx).max(initial=0.0) + np.abs(wy).max(initial=0.0))
 
@@ -287,25 +263,18 @@ def _commutator_norms(left: tuple[WeightedShift, ...], right: tuple[WeightedShif
     return out
 
 
-@functools.lru_cache(maxsize=64)
-def _creation_commutators(n: int, coeffs: tuple[tuple[Word, float], ...], N: int) -> np.ndarray:
-    """_commutator_norms of the weighted creation operators of f; read-only."""
-    f = RegularPolynomial(n, dict(coeffs))
-    return _frozen(_commutator_norms(weighted_creation(f, N),
-                                     weighted_creation(f, N, "right"), N))
-
-
 def multi_analytic_residual(tf: TransferFunction, w: Word) -> float:
     """A bound on || phi_(w) (W_i (x) I) - (W_i (x) I) phi_(w) || on columns of level <= N-1.
 
     phi_(w) = sum_u L_{u~} (x) Theta_u (block w), so the commutator is
     sum_u [W_i, L_{u~}] (x) Theta_u and its norm is at most
     max_i sum_u ||[W_i, L_{u~}]|| ||Theta_u||.  The commutator norms come from
-    the index maps and are cached per (f, N); left and right creation
-    operators commute, so they vanish up to rounding in the weights.
+    the index maps; left and right creation operators commute, so they vanish
+    up to rounding in the weights.
     """
-    theta = _theta_stack(tf, tf.N)[:, :, _block_columns(tf, [w])]
-    comm = _creation_commutators(*_poly_key(tf.f), tf.N)
+    f, N = tf.f, tf.N
+    theta = _theta_stack(tf, N)[:, :, _block_columns(tf, [w])]
+    comm = _commutator_norms(weighted_creation(f, N), weighted_creation(f, N, "right"), N)
     return float((comm @ np.linalg.norm(theta, 2, axis=(1, 2))).max())
 
 

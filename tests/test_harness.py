@@ -218,9 +218,21 @@ def test_psi_ellipsoid_gap_matches_dense_membership():
     pair2 = CommutingPair(f2, Z, tr.T1, tr.T2)
     dils += [ando_dilation(pair2, N=4),
              ando_dilation(pair2, N=4, variety=build_variety(f2, 4, commutator_generators(2)))]
+    # g = 0.5 z1 + z2: two degree-one blocks, one rescaled by 1/sqrt(0.5)
+    g2 = RegularPolynomial(2, {(1,): 0.5, (2,): 1.0})
+    rng = np.random.default_rng(5)
+    nil = np.triu(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)), 1)
+    T1 = scale_into_domain(Z, OperatorTuple((nil,)), 0.9)
+    T2 = scale_into_domain(g2, OperatorTuple((nil - 0.7 * nil @ nil, 0.4 * nil + nil @ nil)), 0.9)
+    pair3 = CommutingPair(Z, g2, T1, T2)
+    dil3 = ando_dilation(pair3)
+    dils += [dil3, ando_dilation(pair3, N=dil3.N,
+                                 variety=build_variety(Z, dil3.N, [minpoly_generator([0.0] * 4)]))]
     assert any(d.transfer.r_in > d.transfer.r_out for d in dils)  # padded rows occur
     for d in dils:
-        dense = domain_membership(Z, d.right).min_eig_ellipsoid
+        g = d.pair.g
+        assert all(len(w) == 1 for w in g.coeffs)
+        dense = domain_membership(g, d.right).min_eig_ellipsoid
         assert abs(check_value(d.report, "psi_ellipsoid_min_eig") - dense) <= 1e-12
 
 

@@ -9,7 +9,8 @@ from ncdomains.colligation import Colligation
 from ncdomains.domain import (WeightedShift, b_coefficients, coefficient_words, shift_word,
                               weighted_creation)
 from ncdomains.harness import scale_into_domain
-from ncdomains.transfer import (_commutator_norms, _resolvent_corner, _row_gram,
+from ncdomains.transfer import (_commutator_norms, _difference_norm, _resolvent_corner,
+                                _row_gram,
                                 contraction_excess, defect_identity_residual,
                                 dilation_identity_report, multi_analytic_residual)
 from ncdomains.words import enumerate_words, reverse
@@ -179,6 +180,14 @@ def test_commutator_norms_match_dense():
                     assert abs(bound[i, k] - ref) <= 1e-15
     assert _commutator_norms(left, right, N).max() <= 1e-15
 
+    # live sets that differ: x alone is live on column 0, y alone on column 1,
+    # both reaching row 0, so x - y has two entries in one row
+    x = WeightedShift(np.array([0, 1, 2]), np.array([1.0, 0.0, 0.5]))
+    y = WeightedShift(np.array([1, 0, 2]), np.array([0.0, 1.0, 0.5]))
+    ref = np.linalg.norm(x.dense() - y.dense(), 2)
+    assert ref > 1.0 + 1e-3
+    assert _difference_norm(x, y, 3) >= ref
+
 
 def test_multi_analytic_bound_against_dense_commutator(monkeypatch):
     """The bound dominates the dense commutator and becomes nonzero when a shift
@@ -191,8 +200,9 @@ def test_multi_analytic_bound_against_dense_commutator(monkeypatch):
             assert multi_analytic_residual(tf, w) <= 1e-14
             assert dense_commutator_norm(tf, w, left) <= 1e-13
         bad = (perturbed(left[0], 0, 1.0 + 1e-3),) + left[1:]
-        monkeypatch.setattr(transfer, "_creation_commutators",
-                            lambda *key, bad=bad, right=right: _commutator_norms(bad, right, N))
+        monkeypatch.setattr(transfer, "weighted_creation",
+                            lambda f_, N_, side="left", bad=bad, right=right:
+                            bad if side == "left" else right)
         for w in tf.block_words:
             ref = dense_commutator_norm(tf, w, bad)
             assert ref > 1e-6
