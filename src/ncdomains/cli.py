@@ -10,12 +10,12 @@ Verbs:
 A command-line flag sets its knob unless the config file sets the same key;
 then the config file wins and a warning names both values.  A tolerance set
 by neither comes from the NCDOMAINS_TOL environment variable (default 1e-9).
-Flags, config keys and NCDOMAINS_TOL share one range rule (count >= 1, every
-dims[i] >= 1, N >= 0, tol finite and >= 0); a value outside it exits with
-code 2 and a message naming the flag, key or variable.  Some checks have a
-tolerance floor (1e-9 for the kernel checks of check-model, 1e-6 for the
-inequality checks of verify and battery); when it replaces a tolerance the
-user gave, a warning on stderr names both values.
+Flags, config keys and NCDOMAINS_TOL share one range rule (count >= 1, dims
+nonempty with every dims[i] >= 1, N >= 0, tol finite and >= 0); a value
+outside it exits with code 2 and a message naming the flag, key or variable.
+Some checks have a tolerance floor (1e-9 for the kernel checks of
+check-model, 1e-6 for the inequality checks of verify and battery); when it
+replaces a tolerance the user gave, a warning on stderr names both values.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ import sys
 from .config import DEFAULT_TOL_ENV, ConfigError, ExperimentConfig, check_range
 from .domain import RegularPolynomial, domain_membership, purity_estimate
 from .harness import (CommutingPair, ando_dilation, builtin_bipolynomials,
-                      builtin_hermitian, builtin_matrix_polys, run_battery,
-                      verify_hermitian_inequality, verify_inequality)
+                      builtin_hermitian, builtin_matrix_polys, choose_truncation,
+                      run_battery, verify_hermitian_inequality, verify_inequality)
 from .poisson import poisson_kernel, verify_kernel_identities
 from .report import VerificationReport, parse_report
 from .variety import build_variety, constrained_poisson, verify_constrained_kernel
@@ -109,7 +109,7 @@ def cmd_check_model(cfg: ExperimentConfig, tol_given: bool) -> int:
         rep.extend(verify_kernel_identities(K, tol=kernel_tol), prefix="kernel_")
         if cfg.variety:
             variety = build_variety(f, N, cfg.variety)
-            ck = constrained_poisson(variety, T, base=K)
+            ck = constrained_poisson(variety, K)
             rep.extend(verify_constrained_kernel(ck, tol=kernel_tol),
                        prefix="variety_")
     return _emit(rep, cfg.output)
@@ -118,9 +118,10 @@ def cmd_check_model(cfg: ExperimentConfig, tol_given: bool) -> int:
 def cmd_dilate(cfg: ExperimentConfig) -> int:
     _require(cfg, "g", "T1", "T2")
     pair = CommutingPair(cfg.f, cfg.g, cfg.T1, cfg.T2)
-    variety = (build_variety(cfg.f, cfg.N, cfg.variety)
-               if cfg.variety and cfg.N is not None else None)
-    dil = ando_dilation(pair, N=cfg.N, variety=variety, tol=cfg.tol)
+    # the truncation ando_dilation picks, so that a variety model can match it
+    N = cfg.N if cfg.N is not None else choose_truncation(cfg.f, cfg.T1)
+    variety = build_variety(cfg.f, N, cfg.variety) if cfg.variety else None
+    dil = ando_dilation(pair, N=N, variety=variety, tol=cfg.tol)
     return _emit(dil.report, cfg.output)
 
 

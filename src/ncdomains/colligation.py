@@ -39,7 +39,6 @@ class IntertwiningTriple:
     T1: OperatorTuple   # on H
     T1p: OperatorTuple  # on H'
     T2: OperatorTuple   # H' -> H
-    tol: float = 1e-8
 
     def __post_init__(self) -> None:
         if self.T1.n != self.f.n or self.T1p.n != self.f.n:
@@ -51,8 +50,8 @@ class IntertwiningTriple:
         if self.g.degree >= 2 and self.T2.rows != self.T2.cols:
             raise ValueError("deg g >= 2 requires a square intertwining tuple")
         res = self.cross_residual()
-        if res > self.tol:
-            raise ValueError(f"intertwining residual {res:.3e} exceeds tol {self.tol:.1e}")
+        if res > 1e-8:
+            raise ValueError(f"intertwining residual {res:.3e} exceeds tol 1.0e-08")
 
     def cross_residual(self) -> float:
         res = 0.0
@@ -110,8 +109,7 @@ def build_isometry(triple: IntertwiningTriple, tol: float = 1e-8) -> PartialIsom
     return PartialIsometry(triple, dd1, dd1p, dd2, dom, ran, gram_res)
 
 
-def solve_padding(d1: int, d1p: int, d2: int, m1: int, m2: int,
-                  max_pad: int = 512) -> tuple[int, int, int, bool]:
+def solve_padding(d1: int, d1p: int, d2: int, m1: int, m2: int) -> tuple[int, int, int, bool]:
     """Pads (e, u, v) with d1+u + m1*(d2+e) == m2*(d1p+v) + d2+e.
 
     e enlarges the auxiliary space sitting next to the second defect (the
@@ -119,7 +117,7 @@ def solve_padding(d1: int, d1p: int, d2: int, m1: int, m2: int,
     defect blocks and are used only as a fallback.  Returns (e, u, v,
     fallback_used).
     """
-    for e in range(max_pad + 1):
+    for e in range(513):
         if d1 + m1 * (d2 + e) == m2 * d1p + d2 + e:
             return e, 0, 0, False
     gap = m2 * d1p + d2 - d1 - m1 * d2  # range minus domain at e = 0
@@ -194,15 +192,14 @@ class Colligation:
         return self.B[:, i * w:(i + 1) * w]
 
 
-def _ordered_frames(mat: np.ndarray, rank_tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray, int]:
+def _ordered_frames(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """Orthonormal basis of col(mat), its ordered complement, and the rank."""
     u, s, vh = np.linalg.svd(mat, full_matrices=True)
-    rank = int(np.sum(s > rank_tol * max(s[0] if s.size else 1.0, 1.0)))
+    rank = int(np.sum(s > 1e-10 * max(s[0] if s.size else 1.0, 1.0)))
     return u, vh, rank
 
 
-def complete_to_unitary(partial: PartialIsometry, tol: float = 1e-8,
-                        max_pad: int = 512) -> Colligation:
+def complete_to_unitary(partial: PartialIsometry) -> Colligation:
     """Pad dimensions, then extend the prescribed isometry to a unitary.
 
     The prescribed spans are matched through the SVD of the domain columns;
@@ -213,7 +210,7 @@ def complete_to_unitary(partial: PartialIsometry, tol: float = 1e-8,
     rows = (partial.domain_vectors.shape[0], partial.range_vectors.shape[0])
     if rows != (d1 + m1 * d2, m2 * d1p + d2):
         raise ValueError(f"domain/range rows {rows} do not match the dims {partial.dims}")
-    e, uu, vv, fallback = solve_padding(d1, d1p, d2, m1, m2, max_pad)
+    e, uu, vv, fallback = solve_padding(d1, d1p, d2, m1, m2)
 
     dom = np.vstack([
         embed_inner(partial.domain_vectors[:d1], 1, d1, d1 + uu, axis=0),
@@ -256,7 +253,7 @@ def complete_to_unitary(partial: PartialIsometry, tol: float = 1e-8,
         triple=partial.triple,
         partial=partial,
     )
-    if col.prescribed_residual > max(tol, 10 * partial.gram_residual + 1e-12):
+    if col.prescribed_residual > max(1e-8, 10 * partial.gram_residual + 1e-12):
         raise ValueError(f"unitary completion failed to reproduce the prescribed "
                          f"action (residual {col.prescribed_residual:.3e})")
     return col
@@ -313,14 +310,15 @@ def series_term_by_words(col: Colligation, p: int) -> np.ndarray:
     return col.B @ np.vstack(blocks)
 
 
-def series_oracle(col: Colligation, p_max: int, tol: float = 1e-10,
-                  two_path_max: int = 3) -> VerificationReport:
+def series_oracle(col: Colligation, p_max: int) -> VerificationReport:
     """Check the structural series against the stacked intertwining data.
 
     Compares A Delta_1 + B sum_p term_p with diag(Delta_1') [sqrt(c_b) T2_b^*],
     reports the residual and the theoretical tail ||Phi^{p_max+2}(I)||^{1/2},
-    and cross-checks the nested-diag terms against the word-indexed expansion.
+    and cross-checks the nested-diag terms p <= 3 against the word-indexed
+    expansion.
     """
+    tol = 1e-10
     triple = col.triple
     f, g, T1, T1p, T2 = triple.f, triple.g, triple.T1, triple.T1p, triple.T2
     p = col.partial
@@ -342,16 +340,16 @@ def series_oracle(col: Colligation, p_max: int, tol: float = 1e-10,
     rep.add_residual("series_vs_intertwining", residual, max(tol, tail + tol))
     rep.environment["tail_bound"] = repr(tail)
 
-    for q in range(min(p_max, two_path_max) + 1):
+    for q in range(min(p_max, 3) + 1):
         two_path = float(np.linalg.norm(terms[q] - series_term_by_words(col, q), 2))
         rep.add_residual(f"two_path_term_{q}", two_path, tol)
     return rep
 
 
-def colligation_report(col: Colligation, tol: float = 1e-10) -> VerificationReport:
+def colligation_report(col: Colligation) -> VerificationReport:
     rep = VerificationReport("colligation", environment=dict(INTERPRETIVE_FLAGS))
     rep.environment.update({k: str(v) for k, v in col.dims.items()})
     rep.environment["fallback_padding"] = str(int(col.fallback_padding))
-    rep.add_residual("unitarity", col.unitarity_residual, tol)
-    rep.add_residual("prescribed_action", col.prescribed_residual, tol)
+    rep.add_residual("unitarity", col.unitarity_residual, 1e-10)
+    rep.add_residual("prescribed_action", col.prescribed_residual, 1e-10)
     return rep

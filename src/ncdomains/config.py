@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domain import OperatorTuple, RegularPolynomial
+from .harness import PAIR_KINDS
 from .matio import read_matrix
 from .variety import Generator, commutator_generators, minpoly_generator
 from .words import Word
@@ -104,9 +105,17 @@ def parse_operator_tuple(obj, where: str, base: str = ".") -> OperatorTuple:
         raise ConfigError(f"{where}: {exc}") from None
 
 
+def _list(v, where: str) -> list:
+    if not isinstance(v, list):
+        raise ConfigError(f"{where}: expected a list, got {v!r}")
+    return v
+
+
 def parse_variety_spec(obj, where: str, n: int) -> list[Generator] | None:
     if obj is None:
         return None
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where}: expected an object with 'kind', got {obj!r}")
     kind = obj.get("kind")
     if kind == "none":
         return None
@@ -114,17 +123,22 @@ def parse_variety_spec(obj, where: str, n: int) -> list[Generator] | None:
         return commutator_generators(n)
     if kind == "minpoly":
         if "coeffs" in obj:
-            coeffs = [_complex(c, f"{where}.coeffs") for c in obj["coeffs"]]
+            coeffs = [_complex(c, f"{where}.coeffs")
+                      for c in _list(obj["coeffs"], f"{where}.coeffs")]
             if len(coeffs) < 2:
                 raise ConfigError(f"{where}: minpoly needs degree >= 1")
             return [{(1,) * j: c for j, c in enumerate(coeffs)}]
-        roots = [_complex(r, f"{where}.roots") for r in obj.get("roots", [])]
+        roots = [_complex(r, f"{where}.roots")
+                 for r in _list(obj.get("roots", []), f"{where}.roots")]
         if not roots:
             raise ConfigError(f"{where}: minpoly variety needs 'coeffs' or 'roots'")
         return [minpoly_generator(roots)]
     if kind == "custom":
         gens = []
-        for i, g in enumerate(obj.get("generators", [])):
+        for i, g in enumerate(_list(obj.get("generators", []), f"{where}.generators")):
+            if not isinstance(g, dict):
+                raise ConfigError(f"{where}.generators[{i}]: expected an object keyed "
+                                  f"by words, got {g!r}")
             gens.append({parse_word(k): _complex(v, f"{where}.generators[{i}]")
                          for k, v in g.items()})
         if not gens:
@@ -141,13 +155,16 @@ def _at_least(low: int, value, where: str) -> None:
 def check_range(key: str, value, where: str) -> None:
     """The range rule of the numeric knobs, for config keys, flags and NCDOMAINS_TOL.
 
-    count >= 1, every dims[i] >= 1, N >= 0, tol finite and >= 0; other keys
-    are unrestricted.  A violation raises ConfigError naming ``where``.
+    count >= 1, dims nonempty with every dims[i] >= 1, N >= 0, tol finite and
+    >= 0; other keys are unrestricted.  A violation raises ConfigError naming
+    ``where``.
     """
     if key == "tol":
         if not (math.isfinite(value) and value >= 0.0):
             raise ConfigError(f"{where}: expected a finite value >= 0, got {value!r}")
     elif key == "dims":
+        if not value:
+            raise ConfigError(f"{where}: expected a nonempty list")
         for i, d in enumerate(value):
             _at_least(1, d, f"{where}[{i}]")
     elif key == "count":
@@ -156,11 +173,11 @@ def check_range(key: str, value, where: str) -> None:
         _at_least(0, value, where)
 
 
-def default_tolerance(fallback: float = 1e-9) -> float:
-    """Default check tolerance, overridable via the NCDOMAINS_TOL variable."""
+def default_tolerance() -> float:
+    """Default check tolerance 1e-9, overridable via the NCDOMAINS_TOL variable."""
     raw = os.environ.get(DEFAULT_TOL_ENV)
     if raw is None:
-        return fallback
+        return 1e-9
     tol = _scalar(float, raw, DEFAULT_TOL_ENV)
     check_range("tol", tol, DEFAULT_TOL_ENV)
     return tol
@@ -207,12 +224,17 @@ class ExperimentConfig:
                 setattr(cfg, key, _scalar(kind, obj[key], key))
                 check_range(key, getattr(cfg, key), key)
         if "dims" in obj:
-            if not isinstance(obj["dims"], list):
-                raise ConfigError(f"dims: expected a list, got {obj['dims']!r}")
-            cfg.dims = [_scalar(int, d, f"dims[{i}]") for i, d in enumerate(obj["dims"])]
+            cfg.dims = [_scalar(int, d, f"dims[{i}]")
+                        for i, d in enumerate(_list(obj["dims"], "dims"))]
             check_range("dims", cfg.dims, "dims")
         if "kinds" in obj:
-            cfg.kinds = [str(k) for k in obj["kinds"]]
+            cfg.kinds = _list(obj["kinds"], "kinds")
+            if not cfg.kinds:
+                raise ConfigError("kinds: expected a nonempty list")
+            for i, k in enumerate(cfg.kinds):
+                if k not in PAIR_KINDS:
+                    raise ConfigError(f"kinds[{i}]: expected one of {list(PAIR_KINDS)}, "
+                                      f"got {k!r}")
         if "output" in obj:
             if obj["output"] not in ("text", "table"):
                 raise ConfigError(f"output: expected 'text' or 'table', got {obj['output']!r}")

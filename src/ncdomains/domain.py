@@ -217,11 +217,11 @@ class WeightedShift:
                                                   x.shape[1] // self.size)
         return (xb[:, self.target] * self.weight[None, :, None]).reshape(x.shape[0], -1)
 
-    def add_kron(self, out: np.ndarray, inner: np.ndarray, scale: complex = 1.0) -> None:
-        """out += scale * kron(S, inner), in place, one Fock block per live column."""
+    def add_kron(self, out: np.ndarray, inner: np.ndarray) -> None:
+        """out += kron(S, inner), in place, one Fock block per live column."""
         ob = out.reshape(self.size, inner.shape[0], self.size, inner.shape[1])
         live = np.flatnonzero(self.weight)
-        ob[self.target[live], :, live, :] += scale * (self.weight[live, None, None] * inner)
+        ob[self.target[live], :, live, :] += self.weight[live, None, None] * inner
 
     def dense(self, inner: np.ndarray | None = None) -> np.ndarray:
         """The dense matrix kron(S, inner); inner defaults to the 1 x 1 identity."""
@@ -357,15 +357,14 @@ def purity_estimate(f: RegularPolynomial, T: OperatorTuple, m_max: int,
     return [float(np.linalg.norm(x, 2)) for x in phi_identity_iterates(f, T, m_max)]
 
 
-def purity_horizon(f: RegularPolynomial, T: OperatorTuple, tail_tol: float = 1e-10,
-                   cap: int = 64) -> tuple[int, float]:
-    """Smallest m <= cap with ||Phi^m(I)|| <= tail_tol, and that norm.
+def purity_horizon(f: RegularPolynomial, T: OperatorTuple) -> tuple[int, float]:
+    """Smallest m <= 48 with ||Phi^m(I)|| <= 1e-13, and that norm.
 
-    Returns (cap, last norm) when the tolerance is unreachable within the cap.
+    Returns (48, last norm) when the tolerance is unreachable within 48 steps.
     """
     nrm = 1.0  # ||Phi^0(I)||
-    for m, x in enumerate(phi_identity_iterates(f, T, cap), start=1):
+    for m, x in enumerate(phi_identity_iterates(f, T, 48), start=1):
         nrm = float(np.linalg.norm(x, 2))
-        if nrm <= tail_tol:
+        if nrm <= 1e-13:
             return m, nrm
-    return cap, nrm
+    return 48, nrm

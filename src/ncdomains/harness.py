@@ -172,8 +172,7 @@ def cross_commutation_residual(T1: OperatorTuple, T2: OperatorTuple) -> float:
     return res
 
 
-def scale_into_domain(f: RegularPolynomial, T: OperatorTuple,
-                      target: float = 0.4, iters: int = 80) -> OperatorTuple:
+def scale_into_domain(f: RegularPolynomial, T: OperatorTuple, target: float) -> OperatorTuple:
     """Scale T so that lambda_max(Phi_{f,sT}(I)) is at most `target` (< 1).
 
     Phi grows monotonically in the scale, so a bisection suffices.  Tuples
@@ -190,7 +189,7 @@ def scale_into_domain(f: RegularPolynomial, T: OperatorTuple,
     if top(1.0) <= target:
         return T
     lo, hi = 0.0, 1.0
-    for _ in range(iters):
+    for _ in range(80):
         mid = (lo + hi) / 2
         if top(mid) <= target:
             lo = mid
@@ -203,8 +202,7 @@ PAIR_KINDS = ("jointly-nilpotent", "polynomial-of-single", "upper-triangular-com
 
 
 def random_commuting_pair(seed: int, dim: int, kind: str,
-                          f: RegularPolynomial, g: RegularPolynomial,
-                          target: float | None = None) -> CommutingPair:
+                          f: RegularPolynomial, g: RegularPolynomial) -> CommutingPair:
     """Seeded commuting pair generators (single-variable slots).
 
     * jointly-nilpotent: strictly upper-triangular pair, either a tensor
@@ -237,22 +235,21 @@ def random_commuting_pair(seed: int, dim: int, kind: str,
             c1, c2 = rng.standard_normal(2), rng.standard_normal(2)
             a = c1[0] * nil + c1[1] * (nil @ nil)
             b = c2[0] * nil + c2[1] * (nil @ nil)
-        default_target = 0.9
+        target = 0.9
     elif kind == "polynomial-of-single":
         a = cmat(dim, dim) / np.sqrt(dim)
         c = rng.standard_normal(3)
         b = c[0] * np.eye(dim) + c[1] * a + c[2] * (a @ a)
-        default_target = 0.4
+        target = 0.4
     elif kind == "upper-triangular-commuting":
         nil = strict_upper(dim)
         c1, c2 = rng.standard_normal(3), rng.standard_normal(3)
         a = c1[0] * np.eye(dim) + c1[1] * nil + c1[2] * (nil @ nil)
         b = c2[0] * np.eye(dim) + c2[1] * nil + c2[2] * (nil @ nil)
-        default_target = 0.4
+        target = 0.4
     else:
         raise ValueError(f"unknown pair kind {kind!r}; expected one of {PAIR_KINDS}")
 
-    target = default_target if target is None else target
     t1 = scale_into_domain(f, OperatorTuple((a,)), target)
     t2 = scale_into_domain(g, OperatorTuple((b,)), target)
     return CommutingPair(f, g, t1, t2, kind=kind, seed=seed)
@@ -281,10 +278,9 @@ class PairDilation:
         return max(self.transfer.r_out, self.transfer.r_in)
 
 
-def choose_truncation(f: RegularPolynomial, T: OperatorTuple,
-                      tail_tol: float = 1e-13, cap: int = 48) -> int:
+def choose_truncation(f: RegularPolynomial, T: OperatorTuple) -> int:
     """Truncation level from the purity decay of T (plus a one-level margin)."""
-    m, tail = purity_horizon(f, T, tail_tol=tail_tol, cap=cap)
+    m, tail = purity_horizon(f, T)
     if tail > 1e-6:
         raise ValueError(f"tuple is not pure enough for a truncated dilation "
                          f"(||Phi^{m}(I)|| = {tail:.3e})")
@@ -411,7 +407,7 @@ def commutant_lifting(f: RegularPolynomial, T1: OperatorTuple, T1p: OperatorTupl
 
 def verify_inequality(pair: CommutingPair,
                       polys: list[BiPolynomial | MatrixBiPolynomial],
-                      dil: PairDilation | None = None,
+                      dil: PairDilation,
                       dil_swapped: PairDilation | None = None,
                       tol: float = 1e-6) -> VerificationReport:
     """Check ||p(T1, T2)|| <= min over available dilations of ||p(dilated)||.
@@ -419,7 +415,6 @@ def verify_inequality(pair: CommutingPair,
     With the swapped dilation the polynomial is evaluated as
     p(psi', W^g (x) I): the second tuple becomes the creation side.
     """
-    dil = dil if dil is not None else ando_dilation(pair)
     rep = VerificationReport("inequality-battery",
                              environment={"battery": BATTERY_VERSION,
                                           "kind": pair.kind, "seed": str(pair.seed)})
@@ -435,10 +430,9 @@ def verify_inequality(pair: CommutingPair,
 
 def verify_hermitian_inequality(pair: CommutingPair,
                                 polys: list[HermitianBiPolynomial],
-                                dil: PairDilation | None = None,
+                                dil: PairDilation,
                                 tol: float = 1e-6) -> VerificationReport:
     """Check lambda_max(q(T1, T2)) <= lambda_max(q(dilated)) for Hermitian q."""
-    dil = dil if dil is not None else ando_dilation(pair)
     rep = VerificationReport("hermitian-battery",
                              environment={"battery": BATTERY_VERSION,
                                           "kind": pair.kind, "seed": str(pair.seed)})
@@ -449,24 +443,23 @@ def verify_hermitian_inequality(pair: CommutingPair,
     return rep
 
 
-def von_neumann_check(pair: CommutingPair,
-                      polys: list[BiPolynomial | MatrixBiPolynomial], sups: list[float],
-                      resolution: int = TORUS_RESOLUTION, margin: float = 2e-2,
-                      tol: float = 1e-9) -> VerificationReport:
+def von_neumann_check(pair: CommutingPair, polys: list[BiPolynomial | MatrixBiPolynomial],
+                      sups: list[float]) -> VerificationReport:
     """For f = g = z only: ||p(T1, T2)|| <= sup-norm of p on the torus grid.
 
-    sups[k] = grid_sup_norm(polys[k], resolution), which the caller computes
-    once for all pairs.  It underestimates the true sup-norm, so a stated
-    margin is added on the right-hand side.
+    sups[k] = grid_sup_norm(polys[k], TORUS_RESOLUTION), which the caller
+    computes once for all pairs.  It underestimates the true sup-norm, so a
+    stated margin is added on the right-hand side.
     """
+    margin = 2e-2
     if pair.f.coeffs != {(1,): 1.0} or pair.g.coeffs != {(1,): 1.0}:
         raise ValueError("the torus bound applies to the f = g = z baseline only")
     rep = VerificationReport("von-neumann",
-                             environment={"resolution": str(resolution),
+                             environment={"resolution": str(TORUS_RESOLUTION),
                                           "margin": repr(margin)})
     for p, sup in zip(polys, sups, strict=True):
         lhs = float(np.linalg.norm(p.eval(pair.T1, pair.T2), 2))
-        rep.add_slack(f"torus_slack_{p.name}", sup + margin - lhs, tol)
+        rep.add_slack(f"torus_slack_{p.name}", sup + margin - lhs, 1e-9)
     return rep
 
 
@@ -526,7 +519,7 @@ def builtin_matrix_polys() -> list[MatrixBiPolynomial]:
 
 def run_battery(f: RegularPolynomial, g: RegularPolynomial, seeds: list[int],
                 dims: list[int], kinds: list[str] | None = None,
-                tol: float = 1e-6, with_swapped: bool = True) -> VerificationReport:
+                tol: float = 1e-6) -> VerificationReport:
     """Seeded sweep of the inequality battery; deterministic for fixed inputs."""
     kinds = list(PAIR_KINDS) if kinds is None else kinds
     polys = builtin_bipolynomials() + builtin_matrix_polys()
@@ -541,7 +534,7 @@ def run_battery(f: RegularPolynomial, g: RegularPolynomial, seeds: list[int],
         dim = dims[idx % len(dims)]
         pair = random_commuting_pair(seed, dim, kind, f, g)
         dil = ando_dilation(pair, tol=tol)
-        dil_sw = ando_dilation(pair.swapped(), tol=tol) if with_swapped else None
+        dil_sw = ando_dilation(pair.swapped(), tol=tol)
         pre = f"s{seed}_{kind}_"
         rep.extend(verify_inequality(pair, polys, dil, dil_sw, tol=tol), prefix=pre)
         rep.extend(verify_hermitian_inequality(pair, herm, dil, tol=tol), prefix=pre)

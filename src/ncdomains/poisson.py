@@ -40,24 +40,24 @@ class DefectData:
         return self.basis.conj().T @ x
 
 
-def defect(f: RegularPolynomial, T: OperatorTuple, tol: float = 1e-9,
-           rank_tol: float = 1e-9) -> DefectData:
+def defect(f: RegularPolynomial, T: OperatorTuple) -> DefectData:
     """Defect operator (I - Phi_{f,T}(I))^{1/2} with a deterministic range basis.
 
-    Eigenvalues are sorted descending; tiny negatives (>= -tol) are clamped
-    to zero, anything below -tol means the tuple is outside the domain.
+    Eigenvalues are sorted descending; tiny negatives (>= -1e-9) are clamped
+    to zero, anything below -1e-9 means the tuple is outside the domain.  The
+    rank counts the eigenvalues above 1e-9.
     """
     gap = np.eye(T.rows) - apply_phi(f, T)
     gap = (gap + gap.conj().T) / 2
     evals, evecs = np.linalg.eigh(gap)
     order = np.argsort(-evals, kind="stable")
     evals, evecs = evals[order], evecs[:, order]
-    if evals[-1] < -tol:
+    if evals[-1] < -1e-9:
         raise ValueError(f"tuple outside the domain: min eigenvalue {evals[-1]:.3e}")
     evals = np.clip(evals, 0.0, None)
     evecs = canonical_phases(evecs)
     delta = (evecs * np.sqrt(evals)) @ evecs.conj().T
-    rank = int(np.sum(evals > rank_tol))
+    rank = int(np.sum(evals > 1e-9))
     return DefectData(delta=delta, basis=evecs[:, :rank], rank=rank)
 
 
@@ -95,9 +95,8 @@ def _word_operators(T: OperatorTuple, table: WordTable) -> list[np.ndarray]:
     return ops
 
 
-def poisson_kernel(f: RegularPolynomial, T: OperatorTuple, N: int,
-                   dd: DefectData | None = None, tol: float = 1e-9) -> PoissonKernel:
-    dd = dd if dd is not None else defect(f, T, tol)
+def poisson_kernel(f: RegularPolynomial, T: OperatorTuple, N: int) -> PoissonKernel:
+    dd = defect(f, T)
     table = enumerate_words(f.n, N)
     b = b_coefficients(f, N)
     blocks = [np.sqrt(b[w]) * dd.coords(dd.delta @ tw.conj().T)
@@ -106,11 +105,10 @@ def poisson_kernel(f: RegularPolynomial, T: OperatorTuple, N: int,
 
 
 def add_gram_check(rep: VerificationReport, kmat: np.ndarray, f: RegularPolynomial,
-                   T: OperatorTuple, N: int, horizon: int, tol: float,
-                   tail: np.ndarray | None = None) -> None:
-    """Compare the Gram matrix of a kernel truncated at N with I - Phi^M(I).
+                   T: OperatorTuple, N: int, tol: float, tail: np.ndarray) -> None:
+    """Compare the Gram matrix of a kernel truncated at N with I - Phi^{N+1}(I).
 
-    M is the horizon; ``tail`` is Phi^M(I) when the caller has it.  For
+    ``tail`` is Phi^{N+1}(I), the horizon recorded in the report.  For
     deg f >= 2 the word-length truncation does not line up with any Phi
     horizon; both mismatched tails are dominated by Phi^m(I) with
     m = floor(N / deg f) + 1, so 2 ||Phi^m(I)|| is allowed on top of tol and
@@ -120,35 +118,38 @@ def add_gram_check(rep: VerificationReport, kmat: np.ndarray, f: RegularPolynomi
         bound = 2.0 * float(np.linalg.norm(phi_identity_power(f, T, N // f.degree + 1), 2))
         rep.environment["graded_tail_bound"] = repr(bound)
         tol = max(tol, bound + tol)
-    tail = tail if tail is not None else phi_identity_power(f, T, horizon)
     gram = kmat.conj().T @ kmat
     rep.add_residual("gram_vs_defect_horizon",
                      float(np.linalg.norm(gram - (np.eye(T.dim) - tail), 2)), tol)
-    rep.environment["horizon"] = str(horizon)
+    rep.environment["horizon"] = str(N + 1)
 
 
-def verify_kernel_identities(K: PoissonKernel, tol: float = 1e-9,
-                             horizon: int | None = None) -> VerificationReport:
-    """Check the creation intertwinings and the Gram identity of a kernel.
+def kernel_intertwining(K: PoissonKernel, tol: float) -> VerificationReport:
+    """The creation intertwinings K T_i^* = (W_i^* (x) I) K of a kernel.
 
-    The intertwining K T_i^* = (W_i^* (x) I) K is compared on word rows of
-    length <= N-1 only: the top level is cut by the truncation.  The Gram
-    matrix K^* K is compared against I - Phi^M(I) at the given horizon M
-    (:func:`add_gram_check`).
+    They are compared on word rows of length <= N-1 only: the top level is cut
+    by the truncation.  The report has no environment.
     """
     f, T, N = K.f, K.T, K.N
-    rep = VerificationReport("poisson-kernel",
-                             environment={"N": str(N), "rank": str(K.defect.rank)})
-    r = K.defect.rank
-    table = enumerate_words(f.n, N)
-    low_rows = table.max_level_index(N - 1) * r if N >= 1 else 0
+    rep = VerificationReport("kernel-intertwining")
+    low_rows = enumerate_words(f.n, N).max_level_index(N - 1) * K.defect.rank if N >= 1 else 0
     for i, wi in enumerate(weighted_creation(f, N)):
         lhs = K.matrix @ T.mats[i].conj().T
         rhs = wi.apply_adjoint(K.matrix)
         res = float(np.linalg.norm((lhs - rhs)[:low_rows], 2)) if low_rows else 0.0
         rep.add_residual(f"intertwine_W{i + 1}", res, tol)
+    return rep
 
-    add_gram_check(rep, K.matrix, f, T, N, horizon if horizon is not None else N + 1, tol)
+
+def verify_kernel_identities(K: PoissonKernel, tol: float = 1e-9) -> VerificationReport:
+    """Check the creation intertwinings (:func:`kernel_intertwining`) and the
+    Gram identity of a kernel against I - Phi^{N+1}(I) (:func:`add_gram_check`).
+    """
+    f, T, N = K.f, K.T, K.N
+    rep = VerificationReport("poisson-kernel",
+                             environment={"N": str(N), "rank": str(K.defect.rank)})
+    rep.extend(kernel_intertwining(K, tol))
+    add_gram_check(rep, K.matrix, f, T, N, tol, phi_identity_power(f, T, N + 1))
     sigma = float(np.linalg.norm(K.matrix, 2))
     rep.add_residual("contraction_sigma_max_minus_1", max(sigma - 1.0, 0.0), 1e-10)
     return rep

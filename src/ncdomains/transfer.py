@@ -37,7 +37,7 @@ import numpy as np
 from .colligation import Colligation, INTERPRETIVE_FLAGS, embed_inner
 from .domain import (RegularPolynomial, WeightedShift, b_coefficients,
                      coefficient_words, shift_word, weighted_creation)
-from .poisson import PoissonKernel, verify_kernel_identities
+from .poisson import PoissonKernel, kernel_intertwining
 from .report import VerificationReport
 from .words import Word, enumerate_words, reverse
 
@@ -224,9 +224,9 @@ def _row_gram(tf: TransferFunction, K: int, words: list[Word] | None = None) -> 
     return gram
 
 
-def _row_norm(tf: TransferFunction, words: list[Word] | None = None) -> float:
-    """||[phi_(w) : w in words]|| = sqrt(lambda_max) of the row Gram on all rows."""
-    lam = float(np.linalg.eigvalsh(_row_gram(tf, tf.N, words))[-1])
+def _row_norm(tf: TransferFunction) -> float:
+    """||[phi_(w) : all w]|| = sqrt(lambda_max) of the row Gram on all rows."""
+    lam = float(np.linalg.eigvalsh(_row_gram(tf, tf.N))[-1])
     return float(np.sqrt(max(lam, 0.0)))
 
 
@@ -341,10 +341,7 @@ def dilation_identity_report(tf: TransferFunction, K1: PoissonKernel,
         name = "g" + "".join(str(c_) for c_ in w)
         rep.add_residual(f"kernel_intertwine_{name}", float(np.linalg.norm(lhs - rhs, 2)), tol)
     # the two creation intertwinings accompanying the identity
-    for tag, kern in (("K1", K1), ("K1p", K1p)):
-        sub = verify_kernel_identities(kern, tol=tol)
-        for rec in sub.checks:
-            if rec.name.startswith("intertwine_"):
-                rep.checks.append(type(rec)(f"{tag}_{rec.name}", rec.value,
-                                            rec.tolerance, rec.passed, rec.kind))
+    k1_rep = kernel_intertwining(K1, tol)
+    rep.extend(k1_rep, prefix="K1_")
+    rep.extend(k1_rep if K1p is K1 else kernel_intertwining(K1p, tol), prefix="K1p_")
     return rep

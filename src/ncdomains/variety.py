@@ -16,7 +16,7 @@ vectors W_i (W_i^* W_i)^{-1} N_{m-1} by the generator columns at level m: one
 thin QR and one SVD of an (n d_{m-1})-row block per level, with no basis of J.
 The model basis is the level complements in level order.  Other generators go
 through one SVD of the whole span.  Both use one rank rule: a singular value
-counts when it exceeds rank_tol times the largest one of its block.
+counts when it exceeds 1e-9 times the largest one of its block.
 
 Truncation semantics: the span above is only reliable at levels
 |u| + deg q_s + |v| <= N, so levels within max(deg q_s) of the boundary are
@@ -34,7 +34,7 @@ import numpy as np
 from .domain import (OperatorTuple, RegularPolynomial, WeightedShift, b_coefficients,
                      kron_identity_matmul, phi_identity_power, shift_word,
                      weighted_creation)
-from .poisson import PoissonKernel, add_gram_check, canonical_phases, poisson_kernel
+from .poisson import PoissonKernel, add_gram_check, canonical_phases
 from .report import VerificationReport
 from .words import Word, WordTable, check_word, enumerate_words
 
@@ -116,20 +116,20 @@ def _is_homogeneous(q: Generator) -> bool:
     return len(lengths) <= 1
 
 
-def _split_span(cand: np.ndarray, rank_tol: float) -> np.ndarray:
+def _split_span(cand: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the complement of the column span of cand.
 
-    The one rank rule: keep the singular values s > rank_tol * max(s).  Only
+    The one rank rule: keep the singular values s > 1e-9 * max(s).  Only
     a tall block needs the full left factor; for a wide one the thin SVD's is
     already square and no cols^2 right factor is formed.
     """
     u_m, s, _ = np.linalg.svd(cand, full_matrices=cand.shape[0] > cand.shape[1])
-    rank = int(np.sum(s > rank_tol * (s[0] if s.size else 0.0)))
+    rank = int(np.sum(s > 1e-9 * (s[0] if s.size else 0.0)))
     return u_m[:, rank:]
 
 
 def _graded_complement(table: WordTable, W: tuple[WeightedShift, ...],
-                       live: list[tuple[Generator, int]], rank_tol: float) -> np.ndarray:
+                       live: list[tuple[Generator, int]]) -> np.ndarray:
     """N_J level by level from its co-invariance W_i^* N_J in N_J.
 
     x at level m lies in N_m exactly when each W_i^* x lies in N_{m-1} and x is
@@ -149,8 +149,7 @@ def _graded_complement(table: WordTable, W: tuple[WeightedShift, ...],
         gens = [np.zeros((cand.shape[0], 0), dtype=complex)]
         gens += [_generator_columns(q, W, table.level_slice(m - dq))[cur]
                  for q, dq in live if dq <= m]
-        below = canonical_phases(frame @ _split_span(frame.conj().T @ np.hstack(gens),
-                                                     rank_tol))
+        below = canonical_phases(frame @ _split_span(frame.conj().T @ np.hstack(gens)))
         levels.append(below)
     basis = np.zeros((len(table), sum(b.shape[1] for b in levels)), dtype=complex)
     col = 0
@@ -161,7 +160,7 @@ def _graded_complement(table: WordTable, W: tuple[WeightedShift, ...],
 
 
 def _span_complement(table: WordTable, W: tuple[WeightedShift, ...],
-                     live: list[tuple[Generator, int]], rank_tol: float) -> np.ndarray:
+                     live: list[tuple[Generator, int]]) -> np.ndarray:
     """N_J for any generators: one SVD of {W_u q(W) e_v : |u| + deg q + |v| <= N}."""
     cols = [np.zeros((len(table), 0), dtype=complex)]
     for q, dq in live:
@@ -171,16 +170,14 @@ def _span_complement(table: WordTable, W: tuple[WeightedShift, ...],
                 break
             top = table.max_level_index(table.N - dq - len(u))
             cols.append(shift_word(W, u).apply(qw[:, :top]))
-    return canonical_phases(_split_span(np.hstack(cols), rank_tol))
+    return canonical_phases(_split_span(np.hstack(cols)))
 
 
-def build_variety(f: RegularPolynomial, N: int, generators: list[Generator],
-                  rank_tol: float = 1e-9) -> VarietyModel:
+def build_variety(f: RegularPolynomial, N: int, generators: list[Generator]) -> VarietyModel:
     """Orthonormal basis of N_J and the compressed creation tuples.
 
     Built level by level from the level below when every generator is
-    homogeneous, else by one SVD of the whole span; rank_tol is relative to the
-    largest singular value of each block.
+    homogeneous, else by one SVD of the whole span (module docstring).
     """
     for q in generators:
         for w in q:
@@ -192,7 +189,7 @@ def build_variety(f: RegularPolynomial, N: int, generators: list[Generator],
     lam = weighted_creation(f, N, "right")
     live = [(q, generator_degree(q)) for q in generators if generator_degree(q) > 0]
     build = _graded_complement if all(_is_homogeneous(q) for q, _ in live) else _span_complement
-    basis = build(table, W, live, rank_tol)
+    basis = build(table, W, live)
 
     basis_h = basis.conj().T
     left = OperatorTuple(tuple(w.rmul(basis_h) @ basis for w in W))
@@ -209,32 +206,25 @@ class ConstrainedKernel:
     base: PoissonKernel
 
 
-def constrained_poisson(variety: VarietyModel, T: OperatorTuple,
-                        annihilation_tol: float = 1e-8,
-                        base: PoissonKernel | None = None) -> ConstrainedKernel:
-    """(P_{N_J} (x) I) K_{f,T} for a tuple satisfying the generators.
-
-    ``base`` is poisson_kernel(variety.f, T, variety.N) when the caller has it.
+def constrained_poisson(variety: VarietyModel, base: PoissonKernel) -> ConstrainedKernel:
+    """(P_{N_J} (x) I) K_{f,T} for the kernel ``base`` of a tuple T satisfying
+    the generators (each q(T) of norm <= 1e-8), built from the model's f and N.
     """
     for q in variety.generators:
-        res = float(np.linalg.norm(eval_generator(q, T), 2))
-        if res > annihilation_tol:
+        res = float(np.linalg.norm(eval_generator(q, base.T), 2))
+        if res > 1e-8:
             raise ValueError(f"tuple does not satisfy a generator (residual {res:.3e})")
-    if base is None:
-        base = poisson_kernel(variety.f, T, variety.N)
-    elif (base.N != variety.N or base.f.coeffs != variety.f.coeffs
-          or not all(np.array_equal(a, b) for a, b in zip(base.T.mats, T.mats, strict=True))):
-        raise ValueError("the Poisson kernel must be built from the model's f and N and from T")
+    if base.N != variety.N or base.f.coeffs != variety.f.coeffs:
+        raise ValueError("the Poisson kernel must be built from the model's f and N")
     return ConstrainedKernel(matrix=kron_identity_matmul(variety.basis.conj().T, base.matrix),
                              variety=variety, base=base)
 
 
-def verify_constrained_kernel(ck: ConstrainedKernel, tol: float = 1e-9,
-                              horizon: int | None = None) -> VerificationReport:
+def verify_constrained_kernel(ck: ConstrainedKernel, tol: float = 1e-9) -> VerificationReport:
     """Intertwining K_J T_i^* = (B_i^* (x) I) K_J and the Gram identity.
 
     The intertwining is checked on model rows supported at stable levels
-    <= N - 1 - unstable_margin; the Gram matrix is compared with I - Phi^M(I).
+    <= N - 1 - unstable_margin; the Gram matrix is compared with I - Phi^{N+1}(I).
     """
     variety, base = ck.variety, ck.base
     f, T, N = base.f, base.T, base.N
@@ -250,7 +240,6 @@ def verify_constrained_kernel(ck: ConstrainedKernel, tol: float = 1e-9,
     row_idx = np.concatenate([j * r + np.arange(r) for j in stable_cols]) \
         if stable_cols.size else np.array([], dtype=int)
 
-    horizon = horizon if horizon is not None else N + 1
     # kernel mass beyond the truncation; bounds the boundary leakage of the
     # non-graded part of the intertwining
     edge = phi_identity_power(f, T, N + 1)
@@ -263,8 +252,7 @@ def verify_constrained_kernel(ck: ConstrainedKernel, tol: float = 1e-9,
         full = float(np.linalg.norm(lhs - rhs, 2))
         rep.add_residual(f"intertwine_B{i + 1}_full", full, max(tol, 10.0 * leak))
     rep.environment["tail_leak"] = repr(leak)
-    add_gram_check(rep, ck.matrix, f, T, N, horizon, tol,
-                   tail=edge if horizon == N + 1 else None)
+    add_gram_check(rep, ck.matrix, f, T, N, tol, edge)
     return rep
 
 

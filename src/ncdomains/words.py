@@ -24,10 +24,6 @@ def check_word(w: Word, n: int) -> None:
         raise ValueError(f"word {w!r} has letters outside 1..{n}")
 
 
-def concat(u: Word, v: Word) -> Word:
-    return tuple(u) + tuple(v)
-
-
 def reverse(u: Word) -> Word:
     return tuple(u)[::-1]
 

@@ -199,6 +199,23 @@ def test_cli_report_rendering(tmp_path, capsys):
     assert "pass" in table
 
 
+def test_cli_dilate_variety_without_level(tmp_path, capsys):
+    """With N omitted, dilate builds the variety model at the truncation it
+    picks: the report equals the one with that N given explicitly."""
+    t1 = np.array([[0.3, 0.5], [0.0, -0.2]])
+    t2 = 0.5 * t1 + 0.1 * np.eye(2)
+    obj = {"f": {"n": 1, "coeffs": {"1": 1.0}}, "g": {"n": 1, "coeffs": {"1": 1.0}},
+           "matrices": {"T1": [t1.tolist()], "T2": [t2.tolist()]},
+           "variety": {"kind": "minpoly", "roots": [0.3, -0.2]}}
+    (tmp_path / "auto.json").write_text(json.dumps(obj))
+    assert main(["--config", str(tmp_path / "auto.json"), "dilate"]) == 0
+    auto = capsys.readouterr().out
+    N = int(parse_report(auto).environment["N"])
+    (tmp_path / "given.json").write_text(json.dumps({**obj, "N": N}))
+    assert main(["--config", str(tmp_path / "given.json"), "dilate"]) == 0
+    assert capsys.readouterr().out == auto
+
+
 def test_cli_bad_config_exit_code(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"f": {"n": 1, "coeffs": {"": 1.0, "1": 1.0}}}')
@@ -256,6 +273,14 @@ def test_cli_config_without_tol_uses_env(tmp_path, capsys, monkeypatch):
     ("dims[1]", {"dims": [3, "a"]}),
     ("f.n", {"f": {"n": "one", "coeffs": {"1": 1.0}}}),
     ("f.coeffs['1']", {"f": {"n": 1, "coeffs": {"1": "x"}}}),
+    ("variety", {"variety": [1]}),
+    ("variety", {"variety": "commutator"}),
+    ("variety.generators[0]", {"variety": {"kind": "custom", "generators": [1]}}),
+    ("variety.coeffs", {"variety": {"kind": "minpoly", "coeffs": 5}}),
+    ("variety.roots", {"variety": {"kind": "minpoly", "roots": 7}}),
+    ("dims", {"dims": []}),
+    ("kinds[0]", {"kinds": ["bogus"]}),
+    ("kinds", {"kinds": "abc"}),
 ])
 def test_cli_malformed_scalar_exit_code(tmp_path, capsys, field, patch):
     rc = main(["--config", scalar_config(tmp_path, **patch), "check-model"])

@@ -275,8 +275,8 @@ def test_purity_nilpotent():
 def test_purity_horizon_scalar():
     f = RegularPolynomial.single_variable([1.0])
     T = OperatorTuple((np.array([[0.5]]),))
-    m, tail = purity_horizon(f, T, tail_tol=1e-10)
-    assert abs(0.25**m - tail) <= 1e-15 and tail <= 1e-10
+    m, tail = purity_horizon(f, T)
+    assert abs(0.25**m - tail) <= 1e-15 and tail <= 1e-13
 
 
 def test_operator_tuple_word():

@@ -190,14 +190,14 @@ def test_commutant_lifting_square_and_rectangular():
 
 
 def test_battery_small_run():
-    rep = run_battery(Z, Z, seeds=[0, 1, 2], dims=[3, 4], with_swapped=False)
+    rep = run_battery(Z, Z, seeds=[0, 1, 2], dims=[3, 4])
     assert rep.passed, rep.render()
     assert rep.environment["pairs"] == "3"
 
 
 def test_battery_determinism():
-    a = run_battery(Z, Z, seeds=[7, 8], dims=[3], with_swapped=False).render()
-    b = run_battery(Z, Z, seeds=[7, 8], dims=[3], with_swapped=False).render()
+    a = run_battery(Z, Z, seeds=[7, 8], dims=[3]).render()
+    b = run_battery(Z, Z, seeds=[7, 8], dims=[3]).render()
     assert a == b
 
 

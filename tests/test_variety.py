@@ -43,8 +43,7 @@ def test_graded_build_matches_span_oracle():
     for f, N, gens in cases:
         v = build_variety(f, N, gens)
         live = [(q, generator_degree(q)) for q in gens]
-        oracle = _span_complement(enumerate_words(f.n, N), weighted_creation(f, N),
-                                  live, 1e-9)
+        oracle = _span_complement(enumerate_words(f.n, N), weighted_creation(f, N), live)
         assert v.dim == oracle.shape[1]
         assert np.linalg.norm(v.basis.conj().T @ v.basis - np.eye(v.dim), 2) <= 1e-12
         proj_gap = v.basis @ v.basis.conj().T - oracle @ oracle.conj().T
@@ -77,16 +76,20 @@ def test_minpoly_generator_coefficients():
 
 
 def test_constrained_poisson_reuses_caller_kernel():
-    """A kernel passed in gives the same matrix bitwise; a mismatched one is refused."""
+    """The kernel passed in is projected as (P (x) I) K; one built from another
+    N or f is refused."""
     z = RegularPolynomial.single_variable([1.0])
     roots = [0.3, -0.2 + 0.1j]
     T = OperatorTuple((np.diag(roots).astype(complex),))
     v = build_variety(z, 8, [minpoly_generator(roots)])
     K = poisson_kernel(z, T, 8)
-    assert np.array_equal(constrained_poisson(v, T, base=K).matrix,
-                          constrained_poisson(v, T).matrix)
+    ck = constrained_poisson(v, K)
+    dense = np.kron(v.basis.conj().T, np.eye(K.multiplicity)) @ K.matrix
+    assert ck.base is K and np.linalg.norm(ck.matrix - dense, 2) <= 1e-14
     with pytest.raises(ValueError):
-        constrained_poisson(v, T, base=poisson_kernel(z, T, 7))
+        constrained_poisson(v, poisson_kernel(z, T, 7))
+    with pytest.raises(ValueError):
+        constrained_poisson(v, poisson_kernel(RegularPolynomial.single_variable([0.5]), T, 8))
 
 
 def test_generator_annihilation_enforced():
@@ -94,7 +97,7 @@ def test_generator_annihilation_enforced():
     v = build_variety(z, 6, [minpoly_generator([0.5])])
     bad = OperatorTuple((np.array([[0.3]]),))
     with pytest.raises(ValueError):
-        constrained_poisson(v, bad)
+        constrained_poisson(v, poisson_kernel(z, bad, 6))
 
 
 def test_constrained_kernel_gram_and_intertwining():
@@ -102,7 +105,7 @@ def test_constrained_kernel_gram_and_intertwining():
     roots = [0.3, -0.2 + 0.1j, 0.1j]
     T = OperatorTuple((np.diag(roots).astype(complex),))
     v = build_variety(z, 14, [minpoly_generator(roots)])
-    ck = constrained_poisson(v, T)
+    ck = constrained_poisson(v, poisson_kernel(z, T, 14))
     rep = verify_constrained_kernel(ck, tol=1e-9)
     assert rep.passed, rep.render()
 
@@ -116,7 +119,7 @@ def test_commutator_model_kernel():
     # two commuting nilpotents: nil and nil^2
     T = OperatorTuple((nil, 0.5 * nil @ nil))
     v = build_variety(f, N, commutator_generators(2))
-    ck = constrained_poisson(v, T)
+    ck = constrained_poisson(v, poisson_kernel(f, T, N))
     rep = verify_constrained_kernel(ck, tol=1e-9)
     assert rep.passed, rep.render()
 

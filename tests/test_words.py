@@ -2,7 +2,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from ncdomains.words import (EMPTY, check_word, concat, enumerate_words,
+from ncdomains.words import (EMPTY, check_word, enumerate_words,
                              reverse, word_key, words_of_lengths)
 
 
@@ -68,11 +68,11 @@ words_st = st.lists(st.integers(1, 3), max_size=6).map(tuple)
 
 @given(words_st, words_st)
 def test_concat_reverse_antihomomorphism(u, v):
-    assert reverse(concat(u, v)) == concat(reverse(v), reverse(u))
+    assert reverse(u + v) == reverse(v) + reverse(u)
     assert reverse(reverse(u)) == u
 
 
 @given(words_st)
 def test_reverse_preserves_length(u):
     assert len(reverse(u)) == len(u)
-    assert concat(u, EMPTY) == u == concat(EMPTY, u)
+    assert u + EMPTY == u == EMPTY + u
