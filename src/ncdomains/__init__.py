@@ -13,18 +13,17 @@ Layers:
   Fourier coefficients, dilation identities
 * :mod:`ncdomains.variety` -- constrained (polynomially cut) model spaces
 * :mod:`ncdomains.harness` -- commuting pairs, two-tuple dilations, and the
-  operator-inequality battery
+  inequality battery (one k x k polynomial type, one norm / lambda_max check)
 """
 
-from .domain import (BCoefficients, OperatorTuple, RegularPolynomial,
-                     WeightedShift, apply_phi, b_coefficients, block_count,
+from .domain import (OperatorTuple, RegularPolynomial, WeightedShift,
+                     apply_phi, b_coefficients, block_count,
                      coefficient_words, domain_membership, flip_unitary,
                      phi_identity_power, purity_estimate, purity_horizon,
                      shift_word, weighted_creation)
 from .colligation import (Colligation, IntertwiningTriple, PartialIsometry,
                           build_isometry, complete_to_unitary, series_oracle)
-from .harness import (BiPolynomial, CommutingPair, HermitianBiPolynomial,
-                      MatrixBiPolynomial, PairDilation, ando_dilation,
+from .harness import (BiPolynomial, CommutingPair, PairDilation, ando_dilation,
                       builtin_bipolynomials, builtin_hermitian,
                       builtin_matrix_polys, grid_sup_norm,
                       random_commuting_pair, run_battery, verify_inequality)

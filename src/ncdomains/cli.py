@@ -28,7 +28,7 @@ from .config import DEFAULT_TOL_ENV, ConfigError, ExperimentConfig, check_range
 from .domain import RegularPolynomial, domain_membership, purity_estimate
 from .harness import (CommutingPair, ando_dilation, builtin_bipolynomials,
                       builtin_hermitian, builtin_matrix_polys, choose_truncation,
-                      run_battery, verify_hermitian_inequality, verify_inequality)
+                      run_battery, verify_inequality)
 from .poisson import poisson_kernel, verify_kernel_identities
 from .report import VerificationReport, parse_report
 from .variety import build_variety, constrained_poisson, verify_constrained_kernel
@@ -130,10 +130,8 @@ def cmd_verify(cfg: ExperimentConfig, tol_given: bool) -> int:
     pair = CommutingPair(cfg.f, cfg.g, cfg.T1, cfg.T2)
     dil = ando_dilation(pair, N=cfg.N, tol=cfg.tol)
     tol = _floored(cfg, 1e-6, tol_given)
-    rep = verify_inequality(pair, builtin_bipolynomials() + builtin_matrix_polys(),
-                            dil, tol=tol)
-    rep.extend(verify_hermitian_inequality(pair, builtin_hermitian(), dil, tol=tol),
-               prefix="")
+    rep = verify_inequality(pair, builtin_bipolynomials() + builtin_matrix_polys()
+                            + builtin_hermitian(), dil, tol=tol)
     rep.extend(dil.report, prefix="dilation_")
     return _emit(rep, cfg.output)
 

@@ -64,9 +64,6 @@ class RegularPolynomial:
     def reversed(self) -> "RegularPolynomial":
         return RegularPolynomial(self.n, {w[::-1]: a for w, a in self.coeffs.items()})
 
-    def is_reversal_symmetric(self) -> bool:
-        return all(abs(a - self.coeffs.get(w[::-1], 0.0)) == 0.0 for w, a in self.coeffs.items())
-
     @staticmethod
     def single_variable(coeffs: list[float]) -> "RegularPolynomial":
         """One indeterminate; coeffs[j] is the coefficient of Z^{j+1}."""
@@ -87,19 +84,9 @@ def coefficient_words(f: RegularPolynomial) -> list[Word]:
     return words_of_lengths(f.n, 1, f.degree)
 
 
-@dataclass(frozen=True)
-class BCoefficients:
-    """Weights b_w of (1 - f)^{-1} for |w| <= N; b_empty = 1, all positive."""
-
-    N: int
-    values: dict[Word, float]
-
-    def __getitem__(self, w: Word) -> float:
-        return self.values[tuple(w)]
-
-
-def b_coefficients(f: RegularPolynomial, N: int) -> BCoefficients:
-    """Weights via the linear recursion b_w = sum_{uv=w, u in supp f} a_u b_v.
+def b_coefficients(f: RegularPolynomial, N: int) -> dict[Word, float]:
+    """Weights b_w of (1 - f)^{-1} for |w| <= N (b_empty = 1, all positive), via
+    the linear recursion b_w = sum_{uv=w, u in supp f} a_u b_v.
 
     Equivalent to the sum over ordered factorizations of w into blocks of
     length 1..deg f with coefficient product a_{u_1}...a_{u_j}.
@@ -116,7 +103,7 @@ def b_coefficients(f: RegularPolynomial, N: int) -> BCoefficients:
             if a:
                 acc += a * values[w[m:]]
         values[w] = acc
-    return BCoefficients(N=N, values=values)
+    return values
 
 
 @dataclass(frozen=True)
@@ -160,10 +147,6 @@ class OperatorTuple:
         for c in w[1:]:
             out = out @ self.mats[c - 1]
         return out
-
-    @staticmethod
-    def zeros(n: int, d: int) -> "OperatorTuple":
-        return OperatorTuple(tuple(np.zeros((d, d), dtype=complex) for _ in range(n)))
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import (BCoefficients, OperatorTuple, RegularPolynomial, apply_phi,
-                     b_coefficients, phi_identity_power, weighted_creation)
+from .domain import (OperatorTuple, RegularPolynomial, apply_phi, b_coefficients,
+                     phi_identity_power, weighted_creation)
 from .report import VerificationReport
 from .words import WordTable, enumerate_words
 
@@ -73,7 +73,6 @@ class PoissonKernel:
     f: RegularPolynomial
     T: OperatorTuple
     defect: DefectData
-    b: BCoefficients
 
     @property
     def multiplicity(self) -> int:
@@ -101,7 +100,7 @@ def poisson_kernel(f: RegularPolynomial, T: OperatorTuple, N: int) -> PoissonKer
     b = b_coefficients(f, N)
     blocks = [np.sqrt(b[w]) * dd.coords(dd.delta @ tw.conj().T)
               for w, tw in zip(table.words, _word_operators(T, table))]
-    return PoissonKernel(matrix=np.vstack(blocks), N=N, f=f, T=T, defect=dd, b=b)
+    return PoissonKernel(matrix=np.vstack(blocks), N=N, f=f, T=T, defect=dd)
 
 
 def add_gram_check(rep: VerificationReport, kmat: np.ndarray, f: RegularPolynomial,

@@ -95,21 +95,6 @@ class VarietyModel:
     def dim(self) -> int:
         return self.basis.shape[1]
 
-    def level_dimensions(self) -> list[int]:
-        """Rank of the level-m compression of the model space, m = 0..N.
-
-        For graded (homogeneous) generator ideals these are the graded
-        component dimensions; levels beyond N - unstable_margin are boundary
-        artifacts.
-        """
-        table = enumerate_words(self.f.n, self.N)
-        out = []
-        for m in range(self.N + 1):
-            block = self.basis[table.level_slice(m), :]
-            s = np.linalg.svd(block, compute_uv=False)
-            out.append(int(np.sum(s > 1e-9)))
-        return out
-
 
 def _is_homogeneous(q: Generator) -> bool:
     lengths = {len(w) for w, c in q.items() if c != 0}

@@ -49,9 +49,6 @@ class WordTable:
     def __len__(self) -> int:
         return len(self.words)
 
-    def __contains__(self, w: Word) -> bool:
-        return tuple(w) in self.index
-
     def level_slice(self, m: int) -> slice:
         """Index range of the words of exact length m."""
         if not 0 <= m <= self.N:

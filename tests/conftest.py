@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from ncdomains import OperatorTuple, RegularPolynomial, weighted_creation
+from ncdomains import OperatorTuple, RegularPolynomial, enumerate_words, weighted_creation
 from ncdomains.harness import scale_into_domain
+from ncdomains.variety import VarietyModel
 
 
 def f_battery() -> list[RegularPolynomial]:
@@ -14,6 +15,21 @@ def f_battery() -> list[RegularPolynomial]:
         RegularPolynomial(2, {(1,): 1.0, (2,): 1.0}),      # z1 + z2
         RegularPolynomial(2, {(1,): 1.0, (2,): 1.0, (1, 2): 1.0}),  # z1+z2+z1z2
     ]
+
+
+def is_reversal_symmetric(f: RegularPolynomial) -> bool:
+    return all(abs(a - f.coeffs.get(w[::-1], 0.0)) == 0.0 for w, a in f.coeffs.items())
+
+
+def level_dimensions(v: VarietyModel) -> list[int]:
+    """Rank of the level-m compression of the model space, m = 0..N.
+
+    For graded (homogeneous) generator ideals these are the graded component
+    dimensions; levels beyond N - unstable_margin are boundary artifacts.
+    """
+    table = enumerate_words(v.f.n, v.N)
+    return [int(np.sum(np.linalg.svd(v.basis[table.level_slice(m), :], compute_uv=False) > 1e-9))
+            for m in range(v.N + 1)]
 
 
 def dense_creation(f: RegularPolynomial, N: int, side: str = "left") -> OperatorTuple:
@@ -33,6 +49,17 @@ def random_nilpotent_tuple(seed: int, n: int, dim: int,
     if f is None:
         f = RegularPolynomial(n, {(i,): 1.0 for i in range(1, n + 1)})
     return scale_into_domain(f, T, target)
+
+
+def power_pair_tuple() -> tuple[RegularPolynomial, OperatorTuple]:
+    """f = z1 + z2 and (a, a^2) for a random complex 3 x 3 a, scaled to level 0.4.
+
+    Its purity decay asks for a truncation N = 18: 524,287 words over two letters.
+    """
+    f = RegularPolynomial(2, {(1,): 1.0, (2,): 1.0})
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    return f, scale_into_domain(f, OperatorTuple((a, a @ a)), 0.4)
 
 
 @pytest.fixture

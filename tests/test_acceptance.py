@@ -26,6 +26,8 @@ from ncdomains.transfer import (contraction_excess, defect_identity_residual,
                                 fourier_roundtrip_residual)
 from ncdomains.words import enumerate_words
 
+from conftest import level_dimensions
+
 
 def verdict(criterion: str, ok: bool, detail: str) -> None:
     print(f"[{criterion}] {'PASS' if ok else 'FAIL'} {detail}")
@@ -252,7 +254,7 @@ def test_criterion_8_variety_structure():
     for n, N in ((2, 6), (3, 6)):
         f = RegularPolynomial(n, {(i,): 1.0 for i in range(1, n + 1)})
         v = build_variety(f, N, commutator_generators(n))
-        dims = v.level_dimensions()
+        dims = level_dimensions(v)
         sym_ok = sym_ok and all(dims[m] == comb(n + m - 1, m) for m in range(7)[:N + 1])
     # annihilating-polynomial model space: dimension = degree, stable in N
     roots = [0.25, -0.2 + 0.15j, 0.1j, -0.3]

@@ -10,6 +10,8 @@ from ncdomains.config import (ConfigError, ExperimentConfig, default_tolerance,
 from ncdomains.matio import dump_matrix, parse_matrix, read_matrix, write_matrix
 from ncdomains.report import VerificationReport, parse_report
 
+from conftest import power_pair_tuple
+
 
 # ---------------------------------------------------------------------------
 # matrix text format
@@ -235,6 +237,21 @@ def test_cli_pipeline_error_becomes_failed_record(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 1
     assert "pipeline_error" in out and "summary pass=0" in out
+
+
+def test_cli_oversized_chosen_truncation_is_a_failed_record(tmp_path, capsys):
+    """With N omitted, a truncation past the word limit ends as pipeline_error."""
+    f, T = power_pair_tuple()
+    mats = [[[[float(x.real), float(x.imag)] for x in row] for row in m] for m in T.mats]
+    obj = {"f": {"n": 2, "coeffs": {"1": 1.0, "2": 1.0}}, "g": {"n": 1, "coeffs": {"1": 1.0}},
+           "matrices": {"T1": mats, "T2": mats[:1]}}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(obj))
+    for verb in ("dilate", "verify"):
+        assert main(["--config", str(path), verb]) == 1
+        rep = parse_report(capsys.readouterr().out)
+        assert [c.name for c in rep.checks] == ["pipeline_error"]
+        assert "524287 words" in rep.environment["error"]
 
 
 def test_cli_config_wins_over_flags(tmp_path, capsys):

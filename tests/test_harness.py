@@ -9,16 +9,16 @@ from ncdomains import (BiPolynomial, OperatorTuple,
                        complete_to_unitary, domain_membership, grid_sup_norm,
                        poisson_kernel, random_commuting_pair, run_battery,
                        verify_inequality)
-from ncdomains.harness import (CommutingPair, commutant_lifting, compression_residual,
+from ncdomains.harness import (MAX_CHOSEN_WORDS, CommutingPair, choose_truncation,
+                               commutant_lifting, compression_residual,
                                cross_commutation_residual, scale_into_domain,
-                               spectral_norms, verify_hermitian_inequality,
-                               von_neumann_check)
+                               spectral_norms, von_neumann_check)
 from ncdomains.transfer import (contraction_excess, defect_identity_residual,
                                 dilation_identity_report, eval_transfer,
                                 fourier_roundtrip_residual, multi_analytic_residual)
 from ncdomains.variety import commutator_generators, minpoly_generator
 
-from conftest import random_nilpotent_tuple
+from conftest import power_pair_tuple, random_nilpotent_tuple
 from test_transfer import commuting_triple
 
 Z = RegularPolynomial.single_variable([1.0])
@@ -49,18 +49,69 @@ def test_unknown_kind_rejected():
         random_commuting_pair(0, 3, "bogus", Z, Z)
 
 
+def all_builtins():
+    return builtin_bipolynomials() + builtin_matrix_polys() + builtin_hermitian()
+
+
 def test_bipoly_eval_scalar_matches_matrix():
-    p = builtin_bipolynomials()[6]  # square_of_sum
-    t1 = np.array([[0.3]])
-    t2 = np.array([[0.2]])
-    X, Y = OperatorTuple((t1,)), OperatorTuple((t2,))
-    assert abs(p.eval(X, Y)[0, 0] - p.eval_scalar(np.array(0.3), np.array(0.2))) <= 1e-14
+    """On 1 x 1 tuples the matrix evaluation is the scalar one, for every built-in."""
+    for z, w in ((0.3, 0.2), (0.4 - 0.3j, -0.2 + 0.5j), (-0.6j, 0.1 + 0.7j)):
+        X, Y = OperatorTuple((np.array([[z]]),)), OperatorTuple((np.array([[w]]),))
+        for p in all_builtins():
+            want = p.eval_scalar(np.array(z), np.array(w))
+            assert np.abs(p.eval(X, Y) - want).max() <= 1e-14, (p.name, z, w)
+
+
+def test_builtin_eval_matches_written_formulas():
+    pair = random_commuting_pair(11, 3, "polynomial-of-single", Z, Z)
+    X, Y = pair.T1.mats[0], pair.T2.mats[0]
+    I, O = np.eye(3), np.zeros((3, 3))
+
+    def sym(m):
+        return (m + m.conj().T) / 2
+
+    def h(m):
+        return m.conj().T
+
+    formulas = {
+        "sum": X + Y,
+        "product": X @ Y,
+        "affine": I + 0.5 * X + 0.5 * Y,
+        "diff_squares": X @ X - Y @ Y,
+        "balanced": 2 * X @ Y - X - Y,
+        "cubic_mix": X @ X @ X + Y @ Y @ Y + X @ Y,
+        "square_of_sum": X @ X + 2 * X @ Y + Y @ Y,
+        "biquadratic": X @ X @ Y @ Y,
+        "complex_mix": (0.5 + 0.5j) * X + (0.5 - 0.5j) * Y + 1j * X @ Y @ Y,
+        "one_minus_product": I - X @ Y,
+        "shear": np.block([[I, X], [O, Y]]),
+        "full": np.block([[X, X @ Y], [Y, I]]),
+        "sandwich": sym(X @ Y @ h(Y) @ h(X)),
+        "two_squares": sym(X @ h(X) + Y @ h(Y)),
+        "mixed_gram": sym((X + Y) @ h(X + Y)),
+    }
+    polys = all_builtins()
+    assert sorted(p.name for p in polys) == sorted(formulas)
+    for p in polys:
+        np.testing.assert_allclose(p.eval(pair.T1, pair.T2), formulas[p.name],
+                                   rtol=0.0, atol=1e-12, err_msg=p.name)
+        assert p.hermitian == (p.name in ("sandwich", "two_squares", "mixed_gram"))
+
+
+def test_bipoly_construction_checks_letters_and_drops_zeros():
+    with pytest.raises(ValueError):
+        BiPolynomial("bad", 1, 1, (({((2,), (), (), ()): 1.0},),))
+    with pytest.raises(ValueError):
+        BiPolynomial("bad_adjoint", 1, 1, (({((), (), (1, 2), ()): 1.0},),))
+    p = BiPolynomial("x", 1, 1, (({((1,), (), (), ()): 1.0, ((), (1,), (), ()): 0.0},),))
+    assert p.entries == (({((1,), (), (), ()): 1.0},),)
+    assert not p.hermitian
 
 
 def test_grid_sup_norm_known_values():
-    p = BiPolynomial("xy", 1, 1, {((1,), (1,)): 1.0})
+    p = BiPolynomial("xy", 1, 1, (({((1,), (1,), (), ()): 1.0},),))
     assert abs(grid_sup_norm(p, 64) - 1.0) <= 1e-12
-    s = BiPolynomial("sum", 1, 1, {((1,), ()): 1.0, ((), (1,)): 1.0})
+    s = BiPolynomial("sum", 1, 1, (({((1,), (), (), ()): 1.0, ((), (1,), (), ()): 1.0},),))
     assert abs(grid_sup_norm(s, 512) - 2.0) <= 1e-3
 
 
@@ -114,7 +165,7 @@ def test_inequality_basics_all_kinds():
         dil = ando_dilation(pair)
         rep = verify_inequality(pair, builtin_bipolynomials(), dil)
         assert rep.passed, rep.render()
-        hrep = verify_hermitian_inequality(pair, builtin_hermitian(), dil)
+        hrep = verify_inequality(pair, builtin_hermitian(), dil)
         assert hrep.passed, hrep.render()
 
 
@@ -273,3 +324,19 @@ def test_transfer_checks_stay_on_the_fock_r_out_side(monkeypatch):
         dilation_identity_report(tf, poisson_kernel(f_triple, tr.T1, N),
                                  poisson_kernel(f_triple, tr.T1, N))
         assert shapes and max(s[-2] for s in shapes) <= tf.fock_size * tf.r_out
+
+
+def test_choose_truncation_refuses_an_oversized_fock_space(monkeypatch):
+    f, T = power_pair_tuple()
+    msg = (r"N = 18 over n = 2 letters, 524287 words, above the limit of "
+           rf"{MAX_CHOSEN_WORDS}; give N")
+    with pytest.raises(ValueError, match=msg):
+        choose_truncation(f, T)
+    pair = CommutingPair(f, Z, T, OperatorTuple((T.mats[0],)))
+
+    def no_tables(n, N):
+        raise AssertionError(f"word table ({n}, {N}) built before the refusal")
+
+    monkeypatch.setattr("ncdomains.words._word_table", no_tables)
+    with pytest.raises(ValueError, match=msg):
+        ando_dilation(pair)

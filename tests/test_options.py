@@ -49,7 +49,6 @@ ALLOWED = {
     "harness.commutant_lifting(tol)",
     "harness.verify_inequality(dil_swapped)",
     "harness.verify_inequality(tol)",
-    "harness.verify_hermitian_inequality(tol)",
     "harness.run_battery(kinds)",
     "harness.run_battery(tol)",
     "poisson.verify_kernel_identities(tol)",

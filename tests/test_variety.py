@@ -9,7 +9,7 @@ from ncdomains import (OperatorTuple, RegularPolynomial, build_variety,
                        verify_constrained_kernel, weighted_creation)
 from ncdomains.variety import _span_complement, generator_degree
 
-from conftest import dense_creation, f_battery
+from conftest import dense_creation, f_battery, level_dimensions
 
 
 def drury_poly(n: int) -> RegularPolynomial:
@@ -21,7 +21,7 @@ def test_symmetric_fock_dimensions():
     weighted = RegularPolynomial(2, {(1,): 0.5, (2,): 2.0})
     for f, N in ((drury_poly(2), 6), (drury_poly(3), 5), (weighted, 6), (drury_poly(3), 7)):
         v = build_variety(f, N, commutator_generators(f.n))
-        assert v.level_dimensions() == [comb(f.n + m - 1, m) for m in range(N + 1)]
+        assert level_dimensions(v) == [comb(f.n + m - 1, m) for m in range(N + 1)]
 
 
 def test_graded_build_matches_span_oracle():
