@@ -53,7 +53,7 @@ def _complex(v, where: str) -> complex:
     if isinstance(v, (int, float)):
         return complex(v)
     if isinstance(v, list) and len(v) == 2:
-        return complex(float(v[0]), float(v[1]))
+        return complex(*(_scalar(float, x, where) for x in v))
     raise ConfigError(f"{where}: expected a number or [re, im], got {v!r}")
 
 

@@ -331,15 +331,6 @@ def domain_membership(f: RegularPolynomial, T: OperatorTuple, tol: float = 1e-9)
     )
 
 
-def purity_estimate(f: RegularPolynomial, T: OperatorTuple, m_max: int,
-                    tol: float = 1e-9) -> list[float]:
-    """Norms ||Phi^m(I)|| for m = 1..m_max; the tuple is pure when they decay to 0."""
-    report = domain_membership(f, T, tol)
-    if not report.in_domain:
-        raise ValueError(f"tuple is not in the domain (min eigenvalue {report.min_eig:.3e})")
-    return [float(np.linalg.norm(x, 2)) for x in phi_identity_iterates(f, T, m_max)]
-
-
 def purity_horizon(f: RegularPolynomial, T: OperatorTuple) -> tuple[int, float]:
     """Smallest m <= 48 with ||Phi^m(I)|| <= 1e-13, and that norm.
 

@@ -14,8 +14,9 @@ Theta_u = C^* X_u, where
     X_u = [u = w] sqrt(a_w) B_(w)^* + sum_{u = v w, v nonempty} sqrt(a_w) D_(w)^* X_v
 
 (the structured noncommutative realization formula of Ball, Groenewald and
-Malakorn).  The coefficient table is exact, with no series truncation; the
-dense blocks are scattered from it, one Fock block per column of L_{u~}.
+Malakorn).  The coefficient table is exact, with no series truncation, and it
+is the stored form of the row: a dense block is scattered from it on demand,
+one Fock block per column of L_{u~} (``TransferFunction.block``).
 
 The checks read the table, not the dense blocks.  L_{u~} e_y =
 sqrt(b_y / b_{yu}) e_{yu}, so column block y of the row is
@@ -44,21 +45,27 @@ from .words import Word, enumerate_words, reverse
 
 @dataclass(frozen=True)
 class TransferFunction:
-    """phi_(b) blocks of the transfer row, one per coefficient word of g.
-
-    Each block maps (Fock) (x) C^{r_in} -> (Fock) (x) C^{r_out}.  ``theta``
-    is the coefficient table: Theta_u (r_out x m2*r_in, the m2 blocks side by
-    side) for every word |u| <= N, the coefficient of the operator that
-    appends u.
+    """The transfer row as its coefficient table: ``theta[k, :, j]`` is Theta_u
+    (r_out x r_in) of the block phi_(b_j), b_j the j-th coefficient word of g,
+    for the k-th word u (|u| <= N, graded-lex), the coefficient of the operator
+    appending u.  ``block`` scatters one (Fock r_out) x (Fock r_in) block.
     """
 
     colligation: Colligation
-    f: RegularPolynomial
     N: int
-    blocks: tuple[np.ndarray, ...]
-    block_words: tuple[Word, ...]
-    fock_size: int
-    theta: dict[Word, np.ndarray]
+    theta: np.ndarray  # (Fock_N, r_out, m2, r_in)
+
+    @property
+    def f(self) -> RegularPolynomial:
+        return self.colligation.triple.f
+
+    @property
+    def fock_size(self) -> int:
+        return len(self.theta)
+
+    @property
+    def block_words(self) -> tuple[Word, ...]:
+        return tuple(coefficient_words(self.colligation.triple.g))
 
     @property
     def r_out(self) -> int:
@@ -69,14 +76,16 @@ class TransferFunction:
         return self.colligation.r_in
 
     def block(self, w: Word) -> np.ndarray:
-        return self.blocks[self.block_words.index(tuple(w))]
+        """The dense phi_(w), scattered from the table."""
+        return _scatter(self.theta[:, :, self.block_words.index(tuple(w))], self.f, self.N)
 
 
 def _coefficient_table(col: Colligation, N: int, head: Callable[[int], np.ndarray],
-                       empty: np.ndarray) -> dict[Word, np.ndarray]:
+                       empty: np.ndarray) -> np.ndarray:
     """``empty`` at the empty word and C^* Z_u for 1 <= |u| <= N, where Z_u is
     the sum over u = v w, w a coefficient word of f, of sqrt(a_w) head(w)^*
-    when v is empty and sqrt(a_w) D_(w)^* Z_v otherwise.
+    when v is empty and sqrt(a_w) D_(w)^* Z_v otherwise; one entry per word
+    in graded-lex order.
 
     head(i) is the block of the i-th coefficient word of f.  Z_u is the inner
     coefficient, at the operator appending u, of (I - Q)^{-1} Gamma (I (x) B^*)
@@ -88,28 +97,31 @@ def _coefficient_table(col: Colligation, N: int, head: Callable[[int], np.ndarra
              if (a := f.coeffs.get(w, 0.0)) != 0.0]
     shape = (col.slot_dim, head(0).shape[0])
     cstar = col.C.conj().T
+    words = enumerate_words(f.n, N).words
     z: dict[Word, np.ndarray] = {}
-    table = {(): empty}
-    for u in enumerate_words(f.n, N).words[1:]:
+    table = np.empty((len(words), *empty.shape), dtype=complex)
+    table[0] = empty
+    for k, u in enumerate(words[1:], 1):
         acc = np.zeros(shape, dtype=complex)
         for w, s, dstar, hstar in terms:
-            k = len(u) - len(w)
-            if k >= 0 and u[k:] == w:
-                acc += s * (dstar @ z[u[:k]] if k else hstar)
+            m = len(u) - len(w)
+            if m >= 0 and u[m:] == w:
+                acc += s * (dstar @ z[u[:m]] if m else hstar)
         z[u] = acc
-        table[u] = cstar @ acc
+        table[k] = cstar @ acc
     return table
 
 
-def _scatter(table: dict[Word, np.ndarray], lam: tuple[WeightedShift, ...]) -> np.ndarray:
-    """The dense sum_u L_{u~} (x) table[u] over the right creation operators lam.
+def _scatter(table: np.ndarray, f: RegularPolynomial, N: int) -> np.ndarray:
+    """The dense sum_u L_{u~} (x) table[k], u the k-th word of length <= N.
 
-    The table holds the empty word, whose entry fixes the inner block shape.
+    Exactly one u writes each entry (row yu, column y), so the sum is a scatter.
     """
-    rows, cols = table[()].shape
+    lam = weighted_creation(f, N, "right")
+    _, rows, cols = table.shape
     size = lam[0].size
     out = np.zeros((size * rows, size * cols), dtype=complex)
-    for u, coef in table.items():
+    for u, coef in zip(enumerate_words(f.n, N).words, table):
         shift_word(lam, reverse(u)).add_kron(out, coef)
     return out
 
@@ -118,40 +130,25 @@ def eval_transfer(col: Colligation, N: int) -> TransferFunction:
     """Evaluate the transfer row of a colligation at truncation level N.
 
     The coefficient table Theta comes from the word recursion of X_u (module
-    docstring), with no resolvent solve; the dense blocks are scattered from it.
+    docstring), with no resolvent solve and no dense block.
     """
-    f = col.triple.f
-    g = col.triple.g
-    lam = weighted_creation(f, N, "right")
-    size = lam[0].size
-    r_out, r_in = col.r_out, col.r_in
-    m2 = col.dims["m2"]
-
     theta = _coefficient_table(col, N, col.b_block, col.A.conj().T)
-    phi_full = _scatter(theta, lam)
-
-    # split the m2 inner column blocks into one matrix per coefficient word of g
-    shaped = phi_full.reshape(size * r_out, size, m2, r_in)
-    blocks = tuple(shaped[:, :, j, :].reshape(size * r_out, size * r_in)
-                   for j in range(m2))
-    return TransferFunction(colligation=col, f=f, N=N, blocks=blocks,
-                            block_words=tuple(coefficient_words(g)),
-                            fock_size=size, theta=theta)
+    return TransferFunction(col, N, theta.reshape(len(theta), col.r_out, -1, col.r_in))
 
 
 def fourier_coefficients(tf: TransferFunction, w: Word,
                          max_level: int) -> dict[Word, np.ndarray]:
     """Coefficients of phi_(w) = sum_u L_u (x) coef_u for |u| <= max_level.
 
-    L_u = shift_word(lam, u) appends u~, so coef_u is the phi_(w) column block
-    of Theta_{u~}.
+    L_u = shift_word(lam, u) appends u~, so coef_u is the phi_(w) block of
+    Theta_{u~}.
     """
     f, N = tf.f, tf.N
     if max_level > N - f.degree:
         raise ValueError(f"max_level {max_level} exceeds N - deg f = {N - f.degree}")
     j = tf.block_words.index(tuple(w))
-    cols = slice(j * tf.r_in, (j + 1) * tf.r_in)
-    return {u: tf.theta[reverse(u)][:, cols]
+    index = enumerate_words(f.n, N).index
+    return {u: tf.theta[index[reverse(u)], :, j]
             for u in enumerate_words(f.n, max_level).words}
 
 
@@ -169,26 +166,14 @@ def fourier_roundtrip_residual(tf: TransferFunction, w: Word, max_level: int) ->
     """
     f, N = tf.f, tf.N
     K = N - max_level
-    lam = weighted_creation(f, K, "right")
-    recon = np.zeros((lam[0].size * tf.r_out, lam[0].size * tf.r_in), dtype=complex)
-    for u, c in fourier_coefficients(tf, w, max_level).items():
-        shift_word(lam, u).add_kron(recon, c)
+    index = enumerate_words(f.n, K).index
+    table = np.zeros((len(index), tf.r_out, tf.r_in), dtype=complex)
+    for u, c in fourier_coefficients(tf, w, min(max_level, K)).items():
+        table[index[reverse(u)]] = c
+    recon = _scatter(table, f, K)
     rows = enumerate_words(f.n, N).max_level_index(min(max_level, K)) * tf.r_out
     diff = tf.block(w)[:rows, :recon.shape[1]] - recon[:rows]
     return float(np.linalg.norm(diff, 2))
-
-
-def _theta_stack(tf: TransferFunction, K: int) -> np.ndarray:
-    """Theta_u for |u| <= K as one (words, r_out, m2*r_in) array, graded-lex in u."""
-    table = enumerate_words(tf.f.n, K)
-    return np.stack([tf.theta[u] for u in table.words])
-
-
-def _block_columns(tf: TransferFunction, words: list[Word]) -> np.ndarray:
-    """Inner column indices of the blocks phi_(w), w in words, within Theta_u."""
-    r = tf.r_in
-    return np.concatenate([np.arange(j * r, (j + 1) * r)
-                           for j in map(tf.block_words.index, map(tuple, words))])
 
 
 def _row_gram(tf: TransferFunction, K: int, words: list[Word] | None = None) -> np.ndarray:
@@ -207,9 +192,10 @@ def _row_gram(tf: TransferFunction, K: int, words: list[Word] | None = None) -> 
     b = b_coefficients(tf.f, K)
     bw = np.array([b[w] for w in table.words])
     start = np.array([table.max_level_index(m - 1) for m in range(K + 1)])
-    theta = _theta_stack(tf, K)
+    theta = tf.theta[:len(table)]
     if words is not None:
-        theta = theta[:, :, _block_columns(tf, words)]
+        theta = theta[:, :, [tf.block_words.index(tuple(w)) for w in words]]
+    theta = theta.reshape(len(table), r, -1)
     gram = np.zeros((len(table) * r, len(table) * r), dtype=complex)
     for lev in range(K + 1):
         # y in rows, u in columns: the Fock row of yu and the weight of L_{u~} e_y
@@ -273,7 +259,7 @@ def multi_analytic_residual(tf: TransferFunction, w: Word) -> float:
     up to rounding in the weights.
     """
     f, N = tf.f, tf.N
-    theta = _theta_stack(tf, N)[:, :, _block_columns(tf, [w])]
+    theta = tf.theta[:, :, tf.block_words.index(tuple(w))]
     comm = _commutator_norms(weighted_creation(f, N), weighted_creation(f, N, "right"), N)
     return float((comm @ np.linalg.norm(theta, 2, axis=(1, 2))).max())
 
@@ -287,7 +273,7 @@ def _resolvent_corner(col: Colligation, K: int) -> np.ndarray:
     vanish) is M at truncation K, whatever the truncation of the transfer row.
     """
     return _scatter(_coefficient_table(col, K, col.d_block, col.C.conj().T),
-                    weighted_creation(col.triple.f, K, "right"))
+                    col.triple.f, K)
 
 
 def defect_identity_residual(tf: TransferFunction) -> float:

@@ -298,6 +298,8 @@ def test_cli_config_without_tol_uses_env(tmp_path, capsys, monkeypatch):
     ("dims", {"dims": []}),
     ("kinds[0]", {"kinds": ["bogus"]}),
     ("kinds", {"kinds": "abc"}),
+    ("variety.generators[0]", {"variety": {"kind": "custom", "generators": [{"1": [1, None]}]}}),
+    ("variety.coeffs", {"variety": {"kind": "minpoly", "coeffs": [[1, "x"], 1]}}),
 ])
 def test_cli_malformed_scalar_exit_code(tmp_path, capsys, field, patch):
     rc = main(["--config", scalar_config(tmp_path, **patch), "check-model"])

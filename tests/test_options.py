@@ -36,7 +36,6 @@ ALLOWED = {
     "domain.weighted_creation(side)",
     "domain.apply_phi(X)",
     "domain.domain_membership(tol)",
-    "domain.purity_estimate(tol)",
     "harness.CommutingPair.kind",
     "harness.CommutingPair.seed",
     "harness.PairDilation.transfer",

@@ -82,8 +82,8 @@ def test_table_blocks_match_dense_resolvent():
     for col in oracle_colligations():
         for N in range(6):
             tf = eval_transfer(col, N)
-            for blk, ref in zip(tf.blocks, oracle_blocks(col, N), strict=True):
-                assert np.linalg.norm(blk - ref) <= 1e-12 * np.linalg.norm(ref)
+            for w, ref in zip(tf.block_words, oracle_blocks(col, N), strict=True):
+                assert np.linalg.norm(tf.block(w) - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_fourier_coefficients_match_vacuum_columns():
@@ -327,7 +327,7 @@ def test_degree_two_g_blocks(fib_poly):
     assert col.dims["m2"] == 2
     N = 5
     tf = eval_transfer(col, N)
-    assert len(tf.blocks) == 2
+    assert len(tf.block_words) == 2
     K1 = poisson_kernel(Z, tr.T1, N)
     rep = dilation_identity_report(tf, K1, K1, tol=1e-7)
     assert rep.passed, rep.render()
