@@ -192,11 +192,12 @@ class Colligation:
         return self.B[:, i * w:(i + 1) * w]
 
 
-def _ordered_frames(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """Orthonormal basis of col(mat), its ordered complement, and the rank."""
+def _ordered_frames(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The full SVD u, s, vh of mat and its rank: the first rank columns of u
+    are an orthonormal basis of col(mat), the others its ordered complement."""
     u, s, vh = np.linalg.svd(mat, full_matrices=True)
     rank = int(np.sum(s > 1e-10 * max(s[0] if s.size else 1.0, 1.0)))
-    return u, vh, rank
+    return u, s, vh, rank
 
 
 def complete_to_unitary(partial: PartialIsometry) -> Colligation:
@@ -222,12 +223,10 @@ def complete_to_unitary(partial: PartialIsometry) -> Colligation:
     ])
     total = dom.shape[0]
 
-    u_d, vh, rank = _ordered_frames(dom)
+    u_d, s_d, vh, rank = _ordered_frames(dom)
     qx = u_d[:, :rank]
-    v_r = vh.conj().T[:, :rank]
-    s_r = np.linalg.svd(dom, compute_uv=False)[:rank]
-    qy = ran @ v_r / s_r  # orthonormal because the Gram matrices agree
-    u_r, _, rank_r = _ordered_frames(ran)
+    qy = ran @ vh.conj().T[:, :rank] / s_d[:rank]  # orthonormal: the Gram matrices agree
+    u_r, _, _, rank_r = _ordered_frames(ran)
     # the ranks agree when the Gram matrices do; complement bases are mapped
     # onto each other in SVD order with canonical column phases
     comp_d = canonical_phases(u_d[:, rank:])

@@ -17,7 +17,7 @@ import numpy as np
 from .domain import OperatorTuple, RegularPolynomial
 from .harness import PAIR_KINDS
 from .matio import read_matrix
-from .variety import Generator, commutator_generators, minpoly_generator
+from .variety import Generator, check_generator, commutator_generators, minpoly_generator
 from .words import Word
 
 DEFAULT_TOL_ENV = "NCDOMAINS_TOL"
@@ -111,6 +111,14 @@ def _list(v, where: str) -> list:
     return v
 
 
+def _generator(q: Generator, where: str, n: int) -> Generator:
+    try:
+        check_generator(q, n)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+    return q
+
+
 def parse_variety_spec(obj, where: str, n: int) -> list[Generator] | None:
     if obj is None:
         return None
@@ -127,7 +135,7 @@ def parse_variety_spec(obj, where: str, n: int) -> list[Generator] | None:
                       for c in _list(obj["coeffs"], f"{where}.coeffs")]
             if len(coeffs) < 2:
                 raise ConfigError(f"{where}: minpoly needs degree >= 1")
-            return [{(1,) * j: c for j, c in enumerate(coeffs)}]
+            return [_generator({(1,) * j: c for j, c in enumerate(coeffs)}, f"{where}.coeffs", n)]
         roots = [_complex(r, f"{where}.roots")
                  for r in _list(obj.get("roots", []), f"{where}.roots")]
         if not roots:
@@ -139,8 +147,9 @@ def parse_variety_spec(obj, where: str, n: int) -> list[Generator] | None:
             if not isinstance(g, dict):
                 raise ConfigError(f"{where}.generators[{i}]: expected an object keyed "
                                   f"by words, got {g!r}")
-            gens.append({parse_word(k): _complex(v, f"{where}.generators[{i}]")
-                         for k, v in g.items()})
+            loc = f"{where}.generators[{i}]"
+            gens.append(_generator({parse_word(k): _complex(v, loc) for k, v in g.items()},
+                                   loc, n))
         if not gens:
             raise ConfigError(f"{where}: custom variety needs 'generators'")
         return gens
@@ -246,6 +255,9 @@ class ExperimentConfig:
             cfg.T1 = parse_operator_tuple(mats["T1"], "matrices.T1", base)
         if "T2" in mats:
             cfg.T2 = parse_operator_tuple(mats["T2"], "matrices.T2", base)
+            if cfg.T1 is not None and cfg.T2.mats[0].shape != cfg.T1.mats[0].shape:
+                raise ConfigError("matrices.T2: expected matrices of the shape of matrices.T1, "
+                                  f"{cfg.T1.mats[0].shape}, got {cfg.T2.mats[0].shape}")
         cfg.variety = parse_variety_spec(obj.get("variety"), "variety", f.n)
         return cfg
 

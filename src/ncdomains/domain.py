@@ -200,19 +200,14 @@ class WeightedShift:
                                                   x.shape[1] // self.size)
         return (xb[:, self.target] * self.weight[None, :, None]).reshape(x.shape[0], -1)
 
-    def add_kron(self, out: np.ndarray, inner: np.ndarray) -> None:
-        """out += kron(S, inner), in place, one Fock block per live column."""
-        ob = out.reshape(self.size, inner.shape[0], self.size, inner.shape[1])
-        live = np.flatnonzero(self.weight)
-        ob[self.target[live], :, live, :] += self.weight[live, None, None] * inner
-
     def dense(self, inner: np.ndarray | None = None) -> np.ndarray:
-        """The dense matrix kron(S, inner); inner defaults to the 1 x 1 identity."""
+        """The dense matrix kron(S, inner), one Fock block per live column; inner
+        defaults to the 1 x 1 identity."""
         inner = np.ones((1, 1)) if inner is None else inner
-        out = np.zeros((self.size * inner.shape[0], self.size * inner.shape[1]),
-                       dtype=complex)
-        self.add_kron(out, inner)
-        return out
+        out = np.zeros((self.size, inner.shape[0], self.size, inner.shape[1]), dtype=complex)
+        live = np.flatnonzero(self.weight)
+        out[self.target[live], :, live, :] = self.weight[live, None, None] * inner
+        return out.reshape(self.size * inner.shape[0], -1)
 
 
 def kron_identity_matmul(a: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -6,24 +6,21 @@ row of multi-analytic operators
     phi_(b) = I (x) A_(b)^* + (I (x) C^*) (I - Q)^{-1} Gamma (I (x) B_(b)^*),
     Q = sum_w sqrt(a_w) L_{w~} (x) D_(w)^*,
 
-is evaluated at the boundary (radius 1).  L_{w~} appends the word w, so
-L_{w~} L_{v~} appends v then w and Q is nilpotent: the row is the finite sum
-phi = sum_{|u| <= N} L_{u~} (x) Theta_u with Theta_empty = A^* and
-Theta_u = C^* X_u, where
+is evaluated at the boundary (radius 1).  L_{w~} appends the word w, so Q is
+nilpotent and the row is the finite sum phi = sum_{|u| <= N} L_{u~} (x) Theta_u
+with Theta_empty = A^* and Theta_u = C^* X_u, where
 
     X_u = [u = w] sqrt(a_w) B_(w)^* + sum_{u = v w, v nonempty} sqrt(a_w) D_(w)^* X_v
 
 (the structured noncommutative realization formula of Ball, Groenewald and
-Malakorn).  The coefficient table is exact, with no series truncation, and it
-is the stored form of the row: a dense block is scattered from it on demand,
-one Fock block per column of L_{u~} (``TransferFunction.block``).
+Malakorn).  The coefficient table is exact and is the stored form of the row.
 
-The checks read the table, not the dense blocks.  L_{u~} e_y =
-sqrt(b_y / b_{yu}) e_{yu}, so column block y of the row is
-sum_u sqrt(b_y / b_{yu}) e_{yu} (x) Theta_u and its row Gram is one batched
-product per level of y (``_row_gram``).  Left and right creation operators
-commute, so [W_i (x) I, phi] = sum_u [W_i, L_{u~}] (x) Theta_u is bounded from
-the index maps and the norms of Theta_u (``multi_analytic_residual``).
+Every reader of the row follows one column plan (``_columns``):
+L_{u~} e_y = sqrt(b_y / b_{yu}) e_{yu}, the row of yu arithmetic in graded-lex
+order.  The checks (row Gram, defect identity, phi^* K, multi-analyticity
+bound) read it level by level.  Only ``_scatter`` forms dense blocks: the
+N-level ``TransferFunction.block`` for the psi of ando_dilation, and the
+small truncation-min(M, N - M) blocks of the Fourier round trip.
 
 Tensor convention throughout: np.kron(Fock factor, inner factor).
 """
@@ -36,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .colligation import Colligation, INTERPRETIVE_FLAGS, embed_inner
-from .domain import (RegularPolynomial, WeightedShift, b_coefficients,
-                     coefficient_words, shift_word, weighted_creation)
+from .domain import (RegularPolynomial, b_coefficients, coefficient_words,
+                     weighted_creation)
 from .poisson import PoissonKernel, kernel_intertwining
 from .report import VerificationReport
 from .words import Word, enumerate_words, reverse
@@ -82,14 +79,11 @@ class TransferFunction:
 
 def _coefficient_table(col: Colligation, N: int, head: Callable[[int], np.ndarray],
                        empty: np.ndarray) -> np.ndarray:
-    """``empty`` at the empty word and C^* Z_u for 1 <= |u| <= N, where Z_u is
-    the sum over u = v w, w a coefficient word of f, of sqrt(a_w) head(w)^*
-    when v is empty and sqrt(a_w) D_(w)^* Z_v otherwise; one entry per word
-    in graded-lex order.
-
-    head(i) is the block of the i-th coefficient word of f.  Z_u is the inner
-    coefficient, at the operator appending u, of (I - Q)^{-1} Gamma (I (x) B^*)
-    for head = col.b_block and of (I - Q)^{-1} - I for head = col.d_block.
+    """``empty`` at the empty word and C^* Z_u for 1 <= |u| <= N (graded-lex),
+    Z_u the sum over u = v w, w a coefficient word of f, of sqrt(a_w) head(w)^*
+    if v is empty, else of sqrt(a_w) D_(w)^* Z_v.  head(i) is the block of the
+    i-th coefficient word: Z_u is the coefficient of L_{u~} in
+    (I - Q)^{-1} Gamma (I (x) B^*) for col.b_block, in (I - Q)^{-1} - I for col.d_block.
     """
     f = col.triple.f
     terms = [(w, np.sqrt(a), col.d_block(i).conj().T, head(i).conj().T)
@@ -112,18 +106,54 @@ def _coefficient_table(col: Colligation, N: int, head: Callable[[int], np.ndarra
     return table
 
 
-def _scatter(table: np.ndarray, f: RegularPolynomial, N: int) -> np.ndarray:
-    """The dense sum_u L_{u~} (x) table[k], u the k-th word of length <= N.
+def _columns(f: RegularPolynomial, K: int):
+    """The plan of sum_{|u| <= K} L_{u~} (x) Theta_u, L_{u~} e_y = sqrt(b_y / b_{yu}) e_{yu}.
+
+    For each level of y yields the Fock indices y, the rows yu (y down, the
+    k-th word u across, |u| <= K - |y|) and the weights sqrt(b_y / b_{yu}).
+    In graded-lex order the row of yu is arithmetic: the start of level
+    |y| + |u|, plus rank(y) n^|u| + rank(u).  Distinct y reach disjoint rows.
+    """
+    n = f.n
+    table = enumerate_words(n, K)
+    b = b_coefficients(f, K)
+    bw = np.array([b[w] for w in table.words])
+    start = np.array([table.max_level_index(m - 1) for m in range(K + 1)])
+    for lev in range(K + 1):
+        ulev = np.repeat(np.arange(K - lev + 1), n ** np.arange(K - lev + 1))
+        y = np.arange(n**lev)[:, None]
+        rows = start[lev + ulev] + y * n**ulev + np.arange(len(ulev)) - start[ulev]
+        yield start[lev] + y[:, 0], rows, np.sqrt(bw[start[lev] + y] / bw[rows])
+
+
+def _scatter(table: np.ndarray, f: RegularPolynomial, K: int) -> np.ndarray:
+    """The dense sum_u L_{u~} (x) table[k], u the k-th word of length <= K.
 
     Exactly one u writes each entry (row yu, column y), so the sum is a scatter.
     """
-    lam = weighted_creation(f, N, "right")
-    _, rows, cols = table.shape
-    size = lam[0].size
-    out = np.zeros((size * rows, size * cols), dtype=complex)
-    for u, coef in zip(enumerate_words(f.n, N).words, table):
-        shift_word(lam, reverse(u)).add_kron(out, coef)
+    size = len(enumerate_words(f.n, K))
+    _, rows_in, cols_in = table.shape
+    out = np.zeros((size * rows_in, size * cols_in), dtype=complex)
+    view = out.reshape(size, rows_in, size, cols_in)
+    for y, rows, weights in _columns(f, K):
+        view[rows, :, y[:, None], :] = weights[:, :, None, None] * table[:rows.shape[1]]
     return out
+
+
+def _gram(table: np.ndarray, f: RegularPolynomial, K: int, scale: np.ndarray) -> np.ndarray:
+    """sum_y scale[y] B_y B_y^* on the rows of levels <= K, B_y the column block
+    y of sum_u L_{u~} (x) table[k]: one batched product and one scattered sum
+    per level of y, no dense block."""
+    r = table.shape[1]
+    size = len(enumerate_words(f.n, K))
+    gram = np.zeros((size * r, size * r), dtype=complex)
+    for y, rows, weights in _columns(f, K):
+        count, span = rows.shape
+        v = (weights[:, :, None, None] * table[:span]).reshape(count, span * r, -1)
+        idx = (rows[:, :, None] * r + np.arange(r)).reshape(count, span * r)
+        gram[idx[:, :, None], idx[:, None, :]] += (
+            (v * scale[y, None, None]) @ v.conj().transpose(0, 2, 1))
+    return gram
 
 
 def eval_transfer(col: Colligation, N: int) -> TransferFunction:
@@ -140,8 +170,7 @@ def fourier_coefficients(tf: TransferFunction, w: Word,
                          max_level: int) -> dict[Word, np.ndarray]:
     """Coefficients of phi_(w) = sum_u L_u (x) coef_u for |u| <= max_level.
 
-    L_u = shift_word(lam, u) appends u~, so coef_u is the phi_(w) block of
-    Theta_{u~}.
+    L_u appends u~, so coef_u is the phi_(w) block of Theta_{u~}.
     """
     f, N = tf.f, tf.N
     if max_level > N - f.degree:
@@ -155,59 +184,30 @@ def fourier_coefficients(tf: TransferFunction, w: Word,
 def fourier_roundtrip_residual(tf: TransferFunction, w: Word, max_level: int) -> float:
     """|| P_rows (phi_(w) - sum_{|u|<=M} L_u (x) coef_u) P_cols ||.
 
-    Rows are restricted to levels <= min(M, N-M) and columns to levels
-    <= N-M: on that corner the truncated transfer block agrees exactly with
-    its multi-analytic Fourier expansion.  The expansion is formed on the
-    corner only, where it equals the expansion at truncation N-M.
-
-    Both the block and the coefficients come from ``tf.theta``, so this
-    compares the dense scatter with table lookups only; it is not an
-    independent test of Theta (the dense-resolvent oracle tests are).
+    Rows are restricted to levels <= L = min(M, N-M) and columns to levels
+    <= N-M, where the truncated block agrees exactly with its Fourier
+    expansion.  Columns of level > L vanish on those rows, and the weights of
+    L_{u~} do not depend on N, so the corner is the block at truncation L
+    (and zero columns), scattered from the first Fock_L table words.
+    Both sides come from ``tf.theta``: this compares a scatter with table
+    lookups only, not an independent test of Theta (the oracle tests are).
     """
-    f, N = tf.f, tf.N
-    K = N - max_level
-    index = enumerate_words(f.n, K).index
+    f, level = tf.f, min(max_level, tf.N - max_level)
+    index = enumerate_words(f.n, level).index
     table = np.zeros((len(index), tf.r_out, tf.r_in), dtype=complex)
-    for u, c in fourier_coefficients(tf, w, min(max_level, K)).items():
+    for u, c in fourier_coefficients(tf, w, level).items():
         table[index[reverse(u)]] = c
-    recon = _scatter(table, f, K)
-    rows = enumerate_words(f.n, N).max_level_index(min(max_level, K)) * tf.r_out
-    diff = tf.block(w)[:rows, :recon.shape[1]] - recon[:rows]
-    return float(np.linalg.norm(diff, 2))
+    block = _scatter(tf.theta[:len(index), :, tf.block_words.index(tuple(w))], f, level)
+    return float(np.linalg.norm(block - _scatter(table, f, level), 2))
 
 
 def _row_gram(tf: TransferFunction, K: int, words: list[Word] | None = None) -> np.ndarray:
-    """G = sum_j B_j B_j^* on the rows of levels <= K, from the coefficient table.
-
-    B_j runs over the blocks phi_(w), w in ``words`` (default: all of them).
-    Column block y of the row is sum_{|u| <= K - |y|} sqrt(b_y / b_{yu})
-    e_{yu} (x) Theta_u on those rows, and distinct columns of one level reach
-    disjoint rows, so each level of y is one batched product and one
-    scattered sum.  In graded-lex order the row of yu is arithmetic: the start
-    of level |y| + |u|, plus rank(y) n^|u| + rank(u).  G is (Fock_K r_out)^2;
-    no dense block is read.
-    """
-    n, r = tf.f.n, tf.r_out
-    table = enumerate_words(n, K)
-    b = b_coefficients(tf.f, K)
-    bw = np.array([b[w] for w in table.words])
-    start = np.array([table.max_level_index(m - 1) for m in range(K + 1)])
-    theta = tf.theta[:len(table)]
-    if words is not None:
-        theta = theta[:, :, [tf.block_words.index(tuple(w)) for w in words]]
-    theta = theta.reshape(len(table), r, -1)
-    gram = np.zeros((len(table) * r, len(table) * r), dtype=complex)
-    for lev in range(K + 1):
-        # y in rows, u in columns: the Fock row of yu and the weight of L_{u~} e_y
-        ulev = np.repeat(np.arange(K - lev + 1), n ** np.arange(K - lev + 1))
-        y = np.arange(n**lev)[:, None]
-        rows = start[lev + ulev] + y * n**ulev + np.arange(len(ulev)) - start[ulev]
-        weights = np.sqrt(bw[start[lev] + y] / bw[rows])
-        count, span = rows.shape
-        v = (weights[:, :, None, None] * theta[:span]).reshape(count, span * r, -1)
-        idx = (rows[:, :, None] * r + np.arange(r)).reshape(count, span * r)
-        gram[idx[:, :, None], idx[:, None, :]] += v @ v.conj().transpose(0, 2, 1)
-    return gram
+    """G = sum_j B_j B_j^* on the rows of levels <= K, B_j the blocks phi_(w) for
+    w in ``words`` (default: all of them), from the table; G is (Fock_K r_out)^2."""
+    theta = tf.theta if words is None else tf.theta[
+        :, :, [tf.block_words.index(tuple(w)) for w in words]]
+    return _gram(theta.reshape(len(theta), tf.r_out, -1), tf.f, K,
+                 np.ones(len(enumerate_words(tf.f.n, K))))
 
 
 def _row_norm(tf: TransferFunction) -> float:
@@ -216,37 +216,17 @@ def _row_norm(tf: TransferFunction) -> float:
     return float(np.sqrt(max(lam, 0.0)))
 
 
-def _difference_norm(x: WeightedShift, y: WeightedShift, cols: int) -> float:
-    """A bound on ||x - y|| over the first ``cols`` columns.
-
-    x and y are words in creation operators, whose live targets are distinct.
-    Where x and y are live on the same columns and send each of them to the
-    same row, x - y holds one entry per column, in distinct rows, and its norm
-    is the largest weight difference; otherwise ||x|| + ||y|| bounds it.
-    """
-    tx, wx, ty, wy = x.target[:cols], x.weight[:cols], y.target[:cols], y.weight[:cols]
-    if np.all(((wx != 0) == (wy != 0)) & ((tx == ty) | (wx == 0))):
-        return float(np.abs(wx - wy).max(initial=0.0))
-    return float(np.abs(wx).max(initial=0.0) + np.abs(wy).max(initial=0.0))
-
-
-def _commutator_norms(left: tuple[WeightedShift, ...], right: tuple[WeightedShift, ...],
-                      N: int) -> np.ndarray:
-    """Bounds on ||[W_i, L_{u~}]|| over the columns of levels <= N-1.
-
-    Row i - 1 is the letter i, column k the k-th word u of length <= N in
-    graded-lex order.  L_{(u i)~} = L_i L_{u~}, so each word costs one
-    composition; [W_i, L_{u~}] is a difference of two weighted shifts.
-    """
-    table = enumerate_words(len(right), N)
-    below = table.max_level_index(N - 1)
-    lam: list[WeightedShift] = []
-    out = np.zeros((len(left), len(table)))
-    for k, u in enumerate(table.words):
-        lam.append(right[u[-1] - 1] @ lam[table.index[u[:-1]]] if u else shift_word(right, ()))
-        for i, wi in enumerate(left):
-            out[i, k] = _difference_norm(wi @ lam[k], lam[k] @ wi, below)
-    return out
+def _row_adjoint(table: np.ndarray, f: RegularPolynomial, K: int, x: np.ndarray) -> np.ndarray:
+    """(sum_u L_{u~} (x) table[k])^* x with no dense block: row block y is
+    sum_u sqrt(b_y / b_{yu}) table[k]^* x_{yu}, x_{yu} row block yu of x."""
+    r_out, r_in = table.shape[1:]
+    xb = x.reshape(-1, r_out, x.shape[1])
+    out = np.empty((len(xb), r_in, x.shape[1]), dtype=complex)
+    for y, rows, weights in _columns(f, K):
+        count, span = rows.shape
+        v = (weights[:, :, None, None] * table[:span]).reshape(count, span * r_out, r_in)
+        out[y] = v.conj().transpose(0, 2, 1) @ xb[rows].reshape(count, span * r_out, -1)
+    return out.reshape(len(xb) * r_in, x.shape[1])
 
 
 def multi_analytic_residual(tf: TransferFunction, w: Word) -> float:
@@ -254,51 +234,54 @@ def multi_analytic_residual(tf: TransferFunction, w: Word) -> float:
 
     phi_(w) = sum_u L_{u~} (x) Theta_u (block w), so the commutator is
     sum_u [W_i, L_{u~}] (x) Theta_u and its norm is at most
-    max_i sum_u ||[W_i, L_{u~}]|| ||Theta_u||.  The commutator norms come from
-    the index maps; left and right creation operators commute, so they vanish
-    up to rounding in the weights.
+    max_i sum_u ||[W_i, L_{u~}]|| ||Theta_u||.  With W_i e_x = w(x) e_{t(x)}
+    (t(x) one level up) and l(y, u) the weights of ``_columns``,
+    [W_i, L_{u~}] e_y = w(yu) l(y, u) e_{t(yu)} - l(t(y), u) w(y) e_{t(y)u}
+    for |y| + |u| <= N - 1 (both terms vanish above).  Per level of y each term
+    is injective, so the norm is the largest |difference| where all targets
+    agree, else at most the sum of the two largest weights.  Left and right
+    creation operators commute, so the bound is rounding in the weights.
     """
     f, N = tf.f, tf.N
     theta = tf.theta[:, :, tf.block_words.index(tuple(w))]
-    comm = _commutator_norms(weighted_creation(f, N), weighted_creation(f, N, "right"), N)
-    return float((comm @ np.linalg.norm(theta, 2, axis=(1, 2))).max())
-
-
-def _resolvent_corner(col: Colligation, K: int) -> np.ndarray:
-    """M = (I (x) C^*)(I - Q)^{-1} on the rows of levels <= K.
-
-    M = sum_u L_{u~} (x) C^* Y_u with Y_empty = I and
-    Y_u = sum_{u = v w} sqrt(a_w) D_(w)^* Y_v.  On those rows only |u| <= K
-    and columns of level <= K contribute, so the corner (its other columns
-    vanish) is M at truncation K, whatever the truncation of the transfer row.
-    """
-    return _scatter(_coefficient_table(col, K, col.d_block, col.C.conj().T),
-                    col.triple.f, K)
+    plan = list(_columns(f, N))
+    norms = np.zeros((f.n, enumerate_words(f.n, N).max_level_index(N - 1)))
+    for wi, out in zip(weighted_creation(f, N), norms):
+        for (y, rows, weights), (up, rows_up, weights_up) in zip(plan, plan[1:]):
+            span = rows_up.shape[1]  # the words u with |y| + |u| <= N - 1
+            at = wi.target[y] - up[0]  # t(y) on the level above
+            yu, l_yu = rows[:, :span], weights[:, :span]
+            v1, v2 = wi.weight[yu] * l_yu, wi.weight[y, None] * weights_up[at]
+            agree = (wi.target[yu] == rows_up[at]).all(axis=0)
+            norm = np.where(agree, np.abs(v1 - v2).max(axis=0),
+                            np.abs(v1).max(axis=0) + np.abs(v2).max(axis=0))
+            out[:span] = np.maximum(out[:span], norm)
+    return float((norms @ np.linalg.norm(theta[:norms.shape[1]], 2, axis=(1, 2))).max())
 
 
 def defect_identity_residual(tf: TransferFunction) -> float:
     """Residual of I - phi phi* = M ((I - sum a_w L_{w~} L_{w~}^*) (x) I) M^*.
 
-    M = (I (x) C^*)(I - Q)^{-1}.  The identity is exact on the rows of levels
-    <= K = N - deg f, and both sides are formed on those rows only; N < deg f
-    leaves no such row and raises ValueError.
+    M = (I (x) C^*)(I - Q)^{-1} = sum_u L_{u~} (x) C^* Y_u, Y_empty = I and
+    Y_u = sum_{u = v w} sqrt(a_w) D_(w)^* Y_v.  The identity is exact on the
+    rows of levels <= K = N - deg f, reached only by |u| <= K and columns of
+    level <= K: both sides are table Grams there.  N < deg f raises ValueError.
     """
-    col = tf.colligation
-    f = tf.f
+    col, f = tf.colligation, tf.f
     K = tf.N - f.degree
     if K < 0:
         raise ValueError(f"N = {tf.N} is below deg f = {f.degree}: no level is checked")
-    lam = weighted_creation(f, K, "right")
+    index = enumerate_words(f.n, K).index
+    # the diagonal of sum_w a_w L_{w~} L_{w~}^*: L_{w~} appends w, column index[w]
+    terms = [(index[w], f.coeffs[w]) for w in f.support() if len(w) <= K]
+    lam_gram = np.zeros(len(index))
+    for _, rows, weights in _columns(f, K):
+        for k, a in terms:
+            if k < rows.shape[1]:
+                lam_gram[rows[:, k]] += a * weights[:, k] ** 2
 
-    lam_gram = np.zeros(lam[0].size)  # the diagonal of sum_w a_w L_{w~} L_{w~}^*
-    for w in f.support():
-        lw = shift_word(lam, reverse(w))
-        live = np.flatnonzero(lw.weight)
-        lam_gram[lw.target[live]] += f.coeffs[w] * lw.weight[live] ** 2
-
-    m = _resolvent_corner(col, K)
-    lhs = np.eye(m.shape[0]) - _row_gram(tf, K)
-    rhs = (m * np.repeat(1.0 - lam_gram, col.slot_dim)) @ m.conj().T
+    lhs = np.eye(len(index) * tf.r_out) - _row_gram(tf, K)
+    rhs = _gram(_coefficient_table(col, K, col.d_block, col.C.conj().T), f, K, 1.0 - lam_gram)
     return float(np.linalg.norm(lhs - rhs, 2))
 
 
@@ -313,6 +296,7 @@ def dilation_identity_report(tf: TransferFunction, K1: PoissonKernel,
 
     K is the kernel of T1, K' the kernel of T1'; both are zero-padded into the
     colligation's inner dimensions (pad coordinates carry no content).
+    phi_(w)^* K is read from the table level by level, with no dense block.
     """
     col = tf.colligation
     g, T2 = col.triple.g, col.triple.T2
@@ -323,7 +307,8 @@ def dilation_identity_report(tf: TransferFunction, K1: PoissonKernel,
     for w in g.support():
         c = g.coeffs[w]
         lhs = k1p @ T2.word(w).conj().T
-        rhs = tf.block(w).conj().T @ k1 / np.sqrt(c)
+        theta = tf.theta[:, :, tf.block_words.index(w)]
+        rhs = _row_adjoint(theta, tf.f, tf.N, k1) / np.sqrt(c)
         name = "g" + "".join(str(c_) for c_ in w)
         rep.add_residual(f"kernel_intertwine_{name}", float(np.linalg.norm(lhs - rhs, 2)), tol)
     # the two creation intertwinings accompanying the identity

@@ -45,6 +45,14 @@ def generator_degree(q: Generator) -> int:
     return max((len(w) for w, c in q.items() if c != 0), default=0)
 
 
+def check_generator(q: Generator, n: int) -> None:
+    """Raise ValueError unless every letter is in 1..n and q is not a nonzero constant."""
+    for w in q:
+        check_word(w, n)
+    if generator_degree(q) == 0 and any(c != 0 for c in q.values()):
+        raise ValueError("a nonzero constant generator collapses the model space")
+
+
 def eval_generator(q: Generator, T: OperatorTuple) -> np.ndarray:
     out = np.zeros((T.rows, T.cols), dtype=complex)
     for w, c in q.items():
@@ -165,10 +173,7 @@ def build_variety(f: RegularPolynomial, N: int, generators: list[Generator]) -> 
     homogeneous, else by one SVD of the whole span (module docstring).
     """
     for q in generators:
-        for w in q:
-            check_word(w, f.n)
-        if generator_degree(q) == 0 and any(c != 0 for c in q.values()):
-            raise ValueError("a nonzero constant generator collapses the model space")
+        check_generator(q, f.n)
     table = enumerate_words(f.n, N)
     W = weighted_creation(f, N, "left")
     lam = weighted_creation(f, N, "right")

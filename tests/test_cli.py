@@ -300,12 +300,27 @@ def test_cli_config_without_tol_uses_env(tmp_path, capsys, monkeypatch):
     ("kinds", {"kinds": "abc"}),
     ("variety.generators[0]", {"variety": {"kind": "custom", "generators": [{"1": [1, None]}]}}),
     ("variety.coeffs", {"variety": {"kind": "minpoly", "coeffs": [[1, "x"], 1]}}),
+    ("variety.generators[0]", {"variety": {"kind": "custom", "generators": [{"1,5": 1}]}}),
+    ("variety.generators[0]", {"variety": {"kind": "custom", "generators": [{"": 1}]}}),
+    ("matrices.T2", {"matrices": {"T1": [[[0, 0.5], [0, 0]]],
+                                  "T2": [[[0, 0.25, 0], [0, 0, 0]]]}}),
+    ("variety.coeffs", {"variety": {"kind": "minpoly", "coeffs": [1, 0]}}),
 ])
 def test_cli_malformed_scalar_exit_code(tmp_path, capsys, field, patch):
     rc = main(["--config", scalar_config(tmp_path, **patch), "check-model"])
     err = capsys.readouterr().err
     assert rc == 2
     assert f"error: {field}:" in err
+
+
+@pytest.mark.parametrize("verb", ["dilate", "verify"])
+def test_cli_pair_shape_mismatch_exit_code(tmp_path, capsys, verb):
+    """A 2x3 T2 against a 2x2 T1 exits 2 naming matrices.T2, not a pipeline_error."""
+    mats = {"T1": [[[0, 0.5], [0, 0]]], "T2": [[[0, 0.25, 0], [0, 0, 0]]]}
+    assert main(["--config", scalar_config(tmp_path, matrices=mats), verb]) == 2
+    captured = capsys.readouterr()
+    assert "error: matrices.T2: expected matrices of the shape of matrices.T1" in captured.err
+    assert "pipeline_error" not in captured.out
 
 
 @pytest.mark.parametrize("key, value, field", [

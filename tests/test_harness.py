@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -291,8 +293,9 @@ def test_transfer_checks_stay_on_the_fock_r_out_side(monkeypatch):
 
     ando_dilation and the transfer checks pass eigvalsh, eigh and svd no matrix
     taller than Fock r_out (the padded psi of ando_dilation has Fock r rows),
-    and contraction, multi-analyticity and the defect identity scatter no
-    dense block: ``TransferFunction.block`` fails the test while they run.
+    and contraction, multi-analyticity, the defect identity, the Fourier round
+    trip and the dilation identity scatter no N-level dense block:
+    ``TransferFunction.block`` fails the test while they run.
     """
     shapes = []
     for name in ("eigvalsh", "eigh", "svd"):
@@ -315,17 +318,43 @@ def test_transfer_checks_stay_on_the_fock_r_out_side(monkeypatch):
         col = complete_to_unitary(build_isometry(tr))
         shapes.clear()
         tf = eval_transfer(col, N)
-        values = [contraction_excess(tf), defect_identity_residual(tf),
-                  multi_analytic_residual(tf, (1,))]
+        K1 = poisson_kernel(f_triple, tr.T1, N)
+
+        def checks():
+            return [contraction_excess(tf), defect_identity_residual(tf),
+                    multi_analytic_residual(tf, (1,)), fourier_roundtrip_residual(tf, (1,), 2),
+                    dilation_identity_report(tf, K1, K1).render()]
+
+        values = checks()
         with monkeypatch.context() as m:
             m.setattr(TransferFunction, "block",
                       lambda self, w: pytest.fail(f"dense block {w} scattered"))
-            assert [contraction_excess(tf), defect_identity_residual(tf),
-                    multi_analytic_residual(tf, (1,))] == values
-        fourier_roundtrip_residual(tf, (1,), 2)
-        dilation_identity_report(tf, poisson_kernel(f_triple, tr.T1, N),
-                                 poisson_kernel(f_triple, tr.T1, N))
+            assert checks() == values
         assert shapes and max(s[-2] for s in shapes) <= tf.fock_size * tf.r_out
+
+
+def test_transfer_checks_peak_below_one_dense_block():
+    """Memory guard at twovar shapes (N = 6, r_out 4, r_in 24): under tracemalloc
+    every transfer check and the dilation identity peaks below one dense
+    (Fock r_out) x (Fock r_in) complex block, 508 x 3048 or 24.8 MB."""
+    f_triple = RegularPolynomial(2, {(1,): 1.0, (2,): 1.0, (1, 2): 0.5})
+    N = 6
+    tr = commuting_triple(N + 10, 4, f_triple)
+    tf = eval_transfer(complete_to_unitary(build_isometry(tr)), N)
+    assert (tf.fock_size, tf.r_out, tf.r_in) == (127, 4, 24)
+    block_bytes = tf.fock_size * tf.r_out * tf.fock_size * tf.r_in * 16
+    K1 = poisson_kernel(f_triple, tr.T1, N)
+    for check in (lambda: contraction_excess(tf), lambda: defect_identity_residual(tf),
+                  lambda: multi_analytic_residual(tf, (1,)),
+                  lambda: fourier_roundtrip_residual(tf, (1,), 2),
+                  lambda: dilation_identity_report(tf, K1, K1)):
+        tracemalloc.start()
+        try:
+            check()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < block_bytes
 
 
 def test_choose_truncation_refuses_an_oversized_fock_space(monkeypatch):

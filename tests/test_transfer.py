@@ -9,8 +9,7 @@ from ncdomains.colligation import Colligation
 from ncdomains.domain import (WeightedShift, b_coefficients, coefficient_words, shift_word,
                               weighted_creation)
 from ncdomains.harness import scale_into_domain
-from ncdomains.transfer import (_commutator_norms, _difference_norm, _resolvent_corner,
-                                _row_gram,
+from ncdomains.transfer import (_coefficient_table, _gram, _row_adjoint, _row_gram, _scatter,
                                 contraction_excess, defect_identity_residual,
                                 dilation_identity_report, multi_analytic_residual)
 from ncdomains.words import enumerate_words, reverse
@@ -108,7 +107,7 @@ def test_resolvent_corner_matches_inverse():
         f, N = col.triple.f, 5
         K = N - f.degree
         _, m_ref = dense_resolvent(col, N)
-        m = _resolvent_corner(col, K)
+        m = _scatter(_coefficient_table(col, K, col.d_block, col.C.conj().T), f, K)
         rows, cols = m.shape
         assert np.linalg.norm(m - m_ref[:rows, :cols]) <= 1e-12 * np.linalg.norm(m_ref)
         assert np.linalg.norm(m_ref[:rows, cols:]) <= 1e-12 * np.linalg.norm(m_ref)
@@ -126,7 +125,9 @@ def gram_colligations() -> list[Colligation]:
 
 
 def test_row_gram_matches_dense_blocks():
-    """The table Gram equals the Gram of the stacked dense blocks, on every row level."""
+    """The table Gram equals the Gram of the stacked dense blocks, on every row
+    level, also with a non-constant scale on the column blocks."""
+    rng = np.random.default_rng(0)
     for col in gram_colligations():
         N = 4
         tf = eval_transfer(col, N)
@@ -138,6 +139,30 @@ def test_row_gram_matches_dense_blocks():
                 ref = x @ x.conj().T
                 err = np.linalg.norm(_row_gram(tf, K, words) - ref)
                 assert err <= 1e-13 * np.linalg.norm(ref)
+
+            # sum_y s[y] B_y B_y^*: columns of level > K do not reach these rows
+            size = table.max_level_index(K)
+            scale = rng.standard_normal(size)
+            cols = [tf.block(w)[:rows, :size * tf.r_in] for w in tf.block_words]
+            ref = sum((m * np.repeat(scale, tf.r_in)) @ m.conj().T for m in cols)
+            theta = tf.theta.reshape(len(tf.theta), tf.r_out, -1)
+            err = np.linalg.norm(_gram(theta, col.triple.f, K, scale) - ref)
+            assert err <= 1e-13 * np.linalg.norm(ref)
+
+
+def test_row_adjoint_matches_dense_block():
+    """phi_(w)^* x from the column plan equals the dense block^* x."""
+    rng = np.random.default_rng(1)
+    padded = [col for col in oracle_colligations() if col.fallback_padding][:1]
+    for col in gram_colligations() + padded:
+        N = 4
+        tf = eval_transfer(col, N)
+        x = (rng.standard_normal((tf.fock_size * tf.r_out, 3))
+             + 1j * rng.standard_normal((tf.fock_size * tf.r_out, 3)))
+        for j, w in enumerate(tf.block_words):
+            ref = tf.block(w).conj().T @ x
+            got = _row_adjoint(tf.theta[:, :, j], col.triple.f, N, x)
+            assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 def dense_commutator_norm(tf, w, left) -> float:
@@ -157,57 +182,30 @@ def perturbed(shift: WeightedShift, col: int, scale: float) -> WeightedShift:
     return WeightedShift(shift.target, weight)
 
 
-def test_commutator_norms_match_dense():
-    """Each index-map commutator norm equals the dense one, also for a perturbed
-    weight; a permuted target (targets that disagree) is bounded from above."""
-    f = RegularPolynomial(2, {(1,): 1.0, (2,): 1.0, (1, 2): 0.5})
-    N = 4
-    left, right = weighted_creation(f, N), weighted_creation(f, N, "right")
-    table = enumerate_words(2, N)
-    cols = table.max_level_index(N - 1)
-    swapped = left[0].target.copy()
-    swapped[[1, 2]] = swapped[[2, 1]]
-    cases = [(left, True), ((perturbed(left[0], 3, 1.1), left[1]), True),
-             ((WeightedShift(swapped, left[0].weight), left[1]), False)]
-    for shifts, exact in cases:
-        bound = _commutator_norms(shifts, right, N)
-        for k, u in enumerate(table.words):
-            lu = shift_word(right, reverse(u)).dense()
-            for i, wi in enumerate(shifts):
-                ref = np.linalg.norm((wi.dense() @ lu - lu @ wi.dense())[:, :cols], 2)
-                assert bound[i, k] >= ref - 1e-15
-                if exact:
-                    assert abs(bound[i, k] - ref) <= 1e-15
-    assert _commutator_norms(left, right, N).max() <= 1e-15
-
-    # live sets that differ: x alone is live on column 0, y alone on column 1,
-    # both reaching row 0, so x - y has two entries in one row
-    x = WeightedShift(np.array([0, 1, 2]), np.array([1.0, 0.0, 0.5]))
-    y = WeightedShift(np.array([1, 0, 2]), np.array([0.0, 1.0, 0.5]))
-    ref = np.linalg.norm(x.dense() - y.dense(), 2)
-    assert ref > 1.0 + 1e-3
-    assert _difference_norm(x, y, 3) >= ref
-
-
 def test_multi_analytic_bound_against_dense_commutator(monkeypatch):
     """The bound dominates the dense commutator and becomes nonzero when a shift
-    weight is perturbed."""
+    is disturbed: a weight scaled by 1 + 1e-3 or 1.1, or (n = 2) two targets of
+    one level swapped, so that targets disagree and the sum of weights bounds."""
     for col in gram_colligations():
         f, N = col.triple.f, 4
         tf = eval_transfer(col, N)
-        left, right = weighted_creation(f, N), weighted_creation(f, N, "right")
+        left = weighted_creation(f, N)
         for w in tf.block_words:
             assert multi_analytic_residual(tf, w) <= 1e-14
             assert dense_commutator_norm(tf, w, left) <= 1e-13
-        bad = (perturbed(left[0], 0, 1.0 + 1e-3),) + left[1:]
-        monkeypatch.setattr(transfer, "weighted_creation",
-                            lambda f_, N_, side="left", bad=bad, right=right:
-                            bad if side == "left" else right)
-        for w in tf.block_words:
-            ref = dense_commutator_norm(tf, w, bad)
-            assert ref > 1e-6
-            assert ref <= multi_analytic_residual(tf, w) * (1 + 1e-12)
-        monkeypatch.undo()
+        cases = [(perturbed(left[0], 0, 1.0 + 1e-3),) + left[1:],
+                 left[:-1] + (perturbed(left[-1], 3, 1.1),)]
+        if f.n == 2:  # the targets of the words 1 and 2, both one level up
+            swapped = left[0].target.copy()
+            swapped[[1, 2]] = swapped[[2, 1]]
+            cases.append((WeightedShift(swapped, left[0].weight),) + left[1:])
+        for bad in cases:
+            monkeypatch.setattr(transfer, "weighted_creation", lambda f_, N_, bad=bad: bad)
+            for w in tf.block_words:
+                ref = dense_commutator_norm(tf, w, bad)
+                assert ref > 1e-6
+                assert ref <= multi_analytic_residual(tf, w) * (1 + 1e-12)
+            monkeypatch.undo()
 
 
 def swap_colligation() -> Colligation:
@@ -286,6 +284,9 @@ def test_defect_identity():
         col = complete_to_unitary(build_isometry(tr))
         tf = eval_transfer(col, 5)
         assert defect_identity_residual(tf) <= 1e-8
+    # deg f = 2, so the weights sqrt(b_y / b_{yw}) of L_{w~} are not all 1
+    for col in gram_colligations():
+        assert defect_identity_residual(eval_transfer(col, 4)) <= 1e-12
 
 
 def test_defect_identity_needs_a_checked_level(fib_poly):
