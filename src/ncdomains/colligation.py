@@ -128,22 +128,16 @@ def solve_padding(d1: int, d1p: int, d2: int, m1: int, m2: int) -> tuple[int, in
     return 0, u, v, True
 
 
-def embed_inner(mat: np.ndarray, fock: int, inner_from: int, inner_to: int,
-                axis: int) -> np.ndarray:
-    """Zero-pad the inner (per-Fock-block) dimension of a tensor-shaped matrix.
-
-    Along ``axis``, ``mat`` is ``fock`` blocks of ``inner_from``; each block
-    gets ``inner_to - inner_from`` zeros appended.
+def embed_inner(mat: np.ndarray, fock: int, inner_from: int, inner_to: int) -> np.ndarray:
+    """Zero-pad the inner (per-Fock-block) dimension of the rows of a tensor-shaped
+    matrix: its rows are ``fock`` blocks of ``inner_from``, and each block gets
+    ``inner_to - inner_from`` zero rows appended.
     """
     if inner_from == inner_to:
         return mat
-    if axis == 0:
-        out = np.zeros((fock, inner_to, mat.shape[1]), dtype=complex)
-        out[:, :inner_from] = mat.reshape(fock, inner_from, mat.shape[1])
-        return out.reshape(fock * inner_to, mat.shape[1])
-    out = np.zeros((mat.shape[0], fock, inner_to), dtype=complex)
-    out[:, :, :inner_from] = mat.reshape(mat.shape[0], fock, inner_from)
-    return out.reshape(mat.shape[0], fock * inner_to)
+    out = np.zeros((fock, inner_to, mat.shape[1]), dtype=complex)
+    out[:, :inner_from] = mat.reshape(fock, inner_from, mat.shape[1])
+    return out.reshape(fock * inner_to, mat.shape[1])
 
 
 @dataclass(frozen=True)
@@ -214,12 +208,12 @@ def complete_to_unitary(partial: PartialIsometry) -> Colligation:
     e, uu, vv, fallback = solve_padding(d1, d1p, d2, m1, m2)
 
     dom = np.vstack([
-        embed_inner(partial.domain_vectors[:d1], 1, d1, d1 + uu, axis=0),
-        embed_inner(partial.domain_vectors[d1:], m1, d2, d2 + e, axis=0),
+        embed_inner(partial.domain_vectors[:d1], 1, d1, d1 + uu),
+        embed_inner(partial.domain_vectors[d1:], m1, d2, d2 + e),
     ])
     ran = np.vstack([
-        embed_inner(partial.range_vectors[:m2 * d1p], m2, d1p, d1p + vv, axis=0),
-        embed_inner(partial.range_vectors[m2 * d1p:], 1, d2, d2 + e, axis=0),
+        embed_inner(partial.range_vectors[:m2 * d1p], m2, d1p, d1p + vv),
+        embed_inner(partial.range_vectors[m2 * d1p:], 1, d2, d2 + e),
     ])
     total = dom.shape[0]
 
@@ -261,8 +255,7 @@ def complete_to_unitary(partial: PartialIsometry) -> Colligation:
 def _delta1_hat(col: Colligation) -> np.ndarray:
     p = col.partial
     d1 = col.dims["d1"]
-    return embed_inner(p.d1_defect.coords(p.d1_defect.delta), 1, d1,
-                       d1 + col.dims["pad_u"], axis=0)
+    return embed_inner(p.d1_defect.coords(p.d1_defect.delta), 1, d1, d1 + col.dims["pad_u"])
 
 
 def series_terms(col: Colligation, p_max: int) -> list[np.ndarray]:
@@ -332,8 +325,7 @@ def series_oracle(col: Colligation, p_max: int) -> VerificationReport:
         lhs_blocks.append(np.sqrt(c) * p.d1p_defect.coords(
             p.d1p_defect.delta @ T2.word(w).conj().T))
     d1p = col.dims["d1p"]
-    lhs = embed_inner(np.vstack(lhs_blocks), len(lhs_blocks), d1p,
-                      d1p + col.dims["pad_v"], axis=0)
+    lhs = embed_inner(np.vstack(lhs_blocks), len(lhs_blocks), d1p, d1p + col.dims["pad_v"])
     residual = float(np.linalg.norm(lhs - rhs, 2))
     tail = float(np.linalg.norm(phi_identity_power(f, T1, p_max + 2), 2)) ** 0.5
     rep.add_residual("series_vs_intertwining", residual, max(tol, tail + tol))

@@ -13,11 +13,13 @@ T1 compresses the dilation back to the pair, which yields
 
 for every matrix of polynomials in the two tuples, and the analogous bound
 with the roles of T1 and T2 swapped (the harness reports the minimum).
+A ``PairDilation`` stores the coefficient table of the transfer function, the
+kernel and the variety model (if any); W comes from f and N as index maps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,8 +29,8 @@ from .domain import (OperatorTuple, RegularPolynomial, apply_phi, kron_identity_
                      purity_horizon, weighted_creation)
 from .poisson import poisson_kernel
 from .report import VerificationReport
-from .transfer import (TransferFunction, _row_gram, _row_norm, dilation_identity_report,
-                       eval_transfer, multi_analytic_residual)
+from .transfer import (TransferFunction, _row_adjoint, _row_gram, _row_norm, _scatter,
+                       dilation_identity_report, eval_transfer, multi_analytic_residual)
 from .variety import VarietyModel
 from .words import Word, check_word
 
@@ -253,21 +255,45 @@ def random_commuting_pair(seed: int, dim: int, kind: str,
 
 @dataclass(frozen=True)
 class PairDilation:
-    """(left, right) dilation of (T1, T2) with the compressing kernel."""
+    """The dilation of (T1, T2), each object stored once (module docstring);
+    ``left`` and ``right`` build the dense tuples on each read: bind them once."""
 
     pair: CommutingPair
     N: int
-    left: OperatorTuple    # W_i (x) I_r (or compressed to a variety model)
-    right: OperatorTuple   # psi_j, square on the same space
     kernel: np.ndarray     # columns: the (padded/compressed) Poisson kernel of T1
-    transfer: TransferFunction = field(repr=False)
-    variety: VarietyModel | None = field(default=None, repr=False)
-    report: VerificationReport = field(default_factory=lambda: VerificationReport("dilation"))
+    transfer: TransferFunction
+    variety: VarietyModel | None
+    report: VerificationReport
 
     @property
     def multiplicity(self) -> int:
         """Common inner dimension r of the dilation space (Fock) (x) C^r."""
         return max(self.transfer.r_out, self.transfer.r_in)
+
+    @property
+    def left(self) -> OperatorTuple:
+        """W_i (x) I_r, or B_i (x) I_r = (P (x) I) (W_i (x) I_r) (P (x) I)^* on a variety model."""
+        eye = np.eye(self.multiplicity)
+        if self.variety is not None:
+            return OperatorTuple(tuple(np.kron(b, eye) for b in self.variety.left.mats))
+        return OperatorTuple(tuple(w.dense(eye) for w in weighted_creation(self.pair.f, self.N)))
+
+    @property
+    def right(self) -> OperatorTuple:
+        """psi_j = phi_(j) / sqrt(c_j) for the words (j,) of g: the table padded to
+        r x r and scattered, or on a variety model X^* psi_j X with X = basis (x) I_r,
+        read from the table as (psi_j^* X)^* X with no dense block."""
+        tf, g, r = self.transfer, self.pair.g, self.multiplicity
+        table = np.zeros((tf.fock_size, r, r), dtype=complex)
+        x = None if self.variety is None else np.kron(self.variety.basis, np.eye(r))
+        psi = []
+        for j in range(1, g.n + 1):
+            table[:, :tf.r_out, :tf.r_in] = tf.theta[:, :, tf.block_words.index((j,))]
+            m = _scatter(table, tf.f, tf.N) if x is None else kron_identity_matmul(
+                self.variety.basis.conj().T, _row_adjoint(table, tf.f, tf.N, x)).conj().T
+            m /= np.sqrt(g.coeffs[(j,)])  # in place: no second copy of the block
+            psi.append(m)
+        return OperatorTuple(tuple(psi))
 
 
 def choose_truncation(f: RegularPolynomial, T: OperatorTuple) -> int:
@@ -292,16 +318,18 @@ def ando_dilation(pair: CommutingPair, N: int | None = None,
     The transfer blocks of the degree-one words of g, divided by the square
     roots of their coefficients, are embedded into a common inner dimension
     r = max(r_out, r_in); padding coordinates carry no content, so the
-    compression identities are unaffected.
+    compression identities are unaffected.  The dilation keeps the table and
+    builds the dense psi only when ``right`` is read.
 
     psi_ellipsoid_min_eig is the least eigenvalue of I - sum_j c_j psi_j psi_j^*,
     1 - lambda_max of the Gram of the content rows: the padded rows only add
     the eigenvalue 1.  Without a variety model the Gram comes from the
-    coefficient table (transfer._row_gram).
+    coefficient table (transfer._row_gram), with one from the compressed psi_j
+    (its padded rows are zero).
 
     psi{j}_multi_analytic checks the shift structure of the table, the bound
-    of transfer.multi_analytic_residual, not the dense psi returned as
-    ``right``; nothing in this report compares the dense psi with the table.
+    of transfer.multi_analytic_residual, not the dense psi read as ``right``;
+    nothing in this report compares the dense psi with the table.
     """
     f, g, T1, T2 = pair.f, pair.g, pair.T1, pair.T2
     N = N if N is not None else choose_truncation(f, T1)
@@ -310,38 +338,17 @@ def ando_dilation(pair: CommutingPair, N: int | None = None,
     tf = eval_transfer(col, N)
 
     r = max(tf.r_out, tf.r_in)
-    size = tf.fock_size
-    psi = []
-    for j in range(1, g.n + 1):
-        blk = tf.block((j,))
-        blk = embed_inner(blk, size, tf.r_out, r, axis=0)
-        blk = embed_inner(blk, size, tf.r_in, r, axis=1)
-        psi.append(blk / np.sqrt(g.coeffs[(j,)]))
     K1 = poisson_kernel(f, T1, N)
-    kmat = embed_inner(K1.matrix, size, K1.multiplicity, r, axis=0)
-    left = [w.dense(np.eye(r)) for w in weighted_creation(f, N)]
-
+    kmat = embed_inner(K1.matrix, tf.fock_size, K1.multiplicity, r)
     if variety is not None:
         if variety.N != N or variety.f.coeffs != f.coeffs:
             raise ValueError("variety model must be built from f at the dilation truncation")
-        p_h = variety.basis.conj().T
-
-        def compress(m: np.ndarray) -> np.ndarray:
-            """(P (x) I) m (P (x) I)^* with P = basis^*."""
-            return kron_identity_matmul(p_h, kron_identity_matmul(p_h, m).conj().T).conj().T
-
-        left = [compress(m) for m in left]
-        psi = [compress(m) for m in psi]
-        kmat = kron_identity_matmul(p_h, kmat)
-        dim = p_h.shape[0]
-        content = np.hstack([np.sqrt(g.coeffs[(j,)]) * m.reshape(dim, r, -1)[:, :tf.r_out]
-                             .reshape(dim * tf.r_out, -1) for j, m in enumerate(psi, 1)])
-        gram = content @ content.conj().T
-    else:
-        gram = _row_gram(tf, N, [(j,) for j in range(1, g.n + 1)])
-
+        kmat = kron_identity_matmul(variety.basis.conj().T, kmat)
     rep = VerificationReport("pair-dilation", environment={
         "N": str(N), "r": str(r), "kind": pair.kind, "seed": str(pair.seed)})
+    dil = PairDilation(pair=pair, N=N, kernel=kmat, transfer=tf, variety=variety, report=rep)
+    gram = (_row_gram(tf, N, [(j,) for j in range(1, g.n + 1)]) if variety is None else
+            sum(g.coeffs[(j,)] * (m @ m.conj().T) for j, m in enumerate(dil.right.mats, 1)))
     rep.extend(colligation_report(col), prefix="colligation_")
     rep.add_residual("kernel_isometry",
                      float(np.linalg.norm(kmat.conj().T @ kmat - np.eye(T1.dim), 2)),
@@ -352,10 +359,7 @@ def ando_dilation(pair: CommutingPair, N: int | None = None,
         rep.add_residual(f"psi{j}_multi_analytic", multi_analytic_residual(tf, (j,)),
                          max(tol, 1e-7))
     rep.add_slack("psi_ellipsoid_min_eig", 1.0 - float(np.linalg.eigvalsh(gram)[-1]), 1e-8)
-
-    return PairDilation(pair=pair, N=N, left=OperatorTuple(tuple(left)),
-                        right=OperatorTuple(tuple(psi)), kernel=kmat,
-                        transfer=tf, variety=variety, report=rep)
+    return dil
 
 
 def compression_residual(dil: PairDilation, p: BiPolynomial) -> float:
@@ -416,17 +420,18 @@ def verify_inequality(pair: CommutingPair, polys: list[BiPolynomial],
     rep = VerificationReport("inequality-battery",
                              environment={"battery": BATTERY_VERSION,
                                           "kind": pair.kind, "seed": str(pair.seed)})
+    left, right = dil.left, dil.right
+    swapped = None if dil_swapped is None else (dil_swapped.right, dil_swapped.left)
     for p in polys:
         if p.hermitian:
             lhs = float(np.linalg.eigvalsh(p.eval(pair.T1, pair.T2)).max())
-            rhs = float(np.linalg.eigvalsh(p.eval(dil.left, dil.right)).max())
+            rhs = float(np.linalg.eigvalsh(p.eval(left, right)).max())
             rep.add_slack(f"eig_slack_{p.name}", rhs - lhs, tol)
             continue
         lhs = float(np.linalg.norm(p.eval(pair.T1, pair.T2), 2))
-        rhs = float(np.linalg.norm(p.eval(dil.left, dil.right), 2))
-        if dil_swapped is not None:
-            rhs = min(rhs, float(np.linalg.norm(
-                p.eval(dil_swapped.right, dil_swapped.left), 2)))
+        rhs = float(np.linalg.norm(p.eval(left, right), 2))
+        if swapped is not None:
+            rhs = min(rhs, float(np.linalg.norm(p.eval(*swapped), 2)))
         rep.add_slack(f"norm_slack_{p.name}", rhs - lhs, tol)
     return rep
 

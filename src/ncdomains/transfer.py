@@ -19,8 +19,8 @@ Every reader of the row follows one column plan (``_columns``):
 L_{u~} e_y = sqrt(b_y / b_{yu}) e_{yu}, the row of yu arithmetic in graded-lex
 order.  The checks (row Gram, defect identity, phi^* K, multi-analyticity
 bound) read it level by level.  Only ``_scatter`` forms dense blocks: the
-N-level ``TransferFunction.block`` for the psi of ando_dilation, and the
-small truncation-min(M, N - M) blocks of the Fourier round trip.
+N-level psi of a ``PairDilation.right`` read and ``TransferFunction.block``,
+and the small truncation-min(M, N - M) blocks of the Fourier round trip.
 
 Tensor convention throughout: np.kron(Fock factor, inner factor).
 """
@@ -302,8 +302,8 @@ def dilation_identity_report(tf: TransferFunction, K1: PoissonKernel,
     g, T2 = col.triple.g, col.triple.T2
     rep = VerificationReport("dilation-identity",
                              environment={"N": str(tf.N), **INTERPRETIVE_FLAGS})
-    k1 = embed_inner(K1.matrix, tf.fock_size, K1.multiplicity, tf.r_out, axis=0)
-    k1p = embed_inner(K1p.matrix, tf.fock_size, K1p.multiplicity, tf.r_in, axis=0)
+    k1 = embed_inner(K1.matrix, tf.fock_size, K1.multiplicity, tf.r_out)
+    k1p = embed_inner(K1p.matrix, tf.fock_size, K1p.multiplicity, tf.r_in)
     for w in g.support():
         c = g.coeffs[w]
         lhs = k1p @ T2.word(w).conj().T

@@ -62,14 +62,14 @@ def eval_generator(q: Generator, T: OperatorTuple) -> np.ndarray:
 
 
 def _generator_columns(q: Generator, W: tuple[WeightedShift, ...],
-                       cols: slice) -> np.ndarray:
-    """The columns q(W) e_v for the Fock indices v in cols, scattered from the shifts W_w."""
+                       cols: slice, rows: slice) -> np.ndarray:
+    """Rows ``rows`` (holding every live target) of the columns q(W) e_v, v in cols."""
     idx = np.arange(W[0].size)[cols]
-    out = np.zeros((W[0].size, idx.size), dtype=complex)
+    out = np.zeros((rows.stop - rows.start, idx.size), dtype=complex)
     for w, c in q.items():
         if c != 0:
             s = shift_word(W, w)
-            out[s.target[idx], np.arange(idx.size)] += c * s.weight[idx]
+            out[s.target[idx] - rows.start, np.arange(idx.size)] += c * s.weight[idx]
     return out
 
 
@@ -140,7 +140,7 @@ def _graded_complement(table: WordTable, W: tuple[WeightedShift, ...],
             cand[w.target[prev] - cur.start, i * d:(i + 1) * d] = below / w.weight[prev, None]
         frame = np.linalg.qr(cand)[0]
         gens = [np.zeros((cand.shape[0], 0), dtype=complex)]
-        gens += [_generator_columns(q, W, table.level_slice(m - dq))[cur]
+        gens += [_generator_columns(q, W, table.level_slice(m - dq), cur)
                  for q, dq in live if dq <= m]
         below = canonical_phases(frame @ _split_span(frame.conj().T @ np.hstack(gens)))
         levels.append(below)
@@ -157,7 +157,8 @@ def _span_complement(table: WordTable, W: tuple[WeightedShift, ...],
     """N_J for any generators: one SVD of {W_u q(W) e_v : |u| + deg q + |v| <= N}."""
     cols = [np.zeros((len(table), 0), dtype=complex)]
     for q, dq in live:
-        qw = _generator_columns(q, W, slice(0, table.max_level_index(table.N - dq)))
+        qw = _generator_columns(q, W, slice(0, table.max_level_index(table.N - dq)),
+                                slice(0, len(table)))
         for u in table.words:
             if len(u) > table.N - dq:
                 break

@@ -3,12 +3,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import ncdomains.harness
+import ncdomains.transfer
 from ncdomains import (BiPolynomial, OperatorTuple,
                        RegularPolynomial, ando_dilation, build_isometry, build_variety,
                        builtin_bipolynomials, builtin_hermitian, builtin_matrix_polys,
                        complete_to_unitary, domain_membership, grid_sup_norm,
                        poisson_kernel, random_commuting_pair, run_battery,
                        verify_inequality)
+from ncdomains.colligation import embed_inner
+from ncdomains.domain import kron_identity_matmul, weighted_creation
 from ncdomains.harness import (MAX_CHOSEN_WORDS, CommutingPair, choose_truncation,
                                commutant_lifting, compression_residual,
                                cross_commutation_residual, scale_into_domain,
@@ -257,9 +261,10 @@ def check_value(rep, name: str) -> float:
     return next(c.value for c in rep.checks if c.name == name)
 
 
-def test_psi_ellipsoid_gap_matches_dense_membership():
-    """1 - lambda_max of the content-row Gram equals the least eigenvalue of the
-    dense padded gap, with and without a variety model."""
+def psi_dilations() -> list:
+    """Dilations with and without a variety model: n = 1 and n = 2, padded rows
+    (r_in > r_out), a g with two degree-one blocks, and the monomial generator
+    Z1 Z2, whose model space is not symmetric: there B_i and C_i differ."""
     pair = random_commuting_pair(17, 3, "upper-triangular-commuting", Z, Z)
     dil = ando_dilation(pair)
     roots = list(np.linalg.eigvals(pair.T1.mats[0]))
@@ -280,22 +285,68 @@ def test_psi_ellipsoid_gap_matches_dense_membership():
     dil3 = ando_dilation(pair3)
     dils += [dil3, ando_dilation(pair3, N=dil3.N,
                                  variety=build_variety(Z, dil3.N, [minpoly_generator([0.0] * 4)]))]
+    e = np.eye(3)  # T1_1 T1_2 = 0
+    T1 = scale_into_domain(f2, OperatorTuple((np.outer(e[1], e[2]), np.outer(e[0], e[1]))), 0.9)
+    pair4 = CommutingPair(f2, Z, T1, OperatorTuple((0.5 * e,)))
+    monomial = build_variety(f2, 4, [{(1, 2): 1.0}])
+    assert not np.allclose(monomial.left.mats[0], monomial.right.mats[0])
+    dils += [ando_dilation(pair4, N=4), ando_dilation(pair4, N=4, variety=monomial)]
     assert any(d.transfer.r_in > d.transfer.r_out for d in dils)  # padded rows occur
-    for d in dils:
+    return dils
+
+
+def test_psi_ellipsoid_gap_matches_dense_membership():
+    """1 - lambda_max of the content-row Gram equals the least eigenvalue of the
+    dense padded gap, with and without a variety model."""
+    for d in psi_dilations():
         g = d.pair.g
         assert all(len(w) == 1 for w in g.coeffs)
         dense = domain_membership(g, d.right).min_eig_ellipsoid
         assert abs(check_value(d.report, "psi_ellipsoid_min_eig") - dense) <= 1e-12
 
 
+def dense_views(d) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The oracle of ``left`` and ``right``: W_i (x) I_r as dense matrices, the
+    scattered blocks phi_(j) zero-padded to r x r over sqrt(c_j), and on a variety
+    model both compressed by (P (x) I) m (P (x) I)^*, P = basis^*."""
+    tf, g, r = d.transfer, d.pair.g, d.multiplicity
+    left = [w.dense(np.eye(r)) for w in weighted_creation(d.pair.f, d.N)]
+    right = []
+    for j in range(1, g.n + 1):
+        blk = embed_inner(tf.block((j,)), tf.fock_size, tf.r_out, r)
+        blk = embed_inner(blk.T, tf.fock_size, tf.r_in, r).T
+        right.append(blk / np.sqrt(g.coeffs[(j,)]))
+    if d.variety is None:
+        return left, right
+    p_h = d.variety.basis.conj().T
+
+    def compress(m: np.ndarray) -> np.ndarray:
+        return kron_identity_matmul(p_h, kron_identity_matmul(p_h, m).conj().T).conj().T
+
+    return [compress(m) for m in left], [compress(m) for m in right]
+
+
+def test_dilation_views_match_dense_construction():
+    """``left`` and ``right`` against the dense oracle: bitwise without a variety
+    model, 1e-13 relative with one (B_i (x) I_r and X^* psi_j X take other paths)."""
+    for d in psi_dilations():
+        left, right = dense_views(d)
+        for got, want in zip(d.left.mats + d.right.mats, left + right, strict=True):
+            assert got.shape == want.shape
+            if d.variety is None:
+                assert np.array_equal(got, want)
+            else:
+                assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
 def test_transfer_checks_stay_on_the_fock_r_out_side(monkeypatch):
     """Complexity guard on twovar-shaped inputs at N = 4..6.
 
     ando_dilation and the transfer checks pass eigvalsh, eigh and svd no matrix
-    taller than Fock r_out (the padded psi of ando_dilation has Fock r rows),
-    and contraction, multi-analyticity, the defect identity, the Fourier round
-    trip and the dilation identity scatter no N-level dense block:
-    ``TransferFunction.block`` fails the test while they run.
+    taller than Fock r_out, and contraction, multi-analyticity, the defect
+    identity, the Fourier round trip and the dilation identity scatter no
+    N-level dense block: ``TransferFunction.block`` fails the test while they
+    run.  ando_dilation scatters nothing: ``_scatter`` fails the test as well.
     """
     shapes = []
     for name in ("eigvalsh", "eigh", "svd"):
@@ -308,8 +359,9 @@ def test_transfer_checks_stay_on_the_fock_r_out_side(monkeypatch):
     f_triple = RegularPolynomial(2, {(1,): 1.0, (2,): 1.0, (1, 2): 0.5})
     for N in (4, 5, 6):
         tr = commuting_triple(N, 4, f_pair)
+        pair = CommutingPair(f_pair, Z, tr.T1, tr.T2)
         shapes.clear()
-        dil = ando_dilation(CommutingPair(f_pair, Z, tr.T1, tr.T2), N=N)
+        dil = ando_dilation(pair, N=N)
         assert dil.report.passed, dil.report.render()
         assert dil.transfer.r_in > dil.transfer.r_out
         assert shapes and max(s[-2] for s in shapes) <= dil.transfer.fock_size * dil.transfer.r_out
@@ -330,6 +382,10 @@ def test_transfer_checks_stay_on_the_fock_r_out_side(monkeypatch):
             m.setattr(TransferFunction, "block",
                       lambda self, w: pytest.fail(f"dense block {w} scattered"))
             assert checks() == values
+            for module in (ncdomains.transfer, ncdomains.harness):  # each binds its own name
+                m.setattr(module, "_scatter", raising=False,
+                          value=lambda table, f, K: pytest.fail(f"level-{K} block scattered"))
+            assert ando_dilation(pair, N=N).report.render() == dil.report.render()
         assert shapes and max(s[-2] for s in shapes) <= tf.fock_size * tf.r_out
 
 
@@ -355,6 +411,24 @@ def test_transfer_checks_peak_below_one_dense_block():
         finally:
             tracemalloc.stop()
         assert peak < block_bytes
+
+
+def test_ando_dilation_peak_below_one_padded_psi_block():
+    """Memory guard at the twovar pair shape (f = z1 + z2, N = 6, r = 8): under
+    tracemalloc ando_dilation peaks below one padded psi block, 1016 x 1016
+    complex or 16.5 MB, and the dilation it returns holds less than 1 MB."""
+    f_pair = RegularPolynomial(2, {(1,): 1.0, (2,): 1.0})
+    tr = commuting_triple(6, 4, f_pair)
+    pair = CommutingPair(f_pair, Z, tr.T1, tr.T2)
+    tracemalloc.start()
+    try:
+        dil = ando_dilation(pair, N=6)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (dil.transfer.fock_size, dil.multiplicity) == (127, 8)
+    assert peak < (127 * 8) ** 2 * 16
+    assert retained < 1e6
 
 
 def test_choose_truncation_refuses_an_oversized_fock_space(monkeypatch):

@@ -38,9 +38,6 @@ ALLOWED = {
     "domain.domain_membership(tol)",
     "harness.CommutingPair.kind",
     "harness.CommutingPair.seed",
-    "harness.PairDilation.transfer",
-    "harness.PairDilation.variety",
-    "harness.PairDilation.report",
     "harness.ando_dilation(N)",
     "harness.ando_dilation(variety)",
     "harness.ando_dilation(tol)",
