@@ -18,7 +18,7 @@ Layers:
 
 from .domain import (OperatorTuple, RegularPolynomial, WeightedShift,
                      apply_phi, b_coefficients, block_count,
-                     coefficient_words, domain_membership, flip_unitary,
+                     coefficient_words, domain_membership,
                      phi_identity_power, purity_horizon,
                      shift_word, weighted_creation)
 from .colligation import (Colligation, IntertwiningTriple, PartialIsometry,
@@ -33,7 +33,7 @@ from .report import CheckRecord, VerificationReport, parse_report
 from .transfer import (TransferFunction, dilation_identity_report, eval_transfer,
                        fourier_coefficients, fourier_roundtrip_residual)
 from .variety import (VarietyModel, build_variety, commutator_generators,
-                      constrained_poisson, kappa_eval, minpoly_generator,
+                      constrained_poisson, minpoly_generator,
                       verify_constrained_kernel)
 from .words import EMPTY, Word, WordTable, enumerate_words, words_of_lengths
 

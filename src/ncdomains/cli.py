@@ -11,8 +11,9 @@ A command-line flag sets its knob unless the config file sets the same key;
 then the config file wins and a warning names both values.  A tolerance set
 by neither comes from the NCDOMAINS_TOL environment variable (default 1e-9).
 Flags, config keys and NCDOMAINS_TOL share one range rule (count >= 1, dims
-nonempty with every dims[i] >= 1, N >= 0, tol finite and >= 0); a value
-outside it exits with code 2 and a message naming the flag, key or variable.
+nonempty with every dims[i] >= 1, N >= 0, seed >= 0, tol finite and >= 0); a
+value outside it exits with code 2 and a message naming the flag, key or
+variable.
 Some checks have a tolerance floor (1e-9 for the kernel checks of
 check-model, 1e-6 for the inequality checks of verify and battery); when it
 replaces a tolerance the user gave, a warning on stderr names both values.

@@ -164,9 +164,9 @@ def _at_least(low: int, value, where: str) -> None:
 def check_range(key: str, value, where: str) -> None:
     """The range rule of the numeric knobs, for config keys, flags and NCDOMAINS_TOL.
 
-    count >= 1, dims nonempty with every dims[i] >= 1, N >= 0, tol finite and
-    >= 0; other keys are unrestricted.  A violation raises ConfigError naming
-    ``where``.
+    count >= 1, dims nonempty with every dims[i] >= 1, N >= 0, seed >= 0, tol
+    finite and >= 0; other keys are unrestricted.  A violation raises
+    ConfigError naming ``where``.
     """
     if key == "tol":
         if not (math.isfinite(value) and value >= 0.0):
@@ -178,7 +178,7 @@ def check_range(key: str, value, where: str) -> None:
             _at_least(1, d, f"{where}[{i}]")
     elif key == "count":
         _at_least(1, value, where)
-    elif key == "N":
+    elif key in ("N", "seed"):
         _at_least(0, value, where)
 
 

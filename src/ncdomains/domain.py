@@ -61,9 +61,6 @@ class RegularPolynomial:
         """Coefficient words in graded-lex order."""
         return [w for w in words_of_lengths(self.n, 1, self.degree) if w in self.coeffs]
 
-    def reversed(self) -> "RegularPolynomial":
-        return RegularPolynomial(self.n, {w[::-1]: a for w, a in self.coeffs.items()})
-
     @staticmethod
     def single_variable(coeffs: list[float]) -> "RegularPolynomial":
         """One indeterminate; coeffs[j] is the coefficient of Z^{j+1}."""
@@ -255,15 +252,6 @@ def weighted_left_creation(f: RegularPolynomial, N: int) -> tuple[WeightedShift,
     per-layer metric on it.
     """
     return weighted_creation(f, N, "left")
-
-
-def flip_unitary(n: int, N: int) -> np.ndarray:
-    """The basis permutation e_w -> e_{reverse(w)} on the truncated Fock space."""
-    table = enumerate_words(n, N)
-    u = np.zeros((len(table), len(table)))
-    for j, w in enumerate(table.words):
-        u[table.index[w[::-1]], j] = 1.0
-    return u
 
 
 def apply_phi(f: RegularPolynomial, T: OperatorTuple,

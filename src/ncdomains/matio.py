@@ -48,11 +48,6 @@ def parse_matrix(text: str) -> np.ndarray:
     return data.reshape(rows, cols)
 
 
-def write_matrix(path: str, mat: np.ndarray) -> None:
-    with open(path, "w") as fh:
-        fh.write(dump_matrix(mat))
-
-
 def read_matrix(path: str) -> np.ndarray:
     with open(path) as fh:
         return parse_matrix(fh.read())

@@ -58,10 +58,6 @@ class VerificationReport:
     def passed(self) -> bool:
         return all(rec.passed for rec in self.checks)
 
-    def worst(self, kind: str = "residual") -> float:
-        vals = [rec.value for rec in self.checks if rec.kind == kind]
-        return max(vals) if kind == "residual" else min(vals, default=0.0)
-
     def lines(self) -> list[str]:
         out = [f"report {self.name}"]
         out.extend(f"env {k}={self.environment[k]}" for k in sorted(self.environment))

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import (OperatorTuple, RegularPolynomial, WeightedShift, b_coefficients,
+from .domain import (OperatorTuple, RegularPolynomial, WeightedShift,
                      kron_identity_matmul, phi_identity_power, shift_word,
                      weighted_creation)
 from .poisson import PoissonKernel, add_gram_check, canonical_phases
@@ -245,37 +245,3 @@ def verify_constrained_kernel(ck: ConstrainedKernel, tol: float = 1e-9) -> Verif
     rep.environment["tail_leak"] = repr(leak)
     add_gram_check(rep, ck.matrix, f, T, N, tol, edge)
     return rep
-
-
-def kappa_eval(f: RegularPolynomial, mu: list[complex], lam: list[complex],
-               M: int) -> tuple[complex, complex, float]:
-    """Reproducing-kernel value at two domain points, three ways.
-
-    Returns (closed, partial, tail_bound):
-      closed  = 1 / (1 - sum_w a_w mu_w conj(lam)_w),
-      partial = sum_{|w| <= M} b_w mu_w conj(lam)_w,
-      tail_bound = t^(floor(M/k)+1) / (1 - t) with
-      t = sum_w a_w |mu_w| |lam_w| < 1 (raises otherwise).
-    """
-    if len(mu) != f.n or len(lam) != f.n:
-        raise ValueError("points must have one coordinate per indeterminate")
-
-    def point_word(pt: list[complex], w: Word) -> complex:
-        out = 1.0 + 0.0j
-        for c in w:
-            out *= pt[c - 1]
-        return out
-
-    s = sum(a * point_word(mu, w) * np.conj(point_word(lam, w))
-            for w, a in f.coeffs.items())
-    t = sum(a * abs(point_word(mu, w)) * abs(point_word(lam, w))
-            for w, a in f.coeffs.items())
-    if t >= 1.0:
-        raise ValueError(f"points outside the open scalar domain (t = {t:.6f})")
-    closed = 1.0 / (1.0 - s)
-    b = b_coefficients(f, M)
-    table = enumerate_words(f.n, M)
-    partial = sum(b[w] * point_word(mu, w) * np.conj(point_word(lam, w))
-                  for w in table.words)
-    tail = float(t) ** (M // f.degree + 1) / (1.0 - float(t))
-    return complex(closed), complex(partial), float(tail)

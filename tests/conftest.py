@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from ncdomains import OperatorTuple, RegularPolynomial, enumerate_words, weighted_creation
+from ncdomains import (BiPolynomial, OperatorTuple, PairDilation, RegularPolynomial,
+                       b_coefficients, enumerate_words, weighted_creation)
 from ncdomains.harness import scale_into_domain
 from ncdomains.variety import VarietyModel
+from ncdomains.words import Word
 
 
 def f_battery() -> list[RegularPolynomial]:
@@ -60,6 +62,47 @@ def power_pair_tuple() -> tuple[RegularPolynomial, OperatorTuple]:
     rng = np.random.default_rng(0)
     a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     return f, scale_into_domain(f, OperatorTuple((a, a @ a)), 0.4)
+
+
+def compression_residual(dil: PairDilation, p: BiPolynomial) -> float:
+    """|| p(T1, T2) - K^* p(left, psi) K || (exact for nilpotent pairs)."""
+    lhs = p.eval(dil.pair.T1, dil.pair.T2)
+    rhs = dil.kernel.conj().T @ p.eval(dil.left, dil.right) @ dil.kernel
+    return float(np.linalg.norm(lhs - rhs, 2))
+
+
+def kappa_eval(f: RegularPolynomial, mu: list[complex], lam: list[complex],
+               M: int) -> tuple[complex, complex, float]:
+    """Reproducing-kernel value at two domain points, three ways.
+
+    Returns (closed, partial, tail_bound):
+      closed  = 1 / (1 - sum_w a_w mu_w conj(lam)_w),
+      partial = sum_{|w| <= M} b_w mu_w conj(lam)_w,
+      tail_bound = t^(floor(M/k)+1) / (1 - t) with
+      t = sum_w a_w |mu_w| |lam_w| < 1 (raises otherwise).
+    """
+    if len(mu) != f.n or len(lam) != f.n:
+        raise ValueError("points must have one coordinate per indeterminate")
+
+    def point_word(pt: list[complex], w: Word) -> complex:
+        out = 1.0 + 0.0j
+        for c in w:
+            out *= pt[c - 1]
+        return out
+
+    s = sum(a * point_word(mu, w) * np.conj(point_word(lam, w))
+            for w, a in f.coeffs.items())
+    t = sum(a * abs(point_word(mu, w)) * abs(point_word(lam, w))
+            for w, a in f.coeffs.items())
+    if t >= 1.0:
+        raise ValueError(f"points outside the open scalar domain (t = {t:.6f})")
+    closed = 1.0 / (1.0 - s)
+    b = b_coefficients(f, M)
+    table = enumerate_words(f.n, M)
+    partial = sum(b[w] * point_word(mu, w) * np.conj(point_word(lam, w))
+                  for w in table.words)
+    tail = float(t) ** (M // f.degree + 1) / (1.0 - float(t))
+    return complex(closed), complex(partial), float(tail)
 
 
 @pytest.fixture

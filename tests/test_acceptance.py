@@ -13,20 +13,19 @@ from ncdomains import (IntertwiningTriple, OperatorTuple, RegularPolynomial,
                        apply_phi, b_coefficients, build_isometry, build_variety,
                        commutator_generators, complete_to_unitary,
                        constrained_poisson, domain_membership, eval_transfer,
-                       kappa_eval, minpoly_generator, poisson_kernel,
+                       minpoly_generator, poisson_kernel,
                        phi_identity_power, series_oracle,
                        verify_kernel_identities, weighted_creation)
 from ncdomains.harness import (ando_dilation, builtin_bipolynomials,
                                builtin_hermitian, builtin_matrix_polys,
-                               commutant_lifting, compression_residual,
-                               grid_sup_norm, random_commuting_pair, run_battery,
+                               commutant_lifting, grid_sup_norm, random_commuting_pair, run_battery,
                                scale_into_domain)
 from ncdomains.transfer import (contraction_excess, defect_identity_residual,
                                 dilation_identity_report,
                                 fourier_roundtrip_residual)
 from ncdomains.words import enumerate_words
 
-from conftest import level_dimensions
+from conftest import compression_residual, kappa_eval, level_dimensions
 
 
 def verdict(criterion: str, ok: bool, detail: str) -> None:

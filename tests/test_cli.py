@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from ncdomains.cli import main
 from ncdomains.config import (ConfigError, ExperimentConfig, default_tolerance,
                               parse_word)
-from ncdomains.matio import dump_matrix, parse_matrix, read_matrix, write_matrix
+from ncdomains.matio import dump_matrix, parse_matrix, read_matrix
 from ncdomains.report import VerificationReport, parse_report
 
 from conftest import power_pair_tuple
@@ -48,6 +48,11 @@ def test_matrix_roundtrip_bit_exact(rows, cols, seed):
     m = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
     out = parse_matrix(dump_matrix(m))
     assert np.array_equal(out, m)
+
+
+def write_matrix(path: str, mat: np.ndarray) -> None:
+    with open(path, "w") as fh:
+        fh.write(dump_matrix(mat))
 
 
 def test_matrix_file_io(tmp_path):
@@ -329,6 +334,7 @@ def test_cli_pair_shape_mismatch_exit_code(tmp_path, capsys, verb):
     ("dims", [0], "dims[0]"),
     ("dims", [3, -2], "dims[1]"),
     ("N", -1, "N"),
+    ("seed", -1, "seed"),
     ("tol", -1.0, "tol"),
     ("tol", float("inf"), "tol"),
     ("tol", float("nan"), "tol"),

@@ -6,7 +6,7 @@ import pytest
 import ncdomains.harness
 import ncdomains.transfer
 from ncdomains import (BiPolynomial, OperatorTuple,
-                       RegularPolynomial, ando_dilation, build_isometry, build_variety,
+                       RegularPolynomial, apply_phi, ando_dilation, build_isometry, build_variety,
                        builtin_bipolynomials, builtin_hermitian, builtin_matrix_polys,
                        complete_to_unitary, domain_membership, grid_sup_norm,
                        poisson_kernel, random_commuting_pair, run_battery,
@@ -14,8 +14,7 @@ from ncdomains import (BiPolynomial, OperatorTuple,
 from ncdomains.colligation import embed_inner
 from ncdomains.domain import kron_identity_matmul, weighted_creation
 from ncdomains.harness import (MAX_CHOSEN_WORDS, CommutingPair, choose_truncation,
-                               commutant_lifting, compression_residual,
-                               cross_commutation_residual, scale_into_domain,
+                               commutant_lifting, cross_commutation_residual, scale_into_domain,
                                spectral_norms, von_neumann_check)
 from ncdomains.transfer import (TransferFunction, contraction_excess,
                                 defect_identity_residual, dilation_identity_report,
@@ -23,7 +22,7 @@ from ncdomains.transfer import (TransferFunction, contraction_excess,
                                 multi_analytic_residual)
 from ncdomains.variety import commutator_generators, minpoly_generator
 
-from conftest import power_pair_tuple, random_nilpotent_tuple
+from conftest import compression_residual, power_pair_tuple, random_nilpotent_tuple
 from test_transfer import commuting_triple
 
 Z = RegularPolynomial.single_variable([1.0])
@@ -36,6 +35,31 @@ def test_scale_into_domain():
     top = float(np.linalg.norm(S.mats[0] @ S.mats[0].conj().T, 2))
     assert top <= 0.4 + 1e-9
     assert top >= 0.2  # the bisection should not undershoot wildly
+
+
+def test_scale_into_domain_stops_where_the_full_bisection_stands_still():
+    """The bisection leaves once the midpoint rounds to an end of the interval;
+    the scaled tuple is bitwise that of all 80 steps."""
+    f2 = RegularPolynomial(2, {(1,): 1.0, (2,): 1.0})
+
+    def full_bisection(f, T, target):
+        def top(s):
+            val = apply_phi(f, OperatorTuple(tuple(s * m for m in T.mats)))
+            return float(np.linalg.eigvalsh((val + val.conj().T) / 2).max())
+        lo, hi = 0.0, 1.0
+        for _ in range(80):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if top(mid) <= target else (lo, mid)
+        return lo
+
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        f = (Z, f2)[seed % 2]
+        T = OperatorTuple(tuple(3.0 * (rng.standard_normal((4, 4))
+                                       + 1j * rng.standard_normal((4, 4))) for _ in range(f.n)))
+        lo = full_bisection(f, T, 0.4)
+        S = scale_into_domain(f, T, 0.4)
+        assert all(np.array_equal(s, lo * m) for s, m in zip(S.mats, T.mats))
 
 
 def test_random_pairs_commute_and_are_members():
@@ -118,6 +142,55 @@ def test_grid_sup_norm_known_values():
     assert abs(grid_sup_norm(p, 64) - 1.0) <= 1e-12
     s = BiPolynomial("sum", 1, 1, (({((1,), (), (), ()): 1.0, ((), (1,), (), ()): 1.0},),))
     assert abs(grid_sup_norm(s, 512) - 2.0) <= 1e-3
+
+
+def whole_grid_sup_norm(p: BiPolynomial, resolution: int) -> float:
+    """The oracle of grid_sup_norm: every grid value at once."""
+    angles = 2.0 * np.pi * np.arange(resolution) / resolution
+    z = np.exp(1j * angles)[:, None]
+    w = np.exp(1j * angles)[None, :]
+    return float(spectral_norms(p.eval_scalar(z, w)).max())
+
+
+@pytest.mark.parametrize("resolution", [7, 300, 512, 1000])
+def test_grid_sup_norm_blocks_match_the_whole_grid_bitwise(resolution):
+    """The blocked sup equals the whole-grid one bitwise for the 12 non-Hermitian
+    built-ins.  7 and 1000 points per circle are not a multiple of the 4096-point
+    block, 7 fits in one block, and at 300 the last block holds a single z-row."""
+    polys = builtin_bipolynomials() + builtin_matrix_polys()
+    assert len(polys) == 12
+    for p in polys:
+        assert grid_sup_norm(p, resolution) == whole_grid_sup_norm(p, resolution), p.name
+
+
+def test_grid_sup_norm_peaks_below_one_grid_array():
+    """Memory guard: on the 2 x 2 ``full`` at 512 points per circle the sup peaks
+    under tracemalloc below one 512 x 512 complex array (4.2 MB); the whole-grid
+    form peaks at about 28 MB, one block at about 0.6 MB."""
+    full = builtin_matrix_polys()[1]
+    assert full.name == "full"
+    tracemalloc.start()
+    try:
+        grid_sup_norm(full, 512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 512 * 16
+
+
+def test_battery_peak_below_one_grid_array():
+    """Memory guard of the baseline battery, seeds 0..5 at dims 3, 4, 5: under
+    tracemalloc run_battery peaked at 3.1 MB (28-29 MB while the torus sups built
+    the whole grid).  The bound, 4 MB, lies below one 512 x 512 complex array
+    (4.2 MB), so a whole-grid array of any battery polynomial exceeds it."""
+    tracemalloc.start()
+    try:
+        rep = run_battery(Z, Z, list(range(6)), [3, 4, 5])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed
+    assert peak < 4e6
 
 
 def test_spectral_norms_closed_form_matches_svd():

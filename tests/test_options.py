@@ -52,7 +52,6 @@ ALLOWED = {
     "report.VerificationReport.checks",
     "report.VerificationReport.environment",
     "report.VerificationReport.extend(prefix)",
-    "report.VerificationReport.worst(kind)",
     "transfer._row_gram(words)",
     "transfer.dilation_identity_report(tol)",
     "variety.verify_constrained_kernel(tol)",

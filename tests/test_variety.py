@@ -5,11 +5,11 @@ import pytest
 
 from ncdomains import (OperatorTuple, RegularPolynomial, build_variety,
                        commutator_generators, constrained_poisson, enumerate_words,
-                       kappa_eval, minpoly_generator, poisson_kernel,
+                       minpoly_generator, poisson_kernel,
                        verify_constrained_kernel, weighted_creation)
 from ncdomains.variety import _span_complement, generator_degree
 
-from conftest import dense_creation, f_battery, level_dimensions
+from conftest import dense_creation, f_battery, kappa_eval, level_dimensions
 
 
 def drury_poly(n: int) -> RegularPolynomial:
