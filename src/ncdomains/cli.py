@@ -30,8 +30,8 @@ import numpy as np
 from .config import DEFAULT_TOL_ENV, ConfigError, ExperimentConfig, check_range
 from .domain import RegularPolynomial, domain_membership, phi_identity_power
 from .harness import (CommutingPair, ando_dilation, builtin_bipolynomials,
-                      builtin_hermitian, builtin_matrix_polys, choose_truncation,
-                      run_battery, verify_inequality)
+                      builtin_hermitian, builtin_matrix_polys, run_battery,
+                      verify_inequality)
 from .poisson import poisson_kernel, verify_kernel_identities
 from .report import VerificationReport, parse_report
 from .variety import build_variety, constrained_poisson, verify_constrained_kernel
@@ -121,17 +121,14 @@ def cmd_check_model(cfg: ExperimentConfig, tol_given: bool) -> int:
 def cmd_dilate(cfg: ExperimentConfig) -> int:
     _require(cfg, "g", "T1", "T2")
     pair = CommutingPair(cfg.f, cfg.g, cfg.T1, cfg.T2)
-    # the truncation ando_dilation picks, so that a variety model can match it
-    N = cfg.N if cfg.N is not None else choose_truncation(cfg.f, cfg.T1)
-    variety = build_variety(cfg.f, N, cfg.variety) if cfg.variety else None
-    dil = ando_dilation(pair, N=N, variety=variety, tol=cfg.tol)
+    dil = ando_dilation(pair, N=cfg.N, variety=cfg.variety, tol=cfg.tol)
     return _emit(dil.report, cfg.output)
 
 
 def cmd_verify(cfg: ExperimentConfig, tol_given: bool) -> int:
     _require(cfg, "g", "T1", "T2")
     pair = CommutingPair(cfg.f, cfg.g, cfg.T1, cfg.T2)
-    dil = ando_dilation(pair, N=cfg.N, tol=cfg.tol)
+    dil = ando_dilation(pair, N=cfg.N, variety=cfg.variety, tol=cfg.tol)
     tol = _floored(cfg, 1e-6, tol_given)
     rep = verify_inequality(pair, builtin_bipolynomials() + builtin_matrix_polys()
                             + builtin_hermitian(), dil, tol=tol)

@@ -156,6 +156,13 @@ def parse_variety_spec(obj, where: str, n: int) -> list[Generator] | None:
     raise ConfigError(f"{where}: unknown variety kind {kind!r}")
 
 
+def _check_count(T: OperatorTuple, p: RegularPolynomial, where: str, name: str) -> None:
+    """A tuple needs one matrix per indeterminate of its polynomial."""
+    if T.n != p.n:
+        raise ConfigError(f"{where}: expected {p.n} matrices, one per indeterminate of "
+                          f"{name}, got {T.n}")
+
+
 def _at_least(low: int, value, where: str) -> None:
     if value < low:
         raise ConfigError(f"{where}: expected a value >= {low}, got {value!r}")
@@ -253,8 +260,14 @@ class ExperimentConfig:
             raise ConfigError("matrices: expected an object with keys T1/T2")
         if "T1" in mats:
             cfg.T1 = parse_operator_tuple(mats["T1"], "matrices.T1", base)
+            _check_count(cfg.T1, f, "matrices.T1", "f")
+            if cfg.T1.rows != cfg.T1.cols:
+                raise ConfigError(f"matrices.T1: expected square matrices, got shape "
+                                  f"{cfg.T1.mats[0].shape}")
         if "T2" in mats:
             cfg.T2 = parse_operator_tuple(mats["T2"], "matrices.T2", base)
+            if g is not None:
+                _check_count(cfg.T2, g, "matrices.T2", "g")
             if cfg.T1 is not None and cfg.T2.mats[0].shape != cfg.T1.mats[0].shape:
                 raise ConfigError("matrices.T2: expected matrices of the shape of matrices.T1, "
                                   f"{cfg.T1.mats[0].shape}, got {cfg.T2.mats[0].shape}")
@@ -263,5 +276,11 @@ class ExperimentConfig:
 
     @staticmethod
     def from_file(path: str) -> "ExperimentConfig":
-        with open(path) as fh:
-            return ExperimentConfig.from_json(fh.read(), base=os.path.dirname(path) or ".")
+        try:
+            with open(path) as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ConfigError(f"config file {path!r}: {exc.strerror}") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {path!r}: {exc}") from None
+        return ExperimentConfig.from_json(text, base=os.path.dirname(path) or ".")

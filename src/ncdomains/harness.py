@@ -31,7 +31,7 @@ from .poisson import poisson_kernel
 from .report import VerificationReport
 from .transfer import (TransferFunction, _row_adjoint, _row_gram, _row_norm, _scatter,
                        dilation_identity_report, eval_transfer, multi_analytic_residual)
-from .variety import VarietyModel
+from .variety import Generator, VarietyModel, build_variety, constrained_poisson
 from .words import Word, check_word
 
 BATTERY_VERSION = "v1"
@@ -334,7 +334,7 @@ def choose_truncation(f: RegularPolynomial, T: OperatorTuple) -> int:
 
 
 def ando_dilation(pair: CommutingPair, N: int | None = None,
-                  variety: VarietyModel | None = None,
+                  variety: list[Generator] | None = None,
                   tol: float = 1e-8) -> PairDilation:
     """Dilate a commuting pair via the transfer function of its colligation.
 
@@ -353,6 +353,9 @@ def ando_dilation(pair: CommutingPair, N: int | None = None,
     psi{j}_multi_analytic checks the shift structure of the table, the bound
     of transfer.multi_analytic_residual, not the dense psi read as ``right``;
     nothing in this report compares the dense psi with the table.
+
+    Given generators (``variety``, nonempty) the model is built from f at the
+    chosen N, and the kernel is that of ``constrained_poisson``, padded to r.
     """
     f, g, T1, T2 = pair.f, pair.g, pair.T1, pair.T2
     N = N if N is not None else choose_truncation(f, T1)
@@ -362,15 +365,13 @@ def ando_dilation(pair: CommutingPair, N: int | None = None,
 
     r = max(tf.r_out, tf.r_in)
     K1 = poisson_kernel(f, T1, N)
-    kmat = embed_inner(K1.matrix, tf.fock_size, K1.multiplicity, r)
-    if variety is not None:
-        if variety.N != N or variety.f.coeffs != f.coeffs:
-            raise ValueError("variety model must be built from f at the dilation truncation")
-        kmat = kron_identity_matmul(variety.basis.conj().T, kmat)
+    model = build_variety(f, N, variety) if variety else None
+    kmat = (embed_inner(K1.matrix, tf.fock_size, K1.multiplicity, r) if model is None else
+            embed_inner(constrained_poisson(model, K1).matrix, model.dim, K1.multiplicity, r))
     rep = VerificationReport("pair-dilation", environment={
         "N": str(N), "r": str(r), "kind": pair.kind, "seed": str(pair.seed)})
-    dil = PairDilation(pair=pair, N=N, kernel=kmat, transfer=tf, variety=variety, report=rep)
-    gram = (_row_gram(tf, N, [(j,) for j in range(1, g.n + 1)]) if variety is None else
+    dil = PairDilation(pair=pair, N=N, kernel=kmat, transfer=tf, variety=model, report=rep)
+    gram = (_row_gram(tf, N, [(j,) for j in range(1, g.n + 1)]) if model is None else
             sum(g.coeffs[(j,)] * (m @ m.conj().T) for j, m in enumerate(dil.right.mats, 1)))
     rep.extend(colligation_report(col), prefix="colligation_")
     rep.add_residual("kernel_isometry",
@@ -392,7 +393,7 @@ def commutant_lifting(f: RegularPolynomial, T1: OperatorTuple, T1p: OperatorTupl
 
     This is the g = z specialization: the single transfer block psi satisfies
     psi^* K_{T1} = K_{T1p} A^* and has the same norm as A.  A is normalized to
-    norm one before lifting.
+    norm one before lifting; the report records the given norm as norm_A.
     """
     g = RegularPolynomial.single_variable([1.0])
     a_norm = float(np.linalg.norm(A, 2))
@@ -406,7 +407,7 @@ def commutant_lifting(f: RegularPolynomial, T1: OperatorTuple, T1p: OperatorTupl
     tf = eval_transfer(col, N)
 
     rep = VerificationReport("commutant-lifting",
-                             environment={"N": str(N), "norm_A": repr(1.0)})
+                             environment={"N": str(N), "norm_A": repr(a_norm)})
     K1 = poisson_kernel(f, T1, N)
     K1p = poisson_kernel(f, T1p, N)
     rep.extend(dilation_identity_report(tf, K1, K1p, tol=max(tol, 1e-7)), prefix="")
@@ -424,8 +425,8 @@ def commutant_lifting(f: RegularPolynomial, T1: OperatorTuple, T1p: OperatorTupl
 
 def verify_inequality(pair: CommutingPair, polys: list[BiPolynomial],
                       dil: PairDilation,
-                      dil_swapped: PairDilation | None = None,
-                      tol: float = 1e-6) -> VerificationReport:
+                      dil_swapped: PairDilation | None = None, *,
+                      tol: float) -> VerificationReport:
     """Check ||p(T1, T2)|| <= min over available dilations of ||p(dilated)||,
     and lambda_max(q(T1, T2)) <= lambda_max(q(dilated)) for Hermitian q.
 
@@ -527,9 +528,9 @@ def builtin_matrix_polys() -> list[BiPolynomial]:
 
 
 def run_battery(f: RegularPolynomial, g: RegularPolynomial, seeds: list[int],
-                dims: list[int], kinds: list[str] | None = None,
-                tol: float = 1e-6) -> VerificationReport:
-    """Seeded sweep of the inequality battery; deterministic for fixed inputs."""
+                dims: list[int], kinds: list[str] | None,
+                tol: float) -> VerificationReport:
+    """Seeded, deterministic sweep of the battery (all PAIR_KINDS when ``kinds`` is None)."""
     kinds = list(PAIR_KINDS) if kinds is None else kinds
     polys = builtin_bipolynomials() + builtin_matrix_polys() + builtin_hermitian()
     plain = [p for p in polys if not p.hermitian]

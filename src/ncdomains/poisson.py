@@ -140,7 +140,7 @@ def kernel_intertwining(K: PoissonKernel, tol: float) -> VerificationReport:
     return rep
 
 
-def verify_kernel_identities(K: PoissonKernel, tol: float = 1e-9) -> VerificationReport:
+def verify_kernel_identities(K: PoissonKernel, tol: float) -> VerificationReport:
     """Check the creation intertwinings (:func:`kernel_intertwining`) and the
     Gram identity of a kernel against I - Phi^{N+1}(I) (:func:`add_gram_check`).
     """

@@ -291,7 +291,7 @@ def contraction_excess(tf: TransferFunction) -> float:
 
 
 def dilation_identity_report(tf: TransferFunction, K1: PoissonKernel,
-                             K1p: PoissonKernel, tol: float = 1e-7) -> VerificationReport:
+                             K1p: PoissonKernel, tol: float) -> VerificationReport:
     """Check K' T2_w^* = (1/sqrt(c_w)) phi_(w)^* K for all support words of g.
 
     K is the kernel of T1, K' the kernel of T1'; both are zero-padded into the

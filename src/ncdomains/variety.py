@@ -96,12 +96,18 @@ class VarietyModel:
     generators: tuple[Generator, ...]
     basis: np.ndarray          # Fock-size x model-dim, orthonormal columns
     left: OperatorTuple        # B_i = P W_i P on the model space
-    right: OperatorTuple       # C_i = P L_i P on the model space
     unstable_margin: int       # levels > N - margin are boundary-affected
 
     @property
     def dim(self) -> int:
         return self.basis.shape[1]
+
+    @property
+    def right(self) -> OperatorTuple:
+        """C_i = P L_i P on the model space, built from f and N on each read."""
+        basis_h = self.basis.conj().T
+        return OperatorTuple(tuple(l.rmul(basis_h) @ self.basis
+                                   for l in weighted_creation(self.f, self.N, "right")))
 
 
 def _is_homogeneous(q: Generator) -> bool:
@@ -168,7 +174,7 @@ def _span_complement(table: WordTable, W: tuple[WeightedShift, ...],
 
 
 def build_variety(f: RegularPolynomial, N: int, generators: list[Generator]) -> VarietyModel:
-    """Orthonormal basis of N_J and the compressed creation tuples.
+    """Orthonormal basis of N_J and the compressed left creation tuple.
 
     Built level by level from the level below when every generator is
     homogeneous, else by one SVD of the whole span (module docstring).
@@ -177,17 +183,15 @@ def build_variety(f: RegularPolynomial, N: int, generators: list[Generator]) -> 
         check_generator(q, f.n)
     table = enumerate_words(f.n, N)
     W = weighted_creation(f, N, "left")
-    lam = weighted_creation(f, N, "right")
     live = [(q, generator_degree(q)) for q in generators if generator_degree(q) > 0]
     build = _graded_complement if all(_is_homogeneous(q) for q, _ in live) else _span_complement
     basis = build(table, W, live)
 
     basis_h = basis.conj().T
     left = OperatorTuple(tuple(w.rmul(basis_h) @ basis for w in W))
-    right = OperatorTuple(tuple(l.rmul(basis_h) @ basis for l in lam))
     margin = max((generator_degree(q) for q in generators), default=0)
     return VarietyModel(f=f, N=N, generators=tuple(generators), basis=basis,
-                        left=left, right=right, unstable_margin=margin)
+                        left=left, unstable_margin=margin)
 
 
 @dataclass(frozen=True)
@@ -211,7 +215,7 @@ def constrained_poisson(variety: VarietyModel, base: PoissonKernel) -> Constrain
                              variety=variety, base=base)
 
 
-def verify_constrained_kernel(ck: ConstrainedKernel, tol: float = 1e-9) -> VerificationReport:
+def verify_constrained_kernel(ck: ConstrainedKernel, tol: float) -> VerificationReport:
     """Intertwining K_J T_i^* = (B_i^* (x) I) K_J and the Gram identity.
 
     The intertwining is checked on model rows supported at stable levels

@@ -28,11 +28,6 @@ def reverse(u: Word) -> Word:
     return tuple(u)[::-1]
 
 
-def word_key(w: Word) -> tuple[int, Word]:
-    """Sort key realizing the graded-lex order g0 < g1 < ... < gn < g1g1 < ..."""
-    return (len(w), tuple(w))
-
-
 @dataclass(frozen=True)
 class WordTable:
     """All words of length <= N over {1..n}, graded-lex ordered and indexed.

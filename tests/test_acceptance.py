@@ -270,9 +270,8 @@ def test_criterion_8_variety_structure():
     # ellipsoid eigenvalue of the dilated second tuple, plain and constrained
     pair = random_commuting_pair(17, 3, "upper-triangular-commuting", Z, Z)
     dil = ando_dilation(pair)
-    v2 = build_variety(Z, dil.N,
-                       [minpoly_generator(list(np.linalg.eigvals(pair.T1.mats[0])))])
-    dil_c = ando_dilation(pair, N=dil.N, variety=v2)
+    dil_c = ando_dilation(pair, N=dil.N,
+                          variety=[minpoly_generator(list(np.linalg.eigvals(pair.T1.mats[0])))])
     eig_min = min(domain_membership(Z, dil.right).min_eig_ellipsoid,
                   domain_membership(Z, dil_c.right).min_eig_ellipsoid)
     verdict("criterion-8",
@@ -303,7 +302,7 @@ def test_criterion_9_kappa_cross_check():
 
 
 def test_criterion_10_determinism():
-    a = run_battery(Z, Z, seeds=[5, 6, 7], dims=[3, 4]).render()
-    b = run_battery(Z, Z, seeds=[5, 6, 7], dims=[3, 4]).render()
+    a = run_battery(Z, Z, seeds=[5, 6, 7], dims=[3, 4], kinds=None, tol=1e-6).render()
+    b = run_battery(Z, Z, seeds=[5, 6, 7], dims=[3, 4], kinds=None, tol=1e-6).render()
     verdict("criterion-10", a == b and len(a) > 0,
             f"repeated battery renders byte-identical ({len(a)} bytes)")

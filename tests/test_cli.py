@@ -10,7 +10,12 @@ from ncdomains.config import (ConfigError, ExperimentConfig, default_tolerance,
 from ncdomains.matio import dump_matrix, parse_matrix, read_matrix
 from ncdomains.report import VerificationReport, parse_report
 
+from ncdomains.domain import RegularPolynomial
+from ncdomains.harness import random_commuting_pair
+
 from conftest import power_pair_tuple
+
+Z = RegularPolynomial.single_variable([1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -223,12 +228,65 @@ def test_cli_dilate_variety_without_level(tmp_path, capsys):
     assert capsys.readouterr().out == auto
 
 
+def test_cli_variety_generator_miss_is_one_record_for_every_verb(tmp_path, capsys):
+    """T1 misses the minpoly generator by 3e-7: dilate, verify and check-model all
+    build the model at the same N and end in the same record."""
+    obj = {"f": {"n": 1, "coeffs": {"1": 1.0}}, "g": {"n": 1, "coeffs": {"1": 1.0}}, "N": 40,
+           "matrices": {"T1": [[[0.5, 0], [0, 0.200001]]], "T2": [[[0.1, 0], [0, 0.3]]]},
+           "variety": {"kind": "minpoly", "roots": [0.5, 0.2]}}
+    path = tmp_path / "miss.json"
+    path.write_text(json.dumps(obj))
+    for verb in ("dilate", "verify", "check-model"):
+        assert main(["--config", str(path), verb]) == 1
+        rep = parse_report(capsys.readouterr().out)
+        assert [c.name for c in rep.checks] == ["pipeline_error"]
+        assert rep.environment["error"] == ("tuple does not satisfy a generator "
+                                            "(residual 3.000e-07)")
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_cli_verify_reads_the_variety_model(tmp_path, capsys, seed):
+    """verify dilates on the model: each inequality slack is at most the one
+    without the model (the dilation is compressed), and the report passes."""
+    pair = random_commuting_pair(seed, 3, "upper-triangular-commuting", Z, Z)
+
+    def entries(m):
+        return [[[float(x.real), float(x.imag)] for x in row] for row in m]
+
+    roots = np.linalg.eigvals(pair.T1.mats[0])
+    obj = {"f": {"n": 1, "coeffs": {"1": 1.0}}, "g": {"n": 1, "coeffs": {"1": 1.0}},
+           "matrices": {"T1": [entries(pair.T1.mats[0])], "T2": [entries(pair.T2.mats[0])]}}
+    slacks = []
+    for variety in (None, {"kind": "minpoly", "roots": [[r.real, r.imag] for r in roots]}):
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps(obj if variety is None else {**obj, "variety": variety}))
+        assert main(["--config", str(path), "verify"]) == 0
+        rep = parse_report(capsys.readouterr().out)
+        slacks.append({c.name: c.value for c in rep.checks
+                       if c.kind == "slack" and not c.name.startswith("dilation_")})
+    plain, model = slacks
+    assert plain.keys() == model.keys() and plain
+    assert plain != model
+    for name, value in model.items():
+        assert value <= plain[name] + 1e-12, name
+
+
 def test_cli_bad_config_exit_code(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"f": {"n": 1, "coeffs": {"": 1.0, "1": 1.0}}}')
     assert main(["--config", str(path), "check-model"]) == 2
     err = capsys.readouterr().err
     assert "regular" in err
+
+
+@pytest.mark.parametrize("name", ["missing.json", "a_directory", "not_utf8.json"])
+def test_cli_unreadable_config_file_exit_code(tmp_path, capsys, name):
+    """A config path that cannot be read exits 2 naming the path, not a traceback."""
+    (tmp_path / "a_directory").mkdir()
+    (tmp_path / "not_utf8.json").write_bytes(b"\xff{}")
+    path = str(tmp_path / name)
+    assert main(["--config", path, "check-model"]) == 2
+    assert f"error: config file {path!r}: " in capsys.readouterr().err
 
 
 def test_cli_pipeline_error_becomes_failed_record(tmp_path, capsys):
@@ -310,6 +368,10 @@ def test_cli_config_without_tol_uses_env(tmp_path, capsys, monkeypatch):
     ("matrices.T2", {"matrices": {"T1": [[[0, 0.5], [0, 0]]],
                                   "T2": [[[0, 0.25, 0], [0, 0, 0]]]}}),
     ("variety.coeffs", {"variety": {"kind": "minpoly", "coeffs": [1, 0]}}),
+    ("matrices.T1", {"matrices": {"T1": [[[0, 0.5], [0, 0]], [[0, 0.5], [0, 0]]]}}),
+    ("matrices.T1", {"matrices": {"T1": [[[0, 0.5, 0], [0, 0, 0]]]}}),
+    ("matrices.T2", {"matrices": {"T1": [[[0, 0.5], [0, 0]]],
+                                  "T2": [[[0, 0.25], [0, 0]], [[0, 0.25], [0, 0]]]}}),
 ])
 def test_cli_malformed_scalar_exit_code(tmp_path, capsys, field, patch):
     rc = main(["--config", scalar_config(tmp_path, **patch), "check-model"])

@@ -44,17 +44,11 @@ ALLOWED = {
     "harness.commutant_lifting(N)",
     "harness.commutant_lifting(tol)",
     "harness.verify_inequality(dil_swapped)",
-    "harness.verify_inequality(tol)",
-    "harness.run_battery(kinds)",
-    "harness.run_battery(tol)",
-    "poisson.verify_kernel_identities(tol)",
     "report.CheckRecord.kind",
     "report.VerificationReport.checks",
     "report.VerificationReport.environment",
     "report.VerificationReport.extend(prefix)",
     "transfer._row_gram(words)",
-    "transfer.dilation_identity_report(tol)",
-    "variety.verify_constrained_kernel(tol)",
     "words.WordTable.index",
 }
 

@@ -124,6 +124,23 @@ def test_commutator_model_kernel():
     assert rep.passed, rep.render()
 
 
+def test_right_compression_matches_dense_construction():
+    """C_i = P L_i P, built on each read of ``right``, against the dense right
+    creation operators; the monomial model Z1 Z2 is not symmetric, so there C_i
+    differs from B_i."""
+    varying = RegularPolynomial(2, {(1,): 0.5, (2,): 2.0, (1, 2): 0.7, (2, 2): 0.2})
+    z = RegularPolynomial.single_variable([1.0])
+    for f, N, gens in ((varying, 4, commutator_generators(2)), (drury_poly(2), 4, [{(1, 2): 1.0}]),
+                       (drury_poly(3), 3, commutator_generators(3)),
+                       (z, 6, [minpoly_generator([0.5, -0.25])])):
+        v = build_variety(f, N, gens)
+        p = v.basis
+        for got, lam in zip(v.right.mats, dense_creation(f, N, "right").mats, strict=True):
+            want = p.conj().T @ lam @ p
+            assert got.shape == (v.dim, v.dim)
+            assert np.linalg.norm(got - want) <= 1e-14 * max(1.0, np.linalg.norm(want))
+
+
 def test_ellipsoid_membership_of_compressed_tuple():
     """B = P W P stays in the ellipsoid of f."""
     from ncdomains import domain_membership

@@ -3,7 +3,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ncdomains.words import (EMPTY, check_word, enumerate_words,
-                             reverse, word_key, words_of_lengths)
+                             reverse, words_of_lengths)
+
+
+def graded_lex_key(w: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """Sort key realizing the graded-lex order g0 < g1 < ... < gn < g1g1 < ..."""
+    return (len(w), tuple(w))
 
 
 def test_empty_alphabet_rejected():
@@ -38,7 +43,7 @@ def test_level_slice():
 
 def test_graded_lex_is_sorted_by_key():
     table = enumerate_words(3, 3)
-    assert list(table.words) == sorted(table.words, key=word_key)
+    assert list(table.words) == sorted(table.words, key=graded_lex_key)
 
 
 def test_table_is_shared_and_immutable():
