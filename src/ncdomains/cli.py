@@ -149,8 +149,11 @@ def cmd_report(cfg: ExperimentConfig, paths: list[str]) -> int:
         raise ConfigError("report: need a report file path")
     code = 0
     for path in paths:
-        with open(path) as fh:
-            rep = parse_report(fh.read())
+        try:
+            with open(path) as fh:
+                rep = parse_report(fh.read())
+        except (OSError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
+            raise ConfigError(f"report file {path!r}: {exc}") from exc
         sys.stdout.write(rep.render_table())
         code = max(code, 0 if rep.passed else 1)
     return code

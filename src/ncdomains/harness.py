@@ -29,8 +29,9 @@ from .domain import (OperatorTuple, RegularPolynomial, apply_phi, kron_identity_
                      purity_horizon, weighted_creation)
 from .poisson import poisson_kernel
 from .report import VerificationReport
-from .transfer import (TransferFunction, _row_adjoint, _row_gram, _row_norm, _scatter,
-                       dilation_identity_report, eval_transfer, multi_analytic_residual)
+from .transfer import (TransferFunction, _lambda_max, _row_adjoint, _row_gram, _row_norm,
+                       _scatter, dilation_identity_report, eval_transfer,
+                       multi_analytic_residual)
 from .variety import Generator, VarietyModel, build_variety, constrained_poisson
 from .words import Word, check_word
 
@@ -348,7 +349,8 @@ def ando_dilation(pair: CommutingPair, N: int | None = None,
     1 - lambda_max of the Gram of the content rows: the padded rows only add
     the eigenvalue 1.  Without a variety model the Gram comes from the
     coefficient table (transfer._row_gram), with one from the compressed psi_j
-    (its padded rows are zero).
+    (its padded rows are zero).  lambda_max is read as the certified Ritz value
+    theta of transfer._lambda_max, lambda_max <= theta + delta.
 
     psi{j}_multi_analytic checks the shift structure of the table, the bound
     of transfer.multi_analytic_residual, not the dense psi read as ``right``;
@@ -382,7 +384,7 @@ def ando_dilation(pair: CommutingPair, N: int | None = None,
     for j in range(1, g.n + 1):
         rep.add_residual(f"psi{j}_multi_analytic", multi_analytic_residual(tf, (j,)),
                          max(tol, 1e-7))
-    rep.add_slack("psi_ellipsoid_min_eig", 1.0 - float(np.linalg.eigvalsh(gram)[-1]), 1e-8)
+    rep.add_slack("psi_ellipsoid_min_eig", 1.0 - _lambda_max(gram), 1e-8)
     return dil
 
 

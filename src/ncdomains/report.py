@@ -84,9 +84,12 @@ class VerificationReport:
 
 
 def parse_report(text: str) -> VerificationReport:
-    """Inverse of :meth:`VerificationReport.render` (summary line is recomputed)."""
+    """Inverse of :meth:`VerificationReport.render` (summary line is recomputed).
+
+    A malformed line raises ValueError naming its line number and text.
+    """
     rep = VerificationReport("unnamed")
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("summary "):
             continue
@@ -96,11 +99,15 @@ def parse_report(text: str) -> VerificationReport:
             key, _, val = line[len("env "):].partition("=")
             rep.environment[key] = val
         elif line.startswith("check "):
-            fields = dict(part.split("=", 1) for part in line.split()[2:])
-            name = line.split()[1]
-            rep.checks.append(CheckRecord(name, float(fields["value"]),
-                                          float(fields["tol"]),
-                                          bool(int(fields["pass"])), fields["kind"]))
+            try:
+                fields = dict(part.split("=", 1) for part in line.split()[2:])
+                name = line.split()[1]
+                rep.checks.append(CheckRecord(name, float(fields["value"]),
+                                              float(fields["tol"]),
+                                              bool(int(fields["pass"])), fields["kind"]))
+            except (KeyError, ValueError) as exc:
+                raise ValueError(f"line {number}: malformed check line {line!r} "
+                                 f"({type(exc).__name__}: {exc})") from exc
         else:
-            raise ValueError(f"unrecognized report line: {line!r}")
+            raise ValueError(f"line {number}: unrecognized report line {line!r}")
     return rep

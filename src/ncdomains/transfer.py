@@ -22,6 +22,11 @@ bound) read it level by level.  Only ``_scatter`` forms dense blocks: the
 N-level psi of a ``PairDilation.right`` read and ``TransferFunction.block``,
 and the small truncation-min(M, N - M) blocks of the Fourier round trip.
 
+By the defect identity the row Gram G is I minus a matrix of rank at most w,
+so its lambda_max (contraction check, lift norm, psi ellipsoid gap) is read
+as the certified Ritz value theta of ``_lambda_max``: Lanczos, then one
+Cholesky of (theta + delta) I - G, theta <= lambda_max <= theta + delta.
+
 Tensor convention throughout: np.kron(Fock factor, inner factor).
 """
 
@@ -143,11 +148,15 @@ def _scatter(table: np.ndarray, f: RegularPolynomial, K: int) -> np.ndarray:
 def _gram(table: np.ndarray, f: RegularPolynomial, K: int, scale: np.ndarray) -> np.ndarray:
     """sum_y scale[y] B_y B_y^* on the rows of levels <= K, B_y the column block
     y of sum_u L_{u~} (x) table[k]: one batched product and one scattered sum
-    per level of y, no dense block."""
+    per level of y, no dense block.  The empty y reaches every row in order, so
+    its product is the initial Gram."""
     r = table.shape[1]
-    size = len(enumerate_words(f.n, K))
-    gram = np.zeros((size * r, size * r), dtype=complex)
-    for y, rows, weights in _columns(f, K):
+    plan = _columns(f, K)
+    _, rows, weights = next(plan)
+    span = rows.shape[1]
+    v = (weights[0, :, None, None] * table[:span]).reshape(span * r, -1)
+    gram = (v * scale[0]) @ v.conj().T
+    for y, rows, weights in plan:
         count, span = rows.shape
         v = (weights[:, :, None, None] * table[:span]).reshape(count, span * r, -1)
         idx = (rows[:, :, None] * r + np.arange(r)).reshape(count, span * r)
@@ -210,10 +219,74 @@ def _row_gram(tf: TransferFunction, K: int, words: list[Word] | None = None) -> 
                  np.ones(len(enumerate_words(tf.f.n, K))))
 
 
+LANCZOS_GAP = 4.0
+"""c in the certificate gap delta = c eps dim max(1, theta) of ``_lambda_max``.
+
+The shifted matrix (theta + delta) I - G has norm at most about 2 max(1, theta),
+and a Cholesky factorization that succeeds in floating point factors it up to
+a backward error of about dim eps times that norm in practice (Higham,
+Accuracy and Stability of Numerical Algorithms, ch. 10); c = 4 makes delta
+twice that error, so a factorization that succeeds bounds lambda_max.  A
+larger c only widens the bound theta + delta.
+"""
+
+LANCZOS_STEPS = 64
+"""The Lanczos step cap of ``_lambda_max``.  A row Gram is I minus a matrix of
+rank at most w (the defect identity), so its Krylov space closes after at most
+w + 1 steps; 64 is far above the slot dimension of the benchmark shapes (w = 4
+on twovar).  The cap bounds the Lanczos work at 64 products with G, 64 dim^2
+operations, below the dim^3 / 3 of the Cholesky once dim > 192.
+"""
+
+
+def _lambda_max(gram: np.ndarray) -> float:
+    """The largest eigenvalue of a Hermitian row Gram G, certified; overwrites G.
+
+    Lanczos with full reorthogonalization from a seeded complex Gaussian start
+    stops when the residual of its top Ritz value theta is at most delta / 2,
+    delta = LANCZOS_GAP eps dim max(1, theta).  theta is a Rayleigh quotient,
+    so theta <= lambda_max, and one Cholesky of (theta + delta) I - G, formed in
+    place, certifies lambda_max <= theta + delta; theta is returned.  If the
+    Cholesky fails or Lanczos reaches LANCZOS_STEPS, the value is the
+    ``eigvalsh`` one, theta + delta minus the least eigenvalue of the shifted G.
+    """
+    dim = len(gram)
+    rng = np.random.default_rng(0)
+    start = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    basis = np.empty((min(dim, LANCZOS_STEPS), dim), dtype=complex)
+    basis[0] = start / np.linalg.norm(start)
+    alpha, beta = [], []
+    for k in range(len(basis)):
+        q = basis[:k + 1]
+        x = gram @ basis[k]
+        c = q.conj() @ x
+        alpha.append(c[k].real)
+        x -= q.T @ c
+        x -= q.T @ (q.conj() @ x)  # twice is enough (Kahan, Parlett)
+        ritz, vecs = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
+        theta = float(ritz[-1])
+        delta = LANCZOS_GAP * np.finfo(float).eps * dim * max(1.0, theta)
+        b = float(np.linalg.norm(x))
+        converged = b * abs(vecs[-1, -1]) <= delta / 2
+        if converged or k + 1 == len(basis):
+            break
+        beta.append(b)
+        basis[k + 1] = x / b
+    np.negative(gram, out=gram)
+    gram[np.diag_indices(dim)] += theta + delta
+    if converged:
+        try:
+            np.linalg.cholesky(gram)
+            return theta
+        except np.linalg.LinAlgError:
+            pass
+    return theta + delta - float(np.linalg.eigvalsh(gram)[0])
+
+
 def _row_norm(tf: TransferFunction) -> float:
-    """||[phi_(w) : all w]|| = sqrt(lambda_max) of the row Gram on all rows."""
-    lam = float(np.linalg.eigvalsh(_row_gram(tf, tf.N))[-1])
-    return float(np.sqrt(max(lam, 0.0)))
+    """||[phi_(w) : all w]|| = sqrt(theta), theta the certified Ritz value of
+    ``_lambda_max`` on the row Gram of all rows: lambda_max <= theta + delta."""
+    return float(np.sqrt(max(_lambda_max(_row_gram(tf, tf.N)), 0.0)))
 
 
 def _row_adjoint(table: np.ndarray, f: RegularPolynomial, K: int, x: np.ndarray) -> np.ndarray:
@@ -286,7 +359,9 @@ def defect_identity_residual(tf: TransferFunction) -> float:
 
 
 def contraction_excess(tf: TransferFunction) -> float:
-    """max(0, sigma_max(full transfer row) - 1), from the row Gram of the table."""
+    """max(0, sigma_max(full transfer row) - 1), from the row Gram of the table;
+    sigma_max^2 is the certified Ritz value theta of ``_lambda_max``, so the
+    true lambda_max of the Gram is at most theta + delta."""
     return max(0.0, _row_norm(tf) - 1.0)
 
 

@@ -211,6 +211,35 @@ def test_cli_report_rendering(tmp_path, capsys):
     assert "pass" in table
 
 
+@pytest.mark.parametrize("name", ["missing.txt", "a_directory", "not_utf8.txt"])
+def test_cli_unreadable_report_file_exit_code(tmp_path, capsys, name):
+    """A report path that cannot be read exits 2 naming the path, not a
+    pipeline_error record."""
+    (tmp_path / "a_directory").mkdir()
+    (tmp_path / "not_utf8.txt").write_bytes(b"report x\n\xff\n")
+    path = str(tmp_path / name)
+    assert main(["report", path]) == 2
+    captured = capsys.readouterr()
+    assert f"error: report file {path!r}: " in captured.err
+    assert "pipeline_error" not in captured.out
+
+
+@pytest.mark.parametrize("bad, fault", [
+    ("banner line", "unrecognized report line 'banner line'"),
+    ("check c kind=residual value=x tol=1e-08 pass=1", "malformed check line"),
+    ("check c kind=residual tol=1e-08 pass=1", "malformed check line"),
+    ("check c kind=residual value=0.0 tol=1e-08 pass", "malformed check line"),
+])
+def test_cli_malformed_report_line_exit_code(tmp_path, capsys, bad, fault):
+    """A malformed report line exits 2 naming the file, the line number and the line."""
+    path = tmp_path / "r.txt"
+    path.write_text(f"report x\nenv N=2\n{bad}\nsummary pass=1 checks=0 failed=0\n")
+    assert main(["report", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: report file {str(path)!r}: line 3: " in err
+    assert fault in err and repr(bad) in err
+
+
 def test_cli_dilate_variety_without_level(tmp_path, capsys):
     """With N omitted, dilate builds the variety model at the truncation it
     picks: the report equals the one with that N given explicitly."""

@@ -16,7 +16,7 @@ from ncdomains.domain import kron_identity_matmul, weighted_creation
 from ncdomains.harness import (MAX_CHOSEN_WORDS, CommutingPair, choose_truncation,
                                commutant_lifting, cross_commutation_residual, scale_into_domain,
                                spectral_norms, von_neumann_check)
-from ncdomains.transfer import (TransferFunction, contraction_excess,
+from ncdomains.transfer import (TransferFunction, _lambda_max, contraction_excess,
                                 defect_identity_residual, dilation_identity_report,
                                 eval_transfer, fourier_roundtrip_residual,
                                 multi_analytic_residual)
@@ -386,6 +386,16 @@ def test_psi_ellipsoid_gap_matches_dense_membership():
         assert abs(check_value(d.report, "psi_ellipsoid_min_eig") - dense) <= 1e-12
 
 
+def test_lambda_max_matches_eigvalsh_on_psi_grams():
+    """The Gram sum_j c_j psi_j psi_j^* of the dense psi tuple, with and without a
+    variety model (then it is the Gram ando_dilation reads): the certified Ritz
+    value of transfer._lambda_max against eigvalsh, to 1e-13 ||G||."""
+    for d in psi_dilations():
+        gram = sum(d.pair.g.coeffs[(j,)] * (m @ m.conj().T) for j, m in enumerate(d.right.mats, 1))
+        ref = np.linalg.eigvalsh(gram)
+        assert abs(_lambda_max(gram.copy()) - ref[-1]) <= 1e-13 * np.abs(ref).max()
+
+
 def dense_views(d) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """The oracle of ``left`` and ``right``: W_i (x) I_r as dense matrices, the
     scattered blocks phi_(j) zero-padded to r x r over sqrt(c_j), and on a variety
@@ -423,33 +433,40 @@ def test_dilation_views_match_dense_construction():
 def test_transfer_checks_stay_on_the_fock_r_out_side(monkeypatch):
     """Complexity guard on twovar-shaped inputs at N = 4..6.
 
-    ando_dilation and the transfer checks pass eigvalsh, eigh and svd no matrix
-    taller than Fock r_out, and contraction, multi-analyticity, the defect
-    identity, the Fourier round trip and the dilation identity scatter no
-    N-level dense block: ``TransferFunction.block`` fails the test while they
-    run.  ando_dilation scatters nothing: ``_scatter`` fails the test as well.
+    ando_dilation and the transfer checks pass eigvalsh, eigh, svd and cholesky
+    no matrix taller than Fock r_out, and contraction, multi-analyticity, the
+    defect identity, the Fourier round trip and the dilation identity scatter
+    no N-level dense block: ``TransferFunction.block`` fails the test while
+    they run.  ando_dilation scatters nothing: ``_scatter`` fails the test as
+    well.  The row Grams take the certified route: each is factored by one
+    Cholesky, and no eigvalsh call gets a matrix as tall as a row Gram.
     """
-    shapes = []
-    for name in ("eigvalsh", "eigh", "svd"):
-        def spy(a, *args, real=getattr(np.linalg, name), **kwargs):
-            shapes.append(np.shape(a))
+    calls = []
+    for name in ("eigvalsh", "eigh", "svd", "cholesky"):
+        def spy(a, *args, name=name, real=getattr(np.linalg, name), **kwargs):
+            calls.append((name, np.shape(a)[-2]))
             return real(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, spy)
+
+    def assert_certified_route(height: int) -> None:
+        assert calls and max(h for _, h in calls) <= height
+        assert [h for name, h in calls if name == "cholesky"] == [height]
+        assert all(h < height for name, h in calls if name == "eigvalsh")
 
     f_pair = RegularPolynomial(2, {(1,): 1.0, (2,): 1.0})
     f_triple = RegularPolynomial(2, {(1,): 1.0, (2,): 1.0, (1, 2): 0.5})
     for N in (4, 5, 6):
         tr = commuting_triple(N, 4, f_pair)
         pair = CommutingPair(f_pair, Z, tr.T1, tr.T2)
-        shapes.clear()
+        calls.clear()
         dil = ando_dilation(pair, N=N)
         assert dil.report.passed, dil.report.render()
         assert dil.transfer.r_in > dil.transfer.r_out
-        assert shapes and max(s[-2] for s in shapes) <= dil.transfer.fock_size * dil.transfer.r_out
+        assert_certified_route(dil.transfer.fock_size * dil.transfer.r_out)
 
         tr = commuting_triple(N + 10, 4, f_triple)
         col = complete_to_unitary(build_isometry(tr))
-        shapes.clear()
+        calls.clear()
         tf = eval_transfer(col, N)
         K1 = poisson_kernel(f_triple, tr.T1, N)
 
@@ -459,6 +476,7 @@ def test_transfer_checks_stay_on_the_fock_r_out_side(monkeypatch):
                     dilation_identity_report(tf, K1, K1, tol=1e-7).render()]
 
         values = checks()
+        assert_certified_route(tf.fock_size * tf.r_out)
         with monkeypatch.context() as m:
             m.setattr(TransferFunction, "block",
                       lambda self, w: pytest.fail(f"dense block {w} scattered"))
@@ -467,7 +485,7 @@ def test_transfer_checks_stay_on_the_fock_r_out_side(monkeypatch):
                 m.setattr(module, "_scatter", raising=False,
                           value=lambda table, f, K: pytest.fail(f"level-{K} block scattered"))
             assert ando_dilation(pair, N=N).report.render() == dil.report.render()
-        assert shapes and max(s[-2] for s in shapes) <= tf.fock_size * tf.r_out
+        assert max(h for _, h in calls) <= tf.fock_size * tf.r_out
 
 
 def test_transfer_checks_peak_below_one_dense_block():

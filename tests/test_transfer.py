@@ -9,9 +9,10 @@ from ncdomains.colligation import Colligation
 from ncdomains.domain import (WeightedShift, b_coefficients, coefficient_words, shift_word,
                               weighted_creation)
 from ncdomains.harness import scale_into_domain
-from ncdomains.transfer import (_coefficient_table, _gram, _row_adjoint, _row_gram, _scatter,
-                                contraction_excess, defect_identity_residual,
-                                dilation_identity_report, multi_analytic_residual)
+from ncdomains.transfer import (TransferFunction, _coefficient_table, _gram, _lambda_max,
+                                _row_adjoint, _row_gram, _scatter, contraction_excess,
+                                defect_identity_residual, dilation_identity_report,
+                                multi_analytic_residual)
 from ncdomains.words import enumerate_words, reverse
 
 from conftest import f_battery
@@ -148,6 +149,71 @@ def test_row_gram_matches_dense_blocks():
             theta = tf.theta.reshape(len(tf.theta), tf.r_out, -1)
             err = np.linalg.norm(_gram(theta, col.triple.f, K, scale) - ref)
             assert err <= 1e-13 * np.linalg.norm(ref)
+
+
+F_TRIPLE = RegularPolynomial(2, {(1,): 1.0, (2,): 1.0, (1, 2): 0.5})
+
+
+def twovar_transfers() -> list[TransferFunction]:
+    """The transfer rows of the twovar triple shape (f = z1 + z2 + 0.5 z1 z2,
+    dimension 4) at N = 4..6."""
+    return [eval_transfer(complete_to_unitary(build_isometry(
+        commuting_triple(N + 10, 4, F_TRIPLE))), N) for N in (4, 5, 6)]
+
+
+def assert_lambda_max_is_eigvalsh(gram: np.ndarray) -> float:
+    """_lambda_max of a copy of gram against the eigvalsh oracle, to 1e-13 ||G||."""
+    ref = np.linalg.eigvalsh(gram)
+    got = _lambda_max(gram.copy())
+    assert abs(got - ref[-1]) <= 1e-13 * np.abs(ref).max()
+    return got
+
+
+def test_lambda_max_matches_eigvalsh_on_row_grams():
+    """The certified Ritz value equals the eigvalsh value on the twovar-shaped row
+    Grams, and on tables whose levels >= 2 are scaled by 0.97 or 1.003: rows that
+    are no contraction, whose Gram is not I minus a low-rank matrix."""
+    for tf in twovar_transfers():
+        assert abs(assert_lambda_max_is_eigvalsh(_row_gram(tf, tf.N)) - 1.0) <= 1e-13
+        level2 = enumerate_words(tf.f.n, tf.N).max_level_index(1)
+        for s in (0.97, 1.003):
+            theta = tf.theta.copy()
+            theta[level2:] *= s
+            broken = TransferFunction(tf.colligation, tf.N, theta)
+            lam = assert_lambda_max_is_eigvalsh(_row_gram(broken, tf.N))
+            assert contraction_excess(broken) == np.sqrt(lam) - 1.0 > 1e-3
+
+
+def test_lambda_max_on_small_dense_grams():
+    """Generic spectra where the Krylov space closes at the full dimension, and
+    the zero Gram; two runs on the same Gram agree bitwise (seeded start)."""
+    rng = np.random.default_rng(3)
+    for dim in range(1, 13):
+        x = rng.standard_normal((dim, dim + 2)) + 1j * rng.standard_normal((dim, dim + 2))
+        gram = x @ x.conj().T
+        assert assert_lambda_max_is_eigvalsh(gram) == _lambda_max(gram.copy())
+    assert _lambda_max(np.zeros((5, 5), dtype=complex)) == 0.0
+
+
+def test_lambda_max_falls_back_to_eigvalsh(monkeypatch):
+    """A Cholesky that fails the certificate, or Lanczos at its step cap, still
+    reports the eigvalsh value; at the cap no Cholesky runs."""
+    grams = [_row_gram(tf, tf.N) for tf in twovar_transfers()]
+    calls = []
+
+    def cholesky(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+    for gram in grams:
+        assert_lambda_max_is_eigvalsh(gram)
+    assert calls == [gram.shape for gram in grams]
+    calls.clear()
+    monkeypatch.setattr(transfer, "LANCZOS_STEPS", 2)  # the twovar Grams need w + 1 = 5
+    for gram in grams:
+        assert_lambda_max_is_eigvalsh(gram)
+    assert calls == []
 
 
 def test_row_adjoint_matches_dense_block():
