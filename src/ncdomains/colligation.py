@@ -14,6 +14,7 @@ the transfer function.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -278,26 +279,34 @@ def series_term_by_words(col: Colligation, p: int) -> np.ndarray:
     Stacked over the outermost coefficient word w_{p+1}:
       sum over (w_1..w_p) of D_(w_p)...D_(w_1) C Delta1 *
           sqrt(a_{w_1}...a_{w_{p+1}}) (T1_{w_{p+1} w_p ... w_1})^*.
+    Each prefix product D_(w_j)...D_(w_1) C Delta1 and each T1 word is formed
+    once per call, by the same products as a from-scratch build
+    (T1_{v c} = T1_v T1_c, the order of ``OperatorTuple.word``).
     """
     f, T1 = col.triple.f, col.triple.T1
     words = coefficient_words(f)
-    cd1 = col.C @ _delta1_hat(col)
-    h = cd1.shape[1]
+
+    @functools.cache
+    def chain(tup: tuple[int, ...]) -> np.ndarray:
+        return col.C @ _delta1_hat(col) if not tup else col.d_block(tup[-1]) @ chain(tup[:-1])
+
+    @functools.cache
+    def t1_word(w: Word) -> np.ndarray:
+        return T1.mats[w[0] - 1] if len(w) == 1 else t1_word(w[:-1]) @ T1.mats[w[-1] - 1]
+
     blocks = []
     for w_outer in words:
-        acc = np.zeros((col.slot_dim, h), dtype=complex)
+        acc = np.zeros((col.slot_dim, T1.dim), dtype=complex)
         for tup in itertools.product(range(len(words)), repeat=p):
             coef = f.coeffs.get(w_outer, 0.0)
-            mat = cd1
             for idx in tup:
                 coef *= f.coeffs.get(words[idx], 0.0)
-                mat = col.d_block(idx) @ mat
             if coef == 0.0:
                 continue
             full_word: Word = w_outer
             for idx in reversed(tup):
                 full_word = full_word + words[idx]
-            acc += np.sqrt(coef) * (mat @ T1.word(full_word).conj().T)
+            acc += np.sqrt(coef) * (chain(tup) @ t1_word(full_word).conj().T)
         blocks.append(acc)
     return col.B @ np.vstack(blocks)
 

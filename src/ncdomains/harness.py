@@ -349,8 +349,9 @@ def ando_dilation(pair: CommutingPair, N: int | None = None,
     1 - lambda_max of the Gram of the content rows: the padded rows only add
     the eigenvalue 1.  Without a variety model the Gram comes from the
     coefficient table (transfer._row_gram), with one from the compressed psi_j
-    (its padded rows are zero).  lambda_max is read as the certified Ritz value
-    theta of transfer._lambda_max, lambda_max <= theta + delta.
+    (its padded rows are zero; _lambda_max drops the exactly-zero rows).
+    lambda_max is read as the certified Ritz value theta of
+    transfer._lambda_max, lambda_max <= theta + delta, with no factorization.
 
     psi{j}_multi_analytic checks the shift structure of the table, the bound
     of transfer.multi_analytic_residual, not the dense psi read as ``right``;

@@ -24,8 +24,9 @@ and the small truncation-min(M, N - M) blocks of the Fourier round trip.
 
 By the defect identity the row Gram G is I minus a matrix of rank at most w,
 so its lambda_max (contraction check, lift norm, psi ellipsoid gap) is read
-as the certified Ritz value theta of ``_lambda_max``: Lanczos, then one
-Cholesky of (theta + delta) I - G, theta <= lambda_max <= theta + delta.
+as the certified Ritz value theta of ``_lambda_max``: Lanczos until its
+Krylov space closes, then the Rayleigh-Ritz residual R of that space
+certifies theta <= lambda_max <= theta + delta with no factorization.
 
 Tensor convention throughout: np.kron(Fock factor, inner factor).
 """
@@ -219,68 +220,124 @@ def _row_gram(tf: TransferFunction, K: int, words: list[Word] | None = None) -> 
                  np.ones(len(enumerate_words(tf.f.n, K))))
 
 
-LANCZOS_GAP = 4.0
+LANCZOS_GAP = 8.0
 """c in the certificate gap delta = c eps dim max(1, theta) of ``_lambda_max``.
 
-The shifted matrix (theta + delta) I - G has norm at most about 2 max(1, theta),
-and a Cholesky factorization that succeeds in floating point factors it up to
-a backward error of about dim eps times that norm in practice (Higham,
-Accuracy and Stability of Numerical Algorithms, ch. 10); c = 4 makes delta
-twice that error, so a factorization that succeeds bounds lambda_max.  A
-larger c only widens the bound theta + delta.
+theta I - G = Q (theta I - S) Q^* + R holds exactly for the computed Q, S and
+theta, so rounding reaches the certificate only through theta I - S >= 0 and
+the computed ||R||_F.  To first order, for a positive semidefinite G:
+
+- theta: ``eigvalsh`` of the k x k matrix S is backward stable, so
+  theta I - S >= -k eps max(1, theta) I;
+- R: each entry is theta [i = j] - G_ij minus an inner product of length k,
+  so the computed ||R||_F is within
+  k eps (||theta I - G||_F + k ||theta I - S||) <= k eps (sqrt(dim) + k) max(1, theta)
+  of the exact one.
+
+A computed ||R||_F <= delta / 2 therefore gives lambda_max <= theta + delta
+while k (sqrt(dim) + k + 1) <= (c / 2) dim.  With c = 8 the twovar Grams
+(k = 6, dim >= 124) meet this with room and the battery psi Grams (k <= 10,
+dim 15 to 140) at about the bound; the worst-case factors k overstate the
+rounding, which grows like sqrt(k) in practice (Higham, Accuracy and Stability
+of Numerical Algorithms, ch. 3).  At k = dim, Q is unitary and theta is the
+top eigenvalue of Q^* G Q, as accurate as ``eigvalsh`` of G.  These Grams also
+carry an ||R||_F of their own rounding, up to 2 eps dim measured: c = 8 leaves
+it at half of delta / 2, where c = 4 left no room (3.0e-14 against 3.0e-14 on
+a battery Gram of dim 68).  A larger c only widens the bound theta + delta.
 """
 
 LANCZOS_STEPS = 64
-"""The Lanczos step cap of ``_lambda_max``.  A row Gram is I minus a matrix of
-rank at most w (the defect identity), so its Krylov space closes after at most
-w + 1 steps; 64 is far above the slot dimension of the benchmark shapes (w = 4
-on twovar).  The cap bounds the Lanczos work at 64 products with G, 64 dim^2
-operations, below the dim^3 / 3 of the Cholesky once dim > 192.
+"""The Lanczos step cap of ``_lambda_max``, after which it returns ``eigvalsh``.
+
+A row Gram is I minus a matrix of rank at most w (the defect identity), so its
+Krylov space closes after w + 1 steps in exact arithmetic; the twovar Grams
+(w = 4) close at k = 6.  A Gram that is not of that form, such as the row of a
+non-contraction, runs to the cap and then pays for ``eigvalsh`` as well.  A step costs one product
+with G, about 8 dim^2 flops, and ``eigvalsh`` about 16 dim^3 / 3 for its
+tridiagonal reduction, so in flops the 64 wasted steps cost 96 / dim of the
+fallback.  Measured with one BLAS thread, the memory-bound steps cost more:
+27% of ``eigvalsh`` at dim = 508 and 17% at dim = 1020 (a twovar table with
+its levels >= 2 scaled by 0.97).
 """
+
+_RESIDUAL_ROWS = 32
+"""Rows of R that ``_lambda_max`` forms at once: a block of 32 dim entries, so
+R takes no second dim^2 array once dim > 32.  The time of the N = 6..8 twovar
+Grams changed by under 10% between 16 and 128 rows."""
 
 
 def _lambda_max(gram: np.ndarray) -> float:
-    """The largest eigenvalue of a Hermitian row Gram G, certified; overwrites G.
+    """The largest eigenvalue of a Hermitian (row Gram) matrix G, certified.
 
-    Lanczos with full reorthogonalization from a seeded complex Gaussian start
-    stops when the residual of its top Ritz value theta is at most delta / 2,
-    delta = LANCZOS_GAP eps dim max(1, theta).  theta is a Rayleigh quotient,
-    so theta <= lambda_max, and one Cholesky of (theta + delta) I - G, formed in
-    place, certifies lambda_max <= theta + delta; theta is returned.  If the
-    Cholesky fails or Lanczos reaches LANCZOS_STEPS, the value is the
-    ``eigvalsh`` one, theta + delta minus the least eigenvalue of the shifted G.
+    Exactly-zero rows (and columns) only add the eigenvalue 0 and are dropped
+    first; an all-zero G gives 0.0.  Lanczos with full reorthogonalization
+    from a seeded complex Gaussian start runs until its Krylov space closes:
+    the reorthogonalized residual is at most delta / 2, delta =
+    LANCZOS_GAP eps dim max(1, theta) (theta estimated by the largest Lanczos
+    diagonal so far).  Then theta = lambda_max(S), S = Q^* G Q over the basis
+    Q so far, and R = theta I - G - Q (theta I - S) Q^*: as theta I - S >= 0,
+    x^* G x <= theta + ||R||_2 <= theta + ||R||_F for every unit x, while theta,
+    a Ritz value, is at most lambda_max.  ||R||_F <= delta / 2 therefore
+    certifies theta <= lambda_max <= theta + delta (``LANCZOS_GAP``), and theta
+    is returned.  R is formed a block of rows at a time and G is not written.
+
+    A closure that fails the certificate (an eigenvalue of G above theta, or
+    one below it that the Krylov space holds only part of) restarts from a
+    fresh seeded vector orthogonal to Q; the trace bound
+    |tr R| <= sqrt(dim) ||R||_F refuses most such closures before R is
+    formed.  At ``LANCZOS_STEPS`` basis vectors the value is ``eigvalsh``'s.
     """
+    zero = np.flatnonzero(gram.diagonal() == 0)  # a zero row has a zero diagonal
+    zero = zero[~np.any(gram[zero] != 0, axis=1)]
+    if len(zero):
+        keep = np.delete(np.arange(len(gram)), zero)
+        return max(_lambda_max(gram[np.ix_(keep, keep)]), 0.0) if len(keep) else 0.0
     dim = len(gram)
+    scale = LANCZOS_GAP * np.finfo(float).eps * dim
     rng = np.random.default_rng(0)
-    start = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    basis = np.empty((min(dim, LANCZOS_STEPS), dim), dtype=complex)
-    basis[0] = start / np.linalg.norm(start)
-    alpha, beta = [], []
-    for k in range(len(basis)):
+    steps = min(dim, LANCZOS_STEPS)
+    basis = np.empty((steps, dim), dtype=complex)
+    rayleigh = np.zeros((steps, steps), dtype=complex)  # S: q_i^* G q_j, i <= j
+    x, k, top = None, 0, 1.0
+    while k < steps:
+        if x is None:  # a start, or a restart orthogonal to the closed space
+            x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            for _ in range(2):
+                x -= basis[:k].T @ (basis[:k].conj() @ x)
+        basis[k] = x / np.linalg.norm(x)
         q = basis[:k + 1]
         x = gram @ basis[k]
-        c = q.conj() @ x
-        alpha.append(c[k].real)
+        rayleigh[:k + 1, k] = c = q.conj() @ x
         x -= q.T @ c
         x -= q.T @ (q.conj() @ x)  # twice is enough (Kahan, Parlett)
-        ritz, vecs = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
-        theta = float(ritz[-1])
-        delta = LANCZOS_GAP * np.finfo(float).eps * dim * max(1.0, theta)
-        b = float(np.linalg.norm(x))
-        converged = b * abs(vecs[-1, -1]) <= delta / 2
-        if converged or k + 1 == len(basis):
-            break
-        beta.append(b)
-        basis[k + 1] = x / b
-    np.negative(gram, out=gram)
-    gram[np.diag_indices(dim)] += theta + delta
-    if converged:
-        try:
-            np.linalg.cholesky(gram)
+        k += 1
+        top = max(top, c[-1].real)
+        if np.linalg.norm(x) > scale * top / 2:
+            continue
+        s = rayleigh[:k, :k]
+        theta = float(np.linalg.eigvalsh(s, UPLO="U")[-1])
+        delta = scale * max(1.0, theta)
+        trace = (dim - k) * theta - np.trace(gram).real + np.trace(s).real
+        if (abs(trace) <= np.sqrt(dim) * delta / 2
+                and _residual_norm(gram, basis[:k], s, theta) <= delta / 2):
             return theta
-        except np.linalg.LinAlgError:
-            pass
-    return theta + delta - float(np.linalg.eigvalsh(gram)[0])
+        x = None
+    return float(np.linalg.eigvalsh(gram)[-1])
+
+
+def _residual_norm(gram: np.ndarray, basis: np.ndarray, s: np.ndarray, theta: float) -> float:
+    """||theta I - G - Q (theta I - S) Q^*||_F, Q = basis^T and S Hermitian from
+    its upper triangle, formed ``_RESIDUAL_ROWS`` rows at a time."""
+    upper = np.triu(s, 1)
+    qm = basis.T @ (theta * np.eye(len(s)) - upper - upper.conj().T - np.diag(s.diagonal().real))
+    qh, total = basis.conj(), 0.0
+    for a in range(0, len(gram), _RESIDUAL_ROWS):
+        block = qm[a:a + _RESIDUAL_ROWS] @ qh
+        block += gram[a:a + _RESIDUAL_ROWS]
+        rows = np.arange(len(block))
+        block[rows, a + rows] -= theta
+        total += np.vdot(block, block).real
+    return float(np.sqrt(total))
 
 
 def _row_norm(tf: TransferFunction) -> float:

@@ -1,11 +1,14 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 
 from ncdomains import (IntertwiningTriple, OperatorTuple, RegularPolynomial,
                        build_isometry, complete_to_unitary, series_oracle)
-from ncdomains.colligation import solve_padding
+from ncdomains.colligation import (Colligation, _delta1_hat, series_term_by_words,
+                                   solve_padding)
+from ncdomains.domain import coefficient_words
 
 from conftest import random_nilpotent_tuple
 
@@ -168,6 +171,44 @@ def test_two_path_degree_two(fib_poly):
     two_path = [c for c in rep.checks if c.name.startswith("two_path")]
     assert len(two_path) == 4
     assert all(c.value <= 1e-10 for c in two_path)
+
+
+def series_term_from_scratch(col: Colligation, p: int) -> np.ndarray:
+    """Oracle of ``series_term_by_words``: every prefix product and every T1 word
+    rebuilt for each word tuple (the body before the products were shared)."""
+    f, T1 = col.triple.f, col.triple.T1
+    words = coefficient_words(f)
+    cd1 = col.C @ _delta1_hat(col)
+    h = cd1.shape[1]
+    blocks = []
+    for w_outer in words:
+        acc = np.zeros((col.slot_dim, h), dtype=complex)
+        for tup in itertools.product(range(len(words)), repeat=p):
+            coef = f.coeffs.get(w_outer, 0.0)
+            mat = cd1
+            for idx in tup:
+                coef *= f.coeffs.get(words[idx], 0.0)
+                mat = col.d_block(idx) @ mat
+            if coef == 0.0:
+                continue
+            full_word = w_outer
+            for idx in reversed(tup):
+                full_word = full_word + words[idx]
+            acc += np.sqrt(coef) * (mat @ T1.word(full_word).conj().T)
+        blocks.append(acc)
+    return col.B @ np.vstack(blocks)
+
+
+def test_series_term_by_words_matches_the_from_scratch_build():
+    """Sharing the prefix products and T1 words changes no bit: the twovar-shaped
+    triples (f = z1 + z2 + 0.5 z1 z2) and the n = 1, 2 Gram colligations
+    (g = z + z^2), p = 0..3."""
+    from test_transfer import F_TRIPLE, commuting_triple, gram_colligations
+    cols = [complete_to_unitary(build_isometry(commuting_triple(N + 10, 4, F_TRIPLE)))
+            for N in (4, 5, 6)] + gram_colligations()
+    for col in cols:
+        for p in range(4):
+            assert np.array_equal(series_term_by_words(col, p), series_term_from_scratch(col, p))
 
 
 def test_dims_recorded():

@@ -438,8 +438,8 @@ def test_transfer_checks_stay_on_the_fock_r_out_side(monkeypatch):
     defect identity, the Fourier round trip and the dilation identity scatter
     no N-level dense block: ``TransferFunction.block`` fails the test while
     they run.  ando_dilation scatters nothing: ``_scatter`` fails the test as
-    well.  The row Grams take the certified route: each is factored by one
-    Cholesky, and no eigvalsh call gets a matrix as tall as a row Gram.
+    well.  The row Grams take the certified route: no Cholesky runs, and no
+    eigvalsh call gets a matrix as tall as a row Gram.
     """
     calls = []
     for name in ("eigvalsh", "eigh", "svd", "cholesky"):
@@ -450,7 +450,7 @@ def test_transfer_checks_stay_on_the_fock_r_out_side(monkeypatch):
 
     def assert_certified_route(height: int) -> None:
         assert calls and max(h for _, h in calls) <= height
-        assert [h for name, h in calls if name == "cholesky"] == [height]
+        assert [h for name, h in calls if name == "cholesky"] == []
         assert all(h < height for name, h in calls if name == "eigvalsh")
 
     f_pair = RegularPolynomial(2, {(1,): 1.0, (2,): 1.0})

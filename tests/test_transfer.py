@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -195,25 +197,107 @@ def test_lambda_max_on_small_dense_grams():
     assert _lambda_max(np.zeros((5, 5), dtype=complex)) == 0.0
 
 
+def spy_eigvalsh(monkeypatch) -> list[int]:
+    """The heights of the matrices np.linalg.eigvalsh gets from now on."""
+    heights, real = [], np.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        heights.append(len(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    return heights
+
+
 def test_lambda_max_falls_back_to_eigvalsh(monkeypatch):
-    """A Cholesky that fails the certificate, or Lanczos at its step cap, still
-    reports the eigvalsh value; at the cap no Cholesky runs."""
+    """A certificate that fails at every closure, or Lanczos at its step cap,
+    reports the eigvalsh value through one eigvalsh call as tall as the Gram."""
     grams = [_row_gram(tf, tf.N) for tf in twovar_transfers()]
-    calls = []
-
-    def cholesky(a, *args, **kwargs):
-        calls.append(np.shape(a))
-        raise np.linalg.LinAlgError("Matrix is not positive definite")
-
-    monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+    heights = spy_eigvalsh(monkeypatch)
+    with monkeypatch.context() as m:
+        m.setattr(transfer, "_residual_norm", lambda *args: np.inf)
+        for gram in grams:
+            heights.clear()
+            assert_lambda_max_is_eigvalsh(gram)
+            assert heights.count(len(gram)) == 2  # the oracle's and the fallback's
+            assert max(heights[1:-1]) == transfer.LANCZOS_STEPS  # closures up to the cap
+    monkeypatch.setattr(transfer, "LANCZOS_STEPS", 2)  # the twovar Grams need w + 2 = 6
     for gram in grams:
+        heights.clear()
         assert_lambda_max_is_eigvalsh(gram)
-    assert calls == [gram.shape for gram in grams]
-    calls.clear()
-    monkeypatch.setattr(transfer, "LANCZOS_STEPS", 2)  # the twovar Grams need w + 1 = 5
-    for gram in grams:
-        assert_lambda_max_is_eigvalsh(gram)
-    assert calls == []
+        assert heights == [len(gram), len(gram)]  # no closure before the cap
+
+
+def unitary(dim: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    return q
+
+
+def test_lambda_max_refuses_a_top_eigenvector_outside_the_krylov_space(monkeypatch):
+    """G = I + 1e-6 u u^*, u orthogonal to the seeded start v: G v = v, so the
+    first Krylov space closes at theta = 1 below lambda_max = 1 + 1e-6.  The
+    certificate refuses it and every later closure (R = 1e-6 on the rest of
+    the space), and with dim above the step cap the value is eigvalsh's."""
+    dim = transfer.LANCZOS_STEPS + 16
+    rng = np.random.default_rng(0)  # the start of _lambda_max
+    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    u = unitary(dim, 1)[:, 0]
+    u -= v * (np.vdot(v, u) / np.vdot(v, v))
+    u /= np.linalg.norm(u)
+    gram = np.eye(dim) + 1e-6 * np.outer(u, u.conj())
+    heights = spy_eigvalsh(monkeypatch)
+    assert assert_lambda_max_is_eigvalsh(gram) - 1.0 > 0.9e-6
+    assert heights[1] == 1 and heights[-1] == dim  # closed at k = 1, refused
+
+
+def test_lambda_max_certifies_a_repeated_eigenvalue_after_a_restart(monkeypatch):
+    """Spectrum 1 (dim - 3 times), 0.5 (twice) and 0.2: the first Krylov space
+    holds one vector of the 0.5 eigenspace and closes at k = 3, where
+    R = 0.5 on the other one refuses it; the restart orthogonal to it closes
+    at k = 5 and certifies, with no eigvalsh call as tall as the Gram."""
+    dim = 40
+    q = unitary(dim, 2)
+    spectrum = np.ones(dim)
+    spectrum[:3] = 0.5, 0.5, 0.2
+    gram = (q * spectrum) @ q.conj().T
+    heights = spy_eigvalsh(monkeypatch)
+    assert abs(assert_lambda_max_is_eigvalsh(gram) - 1.0) <= 1e-14
+    assert heights[1:] == [3, 5]
+
+
+def test_lambda_max_drops_zero_rows(monkeypatch):
+    """Exactly-zero rows and columns add only the eigenvalue 0: they are dropped
+    and the rest certifies at the full dimension of its Krylov space (kept, the
+    zero rows would refuse every closure: R = theta on them).  A negative
+    semidefinite rest gives the 0 of the zero rows."""
+    rng = np.random.default_rng(4)
+    x = np.zeros((14, 16), dtype=complex)
+    x[[0, 2, 3, 7, 8, 12]] = rng.standard_normal((6, 16)) + 1j * rng.standard_normal((6, 16))
+    gram = x @ x.conj().T
+    heights = spy_eigvalsh(monkeypatch)
+    assert_lambda_max_is_eigvalsh(gram)
+    assert heights[1:] == [6]
+    assert assert_lambda_max_is_eigvalsh(-gram) == 0.0
+
+
+def test_lambda_max_keeps_the_gram_and_allocates_below_a_quarter_of_it():
+    """Memory guard at the N = 7 twovar row Gram (1020^2, 16.6 MB): under
+    tracemalloc the certified route peaks below a quarter of the Gram's bytes
+    (R is formed a block of rows at a time), and the Gram is not written."""
+    tf = eval_transfer(complete_to_unitary(build_isometry(commuting_triple(17, 4, F_TRIPLE))), 7)
+    gram = _row_gram(tf, tf.N)
+    before = gram.copy()
+    assert len(gram) == 1020
+    tracemalloc.start()
+    try:
+        lam = _lambda_max(gram)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * gram.nbytes
+    assert np.array_equal(gram, before)
+    assert abs(lam - 1.0) <= 1e-13
 
 
 def test_row_adjoint_matches_dense_block():
