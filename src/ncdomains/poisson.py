@@ -9,7 +9,7 @@ import numpy as np
 from .domain import (OperatorTuple, RegularPolynomial, apply_phi, b_coefficients,
                      phi_identity_power, weighted_creation)
 from .report import VerificationReport
-from .words import WordTable, enumerate_words
+from .words import enumerate_words
 
 
 def canonical_phases(vectors: np.ndarray) -> np.ndarray:
@@ -79,28 +79,20 @@ class PoissonKernel:
         return self.defect.rank
 
 
-def _word_operators(T: OperatorTuple, table: WordTable) -> list[np.ndarray]:
-    """T_w for every word of the table, each from its prefix: T_{w i} = T_w T_i.
-
-    OperatorTuple.word multiplies left to right in the same way, so every
-    T_w is bitwise identical to T.word(w), at one product per word.
-    """
-    ops: list[np.ndarray] = []
-    for w in table.words:
-        if len(w) <= 1:
-            ops.append(T.word(w))
-        else:
-            ops.append(ops[table.index[w[:-1]]] @ T.mats[w[-1] - 1])
-    return ops
-
-
 def poisson_kernel(f: RegularPolynomial, T: OperatorTuple, N: int) -> PoissonKernel:
+    """Row blocks sqrt(b_w) basis^H Delta T_w^*, a Fock level at a time: level m
+    is one batched product T_{w i} = T_w T_i of level m-1 with the T_i (the order
+    of OperatorTuple.word; I T_i is exact), so each block is bitwise the per-word
+    one, and Delta and the defect coordinates act on all levels in one product."""
     dd = defect(f, T)
-    table = enumerate_words(f.n, N)
     b = b_coefficients(f, N)
-    blocks = [np.sqrt(b[w]) * dd.coords(dd.delta @ tw.conj().T)
-              for w, tw in zip(table.words, _word_operators(T, table))]
-    return PoissonKernel(matrix=np.vstack(blocks), N=N, f=f, T=T, defect=dd)
+    mats, stacks = np.stack(T.mats)[None], [np.eye(T.rows, T.cols, dtype=complex)[None]]
+    for _ in range(N):
+        stacks.append((stacks[-1][:, None] @ mats).reshape(-1, T.rows, T.cols))
+    tw_h = np.concatenate(stacks).conj().transpose(0, 2, 1)
+    sqrt_b = np.sqrt([b[w] for w in enumerate_words(f.n, N).words])[:, None, None]
+    blocks = sqrt_b * dd.coords(dd.delta @ tw_h)
+    return PoissonKernel(matrix=blocks.reshape(-1, T.rows), N=N, f=f, T=T, defect=dd)
 
 
 def add_gram_check(rep: VerificationReport, kmat: np.ndarray, f: RegularPolynomial,

@@ -5,18 +5,20 @@ weighted left creation operators W), the constrained model space is
 
     N_J = (truncated Fock) minus J,   J = span{ W_u q_s(W) e_v },
 
-with compressed tuples B_i = P W_i P (left) and C_i = P L_i P (right).  Tuples
-T that annihilate every generator admit a constrained Poisson kernel obtained
-by projecting the unconstrained one onto N_J.
+with the compressed tuple B_i = P W_i P.  Tuples T that annihilate every
+generator admit a constrained Poisson kernel obtained by projecting the
+unconstrained one onto N_J.
 
 For homogeneous generators J is graded: W_i raises the level by one, so
 J_m = sum_i W_i J_{m-1} + span{ q_s(W) e_v : |v| = m - deg q_s }.  N_J is then
 co-invariant (W_i^* N_J in N_J), and its level m is cut from the n d_{m-1}
-vectors W_i (W_i^* W_i)^{-1} N_{m-1} by the generator columns at level m: one
-thin QR and one SVD of an (n d_{m-1})-row block per level, with no basis of J.
-The model basis is the level complements in level order.  Other generators go
-through one SVD of the whole span.  Both use one rank rule: a singular value
-counts when it exceeds 1e-9 times the largest one of its block.
+vectors W_i (W_i^* W_i)^{-1} N_{m-1} by the generator columns at level m, read
+as the frame rows at the shift targets: one thin QR and one SVD of an
+(n d_{m-1})-row block per level, with no basis of J.  The model basis is the
+level complements b_m in level order, and B_i is formed a level at a time as
+b_{m+1}^* (W_i b_m).  Other generators go through one SVD of the whole span.
+Both use one rank rule: a singular value counts when it exceeds 1e-9 times the
+largest one of its block.
 
 Truncation semantics: the span above is only reliable at levels
 |u| + deg q_s + |v| <= N, so levels within max(deg q_s) of the boundary are
@@ -61,18 +63,6 @@ def eval_generator(q: Generator, T: OperatorTuple) -> np.ndarray:
     return out
 
 
-def _generator_columns(q: Generator, W: tuple[WeightedShift, ...],
-                       cols: slice, rows: slice) -> np.ndarray:
-    """Rows ``rows`` (holding every live target) of the columns q(W) e_v, v in cols."""
-    idx = np.arange(W[0].size)[cols]
-    out = np.zeros((rows.stop - rows.start, idx.size), dtype=complex)
-    for w, c in q.items():
-        if c != 0:
-            s = shift_word(W, w)
-            out[s.target[idx] - rows.start, np.arange(idx.size)] += c * s.weight[idx]
-    return out
-
-
 def commutator_generators(n: int) -> list[Generator]:
     """Z_j Z_i - Z_i Z_j for i < j: the commutation (symmetric-model) ideal."""
     return [{(j, i): 1.0, (i, j): -1.0}
@@ -102,13 +92,6 @@ class VarietyModel:
     def dim(self) -> int:
         return self.basis.shape[1]
 
-    @property
-    def right(self) -> OperatorTuple:
-        """C_i = P L_i P on the model space, built from f and N on each read."""
-        basis_h = self.basis.conj().T
-        return OperatorTuple(tuple(l.rmul(basis_h) @ self.basis
-                                   for l in weighted_creation(self.f, self.N, "right")))
-
 
 def _is_homogeneous(q: Generator) -> bool:
     lengths = {len(w) for w, c in q.items() if c != 0}
@@ -127,50 +110,77 @@ def _split_span(cand: np.ndarray) -> np.ndarray:
     return u_m[:, rank:]
 
 
-def _graded_complement(table: WordTable, W: tuple[WeightedShift, ...],
-                       live: list[tuple[Generator, int]]) -> np.ndarray:
-    """N_J level by level from its co-invariance W_i^* N_J in N_J.
+def _next_level(table: WordTable, W: tuple[WeightedShift, ...],
+                shifts: list[tuple[int, list[tuple[complex, WeightedShift]]]],
+                below: np.ndarray, m: int) -> np.ndarray:
+    """N_m from N_{m-1} = ``below``, by the co-invariance W_i^* N_J in N_J.
 
     x at level m lies in N_m exactly when each W_i^* x lies in N_{m-1} and x is
     orthogonal to the generator columns q(W) e_v at level m.  The first condition
     puts the slot-i block of x in N_{m-1} / w_i, so N_m is the complement of the
-    generator columns inside the span V_m of those n d_{m-1} candidates.
+    generator columns inside the span V_m of those n d_{m-1} candidates, met as
+    frame^* q(W) e_v = sum_w c_w s_w(v) frame^* e_{wv}, with no Fock-row block.
     """
-    below = np.ones((1, 1), dtype=complex)  # N_0 = C e_empty: generators have degree >= 1
-    levels = [below]
+    prev, cur = table.level_slice(m - 1), table.level_slice(m)
+    d = below.shape[1]
+    cand = np.zeros((cur.stop - cur.start, len(W) * d), dtype=complex)
+    for i, w in enumerate(W):
+        cand[w.target[prev] - cur.start, i * d:(i + 1) * d] = below / w.weight[prev, None]
+    frame = np.linalg.qr(cand)[0]
+    gens = [np.zeros((frame.shape[1], 0), dtype=complex)]
+    for dq, terms in shifts:
+        if dq <= m:
+            v = np.arange(len(table))[table.level_slice(m - dq)]
+            gens.append(sum(c * s.weight[v] * frame[s.target[v] - cur.start].conj().T
+                            for c, s in terms))
+    return canonical_phases(frame @ _split_span(np.hstack(gens)))
+
+
+def _graded_complement(table: WordTable, W: tuple[WeightedShift, ...],
+                       live: list[tuple[Generator, int]]) -> tuple[np.ndarray, list[slice]]:
+    """N_J one level at a time (:func:`_next_level`), and the basis columns of each level."""
+    shifts = [(dq, [(c, shift_word(W, w)) for w, c in q.items() if c != 0]) for q, dq in live]
+    levels = [np.ones((1, 1), dtype=complex)]  # N_0 = C e_empty: generators have degree >= 1
     for m in range(1, table.N + 1):
-        prev, cur = table.level_slice(m - 1), table.level_slice(m)
-        d = below.shape[1]
-        cand = np.zeros((cur.stop - cur.start, len(W) * d), dtype=complex)
-        for i, w in enumerate(W):
-            cand[w.target[prev] - cur.start, i * d:(i + 1) * d] = below / w.weight[prev, None]
-        frame = np.linalg.qr(cand)[0]
-        gens = [np.zeros((cand.shape[0], 0), dtype=complex)]
-        gens += [_generator_columns(q, W, table.level_slice(m - dq), cur)
-                 for q, dq in live if dq <= m]
-        below = canonical_phases(frame @ _split_span(frame.conj().T @ np.hstack(gens)))
-        levels.append(below)
+        levels.append(_next_level(table, W, shifts, levels[-1], m))
     basis = np.zeros((len(table), sum(b.shape[1] for b in levels)), dtype=complex)
-    col = 0
+    cols, col = [], 0
     for m, b in enumerate(levels):
-        basis[table.level_slice(m), col:col + b.shape[1]] = b
+        cols.append(slice(col, col + b.shape[1]))
+        basis[table.level_slice(m), cols[-1]] = b
         col += b.shape[1]
-    return basis
+    return basis, cols
+
+
+def _compress(w: WeightedShift, table: WordTable, basis: np.ndarray,
+              cols: list[slice]) -> np.ndarray:
+    """P W P on the model space as b_{m+1}^* (W b_m), level by level, where b_m
+    is the level-m rows of the basis on the columns cols[m] they occupy."""
+    out = np.zeros((basis.shape[1],) * 2, dtype=complex)
+    for m in range(table.N):
+        lo = table.level_slice(m)
+        out[cols[m + 1], cols[m]] += (basis[w.target[lo], cols[m + 1]].conj().T
+                                      @ (w.weight[lo, None] * basis[lo, cols[m]]))
+    return out
 
 
 def _span_complement(table: WordTable, W: tuple[WeightedShift, ...],
-                     live: list[tuple[Generator, int]]) -> np.ndarray:
-    """N_J for any generators: one SVD of {W_u q(W) e_v : |u| + deg q + |v| <= N}."""
+                     live: list[tuple[Generator, int]]) -> tuple[np.ndarray, list[slice]]:
+    """N_J for any generators: one SVD of {W_u q(W) e_v : |u| + deg q + |v| <= N};
+    every level may occupy every basis column."""
     cols = [np.zeros((len(table), 0), dtype=complex)]
     for q, dq in live:
-        qw = _generator_columns(q, W, slice(0, table.max_level_index(table.N - dq)),
-                                slice(0, len(table)))
+        v = np.arange(table.max_level_index(table.N - dq))
+        qw = np.zeros((len(table), v.size), dtype=complex)  # the columns q(W) e_v
+        for w, c in q.items():
+            s = shift_word(W, w)
+            qw[s.target[v], v] += c * s.weight[v]
         for u in table.words:
             if len(u) > table.N - dq:
                 break
             top = table.max_level_index(table.N - dq - len(u))
             cols.append(shift_word(W, u).apply(qw[:, :top]))
-    return canonical_phases(_split_span(np.hstack(cols)))
+    return canonical_phases(_split_span(np.hstack(cols))), [slice(None)] * (table.N + 1)
 
 
 def build_variety(f: RegularPolynomial, N: int, generators: list[Generator]) -> VarietyModel:
@@ -185,10 +195,8 @@ def build_variety(f: RegularPolynomial, N: int, generators: list[Generator]) -> 
     W = weighted_creation(f, N, "left")
     live = [(q, generator_degree(q)) for q in generators if generator_degree(q) > 0]
     build = _graded_complement if all(_is_homogeneous(q) for q, _ in live) else _span_complement
-    basis = build(table, W, live)
-
-    basis_h = basis.conj().T
-    left = OperatorTuple(tuple(w.rmul(basis_h) @ basis for w in W))
+    basis, cols = build(table, W, live)
+    left = OperatorTuple(tuple(_compress(w, table, basis, cols) for w in W))
     margin = max((generator_degree(q) for q in generators), default=0)
     return VarietyModel(f=f, N=N, generators=tuple(generators), basis=basis,
                         left=left, unstable_margin=margin)

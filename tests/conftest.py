@@ -39,6 +39,14 @@ def dense_creation(f: RegularPolynomial, N: int, side: str = "left") -> Operator
     return OperatorTuple(tuple(s.dense() for s in weighted_creation(f, N, side)))
 
 
+def dense_compression(v: VarietyModel, side: str) -> OperatorTuple:
+    """P S_i P on the model space by one product over the whole Fock space: the
+    oracle for the level-local ``v.left`` (side "left"), and C_i = P L_i P."""
+    basis_h = v.basis.conj().T
+    return OperatorTuple(tuple(s.rmul(basis_h) @ v.basis
+                               for s in weighted_creation(v.f, v.N, side)))
+
+
 def random_nilpotent_tuple(seed: int, n: int, dim: int,
                            f: RegularPolynomial | None = None,
                            target: float = 0.9) -> OperatorTuple:

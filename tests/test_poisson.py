@@ -87,10 +87,16 @@ def test_kernel_contraction_for_battery():
 
 
 def test_prefix_kernel_matches_word_path_bitwise():
-    """The prefix-cached T_w give the kernel of the per-word OperatorTuple.word path."""
+    """The level-batched T_w give the kernel of the per-word OperatorTuple.word
+    path, at N = 5 on the battery of f and at the benchmark shapes: (n, N) =
+    (3, 6) of the variety workload, the degree-2 f = z1 + z2 + z1 z2 / 2 of the
+    twovar triples at N = 6, and (1, 26), the deepest kernel of the battery."""
     rng = np.random.default_rng(11)
-    N = 5
-    for seed, f in enumerate(f_battery()):
+    cases = [(f, 5) for f in f_battery()]
+    cases += [(RegularPolynomial(3, {(1,): 1.0, (2,): 1.0, (3,): 1.0}), 6),
+              (RegularPolynomial(2, {(1,): 1.0, (2,): 1.0, (1, 2): 0.5}), 6),
+              (RegularPolynomial.single_variable([1.0]), 26)]
+    for seed, (f, N) in enumerate(cases):
         dense = OperatorTuple(tuple(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
                                     for _ in range(f.n)))
         for T in (random_nilpotent_tuple(seed, f.n, 4, f), scale_into_domain(f, dense, 0.5)):

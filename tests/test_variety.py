@@ -1,3 +1,4 @@
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -7,13 +8,20 @@ from ncdomains import (OperatorTuple, RegularPolynomial, build_variety,
                        commutator_generators, constrained_poisson, enumerate_words,
                        minpoly_generator, poisson_kernel,
                        verify_constrained_kernel, weighted_creation)
-from ncdomains.variety import _span_complement, generator_degree
+from ncdomains.variety import VarietyModel, _span_complement, generator_degree
 
-from conftest import dense_creation, f_battery, kappa_eval, level_dimensions
+from conftest import (dense_compression, dense_creation, f_battery, kappa_eval,
+                      level_dimensions)
 
 
 def drury_poly(n: int) -> RegularPolynomial:
     return RegularPolynomial(n, {(i,): 1.0 for i in range(1, n + 1)})
+
+
+def assert_left_matches_dense(v: VarietyModel) -> None:
+    for got, want in zip(v.left.mats, dense_compression(v, "left").mats, strict=True):
+        assert got.shape == (v.dim, v.dim)
+        assert np.linalg.norm(got - want, 2) <= 1e-14 * max(1.0, np.linalg.norm(want, 2))
 
 
 def test_symmetric_fock_dimensions():
@@ -25,7 +33,8 @@ def test_symmetric_fock_dimensions():
 
 
 def test_graded_build_matches_span_oracle():
-    """The level-by-level basis spans the model space of one SVD of the whole span."""
+    """The level-by-level basis spans the model space of one SVD of the whole span,
+    and its level-local B_i are the dense compressions P W_i P."""
     mixed = {(1, 1): 1.0, (1, 2): 0.5 - 0.2j, (2, 1): -0.3, (2, 2): 0.25j}
     cases = [(f, 5, gens) for f in f_battery() if f.n > 1
              for gens in (commutator_generators(f.n), [mixed])]
@@ -43,11 +52,66 @@ def test_graded_build_matches_span_oracle():
     for f, N, gens in cases:
         v = build_variety(f, N, gens)
         live = [(q, generator_degree(q)) for q in gens]
-        oracle = _span_complement(enumerate_words(f.n, N), weighted_creation(f, N), live)
+        oracle, _ = _span_complement(enumerate_words(f.n, N), weighted_creation(f, N), live)
         assert v.dim == oracle.shape[1]
         assert np.linalg.norm(v.basis.conj().T @ v.basis - np.eye(v.dim), 2) <= 1e-12
         proj_gap = v.basis @ v.basis.conj().T - oracle @ oracle.conj().T
         assert np.linalg.norm(proj_gap, 2) <= 1e-12
+        assert_left_matches_dense(v)
+
+
+def test_span_model_compressions_match_dense_oracle():
+    """Generators of mixed degrees take the whole-span build; its basis mixes
+    the levels, and its B_i summed level by level are the dense compressions."""
+    z = RegularPolynomial.single_variable([1.0])
+    mixed_degree = {(1, 2): 1.0, (2, 1): -1.0, (3,): 0.5}
+    for f, N, gens in ((z, 8, [minpoly_generator([0.2, -0.3 + 0.2j, 0.1j])]),
+                       (RegularPolynomial.single_variable([1.0, 1.0]), 7,
+                        [minpoly_generator([0.3, 0.25j])]),
+                       (drury_poly(3), 4, [mixed_degree])):
+        assert_left_matches_dense(build_variety(f, N, gens))
+
+
+def symmetric_level_basis(n: int, m: int) -> np.ndarray:
+    """Normalized symmetrized monomials: column alpha is the sum of e_w over the
+    words w of length m with letter counts alpha, divided by its norm."""
+    table = enumerate_words(n, m)
+    words = table.words[table.level_slice(m)]
+    classes: dict[tuple[int, ...], int] = {}
+    label = [classes.setdefault(tuple(sorted(w)), len(classes)) for w in words]
+    out = np.zeros((len(words), len(classes)))
+    out[np.arange(len(words)), label] = 1.0
+    return out / np.sqrt(out.sum(axis=0))
+
+
+def test_commutator_model_is_the_symmetric_fock_space():
+    """Closed-form oracle: for f = z1 + ... + zn every weight is 1, and the model
+    of the commutator ideal is the symmetric Fock space at every level.  With
+    equal dimensions, ||Q Q^* - S S^*||_2 = ||Q - S S^* Q||_2 for orthonormal Q, S,
+    so the level projectors are compared without a Fock^2 matrix."""
+    for n, N in ((3, 7), (2, 8)):
+        v = build_variety(drury_poly(n), N, commutator_generators(n))
+        table = enumerate_words(n, N)
+        for m in range(N + 1):
+            q = v.basis[table.level_slice(m)]
+            q = q[:, np.linalg.norm(q, axis=0) > 0]
+            s = symmetric_level_basis(n, m)
+            assert q.shape[1] == s.shape[1] == comb(n + m - 1, m)
+            assert np.linalg.norm(q - s @ (s.T @ q), 2) <= 1e-12
+
+
+def test_commutator_build_peak_memory():
+    """The level-local build at (n, N) = (3, 7), Fock 3,280 and model dimension
+    120, peaks below 20 MB: no Fock-row generator block and no dense compression."""
+    f = drury_poly(3)
+    build_variety(f, 7, commutator_generators(3))  # warm the word table and weights
+    tracemalloc.start()
+    try:
+        build_variety(f, 7, commutator_generators(3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6, peak
 
 
 def test_trivial_variety_is_full_fock():
@@ -125,9 +189,9 @@ def test_commutator_model_kernel():
 
 
 def test_right_compression_matches_dense_construction():
-    """C_i = P L_i P, built on each read of ``right``, against the dense right
-    creation operators; the monomial model Z1 Z2 is not symmetric, so there C_i
-    differs from B_i."""
+    """The oracle helper's C_i = P L_i P against the dense right creation
+    operators; the monomial model Z1 Z2 is not symmetric, so there C_i differs
+    from B_i."""
     varying = RegularPolynomial(2, {(1,): 0.5, (2,): 2.0, (1, 2): 0.7, (2, 2): 0.2})
     z = RegularPolynomial.single_variable([1.0])
     for f, N, gens in ((varying, 4, commutator_generators(2)), (drury_poly(2), 4, [{(1, 2): 1.0}]),
@@ -135,7 +199,8 @@ def test_right_compression_matches_dense_construction():
                        (z, 6, [minpoly_generator([0.5, -0.25])])):
         v = build_variety(f, N, gens)
         p = v.basis
-        for got, lam in zip(v.right.mats, dense_creation(f, N, "right").mats, strict=True):
+        for got, lam in zip(dense_compression(v, "right").mats,
+                            dense_creation(f, N, "right").mats, strict=True):
             want = p.conj().T @ lam @ p
             assert got.shape == (v.dim, v.dim)
             assert np.linalg.norm(got - want) <= 1e-14 * max(1.0, np.linalg.norm(want))
@@ -149,7 +214,7 @@ def test_ellipsoid_membership_of_compressed_tuple():
         v = build_variety(f, 4, commutator_generators(n))
         rep = domain_membership(f, v.left)
         assert rep.min_eig_ellipsoid >= -1e-9
-        rep_r = domain_membership(f, v.right)
+        rep_r = domain_membership(f, dense_compression(v, "right"))
         assert rep_r.min_eig_ellipsoid >= -1e-9
 
 
