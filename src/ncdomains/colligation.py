@@ -113,15 +113,14 @@ def build_isometry(triple: IntertwiningTriple, tol: float = 1e-8) -> PartialIsom
 def solve_padding(d1: int, d1p: int, d2: int, m1: int, m2: int) -> tuple[int, int, int, bool]:
     """Pads (e, u, v) with d1+u + m1*(d2+e) == m2*(d1p+v) + d2+e.
 
-    e enlarges the auxiliary space sitting next to the second defect (the
-    finite stand-in for an infinite padding space); u and v enlarge the outer
-    defect blocks and are used only as a fallback.  Returns (e, u, v,
-    fallback_used).
+    e enlarges the auxiliary space next to the second defect (the finite
+    stand-in for an infinite padding space) and solves (m1 - 1) e = gap, the
+    range minus the domain dimension at e = 0.  u and v enlarge the outer defect
+    blocks, as a fallback when no e >= 0 does.  Returns (e, u, v, fallback_used).
     """
-    for e in range(513):
-        if d1 + m1 * (d2 + e) == m2 * d1p + d2 + e:
-            return e, 0, 0, False
     gap = m2 * d1p + d2 - d1 - m1 * d2  # range minus domain at e = 0
+    if gap == 0 or (m1 != 1 and gap % (m1 - 1) == 0 and gap // (m1 - 1) > 0):
+        return (gap // (m1 - 1) if gap else 0), 0, 0, False
     if gap >= 0:
         return 0, gap, 0, True
     v = (-gap + m2 - 1) // m2

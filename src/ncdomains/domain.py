@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .words import EMPTY, Word, check_word, enumerate_words, words_of_lengths
+from .words import EMPTY, Word, check_word, fock_size, words_of_lengths
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,7 @@ class RegularPolynomial:
 
 # word count m = card{w : 1 <= |w| <= k}, the block multiplicity of f
 def block_count(f: RegularPolynomial) -> int:
-    return sum(f.n**m for m in range(1, f.degree + 1))
+    return fock_size(f.n, f.degree) - 1
 
 
 def coefficient_words(f: RegularPolynomial) -> list[Word]:
@@ -81,26 +81,28 @@ def coefficient_words(f: RegularPolynomial) -> list[Word]:
     return words_of_lengths(f.n, 1, f.degree)
 
 
-def b_coefficients(f: RegularPolynomial, N: int) -> dict[Word, float]:
-    """Weights b_w of (1 - f)^{-1} for |w| <= N (b_empty = 1, all positive), via
-    the linear recursion b_w = sum_{uv=w, u in supp f} a_u b_v.
+def b_coefficients(f: RegularPolynomial, N: int) -> np.ndarray:
+    """Weights b_w of (1 - f)^{-1} for |w| <= N (b_empty = 1, all positive), a
+    read-only array in graded-lex word order.
 
-    Equivalent to the sum over ordered factorizations of w into blocks of
-    length 1..deg f with coefficient product a_{u_1}...a_{u_j}.
+    b_w = sum_{uv=w, u in supp f} a_u b_v, a level at a time: the word of length
+    m and rank rho is u v with |u| = k, rank(u) = rho // n^(m-k) and rank(v) =
+    rho % n^(m-k), so level m is sum_{k <= deg f} kron(a_k, b_{m-k}), a_k the
+    coefficients of the words of length k by rank, summed from k = 1 up.
     """
     if N < 0:
         raise ValueError("level must be >= 0")
-    table = enumerate_words(f.n, N)
-    k = f.degree
-    values: dict[Word, float] = {EMPTY: 1.0}
-    for w in table.words[1:]:
-        acc = 0.0
-        for m in range(1, min(k, len(w)) + 1):
-            a = f.coeffs.get(w[:m])
-            if a:
-                acc += a * values[w[m:]]
-        values[w] = acc
-    return values
+    a = [np.array([f.coeffs.get(w, 0.0) for w in words_of_lengths(f.n, k, k)])
+         for k in range(f.degree + 1)]
+    levels = [np.ones(1)]
+    for m in range(1, N + 1):
+        level = np.multiply.outer(a[1], levels[m - 1]).ravel()
+        for k in range(2, min(f.degree, m) + 1):
+            level += np.multiply.outer(a[k], levels[m - k]).ravel()
+        levels.append(level)
+    out = np.concatenate(levels)
+    out.flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True)
@@ -191,12 +193,6 @@ class WeightedShift:
                                                   x.shape[1])
         return (self.weight[:, None, None] * xb[self.target]).reshape(x.shape)
 
-    def rmul(self, x: np.ndarray) -> np.ndarray:
-        """x (S (x) I_r), gathered column block by column block."""
-        xb = np.asarray(x, dtype=complex).reshape(x.shape[0], self.size,
-                                                  x.shape[1] // self.size)
-        return (xb[:, self.target] * self.weight[None, :, None]).reshape(x.shape[0], -1)
-
     def dense(self, inner: np.ndarray | None = None) -> np.ndarray:
         """The dense matrix kron(S, inner), one Fock block per live column; inner
         defaults to the 1 x 1 identity."""
@@ -230,17 +226,19 @@ def weighted_creation(f: RegularPolynomial, N: int,
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    table = enumerate_words(f.n, N)
-    b = b_coefficients(f, N)
-    weights = np.array([b[w] for w in table.words])
-    below = table.max_level_index(N - 1)  # the columns below the top level
+    n, b = f.n, b_coefficients(f, N)
+    start = np.array([fock_size(n, m - 1) for m in range(N + 1)])  # index of level m
+    below = start[-1]  # the columns below the top level
+    level = np.repeat(np.arange(N), n ** np.arange(N))
+    rank = np.arange(below) - start[level]
     out = []
-    for i in range(1, f.n + 1):
-        target = np.arange(len(table))
-        target[:below] = [table.index[(i,) + w if side == "left" else w + (i,)]
-                          for w in table.words[:below]]
-        weight = np.zeros(len(table))
-        weight[:below] = np.sqrt(weights[:below] / weights[target[:below]])
+    for i in range(1, n + 1):
+        # one level up, g_i w has rank (i - 1) n^m + rank(w) and w g_i rank n rank(w) + i - 1
+        target = np.arange(len(b))
+        target[:below] = start[level + 1] + ((i - 1) * n**level + rank if side == "left"
+                                             else n * rank + i - 1)
+        weight = np.zeros(len(b))
+        weight[:below] = np.sqrt(b[:below] / b[target[:below]])
         out.append(WeightedShift(target, weight))
     return tuple(out)
 

@@ -33,7 +33,7 @@ from .transfer import (TransferFunction, _lambda_max, _row_adjoint, _row_gram, _
                        _scatter, dilation_identity_report, eval_transfer,
                        multi_analytic_residual)
 from .variety import Generator, VarietyModel, build_variety, constrained_poisson
-from .words import Word, check_word
+from .words import Word, check_word, fock_size
 
 BATTERY_VERSION = "v1"
 TORUS_RESOLUTION = 512  # grid points per circle for the torus sup-norms
@@ -327,7 +327,7 @@ def choose_truncation(f: RegularPolynomial, T: OperatorTuple) -> int:
     if tail > 1e-6:
         raise ValueError(f"tuple is not pure enough for a truncated dilation "
                          f"(||Phi^{m}(I)|| = {tail:.3e})")
-    words = sum(f.n**j for j in range(m + 2))
+    words = fock_size(f.n, m + 1)
     if words > MAX_CHOSEN_WORDS:
         raise ValueError(f"the purity decay asks for N = {m + 1} over n = {f.n} letters, "
                          f"{words} words, above the limit of {MAX_CHOSEN_WORDS}; give N")

@@ -9,7 +9,7 @@ import numpy as np
 from .domain import (OperatorTuple, RegularPolynomial, apply_phi, b_coefficients,
                      phi_identity_power, weighted_creation)
 from .report import VerificationReport
-from .words import enumerate_words
+from .words import fock_size
 
 
 def canonical_phases(vectors: np.ndarray) -> np.ndarray:
@@ -85,13 +85,11 @@ def poisson_kernel(f: RegularPolynomial, T: OperatorTuple, N: int) -> PoissonKer
     of OperatorTuple.word; I T_i is exact), so each block is bitwise the per-word
     one, and Delta and the defect coordinates act on all levels in one product."""
     dd = defect(f, T)
-    b = b_coefficients(f, N)
     mats, stacks = np.stack(T.mats)[None], [np.eye(T.rows, T.cols, dtype=complex)[None]]
     for _ in range(N):
         stacks.append((stacks[-1][:, None] @ mats).reshape(-1, T.rows, T.cols))
     tw_h = np.concatenate(stacks).conj().transpose(0, 2, 1)
-    sqrt_b = np.sqrt([b[w] for w in enumerate_words(f.n, N).words])[:, None, None]
-    blocks = sqrt_b * dd.coords(dd.delta @ tw_h)
+    blocks = np.sqrt(b_coefficients(f, N))[:, None, None] * dd.coords(dd.delta @ tw_h)
     return PoissonKernel(matrix=blocks.reshape(-1, T.rows), N=N, f=f, T=T, defect=dd)
 
 
@@ -123,7 +121,7 @@ def kernel_intertwining(K: PoissonKernel, tol: float) -> VerificationReport:
     """
     f, T, N = K.f, K.T, K.N
     rep = VerificationReport("kernel-intertwining")
-    low_rows = enumerate_words(f.n, N).max_level_index(N - 1) * K.defect.rank if N >= 1 else 0
+    low_rows = fock_size(f.n, N - 1) * K.defect.rank
     for i, wi in enumerate(weighted_creation(f, N)):
         lhs = K.matrix @ T.mats[i].conj().T
         rhs = wi.apply_adjoint(K.matrix)

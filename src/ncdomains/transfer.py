@@ -15,12 +15,13 @@ with Theta_empty = A^* and Theta_u = C^* X_u, where
 (the structured noncommutative realization formula of Ball, Groenewald and
 Malakorn).  The coefficient table is exact and is the stored form of the row.
 
-Every reader of the row follows one column plan (``_columns``):
-L_{u~} e_y = sqrt(b_y / b_{yu}) e_{yu}, the row of yu arithmetic in graded-lex
-order.  The checks (row Gram, defect identity, phi^* K, multi-analyticity
-bound) read it level by level.  Only ``_scatter`` forms dense blocks: the
-N-level psi of a ``PairDilation.right`` read and ``TransferFunction.block``,
-and the small truncation-min(M, N - M) blocks of the Fourier round trip.
+The Fock space is addressed by level arithmetic (``words.fock_size``), never
+by word lookups: the table is built a level at a time, and every reader of the
+row follows one column plan (``_columns``): L_{u~} e_y = sqrt(b_y / b_{yu}) e_{yu},
+the row of yu arithmetic in graded-lex order.  The checks (row Gram, defect
+identity, phi^* K, multi-analyticity bound) read it level by level.  Only
+``_scatter`` forms dense blocks: the N-level psi of a ``PairDilation.right``
+read and the small truncation-min(M, N - M) blocks of the Fourier round trip.
 
 By the defect identity the row Gram G is I minus a matrix of rank at most w,
 so its lambda_max (contraction check, lift norm, psi ellipsoid gap) is read
@@ -43,7 +44,7 @@ from .domain import (RegularPolynomial, b_coefficients, coefficient_words,
                      weighted_creation)
 from .poisson import PoissonKernel, kernel_intertwining
 from .report import VerificationReport
-from .words import Word, enumerate_words, reverse
+from .words import Word, fock_size
 
 
 @dataclass(frozen=True)
@@ -51,7 +52,7 @@ class TransferFunction:
     """The transfer row as its coefficient table: ``theta[k, :, j]`` is Theta_u
     (r_out x r_in) of the block phi_(b_j), b_j the j-th coefficient word of g,
     for the k-th word u (|u| <= N, graded-lex), the coefficient of the operator
-    appending u.  ``block`` scatters one (Fock r_out) x (Fock r_in) block.
+    appending u.
     """
 
     colligation: Colligation
@@ -78,10 +79,6 @@ class TransferFunction:
     def r_in(self) -> int:
         return self.colligation.r_in
 
-    def block(self, w: Word) -> np.ndarray:
-        """The dense phi_(w), scattered from the table."""
-        return _scatter(self.theta[:, :, self.block_words.index(tuple(w))], self.f, self.N)
-
 
 def _coefficient_table(col: Colligation, N: int, head: Callable[[int], np.ndarray],
                        empty: np.ndarray) -> np.ndarray:
@@ -90,25 +87,28 @@ def _coefficient_table(col: Colligation, N: int, head: Callable[[int], np.ndarra
     if v is empty, else of sqrt(a_w) D_(w)^* Z_v.  head(i) is the block of the
     i-th coefficient word: Z_u is the coefficient of L_{u~} in
     (I - Q)^{-1} Gamma (I (x) B^*) for col.b_block, in (I - Q)^{-1} - I for col.d_block.
+
+    A level at a time: the words of level L ending in w (length k, rank s) are
+    the slice s::n^k, their prefixes v the level L - k in order.
     """
-    f = col.triple.f
-    terms = [(w, np.sqrt(a), col.d_block(i).conj().T, head(i).conj().T)
+    f, n = col.triple.f, col.triple.f.n
+    terms = [(len(w), i + 1 - fock_size(n, len(w) - 1), np.sqrt(a),
+              col.d_block(i).conj().T, head(i).conj().T)
              for i, w in enumerate(coefficient_words(f))
              if (a := f.coeffs.get(w, 0.0)) != 0.0]
-    shape = (col.slot_dim, head(0).shape[0])
     cstar = col.C.conj().T
-    words = enumerate_words(f.n, N).words
-    z: dict[Word, np.ndarray] = {}
-    table = np.empty((len(words), *empty.shape), dtype=complex)
+    z = [None]
+    table = np.empty((fock_size(n, N), *empty.shape), dtype=complex)
     table[0] = empty
-    for k, u in enumerate(words[1:], 1):
-        acc = np.zeros(shape, dtype=complex)
-        for w, s, dstar, hstar in terms:
-            m = len(u) - len(w)
-            if m >= 0 and u[m:] == w:
-                acc += s * (dstar @ z[u[:m]] if m else hstar)
-        z[u] = acc
-        table[k] = cstar @ acc
+    for lev in range(1, N + 1):
+        acc = np.zeros((n**lev, col.slot_dim, head(0).shape[0]), dtype=complex)
+        for k, rank, s, dstar, hstar in terms:
+            if k < lev:
+                acc[rank::n**k] += s * (dstar @ z[lev - k])
+            elif k == lev:
+                acc[rank] += s * hstar
+        z.append(acc)
+        table[fock_size(n, lev - 1):fock_size(n, lev)] = cstar @ acc
     return table
 
 
@@ -120,16 +120,13 @@ def _columns(f: RegularPolynomial, K: int):
     In graded-lex order the row of yu is arithmetic: the start of level
     |y| + |u|, plus rank(y) n^|u| + rank(u).  Distinct y reach disjoint rows.
     """
-    n = f.n
-    table = enumerate_words(n, K)
-    b = b_coefficients(f, K)
-    bw = np.array([b[w] for w in table.words])
-    start = np.array([table.max_level_index(m - 1) for m in range(K + 1)])
+    n, b = f.n, b_coefficients(f, K)
+    start = np.array([fock_size(n, m - 1) for m in range(K + 1)])
     for lev in range(K + 1):
         ulev = np.repeat(np.arange(K - lev + 1), n ** np.arange(K - lev + 1))
         y = np.arange(n**lev)[:, None]
         rows = start[lev + ulev] + y * n**ulev + np.arange(len(ulev)) - start[ulev]
-        yield start[lev] + y[:, 0], rows, np.sqrt(bw[start[lev] + y] / bw[rows])
+        yield start[lev] + y[:, 0], rows, np.sqrt(b[start[lev] + y] / b[rows])
 
 
 def _scatter(table: np.ndarray, f: RegularPolynomial, K: int) -> np.ndarray:
@@ -137,7 +134,7 @@ def _scatter(table: np.ndarray, f: RegularPolynomial, K: int) -> np.ndarray:
 
     Exactly one u writes each entry (row yu, column y), so the sum is a scatter.
     """
-    size = len(enumerate_words(f.n, K))
+    size = fock_size(f.n, K)
     _, rows_in, cols_in = table.shape
     out = np.zeros((size * rows_in, size * cols_in), dtype=complex)
     view = out.reshape(size, rows_in, size, cols_in)
@@ -176,19 +173,23 @@ def eval_transfer(col: Colligation, N: int) -> TransferFunction:
     return TransferFunction(col, N, theta.reshape(len(theta), col.r_out, -1, col.r_in))
 
 
-def fourier_coefficients(tf: TransferFunction, w: Word,
-                         max_level: int) -> dict[Word, np.ndarray]:
-    """Coefficients of phi_(w) = sum_u L_u (x) coef_u for |u| <= max_level.
+def _reversal(n: int, m: int) -> np.ndarray:
+    """The index of reverse(u) for each word u of length <= m, graded-lex: on a
+    level, transposing the ranks as an n x ... x n array reverses their digits."""
+    return np.concatenate([fock_size(n, lev - 1) + np.arange(n**lev).reshape(
+        (n,) * lev if n > 1 else ()).T.ravel() for lev in range(m + 1)])
+
+
+def fourier_coefficients(tf: TransferFunction, w: Word, max_level: int) -> np.ndarray:
+    """Coefficients of phi_(w) = sum_u L_u (x) coef_u for |u| <= max_level, one
+    (r_out x r_in) block per word u in graded-lex order.
 
     L_u appends u~, so coef_u is the phi_(w) block of Theta_{u~}.
     """
     f, N = tf.f, tf.N
     if max_level > N - f.degree:
         raise ValueError(f"max_level {max_level} exceeds N - deg f = {N - f.degree}")
-    j = tf.block_words.index(tuple(w))
-    index = enumerate_words(f.n, N).index
-    return {u: tf.theta[index[reverse(u)], :, j]
-            for u in enumerate_words(f.n, max_level).words}
+    return tf.theta[_reversal(f.n, max_level), :, tf.block_words.index(tuple(w))]
 
 
 def fourier_roundtrip_residual(tf: TransferFunction, w: Word, max_level: int) -> float:
@@ -203,11 +204,9 @@ def fourier_roundtrip_residual(tf: TransferFunction, w: Word, max_level: int) ->
     lookups only, not an independent test of Theta (the oracle tests are).
     """
     f, level = tf.f, min(max_level, tf.N - max_level)
-    index = enumerate_words(f.n, level).index
-    table = np.zeros((len(index), tf.r_out, tf.r_in), dtype=complex)
-    for u, c in fourier_coefficients(tf, w, level).items():
-        table[index[reverse(u)]] = c
-    block = _scatter(tf.theta[:len(index), :, tf.block_words.index(tuple(w))], f, level)
+    table = np.empty((fock_size(f.n, level), tf.r_out, tf.r_in), dtype=complex)
+    table[_reversal(f.n, level)] = fourier_coefficients(tf, w, level)
+    block = _scatter(tf.theta[:len(table), :, tf.block_words.index(tuple(w))], f, level)
     return float(np.linalg.norm(block - _scatter(table, f, level), 2))
 
 
@@ -217,7 +216,7 @@ def _row_gram(tf: TransferFunction, K: int, words: list[Word] | None = None) -> 
     theta = tf.theta if words is None else tf.theta[
         :, :, [tf.block_words.index(tuple(w)) for w in words]]
     return _gram(theta.reshape(len(theta), tf.r_out, -1), tf.f, K,
-                 np.ones(len(enumerate_words(tf.f.n, K))))
+                 np.ones(fock_size(tf.f.n, K)))
 
 
 LANCZOS_GAP = 8.0
@@ -375,7 +374,7 @@ def multi_analytic_residual(tf: TransferFunction, w: Word) -> float:
     f, N = tf.f, tf.N
     theta = tf.theta[:, :, tf.block_words.index(tuple(w))]
     plan = list(_columns(f, N))
-    norms = np.zeros((f.n, enumerate_words(f.n, N).max_level_index(N - 1)))
+    norms = np.zeros((f.n, fock_size(f.n, N - 1)))
     for wi, out in zip(weighted_creation(f, N), norms):
         for (y, rows, weights), (up, rows_up, weights_up) in zip(plan, plan[1:]):
             span = rows_up.shape[1]  # the words u with |y| + |u| <= N - 1
@@ -401,16 +400,16 @@ def defect_identity_residual(tf: TransferFunction) -> float:
     K = tf.N - f.degree
     if K < 0:
         raise ValueError(f"N = {tf.N} is below deg f = {f.degree}: no level is checked")
-    index = enumerate_words(f.n, K).index
-    # the diagonal of sum_w a_w L_{w~} L_{w~}^*: L_{w~} appends w, column index[w]
-    terms = [(index[w], f.coeffs[w]) for w in f.support() if len(w) <= K]
-    lam_gram = np.zeros(len(index))
+    # the diagonal of sum_w a_w L_{w~} L_{w~}^*: L_{w~} appends w, column index(w)
+    terms = [(k, f.coeffs[w]) for k, w in enumerate(coefficient_words(f), 1)
+             if w in f.coeffs and len(w) <= K]
+    lam_gram = np.zeros(fock_size(f.n, K))
     for _, rows, weights in _columns(f, K):
         for k, a in terms:
             if k < rows.shape[1]:
                 lam_gram[rows[:, k]] += a * weights[:, k] ** 2
 
-    lhs = np.eye(len(index) * tf.r_out) - _row_gram(tf, K)
+    lhs = np.eye(len(lam_gram) * tf.r_out) - _row_gram(tf, K)
     rhs = _gram(_coefficient_table(col, K, col.d_block, col.C.conj().T), f, K, 1.0 - lam_gram)
     return float(np.linalg.norm(lhs - rhs, 2))
 

@@ -48,12 +48,17 @@ class WordTable:
         """Index range of the words of exact length m."""
         if not 0 <= m <= self.N:
             raise ValueError(f"level {m} outside 0..{self.N}")
-        lo = sum(self.n**j for j in range(m))
-        return slice(lo, lo + self.n**m)
+        return slice(fock_size(self.n, m - 1), fock_size(self.n, m))
 
     def max_level_index(self, m: int) -> int:
         """Number of words of length <= m (the matrix size at truncation m)."""
-        return sum(self.n**j for j in range(m + 1))
+        return fock_size(self.n, m)
+
+
+def fock_size(n: int, m: int) -> int:
+    """Number of words of length <= m over n letters (0 for m < 0); the word of
+    length m and rank rho among its level has graded-lex index fock_size(n, m - 1) + rho."""
+    return max(m + 1, 0) if n == 1 else (n ** max(m + 1, 0) - 1) // (n - 1)
 
 
 @functools.lru_cache(maxsize=64)

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from ncdomains import (BiPolynomial, OperatorTuple, PairDilation, RegularPolynomial,
-                       b_coefficients, enumerate_words, weighted_creation)
+                       TransferFunction, WeightedShift, b_coefficients, enumerate_words,
+                       weighted_creation)
 from ncdomains.harness import scale_into_domain
+from ncdomains.transfer import _scatter
 from ncdomains.variety import VarietyModel
-from ncdomains.words import Word
+from ncdomains.words import EMPTY, Word
 
 
 def f_battery() -> list[RegularPolynomial]:
@@ -34,6 +36,36 @@ def level_dimensions(v: VarietyModel) -> list[int]:
             for m in range(v.N + 1)]
 
 
+def b_recursion(f: RegularPolynomial, N: int) -> dict[Word, float]:
+    """The oracle of ``b_coefficients``: b_w = sum_{uv=w, u in supp f} a_u b_v,
+    one step per word of the table."""
+    values: dict[Word, float] = {EMPTY: 1.0}
+    for w in enumerate_words(f.n, N).words[1:]:
+        acc = 0.0
+        for m in range(1, min(f.degree, len(w)) + 1):
+            a = f.coeffs.get(w[:m])
+            if a:
+                acc += a * values[w[m:]]
+        values[w] = acc
+    return values
+
+
+def b_by_word(f: RegularPolynomial, N: int) -> dict[Word, float]:
+    """The array of ``b_coefficients`` keyed by word."""
+    return dict(zip(enumerate_words(f.n, N).words, b_coefficients(f, N)))
+
+
+def shift_rmul(s: WeightedShift, x: np.ndarray) -> np.ndarray:
+    """x (S (x) I_r), gathered column block by column block."""
+    xb = np.asarray(x, dtype=complex).reshape(x.shape[0], s.size, x.shape[1] // s.size)
+    return (xb[:, s.target] * s.weight[None, :, None]).reshape(x.shape[0], -1)
+
+
+def dense_block(tf: TransferFunction, w: Word) -> np.ndarray:
+    """The dense phi_(w) (Fock r_out x Fock r_in), scattered from the table."""
+    return _scatter(tf.theta[:, :, tf.block_words.index(tuple(w))], tf.f, tf.N)
+
+
 def dense_creation(f: RegularPolynomial, N: int, side: str = "left") -> OperatorTuple:
     """The weighted creation operators of f at truncation N as dense matrices."""
     return OperatorTuple(tuple(s.dense() for s in weighted_creation(f, N, side)))
@@ -43,7 +75,7 @@ def dense_compression(v: VarietyModel, side: str) -> OperatorTuple:
     """P S_i P on the model space by one product over the whole Fock space: the
     oracle for the level-local ``v.left`` (side "left"), and C_i = P L_i P."""
     basis_h = v.basis.conj().T
-    return OperatorTuple(tuple(s.rmul(basis_h) @ v.basis
+    return OperatorTuple(tuple(shift_rmul(s, basis_h) @ v.basis
                                for s in weighted_creation(v.f, v.N, side)))
 
 
@@ -105,10 +137,8 @@ def kappa_eval(f: RegularPolynomial, mu: list[complex], lam: list[complex],
     if t >= 1.0:
         raise ValueError(f"points outside the open scalar domain (t = {t:.6f})")
     closed = 1.0 / (1.0 - s)
-    b = b_coefficients(f, M)
-    table = enumerate_words(f.n, M)
-    partial = sum(b[w] * point_word(mu, w) * np.conj(point_word(lam, w))
-                  for w in table.words)
+    partial = sum(b * point_word(mu, w) * np.conj(point_word(lam, w))
+                  for w, b in b_by_word(f, M).items())
     tail = float(t) ** (M // f.degree + 1) / (1.0 - float(t))
     return complex(closed), complex(partial), float(tail)
 

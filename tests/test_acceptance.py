@@ -89,11 +89,10 @@ def test_criterion_1_b_coefficient_oracle():
     worst = 0.0
     polys = f_battery() + [RegularPolynomial(3, {(i,): 1.0 for i in (1, 2, 3)})]
     for f in polys:
-        b = b_coefficients(f, 6)
-        for w in enumerate_words(f.n, 6).words:
-            worst = max(worst, abs(b[w] - oracle(f, w)))
+        for w, b in zip(enumerate_words(f.n, 6).words, b_coefficients(f, 6), strict=True):
+            worst = max(worst, abs(b - oracle(f, w)))
     fib = b_coefficients(RegularPolynomial.single_variable([1.0, 1.0]), 6)
-    fib_ok = [fib[(1,) * k] for k in range(7)] == [1, 1, 2, 3, 5, 8, 13]
+    fib_ok = list(fib) == [1, 1, 2, 3, 5, 8, 13]
     elapsed = time.time() - t0
     verdict("criterion-1", worst <= 1e-12 and fib_ok and elapsed <= 1.0,
             f"max deviation {worst:.2e}, fibonacci {'ok' if fib_ok else 'BAD'}, "

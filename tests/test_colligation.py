@@ -116,6 +116,27 @@ def test_solve_padding_fallback():
     assert 1 + u + 2 * (1 + e) == (1 + v) + (1 + e)
 
 
+def test_solve_padding_matches_the_search():
+    """The closed form (m1 - 1) e = gap against the former search for the first
+    e in 0..512 with d1 + m1 (d2 + e) = m2 d1p + d2 + e, whose fallback it
+    keeps, for d1, d1p, d2 <= 8 and m1, m2 <= 15 (164,025 cases)."""
+    cases = np.stack(np.meshgrid(*[np.arange(9)] * 3, *[np.arange(1, 16)] * 2,
+                                 indexing="ij")).reshape(5, -1).T
+    e = np.arange(513)
+    for chunk in np.array_split(cases, 64):
+        d1, d1p, d2, m1, m2 = (c[:, None] for c in chunk.T)
+        solves = d1 + m1 * (d2 + e) == m2 * d1p + d2 + e
+        for case, hit, first in zip(chunk.tolist(), solves.any(axis=1), solves.argmax(axis=1)):
+            d1, d1p, d2, m1, m2 = case
+            gap = m2 * d1p + d2 - d1 - m1 * d2
+            v = max(0, (-gap + m2 - 1) // m2)
+            want = ((int(first), 0, 0, False) if hit else
+                    (0, gap, 0, True) if gap >= 0 else (0, gap + m2 * v, v, True))
+            assert solve_padding(*case) == want, case
+    # an exact e above the former search range is used, with no fallback
+    assert solve_padding(0, 600, 0, 2, 1) == (600, 0, 0, False)
+
+
 def test_unitarity_and_prescribed_action_many_seeds():
     for seed in range(10):
         col = complete_to_unitary(build_isometry(nilpotent_triple(seed, 3 + seed % 3)))

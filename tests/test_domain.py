@@ -9,7 +9,8 @@ from ncdomains import (OperatorTuple, RegularPolynomial, apply_phi, b_coefficien
 from ncdomains.domain import kron_identity_matmul
 from ncdomains.words import enumerate_words, words_of_lengths
 
-from conftest import dense_creation, f_battery, is_reversal_symmetric, random_nilpotent_tuple
+from conftest import (b_by_word, b_recursion, dense_creation, f_battery, is_reversal_symmetric,
+                      random_nilpotent_tuple, shift_rmul)
 
 
 # ---------------------------------------------------------------------------
@@ -87,20 +88,20 @@ def b_oracle_flat(f: RegularPolynomial, w) -> float:
 
 def test_b_recursion_vs_factorization_oracles():
     for f in f_battery():
-        b = b_coefficients(f, 5)
+        b = b_by_word(f, 5)
         for w in enumerate_words(f.n, 5).words:
             assert abs(b[w] - b_oracle(f, w)) <= 1e-12
             assert abs(b[w] - b_oracle_flat(f, w)) <= 1e-12
 
 
 def test_fibonacci(fib_poly):
-    b = b_coefficients(fib_poly, 6)
+    b = b_by_word(fib_poly, 6)
     assert [b[(1,) * k] for k in range(7)] == [1.0, 1.0, 2.0, 3.0, 5.0, 8.0, 13.0]
 
 
 def test_b_scaling():
     f = RegularPolynomial.single_variable([2.0])
-    b = b_coefficients(f, 5)
+    b = b_by_word(f, 5)
     assert all(abs(b[(1,) * k] - 2.0**k) <= 1e-12 for k in range(6))
 
 
@@ -109,9 +110,29 @@ def test_b_positive(seed):
     rng = np.random.default_rng(seed)
     f = RegularPolynomial(2, {(1,): rng.uniform(0.1, 2), (2,): rng.uniform(0.1, 2),
                               (1, 2): rng.uniform(0, 1), (2, 2): rng.uniform(0, 1)})
-    b = b_coefficients(f, 3)
+    b = b_by_word(f, 3)
     assert all(v > 0 for w, v in b.items() if len(w) <= 1)
     assert all(v >= 0 for v in b.values())
+
+
+F_TWOVAR = RegularPolynomial(2, {(1,): 1.0, (2,): 1.0, (1, 2): 0.5})
+F_THREE = RegularPolynomial(3, {(1,): 1.0, (2,): 1.0, (3,): 1.0})
+
+
+def test_b_levels_match_word_recursion_bitwise():
+    """The level-at-a-time weights equal the per-word recursion bitwise: the
+    deepest battery shape (n = 1, N = 26) at degree 3, the twovar f at N = 4..8,
+    (n, N) = (3, 6) and (3, 8), and polynomials with zero coefficients inside
+    their degree (every length-2 word of the second one)."""
+    cases = [(RegularPolynomial.single_variable([1.0, 1.0, 1.0]), 26),
+             (F_THREE, 6), (F_THREE, 8),
+             (RegularPolynomial.single_variable([0.5, 0.0, 0.25]), 12),
+             (RegularPolynomial(2, {(1,): 1.0, (2,): 0.5, (2, 1, 2): 0.25}), 7)]
+    cases += [(F_TWOVAR, N) for N in range(4, 9)]
+    for f, N in cases:
+        b = b_coefficients(f, N)
+        assert not b.flags.writeable
+        assert np.array_equal(b, list(b_recursion(f, N).values()))
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +142,7 @@ def test_b_positive(seed):
 def test_left_creation_action_elementwise(fib_poly):
     f, N = fib_poly, 5
     W = dense_creation(f, N)
-    b = b_coefficients(f, N)
+    b = b_by_word(f, N)
     table = enumerate_words(1, N)
     for j, w in enumerate(table.words):
         col = W.mats[0][:, j]
@@ -138,7 +159,7 @@ def test_right_creation_action_elementwise():
     f = RegularPolynomial(2, {(1,): 1.0, (2,): 1.0, (2, 1): 0.5})
     N = 3
     L = dense_creation(f, N, "right")
-    b = b_coefficients(f, N)
+    b = b_by_word(f, N)
     table = enumerate_words(2, N)
     for i in (1, 2):
         for j, w in enumerate(table.words):
@@ -154,7 +175,7 @@ def test_right_creation_action_elementwise():
 def dense_creation_oracle(f: RegularPolynomial, N: int, side: str) -> list[np.ndarray]:
     """Dense creation matrices built entry by entry from their definition."""
     table = enumerate_words(f.n, N)
-    b = b_coefficients(f, N)
+    b = b_by_word(f, N)
     mats = []
     for i in range(1, f.n + 1):
         m = np.zeros((len(table), len(table)), dtype=complex)
@@ -185,7 +206,7 @@ def test_weighted_shift_matches_dense_kron(side, r):
             assert np.array_equal(s.dense(np.eye(r)), big)
             assert np.array_equal(s.apply(x), big @ x)
             assert np.array_equal(s.apply_adjoint(x), big.conj().T @ x)
-            assert np.array_equal(s.rmul(y), y @ big)
+            assert np.array_equal(shift_rmul(s, y), y @ big)
         oracle = OperatorTuple(tuple(dense))
         for w in words_of_lengths(f.n, 0, N):
             sw = shift_word(shifts, w)
@@ -194,7 +215,7 @@ def test_weighted_shift_matches_dense_kron(side, r):
             big = np.kron(oracle.word(w), np.eye(r))
             assert np.array_equal(sw.apply(x), big @ x)
             assert np.array_equal(sw.apply_adjoint(x), big.conj().T @ x)
-            assert np.array_equal(sw.rmul(y), y @ big)
+            assert np.array_equal(shift_rmul(sw, y), y @ big)
 
 
 @pytest.mark.parametrize("r", [1, 3])
@@ -208,6 +229,24 @@ def test_kron_identity_matmul_matches_kron(r):
         want = np.kron(a, np.eye(r)) @ x
         assert got.shape == want.shape
         assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_creation_targets_match_word_lookup(side):
+    """The arithmetic targets and the weights of weighted_creation equal the
+    word-table lookups of g_i w (left) or w g_i (right) and sqrt(b_w / b_target)
+    from the per-word recursion, bitwise; the top level stays put with weight 0."""
+    for f, N in [(f, 4) for f in f_battery()] + [(F_THREE, 5), (F_TWOVAR, 0),
+                                                 (RegularPolynomial.single_variable([1.0]), 26)]:
+        table, b = enumerate_words(f.n, N), b_recursion(f, N)
+        for i, s in enumerate(weighted_creation(f, N, side), 1):
+            tgt = [(i,) + w if side == "left" else w + (i,) for w in table.words]
+            target = [table.index[t] if len(w) < N else j
+                      for j, (w, t) in enumerate(zip(table.words, tgt))]
+            weight = [np.sqrt(b[w] / b[t]) if len(w) < N else 0.0
+                      for w, t in zip(table.words, tgt)]
+            assert np.array_equal(s.target, target)
+            assert np.array_equal(s.weight, weight)
 
 
 def test_weighted_creation_side_checked():

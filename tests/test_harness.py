@@ -16,13 +16,13 @@ from ncdomains.domain import kron_identity_matmul, weighted_creation
 from ncdomains.harness import (MAX_CHOSEN_WORDS, CommutingPair, choose_truncation,
                                commutant_lifting, cross_commutation_residual, scale_into_domain,
                                spectral_norms, von_neumann_check)
-from ncdomains.transfer import (TransferFunction, _lambda_max, contraction_excess,
+from ncdomains.transfer import (_lambda_max, contraction_excess,
                                 defect_identity_residual, dilation_identity_report,
                                 eval_transfer, fourier_roundtrip_residual,
                                 multi_analytic_residual)
 from ncdomains.variety import commutator_generators, minpoly_generator
 
-from conftest import (compression_residual, dense_compression, power_pair_tuple,
+from conftest import (compression_residual, dense_block, dense_compression, power_pair_tuple,
                       random_nilpotent_tuple)
 from test_transfer import commuting_triple
 
@@ -405,7 +405,7 @@ def dense_views(d) -> tuple[list[np.ndarray], list[np.ndarray]]:
     left = [w.dense(np.eye(r)) for w in weighted_creation(d.pair.f, d.N)]
     right = []
     for j in range(1, g.n + 1):
-        blk = embed_inner(tf.block((j,)), tf.fock_size, tf.r_out, r)
+        blk = embed_inner(dense_block(tf, (j,)), tf.fock_size, tf.r_out, r)
         blk = embed_inner(blk.T, tf.fock_size, tf.r_in, r).T
         right.append(blk / np.sqrt(g.coeffs[(j,)]))
     if d.variety is None:
@@ -437,9 +437,9 @@ def test_transfer_checks_stay_on_the_fock_r_out_side(monkeypatch):
     ando_dilation and the transfer checks pass eigvalsh, eigh, svd and cholesky
     no matrix taller than Fock r_out, and contraction, multi-analyticity, the
     defect identity, the Fourier round trip and the dilation identity scatter
-    no N-level dense block: ``TransferFunction.block`` fails the test while
-    they run.  ando_dilation scatters nothing: ``_scatter`` fails the test as
-    well.  The row Grams take the certified route: no Cholesky runs, and no
+    no N-level dense block: ``_scatter`` fails the test on a level-N table
+    while they run.  ando_dilation scatters nothing: every ``_scatter`` call
+    fails the test.  The row Grams take the certified route: no Cholesky runs, and no
     eigvalsh call gets a matrix as tall as a row Gram.
     """
     calls = []
@@ -479,8 +479,14 @@ def test_transfer_checks_stay_on_the_fock_r_out_side(monkeypatch):
         values = checks()
         assert_certified_route(tf.fock_size * tf.r_out)
         with monkeypatch.context() as m:
-            m.setattr(TransferFunction, "block",
-                      lambda self, w: pytest.fail(f"dense block {w} scattered"))
+            scatter = ncdomains.transfer._scatter
+
+            def below_level_n(table, f, K):
+                if K >= N:
+                    pytest.fail(f"level-{K} block scattered")
+                return scatter(table, f, K)
+
+            m.setattr(ncdomains.transfer, "_scatter", below_level_n)
             assert checks() == values
             for module in (ncdomains.transfer, ncdomains.harness):  # each binds its own name
                 m.setattr(module, "_scatter", raising=False,

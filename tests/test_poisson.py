@@ -3,12 +3,12 @@ import pytest
 
 from ncdomains import (OperatorTuple, RegularPolynomial, defect, poisson_kernel,
                        verify_kernel_identities)
-from ncdomains.domain import b_coefficients, phi_identity_power
+from ncdomains.domain import phi_identity_power
 from ncdomains.harness import scale_into_domain
 from ncdomains.poisson import canonical_phases
 from ncdomains.words import enumerate_words
 
-from conftest import f_battery, random_nilpotent_tuple
+from conftest import b_by_word, f_battery, random_nilpotent_tuple
 
 
 def test_defect_scalar():
@@ -67,9 +67,7 @@ def test_kernel_rows_match_formula(fib_poly):
     T = random_nilpotent_tuple(3, 1, 3, fib_poly)
     N = 4
     K = poisson_kernel(fib_poly, T, N)
-    from ncdomains import b_coefficients
-    from ncdomains.words import enumerate_words
-    b = b_coefficients(fib_poly, N)
+    b = b_by_word(fib_poly, N)
     dd = K.defect
     table = enumerate_words(1, N)
     r = dd.rank
@@ -101,7 +99,7 @@ def test_prefix_kernel_matches_word_path_bitwise():
                                     for _ in range(f.n)))
         for T in (random_nilpotent_tuple(seed, f.n, 4, f), scale_into_domain(f, dense, 0.5)):
             K = poisson_kernel(f, T, N)
-            dd, b = K.defect, b_coefficients(f, N)
+            dd, b = K.defect, b_by_word(f, N)
             ref = np.vstack([np.sqrt(b[w]) * dd.coords(dd.delta @ T.word(w).conj().T)
                              for w in enumerate_words(f.n, N).words])
             assert np.array_equal(K.matrix, ref)

@@ -3,6 +3,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import ncdomains.domain
+import ncdomains.poisson
+from ncdomains import words
+
 from ncdomains import (IntertwiningTriple, OperatorTuple, RegularPolynomial,
                        build_isometry, complete_to_unitary, eval_transfer,
                        fourier_coefficients, fourier_roundtrip_residual,
@@ -17,10 +21,11 @@ from ncdomains.transfer import (TransferFunction, _coefficient_table, _gram, _la
                                 multi_analytic_residual)
 from ncdomains.words import enumerate_words, reverse
 
-from conftest import f_battery
+from conftest import b_by_word, dense_block, f_battery
 from test_colligation import nilpotent_triple
 
 Z = RegularPolynomial.single_variable([1.0])
+F_TRIPLE = RegularPolynomial(2, {(1,): 1.0, (2,): 1.0, (1, 2): 0.5})
 
 
 def dense_resolvent(col: Colligation, N: int) -> tuple[np.ndarray, np.ndarray]:
@@ -85,7 +90,107 @@ def test_table_blocks_match_dense_resolvent():
         for N in range(6):
             tf = eval_transfer(col, N)
             for w, ref in zip(tf.block_words, oracle_blocks(col, N), strict=True):
-                assert np.linalg.norm(tf.block(w) - ref) <= 1e-12 * np.linalg.norm(ref)
+                assert np.linalg.norm(dense_block(tf, w) - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def coefficient_table_by_words(col: Colligation, N: int, head, empty: np.ndarray) -> np.ndarray:
+    """The oracle of ``_coefficient_table``: Z_u keyed by word, the sum over
+    u = v w of sqrt(a_w) head(w)^* (v empty) or sqrt(a_w) D_(w)^* Z_v, one word at a time."""
+    f = col.triple.f
+    terms = [(w, np.sqrt(a), col.d_block(i).conj().T, head(i).conj().T)
+             for i, w in enumerate(coefficient_words(f))
+             if (a := f.coeffs.get(w, 0.0)) != 0.0]
+    words = enumerate_words(f.n, N).words
+    z = {}
+    table = np.empty((len(words), *empty.shape), dtype=complex)
+    table[0] = empty
+    for k, u in enumerate(words[1:], 1):
+        acc = np.zeros((col.slot_dim, head(0).shape[0]), dtype=complex)
+        for w, s, dstar, hstar in terms:
+            m = len(u) - len(w)
+            if m >= 0 and u[m:] == w:
+                acc += s * (dstar @ z[u[:m]] if m else hstar)
+        z[u] = acc
+        table[k] = col.C.conj().T @ acc
+    return table
+
+
+def twovar_colligations() -> list[Colligation]:
+    """The three colligations of the twovar shape: f = z1 + z2 and two triples
+    of f = z1 + z2 + 0.5 z1 z2, dimension 4, g = z."""
+    fs = (RegularPolynomial(2, {(1,): 1.0, (2,): 1.0}), F_TRIPLE, F_TRIPLE)
+    return [complete_to_unitary(build_isometry(commuting_triple(seed, 4, f)))
+            for seed, f in zip((6, 16, 17), fs)]
+
+
+def test_level_table_matches_word_recursion_bitwise():
+    """The level-at-a-time coefficient tables (transfer row and resolvent, the
+    b_block and d_block heads) equal the per-word recursion bitwise, on the
+    twovar colligations at N = 4, 6 and 8 and on the oracle colligations."""
+    cases = [(col, N) for col in twovar_colligations() for N in (4, 6, 8)]
+    cases += [(col, 5) for col in oracle_colligations()]
+    for col, N in cases:
+        for head, empty in ((col.b_block, col.A.conj().T), (col.d_block, col.C.conj().T)):
+            assert np.array_equal(_coefficient_table(col, N, head, empty),
+                                  coefficient_table_by_words(col, N, head, empty))
+
+
+class FockLevelTable:
+    """A word table above level deg f: reading its words or index fails the test."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def __getattr__(self, name):
+        if name in ("words", "index"):
+            pytest.fail(f"{name} of the level-{self.table.N} word table read")
+        return getattr(self.table, name)
+
+    def __len__(self):
+        return len(self.table)
+
+
+def test_runtime_paths_read_no_word_table_above_deg_f(monkeypatch):
+    """b_coefficients, weighted_creation, poisson_kernel, eval_transfer and the
+    transfer checks address the Fock space by level arithmetic: given word
+    tables whose words and index fail above level deg f, and no word lists
+    above it, they return bitwise what they return without the guard."""
+    def run(col, N):
+        f, T = col.triple.f, col.triple.T1
+        tf = eval_transfer(col, N)
+        K = poisson_kernel(f, T, N)
+        shifts = weighted_creation(f, N) + weighted_creation(f, N, "right")
+        return [b_coefficients(f, N), tf.theta, K.matrix,
+                *[a for s in shifts for a in (s.target, s.weight)],
+                contraction_excess(tf), defect_identity_residual(tf),
+                multi_analytic_residual(tf, (1,)), fourier_roundtrip_residual(tf, (1,), 2),
+                dilation_identity_report(tf, K, K, tol=1e-7).render()]
+
+    cases = [(col, 6) for col in twovar_colligations()[:2]]
+    cases.append((complete_to_unitary(build_isometry(
+        commuting_triple(3, 3, RegularPolynomial.single_variable([1.0, 0.5])))), 12))
+    for col, N in cases:
+        want = run(col, N)
+        degree = col.triple.f.degree
+        with monkeypatch.context() as m:
+            tables, lists = words.enumerate_words, words.words_of_lengths
+
+            def guarded_tables(n, N_):
+                return tables(n, N_) if N_ <= degree else FockLevelTable(tables(n, N_))
+
+            def guarded_lists(n, lo, hi):
+                if hi > degree:
+                    pytest.fail(f"words of length up to {hi} listed")
+                return lists(n, lo, hi)
+
+            # also in the modules that bind no enumerate_words today, so an import
+            # that comes back is guarded
+            for module in (words, ncdomains.domain, transfer, ncdomains.poisson):
+                m.setattr(module, "enumerate_words", guarded_tables, raising=False)
+            m.setattr(ncdomains.domain, "words_of_lengths", guarded_lists)
+            got = run(col, N)
+        for a, b in zip(got, want, strict=True):
+            assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
 
 
 def test_fourier_coefficients_match_vacuum_columns():
@@ -94,11 +199,10 @@ def test_fourier_coefficients_match_vacuum_columns():
         f, N = col.triple.f, 5
         tf = eval_transfer(col, N)
         table = enumerate_words(f.n, N)
-        b = b_coefficients(f, N)
+        b = b_by_word(f, N)
         for w, ref in zip(tf.block_words, oracle_blocks(col, N), strict=True):
             coefs = fourier_coefficients(tf, w, N - f.degree)
-            assert list(coefs) == list(enumerate_words(f.n, N - f.degree).words)
-            for u, c in coefs.items():
+            for u, c in zip(enumerate_words(f.n, N - f.degree).words, coefs, strict=True):
                 i = table.index[reverse(u)]
                 old = np.sqrt(b[reverse(u)]) * ref[i * tf.r_out:(i + 1) * tf.r_out, :tf.r_in]
                 assert np.linalg.norm(c - old) <= 1e-12 * max(np.linalg.norm(ref), 1.0)
@@ -138,7 +242,7 @@ def test_row_gram_matches_dense_blocks():
         for K in range(N + 1):
             rows = table.max_level_index(K) * tf.r_out
             for words in (None, [(1,)], [(1, 1)], list(tf.block_words)):
-                x = np.hstack([tf.block(w)[:rows] for w in (words or tf.block_words)])
+                x = np.hstack([dense_block(tf, w)[:rows] for w in (words or tf.block_words)])
                 ref = x @ x.conj().T
                 err = np.linalg.norm(_row_gram(tf, K, words) - ref)
                 assert err <= 1e-13 * np.linalg.norm(ref)
@@ -146,14 +250,12 @@ def test_row_gram_matches_dense_blocks():
             # sum_y s[y] B_y B_y^*: columns of level > K do not reach these rows
             size = table.max_level_index(K)
             scale = rng.standard_normal(size)
-            cols = [tf.block(w)[:rows, :size * tf.r_in] for w in tf.block_words]
+            cols = [dense_block(tf, w)[:rows, :size * tf.r_in] for w in tf.block_words]
             ref = sum((m * np.repeat(scale, tf.r_in)) @ m.conj().T for m in cols)
             theta = tf.theta.reshape(len(tf.theta), tf.r_out, -1)
             err = np.linalg.norm(_gram(theta, col.triple.f, K, scale) - ref)
             assert err <= 1e-13 * np.linalg.norm(ref)
 
-
-F_TRIPLE = RegularPolynomial(2, {(1,): 1.0, (2,): 1.0, (1, 2): 0.5})
 
 
 def twovar_transfers() -> list[TransferFunction]:
@@ -310,14 +412,14 @@ def test_row_adjoint_matches_dense_block():
         x = (rng.standard_normal((tf.fock_size * tf.r_out, 3))
              + 1j * rng.standard_normal((tf.fock_size * tf.r_out, 3)))
         for j, w in enumerate(tf.block_words):
-            ref = tf.block(w).conj().T @ x
+            ref = dense_block(tf, w).conj().T @ x
             got = _row_adjoint(tf.theta[:, :, j], col.triple.f, N, x)
             assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 def dense_commutator_norm(tf, w, left) -> float:
     """Oracle: max_i ||[W_i (x) I, phi_(w)]|| on columns of level <= N-1, all dense."""
-    phi = tf.block(w)
+    phi = dense_block(tf, w)
     cols = enumerate_words(tf.f.n, tf.N).max_level_index(tf.N - 1) * tf.r_in
     out = 0.0
     for wi in left:
@@ -371,17 +473,16 @@ def test_swap_transfer_is_lambda():
     N = 5
     tf = eval_transfer(col, N)
     lam = weighted_creation(Z, N, "right")
-    assert np.linalg.norm(tf.block((1,)) - lam[0].dense(), 2) <= 1e-13
+    assert np.linalg.norm(dense_block(tf, (1,)) - lam[0].dense(), 2) <= 1e-13
 
 
 def test_swap_fourier_single_coefficient():
     col = swap_colligation()
     tf = eval_transfer(col, 5)
-    coefs = fourier_coefficients(tf, (1,), max_level=4)
-    assert abs(coefs[(1,)][0, 0] - 1.0) <= 1e-13
-    for u, c in coefs.items():
-        if u != (1,):
-            assert np.linalg.norm(c) <= 1e-13
+    coefs = fourier_coefficients(tf, (1,), max_level=4)  # u = (1,) has index 1
+    assert abs(coefs[1][0, 0] - 1.0) <= 1e-13
+    for c in np.delete(coefs, 1, axis=0):
+        assert np.linalg.norm(c) <= 1e-13
 
 
 def test_constant_transfer_when_b_zero():
@@ -397,10 +498,10 @@ def test_constant_transfer_when_b_zero():
                                                 OperatorTuple((np.zeros((1, 1)),))))
     tf = eval_transfer(col, 4)
     size = tf.fock_size
-    assert np.linalg.norm(tf.block((1,)) - np.kron(np.eye(size), col.A.conj().T)) <= 1e-14
+    assert np.linalg.norm(dense_block(tf, (1,)) - np.kron(np.eye(size), col.A.conj().T)) <= 1e-14
     coefs = fourier_coefficients(tf, (1,), max_level=3)
-    assert np.linalg.norm(coefs[()] - col.A.conj().T) <= 1e-14
-    assert all(np.linalg.norm(c) <= 1e-14 for u_, c in coefs.items() if u_ != ())
+    assert np.linalg.norm(coefs[0] - col.A.conj().T) <= 1e-14
+    assert all(np.linalg.norm(c) <= 1e-14 for c in coefs[1:])
 
 
 def test_fourier_roundtrip_random_triples(fib_poly):
