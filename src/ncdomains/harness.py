@@ -19,6 +19,7 @@ kernel and the variety model (if any); W comes from f and N as index maps.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,9 +88,9 @@ class BiPolynomial:
         d, herm = X.rows, self.hermitian
         out = np.zeros((len(self.entries) * d,) * 2, dtype=complex)
         for r, col, (u, v, s, t), c in self._terms():
-            m = X.word(u) @ Y.word(v)
-            if herm:
-                m = m @ Y.word(s).conj().T @ X.word(t).conj().T
+            words = ((X, u, False), (Y, v, False), (Y, s, True), (X, t, True))[:4 if herm else 2]
+            factors = [T.word(w).conj().T if adj else T.word(w) for T, w, adj in words if w]
+            m = functools.reduce(np.matmul, factors) if factors else np.eye(d)
             out[r * d:(r + 1) * d, col * d:(col + 1) * d] += c * m
         return (out + out.conj().T) / 2 if herm else out
 
@@ -304,19 +305,22 @@ class PairDilation:
 
     @property
     def right(self) -> OperatorTuple:
-        """psi_j = phi_(j) / sqrt(c_j) for the words (j,) of g: the table padded to
-        r x r and scattered, or on a variety model X^* psi_j X with X = basis (x) I_r,
-        read from the table as (psi_j^* X)^* X with no dense block."""
+        """psi_j = phi_(j) / sqrt(c_j), j the words (j,) of g, from the table over sqrt(c_j),
+        scattered into the padded (Fock r)^2 layout, or on a variety model X^* psi_j X =
+        ((basis^T (x) I) conj(psi_j^* X))^T, X = basis (x) I_r, with no dense block."""
         tf, g, r = self.transfer, self.pair.g, self.multiplicity
-        table = np.zeros((tf.fock_size, r, r), dtype=complex)
         x = None if self.variety is None else np.kron(self.variety.basis, np.eye(r))
+        table = None if x is None else np.zeros((tf.fock_size, r, r), dtype=complex)
         psi = []
         for j in range(1, g.n + 1):
-            table[:, :tf.r_out, :tf.r_in] = tf.theta[:, :, tf.block_words.index((j,))]
-            m = _scatter(table, tf.f, tf.N) if x is None else kron_identity_matmul(
-                self.variety.basis.conj().T, _row_adjoint(table, tf.f, tf.N, x)).conj().T
-            m /= np.sqrt(g.coeffs[(j,)])  # in place: no second copy of the block
-            psi.append(m)
+            theta = tf.theta[:, :, tf.block_words.index((j,))] / np.sqrt(g.coeffs[(j,)])
+            if x is None:
+                psi.append(_scatter(theta, tf.f, tf.N, (r, r)))
+                continue
+            table[:, :tf.r_out, :tf.r_in] = theta
+            adjoint = _row_adjoint(table, tf.f, tf.N, x)  # psi_j^* X, conjugated in place
+            psi.append(kron_identity_matmul(self.variety.basis.T,
+                                            np.conjugate(adjoint, out=adjoint)).T)
         return OperatorTuple(tuple(psi))
 
 

@@ -16,11 +16,11 @@ with Theta_empty = A^* and Theta_u = C^* X_u, where
 Malakorn).  The coefficient table is exact and is the stored form of the row.
 
 The Fock space is addressed by level arithmetic (``words.fock_size``), never
-by word lookups: the table is built a level at a time, and every reader of the
-row follows one column plan (``_columns``): L_{u~} e_y = sqrt(b_y / b_{yu}) e_{yu},
-the row of yu arithmetic in graded-lex order.  The checks (row Gram, defect
-identity, phi^* K, multi-analyticity bound) read it level by level.  Only
-``_scatter`` forms dense blocks: the N-level psi of a ``PairDilation.right``
+by word lookups: the table is built a level at a time, and every reader follows
+one column plan (``_columns``): L_{u~} e_y = sqrt(b_y / b_{yu}) e_{yu}, the row
+of yu arithmetic in graded-lex order.  The row Gram is added in place through
+views of its level blocks, and the defect identity is read as a Frobenius norm.
+Only ``_scatter`` forms dense blocks: the padded psi of a ``PairDilation.right``
 read and the small truncation-min(M, N - M) blocks of the Fourier round trip.
 
 By the defect identity the row Gram G is I minus a matrix of rank at most w,
@@ -129,15 +129,17 @@ def _columns(f: RegularPolynomial, K: int):
         yield start[lev] + y[:, 0], rows, np.sqrt(b[start[lev] + y] / b[rows])
 
 
-def _scatter(table: np.ndarray, f: RegularPolynomial, K: int) -> np.ndarray:
-    """The dense sum_u L_{u~} (x) table[k], u the k-th word of length <= K.
+def _scatter(table: np.ndarray, f: RegularPolynomial, K: int, inner: tuple[int, int]) -> np.ndarray:
+    """The dense sum_u L_{u~} (x) table[k], u the k-th word of length <= K, each
+    block zero-padded to ``inner`` = (rows, columns), at least table[k]'s shape.
 
-    Exactly one u writes each entry (row yu, column y), so the sum is a scatter.
+    Exactly one u writes each entry (row yu, column y), so the sum is a scatter;
+    no padding entry is written.
     """
     size = fock_size(f.n, K)
     _, rows_in, cols_in = table.shape
-    out = np.zeros((size * rows_in, size * cols_in), dtype=complex)
-    view = out.reshape(size, rows_in, size, cols_in)
+    out = np.zeros((size * inner[0], size * inner[1]), dtype=complex)
+    view = out.reshape(size, inner[0], size, inner[1])[:, :rows_in, :, :cols_in]
     for y, rows, weights in _columns(f, K):
         view[rows, :, y[:, None], :] = weights[:, :, None, None] * table[:rows.shape[1]]
     return out
@@ -145,21 +147,31 @@ def _scatter(table: np.ndarray, f: RegularPolynomial, K: int) -> np.ndarray:
 
 def _gram(table: np.ndarray, f: RegularPolynomial, K: int, scale: np.ndarray) -> np.ndarray:
     """sum_y scale[y] B_y B_y^* on the rows of levels <= K, B_y the column block
-    y of sum_u L_{u~} (x) table[k]: one batched product and one scattered sum
-    per level of y, no dense block.  The empty y reaches every row in order, so
-    its product is the initial Gram."""
+    y of sum_u L_{u~} (x) table[k], added in place with no gathered copy.  One y
+    (the empty word, or any y if n = 1) reaches one run of rows: one square block,
+    the empty word's the initial Gram.  Else the rows yu, |u| = j, of the y of a
+    level are the runs start(|y| + j) + rank(y) n^j: each pair of u-levels j >= jj
+    is one batched product, added through the diagonal view of its level block,
+    and its conjugate transpose through the mirror block if jj < j."""
     r = table.shape[1]
-    plan = _columns(f, K)
-    _, rows, weights = next(plan)
-    span = rows.shape[1]
-    v = (weights[0, :, None, None] * table[:span]).reshape(span * r, -1)
-    gram = (v * scale[0]) @ v.conj().T
-    for y, rows, weights in plan:
+    level = [slice(fock_size(f.n, m - 1) * r, fock_size(f.n, m) * r) for m in range(K + 1)]
+    for lev, (y, rows, weights) in enumerate(_columns(f, K)):
         count, span = rows.shape
         v = (weights[:, :, None, None] * table[:span]).reshape(count, span * r, -1)
-        idx = (rows[:, :, None] * r + np.arange(r)).reshape(count, span * r)
-        gram[idx[:, :, None], idx[:, None, :]] += (
-            (v * scale[y, None, None]) @ v.conj().transpose(0, 2, 1))
+        sv, vh = v * scale[y, None, None], v.conj().transpose(0, 2, 1)
+        if lev == 0:
+            gram = sv[0] @ vh[0]
+        elif count == 1:
+            gram[level[lev].start:, level[lev].start:] += sv[0] @ vh[0]
+        else:
+            for j in range(K - lev + 1):
+                for jj in range(j + 1):
+                    prod = sv[:, level[j]] @ vh[:, :, level[jj]]
+                    for a, b in ((j, jj), (jj, j))[:1 + (jj < j)]:
+                        block = gram[level[lev + a], level[lev + b]]
+                        view = block.reshape(count, -1, count, prod.shape[2])
+                        np.einsum("ajak->ajk", view)[...] += prod
+                        prod = np.conjugate(prod, out=prod).transpose(0, 2, 1)
     return gram
 
 
@@ -206,8 +218,9 @@ def fourier_roundtrip_residual(tf: TransferFunction, w: Word, max_level: int) ->
     f, level = tf.f, min(max_level, tf.N - max_level)
     table = np.empty((fock_size(f.n, level), tf.r_out, tf.r_in), dtype=complex)
     table[_reversal(f.n, level)] = fourier_coefficients(tf, w, level)
-    block = _scatter(tf.theta[:len(table), :, tf.block_words.index(tuple(w))], f, level)
-    return float(np.linalg.norm(block - _scatter(table, f, level), 2))
+    block = _scatter(tf.theta[:len(table), :, tf.block_words.index(tuple(w))], f, level,
+                     table.shape[1:])
+    return float(np.linalg.norm(block - _scatter(table, f, level, table.shape[1:]), 2))
 
 
 def _row_gram(tf: TransferFunction, K: int, words: list[Word] | None = None) -> np.ndarray:
@@ -395,6 +408,8 @@ def defect_identity_residual(tf: TransferFunction) -> float:
     Y_u = sum_{u = v w} sqrt(a_w) D_(w)^* Y_v.  The identity is exact on the
     rows of levels <= K = N - deg f, reached only by |u| <= K and columns of
     level <= K: both sides are table Grams there.  N < deg f raises ValueError.
+    The residual is ||E||_F, E the difference: no factorization, and
+    ||E||_2 <= ||E||_F <= sqrt(dim) ||E||_2.
     """
     col, f = tf.colligation, tf.f
     K = tf.N - f.degree
@@ -409,9 +424,10 @@ def defect_identity_residual(tf: TransferFunction) -> float:
             if k < rows.shape[1]:
                 lam_gram[rows[:, k]] += a * weights[:, k] ** 2
 
-    lhs = np.eye(len(lam_gram) * tf.r_out) - _row_gram(tf, K)
-    rhs = _gram(_coefficient_table(col, K, col.d_block, col.C.conj().T), f, K, 1.0 - lam_gram)
-    return float(np.linalg.norm(lhs - rhs, 2))
+    diff = _row_gram(tf, K)  # phi phi^* + M (...) M^* - I, the negated difference
+    diff += _gram(_coefficient_table(col, K, col.d_block, col.C.conj().T), f, K, 1.0 - lam_gram)
+    diff[np.diag_indices(len(diff))] -= 1.0
+    return float(np.linalg.norm(diff))
 
 
 def contraction_excess(tf: TransferFunction) -> float:

@@ -38,7 +38,7 @@ from .domain import (OperatorTuple, RegularPolynomial, WeightedShift,
                      weighted_creation)
 from .poisson import PoissonKernel, add_gram_check, canonical_phases
 from .report import VerificationReport
-from .words import Word, WordTable, check_word, enumerate_words
+from .words import Word, WordTable, check_word, enumerate_words, fock_size
 
 Generator = dict[Word, complex]  # polynomial sum coeff * Z_w with |w| >= 1
 
@@ -170,7 +170,7 @@ def _span_complement(table: WordTable, W: tuple[WeightedShift, ...],
     every level may occupy every basis column."""
     cols = [np.zeros((len(table), 0), dtype=complex)]
     for q, dq in live:
-        v = np.arange(table.max_level_index(table.N - dq))
+        v = np.arange(fock_size(table.n, table.N - dq))
         qw = np.zeros((len(table), v.size), dtype=complex)  # the columns q(W) e_v
         for w, c in q.items():
             s = shift_word(W, w)
@@ -178,7 +178,7 @@ def _span_complement(table: WordTable, W: tuple[WeightedShift, ...],
         for u in table.words:
             if len(u) > table.N - dq:
                 break
-            top = table.max_level_index(table.N - dq - len(u))
+            top = fock_size(table.n, table.N - dq - len(u))
             cols.append(shift_word(W, u).apply(qw[:, :top]))
     return canonical_phases(_split_span(np.hstack(cols))), [slice(None)] * (table.N + 1)
 
@@ -219,8 +219,9 @@ def constrained_poisson(variety: VarietyModel, base: PoissonKernel) -> Constrain
             raise ValueError(f"tuple does not satisfy a generator (residual {res:.3e})")
     if base.N != variety.N or base.f.coeffs != variety.f.coeffs:
         raise ValueError("the Poisson kernel must be built from the model's f and N")
-    return ConstrainedKernel(matrix=kron_identity_matmul(variety.basis.conj().T, base.matrix),
-                             variety=variety, base=base)
+    # basis^* K = conj((basis^T (x) I) conj(K)): the Fock x dim basis is not conjugated
+    matrix = kron_identity_matmul(variety.basis.T, base.matrix.conj()).conj()
+    return ConstrainedKernel(matrix=matrix, variety=variety, base=base)
 
 
 def verify_constrained_kernel(ck: ConstrainedKernel, tol: float) -> VerificationReport:
@@ -235,11 +236,11 @@ def verify_constrained_kernel(ck: ConstrainedKernel, tol: float) -> Verification
     rep = VerificationReport("constrained-kernel",
                              environment={"N": str(N), "model_dim": str(variety.dim),
                                           "margin": str(variety.unstable_margin)})
-    table = enumerate_words(f.n, N)
-    stable_top = table.max_level_index(max(N - 1 - variety.unstable_margin, 0))
-    # model rows living (numerically) inside the stable levels
-    tail = variety.basis[stable_top:, :]
-    stable_cols = np.flatnonzero(np.linalg.norm(tail, axis=0) < 1e-12)
+    # model rows living (numerically) inside the stable levels: the column norms of
+    # the tail summed from its real and imaginary views, with no copy of the tail
+    tail = variety.basis[fock_size(f.n, max(N - 1 - variety.unstable_margin, 0)):]
+    norms = np.einsum("ij,ij->j", tail.real, tail.real) + np.einsum("ij,ij->j", tail.imag, tail.imag)
+    stable_cols = np.flatnonzero(np.sqrt(norms) < 1e-12)
     row_idx = np.concatenate([j * r + np.arange(r) for j in stable_cols]) \
         if stable_cols.size else np.array([], dtype=int)
 

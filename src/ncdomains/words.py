@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections.abc import Mapping
-from dataclasses import dataclass, field
-from types import MappingProxyType
+from dataclasses import dataclass
 
 Word = tuple[int, ...]
 
@@ -30,16 +28,12 @@ def reverse(u: Word) -> Word:
 
 @dataclass(frozen=True)
 class WordTable:
-    """All words of length <= N over {1..n}, graded-lex ordered and indexed.
-
-    Tables are shared between callers, so they are immutable: ``words`` is a
-    tuple and ``index`` a read-only mapping.
-    """
+    """All words of length <= N over {1..n}, graded-lex ordered; shared between
+    callers, so immutable.  A word's index is level arithmetic (``fock_size``)."""
 
     n: int
     N: int
     words: tuple[Word, ...]
-    index: Mapping[Word, int] = field(repr=False)
 
     def __len__(self) -> int:
         return len(self.words)
@@ -50,10 +44,6 @@ class WordTable:
             raise ValueError(f"level {m} outside 0..{self.N}")
         return slice(fock_size(self.n, m - 1), fock_size(self.n, m))
 
-    def max_level_index(self, m: int) -> int:
-        """Number of words of length <= m (the matrix size at truncation m)."""
-        return fock_size(self.n, m)
-
 
 def fock_size(n: int, m: int) -> int:
     """Number of words of length <= m over n letters (0 for m < 0); the word of
@@ -63,9 +53,7 @@ def fock_size(n: int, m: int) -> int:
 
 @functools.lru_cache(maxsize=64)
 def _word_table(n: int, N: int) -> WordTable:
-    words = tuple(words_of_lengths(n, 0, N))
-    return WordTable(n=n, N=N, words=words,
-                     index=MappingProxyType({w: i for i, w in enumerate(words)}))
+    return WordTable(n=n, N=N, words=tuple(words_of_lengths(n, 0, N)))
 
 
 def enumerate_words(n: int, N: int) -> WordTable:

@@ -5,9 +5,9 @@ from ncdomains import (BiPolynomial, OperatorTuple, PairDilation, RegularPolynom
                        TransferFunction, WeightedShift, b_coefficients, enumerate_words,
                        weighted_creation)
 from ncdomains.harness import scale_into_domain
-from ncdomains.transfer import _scatter
+from ncdomains.transfer import _columns, _scatter
 from ncdomains.variety import VarietyModel
-from ncdomains.words import EMPTY, Word
+from ncdomains.words import EMPTY, Word, WordTable
 
 
 def f_battery() -> list[RegularPolynomial]:
@@ -50,6 +50,11 @@ def b_recursion(f: RegularPolynomial, N: int) -> dict[Word, float]:
     return values
 
 
+def word_index(table: WordTable) -> dict[Word, int]:
+    """The graded-lex index of each word of the table."""
+    return {w: i for i, w in enumerate(table.words)}
+
+
 def b_by_word(f: RegularPolynomial, N: int) -> dict[Word, float]:
     """The array of ``b_coefficients`` keyed by word."""
     return dict(zip(enumerate_words(f.n, N).words, b_coefficients(f, N)))
@@ -63,7 +68,27 @@ def shift_rmul(s: WeightedShift, x: np.ndarray) -> np.ndarray:
 
 def dense_block(tf: TransferFunction, w: Word) -> np.ndarray:
     """The dense phi_(w) (Fock r_out x Fock r_in), scattered from the table."""
-    return _scatter(tf.theta[:, :, tf.block_words.index(tuple(w))], tf.f, tf.N)
+    return _scatter(tf.theta[:, :, tf.block_words.index(tuple(w))], tf.f, tf.N,
+                    (tf.r_out, tf.r_in))
+
+
+def gram_by_gather(table: np.ndarray, f: RegularPolynomial, K: int,
+                   scale: np.ndarray) -> np.ndarray:
+    """The oracle of ``transfer._gram``: sum_y scale[y] B_y B_y^*, the product of
+    each level of y gathered whole and added through fancy-index arrays."""
+    r = table.shape[1]
+    plan = _columns(f, K)
+    _, rows, weights = next(plan)
+    span = rows.shape[1]
+    v = (weights[0, :, None, None] * table[:span]).reshape(span * r, -1)
+    gram = (v * scale[0]) @ v.conj().T
+    for y, rows, weights in plan:
+        count, span = rows.shape
+        v = (weights[:, :, None, None] * table[:span]).reshape(count, span * r, -1)
+        idx = (rows[:, :, None] * r + np.arange(r)).reshape(count, span * r)
+        gram[idx[:, :, None], idx[:, None, :]] += (
+            (v * scale[y, None, None]) @ v.conj().transpose(0, 2, 1))
+    return gram
 
 
 def dense_creation(f: RegularPolynomial, N: int, side: str = "left") -> OperatorTuple:

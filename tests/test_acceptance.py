@@ -23,7 +23,7 @@ from ncdomains.harness import (ando_dilation, builtin_bipolynomials,
 from ncdomains.transfer import (contraction_excess, defect_identity_residual,
                                 dilation_identity_report,
                                 fourier_roundtrip_residual)
-from ncdomains.words import enumerate_words
+from ncdomains.words import enumerate_words, fock_size
 
 from conftest import compression_residual, kappa_eval, level_dimensions
 
@@ -109,7 +109,7 @@ def test_criterion_2_vacuum_projection():
         gap = np.eye(size, dtype=complex) - apply_phi(f, W, np.eye(size, dtype=complex))
         proj = np.zeros((size, size), dtype=complex)
         proj[0, 0] = 1.0
-        top = enumerate_words(f.n, N).max_level_index(N - f.degree)
+        top = fock_size(f.n, N - f.degree)
         worst = max(worst, float(np.linalg.norm((gap - proj)[:top, :top], 2)))
     elapsed = time.time() - t0
     verdict("criterion-2", worst <= 1e-10 and elapsed <= 10.0,

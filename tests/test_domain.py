@@ -7,10 +7,10 @@ from ncdomains import (OperatorTuple, RegularPolynomial, apply_phi, b_coefficien
                        phi_identity_power, purity_horizon, shift_word,
                        weighted_creation)
 from ncdomains.domain import kron_identity_matmul
-from ncdomains.words import enumerate_words, words_of_lengths
+from ncdomains.words import enumerate_words, fock_size, words_of_lengths
 
 from conftest import (b_by_word, b_recursion, dense_creation, f_battery, is_reversal_symmetric,
-                      random_nilpotent_tuple, shift_rmul)
+                      random_nilpotent_tuple, shift_rmul, word_index)
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +144,7 @@ def test_left_creation_action_elementwise(fib_poly):
     W = dense_creation(f, N)
     b = b_by_word(f, N)
     table = enumerate_words(1, N)
+    index = word_index(table)
     for j, w in enumerate(table.words):
         col = W.mats[0][:, j]
         if len(w) == N:
@@ -151,7 +152,7 @@ def test_left_creation_action_elementwise(fib_poly):
         else:
             tgt = (1,) + w
             expected = np.zeros(len(table), dtype=complex)
-            expected[table.index[tgt]] = np.sqrt(b[w] / b[tgt])
+            expected[index[tgt]] = np.sqrt(b[w] / b[tgt])
             assert np.linalg.norm(col - expected) == 0.0
 
 
@@ -161,6 +162,7 @@ def test_right_creation_action_elementwise():
     L = dense_creation(f, N, "right")
     b = b_by_word(f, N)
     table = enumerate_words(2, N)
+    index = word_index(table)
     for i in (1, 2):
         for j, w in enumerate(table.words):
             col = L.mats[i - 1][:, j]
@@ -168,21 +170,21 @@ def test_right_creation_action_elementwise():
                 assert np.linalg.norm(col) == 0.0
             else:
                 tgt = w + (i,)
-                assert abs(col[table.index[tgt]] - np.sqrt(b[w] / b[tgt])) == 0.0
+                assert abs(col[index[tgt]] - np.sqrt(b[w] / b[tgt])) == 0.0
                 assert np.count_nonzero(col) == 1
 
 
 def dense_creation_oracle(f: RegularPolynomial, N: int, side: str) -> list[np.ndarray]:
     """Dense creation matrices built entry by entry from their definition."""
     table = enumerate_words(f.n, N)
-    b = b_by_word(f, N)
+    index, b = word_index(table), b_by_word(f, N)
     mats = []
     for i in range(1, f.n + 1):
         m = np.zeros((len(table), len(table)), dtype=complex)
         for j, w in enumerate(table.words):
             if len(w) < N:
                 tgt = (i,) + w if side == "left" else w + (i,)
-                m[table.index[tgt], j] = np.sqrt(b[w] / b[tgt])
+                m[index[tgt], j] = np.sqrt(b[w] / b[tgt])
         mats.append(m)
     return mats
 
@@ -239,9 +241,10 @@ def test_creation_targets_match_word_lookup(side):
     for f, N in [(f, 4) for f in f_battery()] + [(F_THREE, 5), (F_TWOVAR, 0),
                                                  (RegularPolynomial.single_variable([1.0]), 26)]:
         table, b = enumerate_words(f.n, N), b_recursion(f, N)
+        index = word_index(table)
         for i, s in enumerate(weighted_creation(f, N, side), 1):
             tgt = [(i,) + w if side == "left" else w + (i,) for w in table.words]
-            target = [table.index[t] if len(w) < N else j
+            target = [index[t] if len(w) < N else j
                       for j, (w, t) in enumerate(zip(table.words, tgt))]
             weight = [np.sqrt(b[w] / b[t]) if len(w) < N else 0.0
                       for w, t in zip(table.words, tgt)]
@@ -257,9 +260,10 @@ def test_weighted_creation_side_checked():
 def flip_unitary(n: int, N: int) -> np.ndarray:
     """The basis permutation e_w -> e_{reverse(w)} on the truncated Fock space."""
     table = enumerate_words(n, N)
+    index = word_index(table)
     u = np.zeros((len(table), len(table)))
     for j, w in enumerate(table.words):
-        u[table.index[w[::-1]], j] = 1.0
+        u[index[w[::-1]], j] = 1.0
     return u
 
 
@@ -285,7 +289,7 @@ def test_vacuum_projection_identity():
         gap = np.eye(size, dtype=complex) - apply_phi(f, W, np.eye(size, dtype=complex))
         proj = np.zeros((size, size), dtype=complex)
         proj[0, 0] = 1.0
-        top = enumerate_words(f.n, N).max_level_index(N - f.degree)
+        top = fock_size(f.n, N - f.degree)
         assert np.linalg.norm((gap - proj)[:top, :top], 2) <= 1e-10
 
 

@@ -128,6 +128,30 @@ def test_builtin_eval_matches_written_formulas():
         assert p.hermitian == (p.name in ("sandwich", "two_squares", "mixed_gram"))
 
 
+def eval_with_identities(p: BiPolynomial, X: OperatorTuple, Y: OperatorTuple) -> np.ndarray:
+    """The oracle of ``BiPolynomial.eval``: every term as the product of all four
+    (or two) words, an empty word as the dense identity."""
+    d, herm = X.rows, p.hermitian
+    out = np.zeros((len(p.entries) * d,) * 2, dtype=complex)
+    for r, col, (u, v, s, t), c in p._terms():
+        m = X.word(u) @ Y.word(v)
+        if herm:
+            m = m @ Y.word(s).conj().T @ X.word(t).conj().T
+        out[r * d:(r + 1) * d, col * d:(col + 1) * d] += c * m
+    return (out + out.conj().T) / 2 if herm else out
+
+
+def test_bipoly_eval_skips_identity_factors_bitwise():
+    """Leaving out the identity of an empty word changes no bit of the value, on
+    the pair and on both of its dilated sides."""
+    pair = random_commuting_pair(4, 3, "upper-triangular-commuting", Z, Z)
+    dil, dil_sw = ando_dilation(pair), ando_dilation(pair.swapped())
+    sides = [(pair.T1, pair.T2), (dil.left, dil.right), (dil_sw.right, dil_sw.left)]
+    for p in all_builtins():
+        for X, Y in sides:
+            assert np.array_equal(p.eval(X, Y), eval_with_identities(p, X, Y)), p.name
+
+
 def test_bipoly_construction_checks_letters_and_drops_zeros():
     with pytest.raises(ValueError):
         BiPolynomial("bad", 1, 1, (({((2,), (), (), ()): 1.0},),))
@@ -335,8 +359,9 @@ def check_value(rep, name: str) -> float:
 
 def psi_dilations() -> list:
     """Dilations with and without a variety model: n = 1 and n = 2, padded rows
-    (r_in > r_out), a g with two degree-one blocks, and the monomial generator
-    Z1 Z2, whose model space is not symmetric: there B_i and C_i differ."""
+    (r_in > r_out), a g with two degree-one blocks, g = 0.5 z over
+    f = z1 + z2 + 0.5 z1 z2 (c_1 != 1 and weights != 1), and the monomial
+    generator Z1 Z2, whose model space is not symmetric: there B_i and C_i differ."""
     pair = random_commuting_pair(17, 3, "upper-triangular-commuting", Z, Z)
     dil = ando_dilation(pair)
     roots = list(np.linalg.eigvals(pair.T1.mats[0]))
@@ -346,6 +371,11 @@ def psi_dilations() -> list:
     pair2 = CommutingPair(f2, Z, tr.T1, tr.T2)
     dils += [ando_dilation(pair2, N=4),
              ando_dilation(pair2, N=4, variety=commutator_generators(2))]
+    f3 = RegularPolynomial(2, {(1,): 1.0, (2,): 1.0, (1, 2): 0.5})
+    g_half = RegularPolynomial.single_variable([0.5])
+    tr = commuting_triple(3, 3, f3)
+    dils.append(ando_dilation(CommutingPair(f3, g_half, tr.T1,
+                                            scale_into_domain(g_half, tr.T2, 0.9)), N=4))
     # g = 0.5 z1 + z2: two degree-one blocks, one rescaled by 1/sqrt(0.5)
     g2 = RegularPolynomial(2, {(1,): 0.5, (2,): 1.0})
     rng = np.random.default_rng(5)
@@ -420,15 +450,21 @@ def dense_views(d) -> tuple[list[np.ndarray], list[np.ndarray]]:
 
 def test_dilation_views_match_dense_construction():
     """``left`` and ``right`` against the dense oracle: bitwise without a variety
-    model, 1e-13 relative with one (B_i (x) I_r and X^* psi_j X take other paths)."""
+    model where c_j = 1; where c_j != 1, ``right`` divides the table before the
+    scatter and the oracle the block after it, so entrywise within 4 eps relative;
+    1e-13 relative with a model (B_i (x) I_r and X^* psi_j X take other paths)."""
+    eps = np.finfo(float).eps
     for d in psi_dilations():
         left, right = dense_views(d)
-        for got, want in zip(d.left.mats + d.right.mats, left + right, strict=True):
+        coeffs = [1.0] * d.pair.f.n + [d.pair.g.coeffs[(j,)] for j in range(1, d.pair.g.n + 1)]
+        for got, want, c in zip(d.left.mats + d.right.mats, left + right, coeffs, strict=True):
             assert got.shape == want.shape
-            if d.variety is None:
+            if d.variety is not None:
+                assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+            elif c == 1.0:
                 assert np.array_equal(got, want)
             else:
-                assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+                assert np.all(np.abs(got - want) <= 4 * eps * np.abs(want))
 
 
 def test_transfer_checks_stay_on_the_fock_r_out_side(monkeypatch):
@@ -481,16 +517,17 @@ def test_transfer_checks_stay_on_the_fock_r_out_side(monkeypatch):
         with monkeypatch.context() as m:
             scatter = ncdomains.transfer._scatter
 
-            def below_level_n(table, f, K):
+            def below_level_n(table, f, K, inner):
                 if K >= N:
                     pytest.fail(f"level-{K} block scattered")
-                return scatter(table, f, K)
+                return scatter(table, f, K, inner)
 
             m.setattr(ncdomains.transfer, "_scatter", below_level_n)
             assert checks() == values
             for module in (ncdomains.transfer, ncdomains.harness):  # each binds its own name
                 m.setattr(module, "_scatter", raising=False,
-                          value=lambda table, f, K: pytest.fail(f"level-{K} block scattered"))
+                          value=lambda table, f, K, inner: pytest.fail(
+                              f"level-{K} block scattered"))
             assert ando_dilation(pair, N=N).report.render() == dil.report.render()
         assert max(h for _, h in calls) <= tf.fock_size * tf.r_out
 

@@ -49,7 +49,6 @@ ALLOWED = {
     "report.VerificationReport.environment",
     "report.VerificationReport.extend(prefix)",
     "transfer._row_gram(words)",
-    "words.WordTable.index",
 }
 
 

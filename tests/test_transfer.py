@@ -19,9 +19,9 @@ from ncdomains.transfer import (TransferFunction, _coefficient_table, _gram, _la
                                 _row_adjoint, _row_gram, _scatter, contraction_excess,
                                 defect_identity_residual, dilation_identity_report,
                                 multi_analytic_residual)
-from ncdomains.words import enumerate_words, reverse
+from ncdomains.words import enumerate_words, fock_size, reverse
 
-from conftest import b_by_word, dense_block, f_battery
+from conftest import b_by_word, dense_block, f_battery, gram_by_gather, word_index
 from test_colligation import nilpotent_triple
 
 Z = RegularPolynomial.single_variable([1.0])
@@ -136,13 +136,13 @@ def test_level_table_matches_word_recursion_bitwise():
 
 
 class FockLevelTable:
-    """A word table above level deg f: reading its words or index fails the test."""
+    """A word table above level deg f: reading its words fails the test."""
 
     def __init__(self, table):
         self.table = table
 
     def __getattr__(self, name):
-        if name in ("words", "index"):
+        if name == "words":
             pytest.fail(f"{name} of the level-{self.table.N} word table read")
         return getattr(self.table, name)
 
@@ -153,7 +153,7 @@ class FockLevelTable:
 def test_runtime_paths_read_no_word_table_above_deg_f(monkeypatch):
     """b_coefficients, weighted_creation, poisson_kernel, eval_transfer and the
     transfer checks address the Fock space by level arithmetic: given word
-    tables whose words and index fail above level deg f, and no word lists
+    tables whose words fail above level deg f, and no word lists
     above it, they return bitwise what they return without the guard."""
     def run(col, N):
         f, T = col.triple.f, col.triple.T1
@@ -198,12 +198,11 @@ def test_fourier_coefficients_match_vacuum_columns():
     for col in oracle_colligations():
         f, N = col.triple.f, 5
         tf = eval_transfer(col, N)
-        table = enumerate_words(f.n, N)
-        b = b_by_word(f, N)
+        index, b = word_index(enumerate_words(f.n, N)), b_by_word(f, N)
         for w, ref in zip(tf.block_words, oracle_blocks(col, N), strict=True):
             coefs = fourier_coefficients(tf, w, N - f.degree)
             for u, c in zip(enumerate_words(f.n, N - f.degree).words, coefs, strict=True):
-                i = table.index[reverse(u)]
+                i = index[reverse(u)]
                 old = np.sqrt(b[reverse(u)]) * ref[i * tf.r_out:(i + 1) * tf.r_out, :tf.r_in]
                 assert np.linalg.norm(c - old) <= 1e-12 * max(np.linalg.norm(ref), 1.0)
 
@@ -214,7 +213,8 @@ def test_resolvent_corner_matches_inverse():
         f, N = col.triple.f, 5
         K = N - f.degree
         _, m_ref = dense_resolvent(col, N)
-        m = _scatter(_coefficient_table(col, K, col.d_block, col.C.conj().T), f, K)
+        table = _coefficient_table(col, K, col.d_block, col.C.conj().T)
+        m = _scatter(table, f, K, table.shape[1:])
         rows, cols = m.shape
         assert np.linalg.norm(m - m_ref[:rows, :cols]) <= 1e-12 * np.linalg.norm(m_ref)
         assert np.linalg.norm(m_ref[:rows, cols:]) <= 1e-12 * np.linalg.norm(m_ref)
@@ -240,7 +240,7 @@ def test_row_gram_matches_dense_blocks():
         tf = eval_transfer(col, N)
         table = enumerate_words(col.triple.f.n, N)
         for K in range(N + 1):
-            rows = table.max_level_index(K) * tf.r_out
+            rows = fock_size(table.n, K) * tf.r_out
             for words in (None, [(1,)], [(1, 1)], list(tf.block_words)):
                 x = np.hstack([dense_block(tf, w)[:rows] for w in (words or tf.block_words)])
                 ref = x @ x.conj().T
@@ -248,7 +248,7 @@ def test_row_gram_matches_dense_blocks():
                 assert err <= 1e-13 * np.linalg.norm(ref)
 
             # sum_y s[y] B_y B_y^*: columns of level > K do not reach these rows
-            size = table.max_level_index(K)
+            size = fock_size(table.n, K)
             scale = rng.standard_normal(size)
             cols = [dense_block(tf, w)[:rows, :size * tf.r_in] for w in tf.block_words]
             ref = sum((m * np.repeat(scale, tf.r_in)) @ m.conj().T for m in cols)
@@ -256,6 +256,80 @@ def test_row_gram_matches_dense_blocks():
             err = np.linalg.norm(_gram(theta, col.triple.f, K, scale) - ref)
             assert err <= 1e-13 * np.linalg.norm(ref)
 
+
+
+def gram_calls(monkeypatch, check) -> list[tuple]:
+    """The (table, f, K, scale) arguments of each ``_gram`` call made by check()."""
+    calls, real = [], transfer._gram
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(transfer, "_gram", spy)
+        check()
+    return calls
+
+
+def test_gram_matches_the_gathered_oracle_bitwise(monkeypatch):
+    """The Gram added through level-block views equals the gathered fancy-index
+    form bitwise: n = 1 at N = 26 with a generic scale (one square block per y),
+    the twovar tables at N = 4..7 and n = 3 at N = 4 with the unit scale of the
+    row Gram and the scale 1 - lambda of the defect identity (1 at the empty
+    word and 0 elsewhere on these tables).  For n >= 2 and a
+    generic scale the mirror block is the conjugate transpose of the product
+    of the other, with the scale on the other factor: equal to rounding."""
+    rng = np.random.default_rng(1)
+    one_letter = complete_to_unitary(build_isometry(
+        commuting_triple(1, 3, RegularPolynomial.single_variable([1.0, 0.5, 0.25]))))
+    theta = _coefficient_table(one_letter, 26, one_letter.b_block, one_letter.A.conj().T)
+    scale = rng.standard_normal(len(theta))
+    assert np.array_equal(_gram(theta, one_letter.triple.f, 26, scale),
+                          gram_by_gather(theta, one_letter.triple.f, 26, scale))
+
+    f3 = RegularPolynomial(3, {(1,): 1.0, (2,): 1.0, (3,): 1.0})
+    cases = [(col, N) for col in twovar_colligations() for N in (4, 5, 6, 7)]
+    cases.append((complete_to_unitary(build_isometry(commuting_triple(3, 4, f3))), 4))
+    for col, N in cases:
+        tf = eval_transfer(col, N)
+        calls = gram_calls(monkeypatch, lambda: (_row_gram(tf, N), defect_identity_residual(tf)))
+        assert len(calls) == 3 and np.flatnonzero(calls[2][3]).tolist() == [0]
+        for table, f, K, scale in calls:
+            assert np.array_equal(_gram(table, f, K, scale), gram_by_gather(table, f, K, scale))
+        table, f, K, scale = calls[0]
+        scale = rng.standard_normal(len(scale))
+        ref = gram_by_gather(table, f, K, scale)
+        assert np.linalg.norm(_gram(table, f, K, scale) - ref) <= 1e-15 * np.linalg.norm(ref)
+
+
+def test_row_gram_peaks_below_one_and_a_half_grams():
+    """Memory guard: under tracemalloc the N = 7 twovar row Gram (1020^2 complex,
+    16.6 MB) peaks at most 1.4 times its own bytes: no gathered copy of a level
+    product and no index array (the gathered form peaked at 2.06 times)."""
+    tf = eval_transfer(twovar_colligations()[1], 7)
+    tracemalloc.start()
+    try:
+        gram = _row_gram(tf, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gram.shape == (1020, 1020)
+    assert peak <= 1.4 * gram.nbytes
+
+
+def test_defect_identity_residual_bounds_the_spectral_oracle(monkeypatch):
+    """The Frobenius residual lies between the spectral norm of the dense
+    difference I - G - R of the gathered Grams and sqrt(dim) times it."""
+    tfs = [eval_transfer(col, N) for col in twovar_colligations() for N in (4, 6)]
+    tfs += [eval_transfer(col, 4) for col in gram_colligations()]
+    for tf in tfs:
+        got = []
+        calls = gram_calls(monkeypatch, lambda: got.append(defect_identity_residual(tf)))
+        lhs, rhs = (gram_by_gather(*args) for args in calls)
+        dim = len(lhs)
+        ref = float(np.linalg.norm(np.eye(dim) - lhs - rhs, 2))
+        assert ref <= got[0] <= np.sqrt(dim) * ref
 
 
 def twovar_transfers() -> list[TransferFunction]:
@@ -279,7 +353,7 @@ def test_lambda_max_matches_eigvalsh_on_row_grams():
     are no contraction, whose Gram is not I minus a low-rank matrix."""
     for tf in twovar_transfers():
         assert abs(assert_lambda_max_is_eigvalsh(_row_gram(tf, tf.N)) - 1.0) <= 1e-13
-        level2 = enumerate_words(tf.f.n, tf.N).max_level_index(1)
+        level2 = fock_size(tf.f.n, 1)
         for s in (0.97, 1.003):
             theta = tf.theta.copy()
             theta[level2:] *= s
@@ -420,7 +494,7 @@ def test_row_adjoint_matches_dense_block():
 def dense_commutator_norm(tf, w, left) -> float:
     """Oracle: max_i ||[W_i (x) I, phi_(w)]|| on columns of level <= N-1, all dense."""
     phi = dense_block(tf, w)
-    cols = enumerate_words(tf.f.n, tf.N).max_level_index(tf.N - 1) * tf.r_in
+    cols = fock_size(tf.f.n, tf.N - 1) * tf.r_in
     out = 0.0
     for wi in left:
         comm = (wi.dense(np.eye(tf.r_out)) @ phi - phi @ wi.dense(np.eye(tf.r_in)))[:, :cols]

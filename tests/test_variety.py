@@ -8,6 +8,7 @@ from ncdomains import (OperatorTuple, RegularPolynomial, build_variety,
                        commutator_generators, constrained_poisson, enumerate_words,
                        minpoly_generator, poisson_kernel,
                        verify_constrained_kernel, weighted_creation)
+from ncdomains.domain import kron_identity_matmul
 from ncdomains.variety import VarietyModel, _span_complement, generator_degree
 
 from conftest import (dense_compression, dense_creation, f_battery, kappa_eval,
@@ -150,6 +151,13 @@ def test_constrained_poisson_reuses_caller_kernel():
     ck = constrained_poisson(v, K)
     dense = np.kron(v.basis.conj().T, np.eye(K.multiplicity)) @ K.matrix
     assert ck.base is K and np.linalg.norm(ck.matrix - dense, 2) <= 1e-14
+    # conj((basis^T (x) I) conj(K)) is (basis^* (x) I) K with the conjugated basis, bitwise
+    nil = np.triu(np.arange(1.0, 17.0).reshape(4, 4) * (1 + 0.5j), 1) / 40
+    T3 = OperatorTuple((nil, 0.5 * nil @ nil, nil - nil @ nil))
+    for model, base in ((v, K), (build_variety(drury_poly(3), 6, commutator_generators(3)),
+                                 poisson_kernel(drury_poly(3), T3, 6))):
+        assert np.array_equal(constrained_poisson(model, base).matrix,
+                              kron_identity_matmul(model.basis.conj().T, base.matrix))
     with pytest.raises(ValueError):
         constrained_poisson(v, poisson_kernel(z, T, 7))
     with pytest.raises(ValueError):

@@ -1,9 +1,13 @@
+import dataclasses
+
 
 import pytest
 from hypothesis import given, strategies as st
 
-from ncdomains.words import (EMPTY, check_word, enumerate_words,
+from ncdomains.words import (EMPTY, check_word, enumerate_words, fock_size,
                              reverse, words_of_lengths)
+
+from conftest import word_index
 
 
 def graded_lex_key(w: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
@@ -22,7 +26,7 @@ def test_enumeration_order_n2_level2():
     table = enumerate_words(2, 2)
     assert table.words == ((), (1,), (2,), (1, 1), (1, 2), (2, 1), (2, 2))
     assert len(table) == 7
-    assert table.index[(2, 1)] == 5
+    assert word_index(table)[(2, 1)] == 5
 
 
 def test_counts():
@@ -30,7 +34,7 @@ def test_counts():
         for N in range(5):
             table = enumerate_words(n, N)
             assert len(table) == sum(n**m for m in range(N + 1))
-            assert table.max_level_index(N) == len(table)
+            assert fock_size(table.n, N) == len(table)
 
 
 def test_level_slice():
@@ -49,8 +53,8 @@ def test_graded_lex_is_sorted_by_key():
 def test_table_is_shared_and_immutable():
     table = enumerate_words(2, 3)
     assert enumerate_words(2, 3) is table
-    with pytest.raises(TypeError):
-        table.index[(1,)] = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        table.words = ()
     with pytest.raises(AttributeError):
         table.words.append((1,))
 
