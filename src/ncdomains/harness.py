@@ -12,7 +12,9 @@ T1 compresses the dilation back to the pair, which yields
     || [p_rs(T1, T2)] || <= || [p_rs(W (x) I, psi)] ||
 
 for every matrix of polynomials in the two tuples, and the analogous bound
-with the roles of T1 and T2 swapped (the harness reports the minimum).
+with the roles of T1 and T2 swapped (the harness reports the minimum).  On
+f = g = z the bound by sup over the torus of ||p|| is checked on the dilation's
+distinguished variety (``von_neumann_check``).
 A ``PairDilation`` stores the coefficient table of the transfer function, the
 kernel and the variety model (if any); W comes from f and N as index maps.
 """
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .colligation import (IntertwiningTriple, build_isometry, colligation_report,
+from .colligation import (Colligation, IntertwiningTriple, build_isometry, colligation_report,
                           complete_to_unitary, embed_inner)
 from .domain import (OperatorTuple, RegularPolynomial, apply_phi, kron_identity_matmul,
                      purity_horizon, weighted_creation)
@@ -37,7 +39,7 @@ from .variety import Generator, VarietyModel, build_variety, constrained_poisson
 from .words import Word, check_word, fock_size
 
 BATTERY_VERSION = "v1"
-TORUS_RESOLUTION = 512  # grid points per circle for the torus sup-norms
+TORUS_RESOLUTION = 512  # circle points z_k of the distinguished-variety check
 MAX_CHOSEN_WORDS = 4096  # largest Fock space choose_truncation may pick
 
 
@@ -129,31 +131,11 @@ def spectral_norms(vals: np.ndarray) -> np.ndarray:
     return np.sqrt((g11 + g22) / 2 + np.hypot((g11 - g22) / 2, g12))
 
 
-# Grid points per block of grid_sup_norm.  At 4096 points one complex array is
-# 64 KB and the whole block of a 2 x 2 polynomial peaks at 0.56 MB under
-# tracemalloc, inside a core's L2 cache (2 MB per core on the machine below),
-# where the whole 512 x 512 grid peaks at 29 MB.  The 12 non-Hermitian battery
-# sups at resolution 512 took, per fresh process (median of 8; 2-core Xeon VM,
-# numpy 2.4, one thread): 4 z-rows per block 0.139 s, 8 rows (4096 points)
-# 0.093 s, 16 rows 0.193 s, 64 rows 0.143 s, the whole grid 0.161 s.
-_GRID_BLOCK = 4096
-
-
 def grid_sup_norm(p: BiPolynomial, resolution: int) -> float:
-    """sup over the torus grid of the largest singular value of p(z, w).
-
-    The grid is evaluated in blocks of consecutive z-rows (about _GRID_BLOCK
-    points each) with a running maximum.  z and w come once from the full angle
-    array, and every grid value passes through the same elementwise operations
-    as in the whole-grid form ``spectral_norms(p.eval_scalar(z, w)).max()``, so
-    the result is bitwise that of the whole grid; the memory peak is one block.
-    """
-    angles = 2.0 * np.pi * np.arange(resolution) / resolution
-    z = np.exp(1j * angles)[:, None]
-    w = np.exp(1j * angles)[None, :]
-    rows = max(1, _GRID_BLOCK // resolution)
-    return float(max(spectral_norms(p.eval_scalar(z[i:i + rows], w)).max()
-                     for i in range(0, resolution, rows)))
+    """max of the largest singular value of p(z, w) over the resolution^2 torus grid,
+    a lower bound of the sup-norm: the reference for ``von_neumann_check``'s points."""
+    z = np.exp(1j * (2.0 * np.pi * np.arange(resolution) / resolution))
+    return float(spectral_norms(p.eval_scalar(z[:, None], z[None, :])).max())
 
 
 # ---------------------------------------------------------------------------
@@ -460,24 +442,37 @@ def verify_inequality(pair: CommutingPair, polys: list[BiPolynomial],
     return rep
 
 
-def von_neumann_check(pair: CommutingPair, polys: list[BiPolynomial],
-                      sups: list[float]) -> VerificationReport:
-    """For f = g = z only: ||p(T1, T2)|| <= sup-norm of p on the torus grid,
-    for polynomials without adjoint words.
+def psi_values(col: Colligation, z: np.ndarray) -> np.ndarray:
+    """Psi(z) = A^* + z C^* (I - z D^*)^{-1} B^* at the points of the 1-d array z by one
+    batched solve: the transfer function over f = g = z, Theta_k = C^* (D^*)^(k-1) B^*."""
+    dstar = col.D.conj().T
+    x = np.linalg.solve(np.eye(len(dstar)) - z[:, None, None] * dstar, col.B.conj().T[None])
+    return col.A.conj().T + z[:, None, None] * (col.C.conj().T @ x)
 
-    sups[k] = grid_sup_norm(polys[k], TORUS_RESOLUTION), which the caller
-    computes once for all pairs.  It underestimates the true sup-norm, so a
-    stated margin is added on the right-hand side.
-    """
-    margin = 2e-2
+
+def von_neumann_check(dil: PairDilation, polys: list[BiPolynomial]) -> VerificationReport:
+    """For f = g = z and p without adjoint words: ||p(T1, T2)|| <= max of ||p|| on the
+    distinguished variety V = {det(w I - Psi(z)) = 0} on the torus, (T1, T2) = dil.pair.
+
+    Psi (``psi_values`` of the dilation's colligation) is inner here; its eigenvalues w
+    at the TORUS_RESOLUTION circle points z_k are divided by |w|, so each (z_k, w) is a
+    torus point, on V to rounding.  The slack max_k ||p(z_k, w)|| - ||p(T1, T2)|| is a
+    lower bound of sup_V ||p|| - ||p(T1, T2)||: a pass proves Ando's bound and, to
+    rounding, Agler-McCarthy's.  No margin is added; the env key ``margin`` (0.0)
+    stays only because the recorded report signature lists it."""
+    pair = dil.pair
     if pair.f.coeffs != {(1,): 1.0} or pair.g.coeffs != {(1,): 1.0}:
         raise ValueError("the torus bound applies to the f = g = z baseline only")
+    z = np.exp(2.0j * np.pi * np.arange(TORUS_RESOLUTION) / TORUS_RESOLUTION)
+    w = np.linalg.eigvals(psi_values(dil.transfer.colligation, z))
+    w /= np.abs(w)
     rep = VerificationReport("von-neumann",
                              environment={"resolution": str(TORUS_RESOLUTION),
-                                          "margin": repr(margin)})
-    for p, sup in zip(polys, sups, strict=True):
+                                          "margin": repr(0.0)})
+    for p in polys:
         lhs = float(np.linalg.norm(p.eval(pair.T1, pair.T2), 2))
-        rep.add_slack(f"torus_slack_{p.name}", sup + margin - lhs, 1e-9)
+        sup = float(spectral_norms(p.eval_scalar(z[:, None], w)).max())
+        rep.add_slack(f"torus_slack_{p.name}", sup - lhs, 1e-9)
     return rep
 
 
@@ -544,7 +539,6 @@ def run_battery(f: RegularPolynomial, g: RegularPolynomial, seeds: list[int],
     rep = VerificationReport("battery", environment={"battery": BATTERY_VERSION,
                                                      "pairs": str(len(seeds))})
     baseline = f.coeffs == {(1,): 1.0} and g.coeffs == {(1,): 1.0}
-    sups = [grid_sup_norm(p, TORUS_RESOLUTION) for p in plain] if baseline else []
     for idx, seed in enumerate(seeds):
         kind = kinds[idx % len(kinds)]
         dim = dims[idx % len(dims)]
@@ -554,5 +548,5 @@ def run_battery(f: RegularPolynomial, g: RegularPolynomial, seeds: list[int],
         pre = f"s{seed}_{kind}_"
         rep.extend(verify_inequality(pair, polys, dil, dil_sw, tol=tol), prefix=pre)
         if baseline:
-            rep.extend(von_neumann_check(pair, plain, sups), prefix=pre)
+            rep.extend(von_neumann_check(dil, plain), prefix=pre)
     return rep

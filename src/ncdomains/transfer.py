@@ -152,10 +152,13 @@ def _gram(table: np.ndarray, f: RegularPolynomial, K: int, scale: np.ndarray) ->
     the empty word's the initial Gram.  Else the rows yu, |u| = j, of the y of a
     level are the runs start(|y| + j) + rank(y) n^j: each pair of u-levels j >= jj
     is one batched product, added through the diagonal view of its level block,
-    and its conjugate transpose through the mirror block if jj < j."""
+    and its conjugate transpose through the mirror block if jj < j.  A level >= 1
+    whose scale is zero on every y adds nothing and is skipped."""
     r = table.shape[1]
     level = [slice(fock_size(f.n, m - 1) * r, fock_size(f.n, m) * r) for m in range(K + 1)]
     for lev, (y, rows, weights) in enumerate(_columns(f, K)):
+        if lev and not scale[y].any():
+            continue
         count, span = rows.shape
         v = (weights[:, :, None, None] * table[:span]).reshape(count, span * r, -1)
         sv, vh = v * scale[y, None, None], v.conj().transpose(0, 2, 1)

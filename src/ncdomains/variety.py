@@ -227,8 +227,10 @@ def constrained_poisson(variety: VarietyModel, base: PoissonKernel) -> Constrain
 def verify_constrained_kernel(ck: ConstrainedKernel, tol: float) -> VerificationReport:
     """Intertwining K_J T_i^* = (B_i^* (x) I) K_J and the Gram identity.
 
-    The intertwining is checked on model rows supported at stable levels
-    <= N - 1 - unstable_margin; the Gram matrix is compared with I - Phi^{N+1}(I).
+    intertwine_B{i} checks the model columns that live (to 1e-12) at the stable levels
+    <= N - 1 - unstable_margin and reads 0.0 if none do, as on a minimal-polynomial
+    model: then only intertwine_B{i}_full, against the leak bound, is a real check.
+    The Gram matrix is compared with I - Phi^{N+1}(I).
     """
     variety, base = ck.variety, ck.base
     f, T, N = base.f, base.T, base.N

@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import tracemalloc
 
 import numpy as np
@@ -13,9 +15,9 @@ from ncdomains import (BiPolynomial, OperatorTuple,
                        verify_inequality)
 from ncdomains.colligation import embed_inner
 from ncdomains.domain import kron_identity_matmul, weighted_creation
-from ncdomains.harness import (MAX_CHOSEN_WORDS, CommutingPair, choose_truncation,
-                               commutant_lifting, cross_commutation_residual, scale_into_domain,
-                               spectral_norms, von_neumann_check)
+from ncdomains.harness import (MAX_CHOSEN_WORDS, PAIR_KINDS, TORUS_RESOLUTION, CommutingPair,
+                               choose_truncation, commutant_lifting, cross_commutation_residual,
+                               psi_values, scale_into_domain, spectral_norms, von_neumann_check)
 from ncdomains.transfer import (_lambda_max, contraction_excess,
                                 defect_identity_residual, dilation_identity_report,
                                 eval_transfer, fourier_roundtrip_residual,
@@ -169,40 +171,6 @@ def test_grid_sup_norm_known_values():
     assert abs(grid_sup_norm(s, 512) - 2.0) <= 1e-3
 
 
-def whole_grid_sup_norm(p: BiPolynomial, resolution: int) -> float:
-    """The oracle of grid_sup_norm: every grid value at once."""
-    angles = 2.0 * np.pi * np.arange(resolution) / resolution
-    z = np.exp(1j * angles)[:, None]
-    w = np.exp(1j * angles)[None, :]
-    return float(spectral_norms(p.eval_scalar(z, w)).max())
-
-
-@pytest.mark.parametrize("resolution", [7, 300, 512, 1000])
-def test_grid_sup_norm_blocks_match_the_whole_grid_bitwise(resolution):
-    """The blocked sup equals the whole-grid one bitwise for the 12 non-Hermitian
-    built-ins.  7 and 1000 points per circle are not a multiple of the 4096-point
-    block, 7 fits in one block, and at 300 the last block holds a single z-row."""
-    polys = builtin_bipolynomials() + builtin_matrix_polys()
-    assert len(polys) == 12
-    for p in polys:
-        assert grid_sup_norm(p, resolution) == whole_grid_sup_norm(p, resolution), p.name
-
-
-def test_grid_sup_norm_peaks_below_one_grid_array():
-    """Memory guard: on the 2 x 2 ``full`` at 512 points per circle the sup peaks
-    under tracemalloc below one 512 x 512 complex array (4.2 MB); the whole-grid
-    form peaks at about 28 MB, one block at about 0.6 MB."""
-    full = builtin_matrix_polys()[1]
-    assert full.name == "full"
-    tracemalloc.start()
-    try:
-        grid_sup_norm(full, 512)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 512 * 512 * 16
-
-
 def test_battery_peak_below_one_grid_array():
     """Memory guard of the baseline battery, seeds 0..5 at dims 3, 4, 5: under
     tracemalloc run_battery peaked at 3.1 MB (28-29 MB while the torus sups built
@@ -289,16 +257,112 @@ def test_swapped_dilation_tightens():
 
 def test_von_neumann_baseline():
     pair = random_commuting_pair(3, 4, "upper-triangular-commuting", Z, Z)
-    polys = builtin_bipolynomials() + builtin_matrix_polys()
-    rep = von_neumann_check(pair, polys, [grid_sup_norm(p, 512) for p in polys])
+    rep = von_neumann_check(ando_dilation(pair), builtin_bipolynomials() + builtin_matrix_polys())
     assert rep.passed, rep.render()
+    assert rep.environment["margin"] == "0.0"
 
 
 def test_von_neumann_requires_baseline():
     f2 = RegularPolynomial.single_variable([1.0, 1.0])
     pair = random_commuting_pair(3, 3, "jointly-nilpotent", f2, Z)
     with pytest.raises(ValueError):
-        von_neumann_check(pair, builtin_bipolynomials(), [1.0] * 10)
+        von_neumann_check(ando_dilation(pair), builtin_bipolynomials())
+
+
+def test_von_neumann_check_fails_above_the_variety_bound():
+    """The check can fail: with the pair of a dilation tripled (still commuting),
+    ||T1 T2|| exceeds 1, the maximum of |z w| on the torus, and the product's slack
+    is negative."""
+    dil = ando_dilation(random_commuting_pair(3, 4, "upper-triangular-commuting", Z, Z))
+    big = CommutingPair(Z, Z, OperatorTuple((3 * dil.pair.T1.mats[0],)),
+                        OperatorTuple((3 * dil.pair.T2.mats[0],)))
+    rep = von_neumann_check(dataclasses.replace(dil, pair=big), builtin_bipolynomials())
+    failed = {c.name for c in rep.checks if not c.passed}
+    assert "torus_slack_product" in failed, rep.render()
+
+
+@functools.cache
+def battery_dilations() -> tuple:
+    """The dilations of the baseline battery at seeds 0..5 (dims 3, 4, 5, the
+    kinds in turn, as run_battery builds them) and of the swapped pairs."""
+    out = []
+    for seed in range(6):
+        pair = random_commuting_pair(seed, 3 + seed % 3, PAIR_KINDS[seed % 3], Z, Z)
+        out += [ando_dilation(pair), ando_dilation(pair.swapped())]
+    return tuple(out)
+
+
+def variety_maxima(dil, polys) -> dict[str, tuple[float, float]]:
+    """(max_k ||p(z_k, w)||, ||p(T1, T2)||) for each polynomial, the maximum read
+    back from the slack that von_neumann_check reports."""
+    rep = von_neumann_check(dil, polys)
+    out = {}
+    for p, check in zip(polys, rep.checks, strict=True):
+        lhs = float(np.linalg.norm(p.eval(dil.pair.T1, dil.pair.T2), 2))
+        out[p.name] = (check.value + lhs, lhs)
+    return out
+
+
+def test_psi_closed_form_matches_the_table():
+    """Psi(1/2) in closed form against the table's sum_u Theta_u 2^-|u| (n = 1, so
+    the k-th word has length k): every Theta_k, k >= 1, is C^* (D^*)^(k-1) B^*,
+    a product of blocks of a unitary, so the terms beyond N sum to at most
+    |z|^(N+1) / (1 - |z|)."""
+    z = 0.5
+    for dil in battery_dilations():
+        tf = dil.transfer
+        series = sum(z**k * tf.theta[k, :, 0, :] for k in range(tf.N + 1))
+        closed = psi_values(tf.colligation, np.array([z]))[0]
+        err = float(np.linalg.norm(closed - series, 2))
+        assert err <= z ** (tf.N + 1) / (1 - z) + 1e-14, (dil.pair.kind, err)
+
+
+def test_variety_points_match_the_dense_psi_norms():
+    """The maximum of ||p(z_k, w)|| over the normalized eigenvalues w of Psi(z_k)
+    that von_neumann_check takes, against max_k ||p(z_k I, Psi(z_k))||, the
+    polynomial evaluated on the matrices (Psi inner, so p(z_k I, Psi(z_k)) is
+    normal with the values p(z_k, w) as its eigenvalue blocks), for the 12
+    built-ins without adjoint words.  Psi(z_k) is unitary to 1e-13 (1.9e-14
+    measured over 260 battery-shaped dilations)."""
+    polys = builtin_bipolynomials() + builtin_matrix_polys()
+    z = np.exp(2.0j * np.pi * np.arange(TORUS_RESOLUTION) / TORUS_RESOLUTION)
+    for dil in battery_dilations():
+        psi = psi_values(dil.transfer.colligation, z)
+        maxima = variety_maxima(dil, polys)
+        r = psi.shape[-1]
+        assert np.abs(psi.conj().transpose(0, 2, 1) @ psi - np.eye(r)).max() <= 1e-13
+        powers = [np.broadcast_to(np.eye(r), psi.shape)]
+        for _ in range(3):
+            powers.append(powers[-1] @ psi)
+        for p in polys:
+            k = len(p.entries)
+            dense = np.zeros((len(z), k * r, k * r), dtype=complex)
+            for row, col, (u, v, _, _), c in p._terms():
+                dense[:, row * r:(row + 1) * r, col * r:(col + 1) * r] += (
+                    c * z[:, None, None] ** len(u) * powers[len(v)])
+            want = float(np.linalg.norm(dense, 2, axis=(-2, -1)).max())
+            got = maxima[p.name][0]
+            assert abs(got - want) <= 1e-12 * want, (dil.pair.kind, p.name, got, want)
+
+
+def test_variety_points_bound_the_pair_below_the_torus_grid():
+    """The variety maximum of von_neumann_check is at least ||p(T1, T2)|| and at
+    most the 2048^2 torus grid maximum plus its sampling allowance.  A polynomial of
+    degrees (d_z, d_w) has angular derivatives at most d_z ||p|| and d_w ||p||
+    (Bernstein), and every torus point is within pi / 2048 of a grid point in
+    each angle, so sup ||p|| <= grid / (1 - q), q = pi (d_z + d_w) / 2048: the
+    allowance is grid q / (1 - q), plus 1e-12 for rounding."""
+    polys = builtin_bipolynomials() + builtin_matrix_polys()
+    grid = {p.name: grid_sup_norm(p, 2048) for p in polys}
+    for dil in battery_dilations():
+        maxima = variety_maxima(dil, polys)
+        for p in polys:
+            degree = max(len(u) for _, _, (u, _, _, _), _ in p._terms()) + max(
+                len(v) for _, _, (_, v, _, _), _ in p._terms())
+            q = np.pi * degree / 2048
+            sup, lhs = maxima[p.name]
+            assert lhs <= sup, (dil.pair.kind, p.name)
+            assert sup <= grid[p.name] * (1 + q / (1 - q)) + 1e-12, (dil.pair.kind, p.name)
 
 
 def test_degree_two_f_dilation():

@@ -303,6 +303,23 @@ def test_gram_matches_the_gathered_oracle_bitwise(monkeypatch):
         assert np.linalg.norm(_gram(table, f, K, scale) - ref) <= 1e-15 * np.linalg.norm(ref)
 
 
+def test_gram_skips_levels_with_zero_scale(monkeypatch):
+    """The defect identity's scale 1 - lambda is zero on every y of levels >= 1 on
+    the twovar tables: _gram adds no level-block view for them (no einsum call,
+    where the unit scale makes some) and still equals the gathered oracle."""
+    tf = eval_transfer(twovar_colligations()[0], 6)
+    calls = gram_calls(monkeypatch, lambda: defect_identity_residual(tf))
+    table, f, K, scale = calls[1]
+    assert np.flatnonzero(scale).tolist() == [0]
+    for s, expect_views in ((scale, False), (np.ones_like(scale), True)):
+        views, real = [], np.einsum
+        with monkeypatch.context() as m:
+            m.setattr(transfer.np, "einsum", lambda *a: views.append(a) or real(*a))
+            gram = _gram(table, f, K, s)
+        assert bool(views) == expect_views
+        assert np.array_equal(gram, gram_by_gather(table, f, K, s))
+
+
 def test_row_gram_peaks_below_one_and_a_half_grams():
     """Memory guard: under tracemalloc the N = 7 twovar row Gram (1020^2 complex,
     16.6 MB) peaks at most 1.4 times its own bytes: no gathered copy of a level
