@@ -10,7 +10,7 @@ Layers:
 * :mod:`ncdomains.colligation` -- structural isometries and their unitary
   completions
 * :mod:`ncdomains.transfer` -- transfer functions as coefficient tables,
-  Fourier coefficients, dilation identities
+  their closed-form realization, dilation identities
 * :mod:`ncdomains.variety` -- constrained (polynomially cut) model spaces
 * :mod:`ncdomains.harness` -- commuting pairs, two-tuple dilations, and the
   inequality battery (one k x k polynomial type, one norm / lambda_max check)
@@ -31,7 +31,7 @@ from .poisson import DefectData, PoissonKernel, defect, poisson_kernel, \
     verify_kernel_identities
 from .report import CheckRecord, VerificationReport, parse_report
 from .transfer import (TransferFunction, dilation_identity_report, eval_transfer,
-                       fourier_coefficients, fourier_roundtrip_residual)
+                       fourier_roundtrip_residual, realization)
 from .variety import (VarietyModel, build_variety, commutator_generators,
                       constrained_poisson, minpoly_generator,
                       verify_constrained_kernel)

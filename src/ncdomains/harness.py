@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .colligation import (Colligation, IntertwiningTriple, build_isometry, colligation_report,
+from .colligation import (IntertwiningTriple, build_isometry, colligation_report,
                           complete_to_unitary, embed_inner)
 from .domain import (OperatorTuple, RegularPolynomial, apply_phi, kron_identity_matmul,
                      purity_horizon, weighted_creation)
@@ -34,7 +34,7 @@ from .poisson import poisson_kernel
 from .report import VerificationReport
 from .transfer import (TransferFunction, _lambda_max, _row_adjoint, _row_gram, _row_norm,
                        _scatter, dilation_identity_report, eval_transfer,
-                       multi_analytic_residual)
+                       multi_analytic_residual, realization)
 from .variety import Generator, VarietyModel, build_variety, constrained_poisson
 from .words import Word, check_word, fock_size
 
@@ -442,19 +442,12 @@ def verify_inequality(pair: CommutingPair, polys: list[BiPolynomial],
     return rep
 
 
-def psi_values(col: Colligation, z: np.ndarray) -> np.ndarray:
-    """Psi(z) = A^* + z C^* (I - z D^*)^{-1} B^* at the points of the 1-d array z by one
-    batched solve: the transfer function over f = g = z, Theta_k = C^* (D^*)^(k-1) B^*."""
-    dstar = col.D.conj().T
-    x = np.linalg.solve(np.eye(len(dstar)) - z[:, None, None] * dstar, col.B.conj().T[None])
-    return col.A.conj().T + z[:, None, None] * (col.C.conj().T @ x)
-
-
 def von_neumann_check(dil: PairDilation, polys: list[BiPolynomial]) -> VerificationReport:
     """For f = g = z and p without adjoint words: ||p(T1, T2)|| <= max of ||p|| on the
     distinguished variety V = {det(w I - Psi(z)) = 0} on the torus, (T1, T2) = dil.pair.
 
-    Psi (``psi_values`` of the dilation's colligation) is inner here; its eigenvalues w
+    Psi(z) = A^* + z C^* (I - z D^*)^{-1} B^* (``realization`` of the dilation's
+    colligation at the 1 x 1 matrices z_k) is inner here; its eigenvalues w
     at the TORUS_RESOLUTION circle points z_k are divided by |w|, so each (z_k, w) is a
     torus point, on V to rounding.  The slack max_k ||p(z_k, w)|| - ||p(T1, T2)|| is a
     lower bound of sup_V ||p|| - ||p(T1, T2)||: a pass proves Ando's bound and, to
@@ -464,7 +457,7 @@ def von_neumann_check(dil: PairDilation, polys: list[BiPolynomial]) -> Verificat
     if pair.f.coeffs != {(1,): 1.0} or pair.g.coeffs != {(1,): 1.0}:
         raise ValueError("the torus bound applies to the f = g = z baseline only")
     z = np.exp(2.0j * np.pi * np.arange(TORUS_RESOLUTION) / TORUS_RESOLUTION)
-    w = np.linalg.eigvals(psi_values(dil.transfer.colligation, z))
+    w = np.linalg.eigvals(realization(dil.transfer.colligation, (z[:, None, None],)))
     w /= np.abs(w)
     rep = VerificationReport("von-neumann",
                              environment={"resolution": str(TORUS_RESOLUTION),

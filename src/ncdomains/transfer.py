@@ -13,15 +13,15 @@ with Theta_empty = A^* and Theta_u = C^* X_u, where
     X_u = [u = w] sqrt(a_w) B_(w)^* + sum_{u = v w, v nonempty} sqrt(a_w) D_(w)^* X_v
 
 (the structured noncommutative realization formula of Ball, Groenewald and
-Malakorn).  The coefficient table is exact and is the stored form of the row.
+Malakorn).  The coefficient table is exact and is the stored form of the row;
+the Fourier round trip checks it against the closed form ``realization``.
 
 The Fock space is addressed by level arithmetic (``words.fock_size``), never
 by word lookups: the table is built a level at a time, and every reader follows
 one column plan (``_columns``): L_{u~} e_y = sqrt(b_y / b_{yu}) e_{yu}, the row
 of yu arithmetic in graded-lex order.  The row Gram is added in place through
 views of its level blocks, and the defect identity is read as a Frobenius norm.
-Only ``_scatter`` forms dense blocks: the padded psi of a ``PairDilation.right``
-read and the small truncation-min(M, N - M) blocks of the Fourier round trip.
+Only ``_scatter`` forms dense blocks, the padded psi of ``PairDilation.right``.
 
 By the defect identity the row Gram G is I minus a matrix of rank at most w,
 so its lambda_max (contraction check, lift norm, psi ellipsoid gap) is read
@@ -34,7 +34,8 @@ Tensor convention throughout: np.kron(Fock factor, inner factor).
 
 from __future__ import annotations
 
-from collections.abc import Callable
+import functools
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -188,42 +189,45 @@ def eval_transfer(col: Colligation, N: int) -> TransferFunction:
     return TransferFunction(col, N, theta.reshape(len(theta), col.r_out, -1, col.r_in))
 
 
-def _reversal(n: int, m: int) -> np.ndarray:
-    """The index of reverse(u) for each word u of length <= m, graded-lex: on a
-    level, transposing the ranks as an n x ... x n array reverses their digits."""
-    return np.concatenate([fock_size(n, lev - 1) + np.arange(n**lev).reshape(
-        (n,) * lev if n > 1 else ()).T.ravel() for lev in range(m + 1)])
+def _kron(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """np.kron over the last two axes, the leading axes broadcast."""
+    out = np.einsum("...ab,...cd->...acbd", x, y)
+    return out.reshape(*out.shape[:-4], x.shape[-2] * y.shape[-2], x.shape[-1] * y.shape[-1])
 
 
-def fourier_coefficients(tf: TransferFunction, w: Word, max_level: int) -> np.ndarray:
-    """Coefficients of phi_(w) = sum_u L_u (x) coef_u for |u| <= max_level, one
-    (r_out x r_in) block per word u in graded-lex order.
-
-    L_u appends u~, so coef_u is the phi_(w) block of Theta_{u~}.
-    """
-    f, N = tf.f, tf.N
-    if max_level > N - f.degree:
-        raise ValueError(f"max_level {max_level} exceeds N - deg f = {N - f.degree}")
-    return tf.theta[_reversal(f.n, max_level), :, tf.block_words.index(tuple(w))]
+def realization(col: Colligation, X: Sequence[np.ndarray]) -> np.ndarray:
+    """The transfer row in closed form at a tuple X of d x d matrices (leading batch
+    axes allowed), X_{w~} = X_{w_k} ... X_{w_1}: I (x) A^* + (I (x) C^*) (I - sum_w sqrt(a_w)
+    X_{w~} (x) D_(w)^*)^{-1} sum_w sqrt(a_w) X_{w~} (x) B_(w)^*, equal to sum_u X_{u~}
+    (x) Theta_u where the inverse is its Neumann series (X nilpotent, or small).
+    Block phi_(b_j) is the j-th of the m2 groups of r_in columns of each X column."""
+    f, eye = col.triple.f, np.eye(X[0].shape[-1])
+    xw = [(i, np.sqrt(a) * functools.reduce(lambda p, c: X[c - 1] @ p, w, eye))
+          for i, w in enumerate(coefficient_words(f)) if (a := f.coeffs.get(w, 0.0)) != 0.0]
+    q = sum(_kron(x, col.d_block(i).conj().T) for i, x in xw)
+    head = sum(_kron(x, col.b_block(i).conj().T) for i, x in xw)
+    y = np.linalg.solve(np.eye(q.shape[-1]) - q, head)
+    return _kron(eye, col.A.conj().T) + _kron(eye, col.C.conj().T) @ y
 
 
 def fourier_roundtrip_residual(tf: TransferFunction, w: Word, max_level: int) -> float:
-    """|| P_rows (phi_(w) - sum_{|u|<=M} L_u (x) coef_u) P_cols ||.
-
-    Rows are restricted to levels <= L = min(M, N-M) and columns to levels
-    <= N-M, where the truncated block agrees exactly with its Fourier
-    expansion.  Columns of level > L vanish on those rows, and the weights of
-    L_{u~} do not depend on N, so the corner is the block at truncation L
-    (and zero columns), scattered from the first Fock_L table words.
-    Both sides come from ``tf.theta``: this compares a scatter with table
-    lookups only, not an independent test of Theta (the oracle tests are).
-    """
-    f, level = tf.f, min(max_level, tf.N - max_level)
-    table = np.empty((fock_size(f.n, level), tf.r_out, tf.r_in), dtype=complex)
-    table[_reversal(f.n, level)] = fourier_coefficients(tf, w, level)
-    block = _scatter(tf.theta[:len(table), :, tf.block_words.index(tuple(w))], f, level,
-                     table.shape[1:])
-    return float(np.linalg.norm(block - _scatter(table, f, level, table.shape[1:]), 2))
+    """||realization(X) - sum_{|u| <= M} X_{u~} (x) Theta_u||_2 on block w, M = max_level
+    in 0..N (else ValueError), X a seeded strictly upper-triangular n-tuple of size
+    M + 1 with sum_i ||X_i||_F <= 1/2: X_{u~} = 0 for |u| > M, so the series is exact,
+    its terms summing to at most 2 max_u ||Theta_u||.  The closed form reads A, B, C
+    and D, the series only the table: a wrong Theta_u with |u| <= M shows."""
+    f, d, j = tf.f, max_level + 1, tf.block_words.index(tuple(w))
+    if not 0 <= max_level <= tf.N:
+        raise ValueError(f"max_level {max_level} is outside 0..N = 0..{tf.N}")
+    x = np.triu(np.random.default_rng(0).standard_normal((f.n, d, 2 * d)).view(complex), 1)
+    x /= 2 * (np.linalg.norm(x, axis=(1, 2)).sum() or 1.0)
+    powers = [np.eye(d)[None]]  # X_{u~} a level at a time: X_{(v c)~} = X_c X_{v~}
+    for _ in range(max_level):
+        powers.append((x[None] @ powers[-1][:, None]).reshape(-1, d, d))
+    series = np.einsum("kab,kij->aibj", np.concatenate(powers),
+                       tf.theta[:fock_size(f.n, max_level), :, j])
+    closed = realization(tf.colligation, x).reshape(d, tf.r_out, d, -1, tf.r_in)[:, :, :, j]
+    return float(np.linalg.norm((closed - series).reshape(d * tf.r_out, -1), 2))
 
 
 def _row_gram(tf: TransferFunction, K: int, words: list[Word] | None = None) -> np.ndarray:
@@ -385,7 +389,9 @@ def multi_analytic_residual(tf: TransferFunction, w: Word) -> float:
     for |y| + |u| <= N - 1 (both terms vanish above).  Per level of y each term
     is injective, so the norm is the largest |difference| where all targets
     agree, else at most the sum of the two largest weights.  Left and right
-    creation operators commute, so the bound is rounding in the weights.
+    creation operators commute, so the bound is rounding in the weights alone:
+    blind to a wrong Theta entry (sqrt(a_w) dropped on the D term reads 0.0),
+    whose check is ``fourier_roundtrip_residual``, against the colligation.
     """
     f, N = tf.f, tf.N
     theta = tf.theta[:, :, tf.block_words.index(tuple(w))]

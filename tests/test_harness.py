@@ -17,11 +17,11 @@ from ncdomains.colligation import embed_inner
 from ncdomains.domain import kron_identity_matmul, weighted_creation
 from ncdomains.harness import (MAX_CHOSEN_WORDS, PAIR_KINDS, TORUS_RESOLUTION, CommutingPair,
                                choose_truncation, commutant_lifting, cross_commutation_residual,
-                               psi_values, scale_into_domain, spectral_norms, von_neumann_check)
+                               scale_into_domain, spectral_norms, von_neumann_check)
 from ncdomains.transfer import (_lambda_max, contraction_excess,
                                 defect_identity_residual, dilation_identity_report,
                                 eval_transfer, fourier_roundtrip_residual,
-                                multi_analytic_residual)
+                                multi_analytic_residual, realization)
 from ncdomains.variety import commutator_generators, minpoly_generator
 
 from conftest import (compression_residual, dense_block, dense_compression, power_pair_tuple,
@@ -312,7 +312,7 @@ def test_psi_closed_form_matches_the_table():
     for dil in battery_dilations():
         tf = dil.transfer
         series = sum(z**k * tf.theta[k, :, 0, :] for k in range(tf.N + 1))
-        closed = psi_values(tf.colligation, np.array([z]))[0]
+        closed = realization(tf.colligation, (np.array([[z]]),))
         err = float(np.linalg.norm(closed - series, 2))
         assert err <= z ** (tf.N + 1) / (1 - z) + 1e-14, (dil.pair.kind, err)
 
@@ -327,7 +327,7 @@ def test_variety_points_match_the_dense_psi_norms():
     polys = builtin_bipolynomials() + builtin_matrix_polys()
     z = np.exp(2.0j * np.pi * np.arange(TORUS_RESOLUTION) / TORUS_RESOLUTION)
     for dil in battery_dilations():
-        psi = psi_values(dil.transfer.colligation, z)
+        psi = realization(dil.transfer.colligation, (z[:, None, None],))
         maxima = variety_maxima(dil, polys)
         r = psi.shape[-1]
         assert np.abs(psi.conj().transpose(0, 2, 1) @ psi - np.eye(r)).max() <= 1e-13
@@ -535,12 +535,12 @@ def test_transfer_checks_stay_on_the_fock_r_out_side(monkeypatch):
     """Complexity guard on twovar-shaped inputs at N = 4..6.
 
     ando_dilation and the transfer checks pass eigvalsh, eigh, svd and cholesky
-    no matrix taller than Fock r_out, and contraction, multi-analyticity, the
-    defect identity, the Fourier round trip and the dilation identity scatter
-    no N-level dense block: ``_scatter`` fails the test on a level-N table
-    while they run.  ando_dilation scatters nothing: every ``_scatter`` call
-    fails the test.  The row Grams take the certified route: no Cholesky runs, and no
-    eigvalsh call gets a matrix as tall as a row Gram.
+    no matrix taller than Fock r_out.  None of them scatters a dense block: the
+    table readers follow the column plan, and the Fourier round trip compares
+    the table with ``realization`` at (M + 1) x (M + 1) matrices, so every
+    ``_scatter`` call fails the test while they run (``PairDilation.right`` is
+    its only reader).  The row Grams take the certified route: no Cholesky runs,
+    and no eigvalsh call gets a matrix as tall as a row Gram.
     """
     calls = []
     for name in ("eigvalsh", "eigh", "svd", "cholesky"):
@@ -579,19 +579,11 @@ def test_transfer_checks_stay_on_the_fock_r_out_side(monkeypatch):
         values = checks()
         assert_certified_route(tf.fock_size * tf.r_out)
         with monkeypatch.context() as m:
-            scatter = ncdomains.transfer._scatter
-
-            def below_level_n(table, f, K, inner):
-                if K >= N:
-                    pytest.fail(f"level-{K} block scattered")
-                return scatter(table, f, K, inner)
-
-            m.setattr(ncdomains.transfer, "_scatter", below_level_n)
-            assert checks() == values
             for module in (ncdomains.transfer, ncdomains.harness):  # each binds its own name
                 m.setattr(module, "_scatter", raising=False,
                           value=lambda table, f, K, inner: pytest.fail(
                               f"level-{K} block scattered"))
+            assert checks() == values
             assert ando_dilation(pair, N=N).report.render() == dil.report.render()
         assert max(h for _, h in calls) <= tf.fock_size * tf.r_out
 

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -9,8 +10,7 @@ from ncdomains import words
 
 from ncdomains import (IntertwiningTriple, OperatorTuple, RegularPolynomial,
                        build_isometry, complete_to_unitary, eval_transfer,
-                       fourier_coefficients, fourier_roundtrip_residual,
-                       poisson_kernel, transfer)
+                       fourier_roundtrip_residual, poisson_kernel, realization, transfer)
 from ncdomains.colligation import Colligation
 from ncdomains.domain import (WeightedShift, b_coefficients, coefficient_words, shift_word,
                               weighted_creation)
@@ -29,26 +29,21 @@ F_TRIPLE = RegularPolynomial(2, {(1,): 1.0, (2,): 1.0, (1, 2): 0.5})
 
 
 def dense_resolvent(col: Colligation, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """Oracle: the full transfer row and M = (I (x) C^*)(I - Q)^{-1} from the
-    dense (Fock w)^2 resolvent, Q = sum_w sqrt(a_w) L_{w~} (x) D_(w)^*."""
+    """Oracle: the full transfer row, ``realization`` at the dense weighted right
+    creations (so X_{w~} = L_{w~}), and M = (I (x) C^*)(I - Q)^{-1} from the dense
+    (Fock w)^2 resolvent, Q = sum_w sqrt(a_w) L_{w~} (x) D_(w)^*."""
     f = col.triple.f
     lam = weighted_creation(f, N, "right")
     size = lam[0].size
-
-    def lambda_sum(block):
-        out = 0.0
-        for i, w in enumerate(coefficient_words(f)):
-            a = f.coeffs.get(w, 0.0)
-            if a != 0.0:
-                out = out + np.sqrt(a) * np.kron(shift_word(lam, reverse(w)).dense(),
-                                                 block(i).conj().T)
-        return out
-
-    resolvent = np.eye(size * col.slot_dim) - lambda_sum(col.d_block)
+    q = 0.0
+    for i, w in enumerate(coefficient_words(f)):
+        a = f.coeffs.get(w, 0.0)
+        if a != 0.0:
+            q = q + np.sqrt(a) * np.kron(shift_word(lam, reverse(w)).dense(),
+                                         col.d_block(i).conj().T)
     cstar = np.kron(np.eye(size), col.C.conj().T)
-    phi = (np.kron(np.eye(size), col.A.conj().T)
-           + cstar @ np.linalg.solve(resolvent, lambda_sum(col.b_block)))
-    return phi, cstar @ np.linalg.inv(resolvent)
+    return (realization(col, [s.dense() for s in lam]),
+            cstar @ np.linalg.inv(np.eye(size * col.slot_dim) - q))
 
 
 def oracle_blocks(col: Colligation, N: int) -> list[np.ndarray]:
@@ -90,7 +85,7 @@ def test_table_blocks_match_dense_resolvent():
         for N in range(6):
             tf = eval_transfer(col, N)
             for w, ref in zip(tf.block_words, oracle_blocks(col, N), strict=True):
-                assert np.linalg.norm(dense_block(tf, w) - ref) <= 1e-12 * np.linalg.norm(ref)
+                assert np.linalg.norm(dense_block(tf, w) - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 def coefficient_table_by_words(col: Colligation, N: int, head, empty: np.ndarray) -> np.ndarray:
@@ -194,17 +189,19 @@ def test_runtime_paths_read_no_word_table_above_deg_f(monkeypatch):
 
 
 def test_fourier_coefficients_match_vacuum_columns():
-    """coef_u = sqrt(b_{u~}) (rows of u~, vacuum columns) of the oracle block."""
+    """The coefficient of L_u, Theta_{u~} (the table at the digit-reversed
+    word), is sqrt(b_{u~}) (rows of u~, vacuum columns) of the oracle block,
+    for every u with |u| <= N."""
     for col in oracle_colligations():
         f, N = col.triple.f, 5
         tf = eval_transfer(col, N)
         index, b = word_index(enumerate_words(f.n, N)), b_by_word(f, N)
-        for w, ref in zip(tf.block_words, oracle_blocks(col, N), strict=True):
-            coefs = fourier_coefficients(tf, w, N - f.degree)
-            for u, c in zip(enumerate_words(f.n, N - f.degree).words, coefs, strict=True):
+        for j, ref in enumerate(oracle_blocks(col, N)):
+            for u in enumerate_words(f.n, N).words:
                 i = index[reverse(u)]
                 old = np.sqrt(b[reverse(u)]) * ref[i * tf.r_out:(i + 1) * tf.r_out, :tf.r_in]
-                assert np.linalg.norm(c - old) <= 1e-12 * max(np.linalg.norm(ref), 1.0)
+                assert (np.linalg.norm(tf.theta[i, :, j] - old)
+                        <= 1e-12 * max(np.linalg.norm(ref), 1.0))
 
 
 def test_resolvent_corner_matches_inverse():
@@ -568,9 +565,11 @@ def test_swap_transfer_is_lambda():
 
 
 def test_swap_fourier_single_coefficient():
+    """phi = L_{1}: the one nonzero coefficient is Theta_(1) = 1 (n = 1, so each
+    word is its own reversal)."""
     col = swap_colligation()
     tf = eval_transfer(col, 5)
-    coefs = fourier_coefficients(tf, (1,), max_level=4)  # u = (1,) has index 1
+    coefs = tf.theta[:, :, 0]  # u = (1,) has index 1
     assert abs(coefs[1][0, 0] - 1.0) <= 1e-13
     for c in np.delete(coefs, 1, axis=0):
         assert np.linalg.norm(c) <= 1e-13
@@ -590,7 +589,7 @@ def test_constant_transfer_when_b_zero():
     tf = eval_transfer(col, 4)
     size = tf.fock_size
     assert np.linalg.norm(dense_block(tf, (1,)) - np.kron(np.eye(size), col.A.conj().T)) <= 1e-14
-    coefs = fourier_coefficients(tf, (1,), max_level=3)
+    coefs = tf.theta[:, :, 0]
     assert np.linalg.norm(coefs[0] - col.A.conj().T) <= 1e-14
     assert all(np.linalg.norm(c) <= 1e-14 for c in coefs[1:])
 
@@ -605,10 +604,54 @@ def test_fourier_roundtrip_random_triples(fib_poly):
 
 
 def test_fourier_max_level_validation():
+    """max_level runs over 0..N; N itself is checked."""
     col = swap_colligation()
     tf = eval_transfer(col, 4)
-    with pytest.raises(ValueError):
-        fourier_coefficients(tf, (1,), max_level=4)
+    assert fourier_roundtrip_residual(tf, (1,), 4) <= 1e-15
+    for bad in (-1, 5):
+        with pytest.raises(ValueError, match=r"outside 0\.\.N = 0\.\.4"):
+            fourier_roundtrip_residual(tf, (1,), bad)
+
+
+def test_fourier_roundtrip_reads_every_level_exactly():
+    """On the twovar-shaped triples the round trip reads rounding only, at
+    every max_level 0..N (measured at most 9e-17)."""
+    for col in twovar_colligations()[1:]:
+        tf = eval_transfer(col, 6)
+        for w in tf.block_words:
+            for m in range(tf.N + 1):
+                assert fourier_roundtrip_residual(tf, w, m) <= 1e-15
+
+
+def test_fourier_roundtrip_sees_a_wrong_table_entry():
+    """Scaling the largest entry of one level-1 or level-2 Theta_u by 1.001 moves
+    the round trip at max_level 2 above 1e-8 (measured 1.4e-6 to 2.9e-4)."""
+    for col in twovar_colligations()[1:]:
+        tf = eval_transfer(col, 6)
+        for k in range(1, fock_size(2, 2)):
+            theta = tf.theta.copy()
+            entry = theta[k].reshape(-1)
+            entry[np.argmax(np.abs(entry))] *= 1.001
+            assert fourier_roundtrip_residual(TransferFunction(col, 6, theta), (1,), 2) > 1e-8
+
+
+def test_fourier_roundtrip_sees_the_weights_of_the_d_term():
+    """A table built without sqrt(a_w) on the D term of ``_coefficient_table``
+    (D_(w) divided by sqrt(a_w) first, so sqrt(a_w) D_(w)^* becomes D_(w)^*)
+    fails the round trip at max_level N: f = z1 + z2 + 0.5 z1 z2, so the 0.5 z1 z2
+    D term enters at level 3 (measured 4.3e-6 and 3.0e-5 at N = 6),
+    while ``multi_analytic_residual``, which reads only f's weights and the
+    ||Theta_u||, stays at 0.0."""
+    for col in twovar_colligations()[1:]:
+        f, w, N = col.triple.f, col.slot_dim, 6
+        d = col.D.copy()
+        for i, word in enumerate(coefficient_words(f)):
+            if f.coeffs.get(word, 0.0):
+                d[:, i * w:(i + 1) * w] /= np.sqrt(f.coeffs[word])
+        mutant = TransferFunction(col, N, eval_transfer(dataclasses.replace(col, D=d), N).theta)
+        assert fourier_roundtrip_residual(mutant, (1,), 2) <= 1e-15
+        assert fourier_roundtrip_residual(mutant, (1,), N) > 1e-8
+        assert multi_analytic_residual(mutant, (1,)) == 0.0
 
 
 def test_contractivity_and_multianalyticity_many_seeds():
