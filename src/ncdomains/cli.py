@@ -7,16 +7,14 @@ Verbs:
   battery       seeded sweep of random commuting pairs
   report        re-render a structured report file as a table
 
-A command-line flag sets its knob unless the config file sets the same key;
-then the config file wins and a warning names both values.  A tolerance set
-by neither comes from the NCDOMAINS_TOL environment variable (default 1e-9).
-Flags, config keys and NCDOMAINS_TOL share one range rule (count >= 1, dims
-nonempty with every dims[i] >= 1, N >= 0, seed >= 0, tol finite and >= 0); a
-value outside it exits with code 2 and a message naming the flag, key or
-variable.
-Some checks have a tolerance floor (1e-9 for the kernel checks of
-check-model, 1e-6 for the inequality checks of verify and battery); when it
-replaces a tolerance the user gave, a warning on stderr names both values.
+The numeric knobs (tol, seed, count, dims, N) are declared once, with their
+flags, types, ranges and help, in the table ``config.KNOBS``.  A flag sets its
+knob unless the config file sets the same key; then the file wins and a warning
+names both values.  A tolerance set by neither comes from the NCDOMAINS_TOL
+environment variable (default 1e-9).  A value outside the table's range, from
+a flag, a config key or NCDOMAINS_TOL, exits with code 2 and a message naming
+it.  When a tolerance floor (KERNEL_TOL_FLOOR, INEQUALITY_TOL_FLOOR) replaces
+a tolerance the user gave, a warning on stderr names both values.
 """
 
 from __future__ import annotations
@@ -27,9 +25,9 @@ import sys
 
 import numpy as np
 
-from .config import DEFAULT_TOL_ENV, ConfigError, ExperimentConfig, check_range
+from .config import DEFAULT_TOL_ENV, KNOBS, ConfigError, ExperimentConfig, knob_value
 from .domain import RegularPolynomial, domain_membership, phi_identity_power
-from .harness import (CommutingPair, ando_dilation, builtin_bipolynomials,
+from .harness import (CommutingPair, PairDilation, ando_dilation, builtin_bipolynomials,
                       builtin_hermitian, builtin_matrix_polys, run_battery,
                       verify_inequality)
 from .poisson import poisson_kernel, verify_kernel_identities
@@ -38,18 +36,22 @@ from .variety import build_variety, constrained_poisson, verify_constrained_kern
 
 Z = RegularPolynomial.single_variable([1.0])  # the default f = g = z
 
+KERNEL_TOL_FLOOR = 1e-9
+"""Floor of check-model's kernel_* and variety_* checks: the default tolerance of
+config.default_tolerance, a fixed choice that no bound derives."""
+INEQUALITY_TOL_FLOOR = 1e-6
+"""Floor of the norm_slack_* and eig_slack_* checks of verify and battery: a fixed
+choice, equal to the largest purity tail ||Phi^m(I)|| that choose_truncation accepts."""
+
 
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="ncdomains",
                                  description="truncated dilation models on "
                                              "noncommutative polynomial domains")
     ap.add_argument("--config", help="JSON experiment config")
-    ap.add_argument("--tol", type=float, default=None, help="check tolerance")
-    ap.add_argument("--seed", type=int, default=None, help="battery base seed")
-    ap.add_argument("--count", type=int, default=None, help="battery pair count")
-    ap.add_argument("--dims", type=int, nargs="+", default=None, help="battery dims")
-    ap.add_argument("--level", type=int, default=None, dest="N",
-                    help="Fock truncation level")
+    for key, knob in KNOBS.items():
+        ap.add_argument(knob.flag, type=knob.kind, nargs=knob.nargs, dest=key,
+                        help=knob.help)
     ap.add_argument("--output", choices=("text", "table"), default=None)
     ap.add_argument("verb", choices=("check-model", "dilate", "verify",
                                      "battery", "report"))
@@ -59,12 +61,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _merge(cfg: ExperimentConfig, ns: argparse.Namespace) -> ExperimentConfig:
     """A flag sets its knob unless the config file set it; then the file wins."""
-    for attr in ("tol", "seed", "count", "dims", "N", "output"):
+    flags = {key: knob.flag for key, knob in KNOBS.items()} | {"output": "--output"}
+    for attr, option in flags.items():
         flag = getattr(ns, attr)
         if flag is None:
             continue
-        option = "--level" if attr == "N" else f"--{attr}"
-        check_range(attr, flag, option)
+        if attr in KNOBS:
+            knob_value(attr, flag, option)
         current = getattr(cfg, attr)
         if attr not in cfg.file_keys:
             setattr(cfg, attr, flag)
@@ -108,30 +111,29 @@ def cmd_check_model(cfg: ExperimentConfig, tol_given: bool) -> int:
                          float(np.linalg.norm(phi_identity_power(f, T, 24), 2)), 1e-6)
         N = cfg.N if cfg.N is not None else 8
         K = poisson_kernel(f, T, N)
-        kernel_tol = _floored(cfg, 1e-9, tol_given)
+        kernel_tol = _floored(cfg, KERNEL_TOL_FLOOR, tol_given)
         rep.extend(verify_kernel_identities(K, tol=kernel_tol), prefix="kernel_")
         if cfg.variety:
-            variety = build_variety(f, N, cfg.variety)
-            ck = constrained_poisson(variety, K)
-            rep.extend(verify_constrained_kernel(ck, tol=kernel_tol),
-                       prefix="variety_")
+            ck = constrained_poisson(build_variety(f, N, cfg.variety), K)
+            rep.extend(verify_constrained_kernel(ck, tol=kernel_tol), prefix="variety_")
     return _emit(rep, cfg.output)
 
 
-def cmd_dilate(cfg: ExperimentConfig) -> int:
+def _dilation(cfg: ExperimentConfig) -> PairDilation:
     _require(cfg, "g", "T1", "T2")
     pair = CommutingPair(cfg.f, cfg.g, cfg.T1, cfg.T2)
-    dil = ando_dilation(pair, N=cfg.N, variety=cfg.variety, tol=cfg.tol)
-    return _emit(dil.report, cfg.output)
+    return ando_dilation(pair, N=cfg.N, variety=cfg.variety, tol=cfg.tol)
+
+
+def cmd_dilate(cfg: ExperimentConfig) -> int:
+    return _emit(_dilation(cfg).report, cfg.output)
 
 
 def cmd_verify(cfg: ExperimentConfig, tol_given: bool) -> int:
-    _require(cfg, "g", "T1", "T2")
-    pair = CommutingPair(cfg.f, cfg.g, cfg.T1, cfg.T2)
-    dil = ando_dilation(pair, N=cfg.N, variety=cfg.variety, tol=cfg.tol)
-    tol = _floored(cfg, 1e-6, tol_given)
-    rep = verify_inequality(pair, builtin_bipolynomials() + builtin_matrix_polys()
-                            + builtin_hermitian(), dil, tol=tol)
+    dil = _dilation(cfg)
+    tol = _floored(cfg, INEQUALITY_TOL_FLOOR, tol_given)
+    polys = builtin_bipolynomials() + builtin_matrix_polys() + builtin_hermitian()
+    rep = verify_inequality(dil.pair, polys, dil, tol=tol)
     rep.extend(dil.report, prefix="dilation_")
     return _emit(rep, cfg.output)
 
@@ -140,7 +142,7 @@ def cmd_battery(cfg: ExperimentConfig, tol_given: bool) -> int:
     g = cfg.g if cfg.g is not None else cfg.f
     seeds = [cfg.seed + i for i in range(cfg.count)]
     rep = run_battery(cfg.f, g, seeds, cfg.dims, cfg.kinds,
-                      tol=_floored(cfg, 1e-6, tol_given))
+                      tol=_floored(cfg, INEQUALITY_TOL_FLOOR, tol_given))
     return _emit(rep, cfg.output)
 
 
@@ -173,15 +175,13 @@ def main(argv: list[str] | None = None) -> int:
     tol_given = (ns.tol is not None or "tol" in cfg.file_keys
                  or DEFAULT_TOL_ENV in os.environ)
     try:
-        if ns.verb == "check-model":
-            return cmd_check_model(cfg, tol_given)
         if ns.verb == "dilate":
             return cmd_dilate(cfg)
-        if ns.verb == "verify":
-            return cmd_verify(cfg, tol_given)
-        if ns.verb == "battery":
-            return cmd_battery(cfg, tol_given)
-        return cmd_report(cfg, ns.args)
+        if ns.verb == "report":
+            return cmd_report(cfg, ns.args)
+        floored_verbs = {"check-model": cmd_check_model, "verify": cmd_verify,
+                         "battery": cmd_battery}
+        return floored_verbs[ns.verb](cfg, tol_given)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +22,18 @@ from .variety import Generator, check_generator, commutator_generators, minpoly_
 from .words import Word
 
 DEFAULT_TOL_ENV = "NCDOMAINS_TOL"
+
+
+# The numeric knobs, each declared once: config key -> flag, type, least value, help
+# text and nargs ("+": a nonempty list).  Its one range rule is knob_value's.
+Knob = namedtuple("Knob", "flag kind least help nargs")
+KNOBS = {
+    "tol": Knob("--tol", float, 0, "check tolerance", None),
+    "seed": Knob("--seed", int, 0, "battery base seed", None),
+    "count": Knob("--count", int, 1, "battery pair count", None),
+    "dims": Knob("--dims", int, 1, "battery dims", "+"),
+    "N": Knob("--level", int, 0, "Fock truncation level", None),
+}
 
 
 class ConfigError(ValueError):
@@ -45,16 +58,20 @@ def _scalar(kind: type, v, where: str):
     """int(v) or float(v); a value that does not convert raises ConfigError at where."""
     try:
         return kind(v)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # int(inf) overflows
         raise ConfigError(f"{where}: expected {kind.__name__}, got {v!r}") from None
 
 
 def _complex(v, where: str) -> complex:
     if isinstance(v, (int, float)):
-        return complex(v)
-    if isinstance(v, list) and len(v) == 2:
-        return complex(*(_scalar(float, x, where) for x in v))
-    raise ConfigError(f"{where}: expected a number or [re, im], got {v!r}")
+        z = complex(v)
+    elif isinstance(v, list) and len(v) == 2:
+        z = complex(*(_scalar(float, x, where) for x in v))
+    else:
+        raise ConfigError(f"{where}: expected a number or [re, im], got {v!r}")
+    if not np.isfinite(z):
+        raise ConfigError(f"{where}: expected a finite number, got {v!r}")
+    return z
 
 
 def parse_polynomial(obj, where: str) -> RegularPolynomial:
@@ -86,15 +103,16 @@ def parse_operator_tuple(obj, where: str, base: str = ".") -> OperatorTuple:
     for i, m in enumerate(obj):
         loc = f"{where}[{i}]"
         if isinstance(m, str):
-            path = m if os.path.isabs(m) else os.path.join(base, m)
-            try:
-                mats.append(read_matrix(path))
+            try:  # an absolute m is read as is
+                mats.append(read_matrix(os.path.join(base, m)))
             except (OSError, ValueError) as exc:
                 raise ConfigError(f"{loc}: {exc}") from None
         elif isinstance(m, list):
             try:
                 mats.append(np.array([[_complex(v, loc) for v in row] for row in m],
                                      dtype=complex))
+            except ConfigError:
+                raise
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"{loc}: {exc}") from None
         else:
@@ -144,10 +162,9 @@ def parse_variety_spec(obj, where: str, n: int) -> list[Generator] | None:
     if kind == "custom":
         gens = []
         for i, g in enumerate(_list(obj.get("generators", []), f"{where}.generators")):
-            if not isinstance(g, dict):
-                raise ConfigError(f"{where}.generators[{i}]: expected an object keyed "
-                                  f"by words, got {g!r}")
             loc = f"{where}.generators[{i}]"
+            if not isinstance(g, dict):
+                raise ConfigError(f"{loc}: expected an object keyed by words, got {g!r}")
             gens.append(_generator({parse_word(k): _complex(v, loc) for k, v in g.items()},
                                    loc, n))
         if not gens:
@@ -163,40 +180,31 @@ def _check_count(T: OperatorTuple, p: RegularPolynomial, where: str, name: str) 
                           f"{name}, got {T.n}")
 
 
-def _at_least(low: int, value, where: str) -> None:
-    if value < low:
-        raise ConfigError(f"{where}: expected a value >= {low}, got {value!r}")
+def _at_least(knob: Knob, value, where: str):
+    finite = knob.kind is float
+    if value < knob.least or (finite and not math.isfinite(value)):
+        raise ConfigError(f"{where}: expected a {'finite ' if finite else ''}value >= "
+                          f"{knob.least}, got {value!r}")
+    return value
 
 
-def check_range(key: str, value, where: str) -> None:
-    """The range rule of the numeric knobs, for config keys, flags and NCDOMAINS_TOL.
-
-    count >= 1, dims nonempty with every dims[i] >= 1, N >= 0, seed >= 0, tol
-    finite and >= 0; other keys are unrestricted.  A violation raises
-    ConfigError naming ``where``.
-    """
-    if key == "tol":
-        if not (math.isfinite(value) and value >= 0.0):
-            raise ConfigError(f"{where}: expected a finite value >= 0, got {value!r}")
-    elif key == "dims":
-        if not value:
-            raise ConfigError(f"{where}: expected a nonempty list")
-        for i, d in enumerate(value):
-            _at_least(1, d, f"{where}[{i}]")
-    elif key == "count":
-        _at_least(1, value, where)
-    elif key in ("N", "seed"):
-        _at_least(0, value, where)
+def knob_value(key: str, raw, where: str):
+    """raw as a value of KNOBS[key], for config keys, flags and NCDOMAINS_TOL: of the
+    knob's type, at least its least value and, for a float knob, finite (a list knob:
+    a nonempty list of such values).  A violation raises ConfigError naming where."""
+    knob = KNOBS[key]
+    if knob.nargs is None:
+        return _at_least(knob, _scalar(knob.kind, raw, where), where)
+    if not _list(raw, where):
+        raise ConfigError(f"{where}: expected a nonempty list")
+    return [_at_least(knob, _scalar(knob.kind, v, f"{where}[{i}]"), f"{where}[{i}]")
+            for i, v in enumerate(raw)]
 
 
 def default_tolerance() -> float:
     """Default check tolerance 1e-9, overridable via the NCDOMAINS_TOL variable."""
     raw = os.environ.get(DEFAULT_TOL_ENV)
-    if raw is None:
-        return 1e-9
-    tol = _scalar(float, raw, DEFAULT_TOL_ENV)
-    check_range("tol", tol, DEFAULT_TOL_ENV)
-    return tol
+    return 1e-9 if raw is None else knob_value("tol", raw, DEFAULT_TOL_ENV)
 
 
 @dataclass
@@ -215,8 +223,7 @@ class ExperimentConfig:
     output: str = "text"  # "text" or "table"
     file_keys: frozenset[str] = frozenset()  # top-level keys the config file set
 
-    KNOWN = {"f", "g", "N", "tol", "seed", "count", "dims", "kinds",
-             "matrices", "variety", "output"}
+    KNOWN = {"f", "g", *KNOBS, "kinds", "matrices", "variety", "output"}
 
     @staticmethod
     def from_json(text: str, base: str = ".") -> "ExperimentConfig":
@@ -235,14 +242,9 @@ class ExperimentConfig:
         f = parse_polynomial(obj["f"], "f")
         g = parse_polynomial(obj["g"], "g") if "g" in obj else None
         cfg = ExperimentConfig(f=f, g=g, file_keys=frozenset(obj))
-        for key, kind in (("N", int), ("tol", float), ("seed", int), ("count", int)):
+        for key in KNOBS:
             if key in obj:
-                setattr(cfg, key, _scalar(kind, obj[key], key))
-                check_range(key, getattr(cfg, key), key)
-        if "dims" in obj:
-            cfg.dims = [_scalar(int, d, f"dims[{i}]")
-                        for i, d in enumerate(_list(obj["dims"], "dims"))]
-            check_range("dims", cfg.dims, "dims")
+                setattr(cfg, key, knob_value(key, obj[key], key))
         if "kinds" in obj:
             cfg.kinds = _list(obj["kinds"], "kinds")
             if not cfg.kinds:
@@ -279,8 +281,6 @@ class ExperimentConfig:
         try:
             with open(path) as fh:
                 text = fh.read()
-        except OSError as exc:
-            raise ConfigError(f"config file {path!r}: {exc.strerror}") from None
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"config file {path!r}: {exc}") from None
+        except (OSError, UnicodeDecodeError) as exc:  # an OSError's strerror omits the path
+            raise ConfigError(f"config file {path!r}: {getattr(exc, 'strerror', exc)}") from None
         return ExperimentConfig.from_json(text, base=os.path.dirname(path) or ".")

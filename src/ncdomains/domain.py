@@ -44,6 +44,8 @@ class RegularPolynomial:
                 if a != 0.0:
                     raise ValueError("constant term must vanish (positive regularity)")
                 continue
+            if not np.isfinite(a):
+                raise ValueError(f"coefficient a_{w} = {a} is not finite")
             if a < 0.0:
                 raise ValueError(f"coefficient a_{w} = {a} is negative")
             if a != 0.0:

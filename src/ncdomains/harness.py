@@ -376,8 +376,7 @@ def ando_dilation(pair: CommutingPair, N: int | None = None,
 
 
 def commutant_lifting(f: RegularPolynomial, T1: OperatorTuple, T1p: OperatorTuple,
-                      A: np.ndarray, N: int | None = None,
-                      tol: float = 1e-8) -> VerificationReport:
+                      A: np.ndarray) -> VerificationReport:
     """Lift an intertwiner A (A T1p_i = T1_i A) through the Poisson kernels.
 
     This is the g = z specialization: the single transfer block psi satisfies
@@ -390,21 +389,19 @@ def commutant_lifting(f: RegularPolynomial, T1: OperatorTuple, T1p: OperatorTupl
         raise ValueError("cannot normalize the zero intertwiner")
     A = np.asarray(A, dtype=complex) / a_norm
     triple = IntertwiningTriple(f, g, T1, T1p, OperatorTuple((A,)))
-    col = complete_to_unitary(build_isometry(triple, tol=max(tol, 1e-8)))
-    N = N if N is not None else max(choose_truncation(f, T1),
-                                    choose_truncation(f, T1p))
+    col = complete_to_unitary(build_isometry(triple))
+    N = max(choose_truncation(f, T1), choose_truncation(f, T1p))
     tf = eval_transfer(col, N)
 
     rep = VerificationReport("commutant-lifting",
                              environment={"N": str(N), "norm_A": repr(a_norm)})
     K1 = poisson_kernel(f, T1, N)
     K1p = poisson_kernel(f, T1p, N)
-    rep.extend(dilation_identity_report(tf, K1, K1p, tol=max(tol, 1e-7)), prefix="")
+    rep.extend(dilation_identity_report(tf, K1, K1p, tol=1e-7), prefix="")
     lift_norm = _row_norm(tf)
     rep.environment["lift_norm"] = repr(lift_norm)
-    rep.add_residual("lift_norm_vs_A", abs(lift_norm - 1.0), max(tol, 1e-8))
-    rep.add_residual("lift_multi_analytic", multi_analytic_residual(tf, (1,)),
-                     max(tol, 1e-7))
+    rep.add_residual("lift_norm_vs_A", abs(lift_norm - 1.0), 1e-8)
+    rep.add_residual("lift_multi_analytic", multi_analytic_residual(tf, (1,)), 1e-7)
     return rep
 
 

@@ -446,6 +446,65 @@ def test_cli_out_of_range_knob_exit_code(tmp_path, capsys, key, value, field, so
     assert f"error: {field}: expected" in err
 
 
+@pytest.mark.parametrize("field, patch, token", [
+    ("N", {"N": "@"}, "Infinity"),
+    ("count", {"count": "@"}, "1e400"),
+    ("dims[0]", {"dims": ["@"]}, "Infinity"),
+    ("f", {"f": {"n": 1, "coeffs": {"1": "@"}}}, "NaN"),
+    ("g", {"g": {"n": 1, "coeffs": {"1": 1.0, "1,1": "@"}}}, "Infinity"),
+    ("matrices.T1[0]", {"matrices": {"T1": [[[0, "@"], [0, 0]]]}}, "NaN"),
+    ("matrices.T1[0]", {"matrices": {"T1": [[[0, [0.5, "@"]], [0, 0]]]}}, "Infinity"),
+    ("variety.roots", {"variety": {"kind": "minpoly", "roots": ["@"]}}, "NaN"),
+    ("variety.coeffs", {"variety": {"kind": "minpoly", "coeffs": [1, "@"]}}, "NaN"),
+    ("variety.generators[0]", {"variety": {"kind": "custom", "generators": [{"1": "@"}]}},
+     "Infinity"),
+])
+def test_cli_non_finite_config_value_exit_code(tmp_path, capsys, field, patch, token):
+    """JSON's NaN, Infinity and overflowing literals (1e400) are config errors: exit 2
+    naming the field, not an OverflowError traceback or value=nan checks."""
+    path = tmp_path / "cfg.json"  # where scalar_config writes
+    scalar_config(tmp_path, **patch)
+    path.write_text(path.read_text().replace('"@"', token))
+    assert main(["--config", str(path), "check-model"]) == 2
+    captured = capsys.readouterr()
+    assert f"error: {field}: " in captured.err
+    assert captured.out == ""
+
+
+def test_cli_help_text_is_pinned(monkeypatch, capsys):
+    """The parser is generated from config.KNOBS; its help is the hand-written one's."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == HELP
+
+
+HELP = """\
+usage: ncdomains [-h] [--config CONFIG] [--tol TOL] [--seed SEED]
+                 [--count COUNT] [--dims DIMS [DIMS ...]] [--level N]
+                 [--output {text,table}]
+                 {check-model,dilate,verify,battery,report} [args ...]
+
+truncated dilation models on noncommutative polynomial domains
+
+positional arguments:
+  {check-model,dilate,verify,battery,report}
+  args                  verb arguments (report: a file path)
+
+options:
+  -h, --help            show this help message and exit
+  --config CONFIG       JSON experiment config
+  --tol TOL             check tolerance
+  --seed SEED           battery base seed
+  --count COUNT         battery pair count
+  --dims DIMS [DIMS ...]
+                        battery dims
+  --level N             Fock truncation level
+  --output {text,table}
+"""
+
+
 def test_cli_matrix_from_file(tmp_path, capsys):
     write_matrix(str(tmp_path / "t1.txt"), np.array([[0.0, 0.5], [0.0, 0.0]]))
     obj = {"f": {"n": 1, "coeffs": {"1": 1.0}},

@@ -32,6 +32,16 @@ def test_negative_coefficient_rejected():
         RegularPolynomial(1, {(1,): 1.0, (1, 1): -0.1})
 
 
+@pytest.mark.parametrize("coeffs", [
+    {(1,): float("nan")},                          # passed the a_g1 > 0 test
+    {(1,): 1.0, (1, 1): float("nan")},             # passed the a >= 0 test
+    {(1,): 1.0, (1, 1): float("inf")},
+])
+def test_non_finite_coefficient_rejected(coeffs):
+    with pytest.raises(ValueError, match="is not finite"):
+        RegularPolynomial(1, coeffs)
+
+
 def test_zero_coefficients_dropped():
     f = RegularPolynomial(1, {(1,): 1.0, (1, 1): 0.0})
     assert f.degree == 1

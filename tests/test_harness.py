@@ -389,6 +389,32 @@ def test_variety_constrained_dilation():
         assert compression_residual(dil, p) <= 1e-6
 
 
+SHARP = ("norm_slack_product", "norm_slack_shear", "eig_slack_sandwich",
+         "eig_slack_two_squares")
+
+
+def test_sharp_jordan_pair_sees_a_one_percent_error_in_psi(monkeypatch):
+    """(J5, J5^2), J5 the nilpotent 5 x 5 Jordan block, attains Ando's bound on the
+    SHARP polynomials: their slacks sit within 8 eps of 0 (c = 8, measured 0.0).
+    So psi scaled by 0.99 fails all four (measured -1.0e-2, -4.4e-3, -2.0e-2, -2.0e-2)."""
+    J = np.diag(np.ones(4), 1).astype(complex)
+    pair = CommutingPair(Z, Z, OperatorTuple((J,)), OperatorTuple((J @ J,)))
+    dil = ando_dilation(pair, N=6)
+    polys = builtin_bipolynomials() + builtin_matrix_polys() + builtin_hermitian()
+    rep = verify_inequality(pair, polys, dil, tol=1e-6)
+    assert rep.passed, rep.render()
+    slacks = {c.name: c.value for c in rep.checks}
+    for name in SHARP:
+        assert abs(slacks[name]) <= 8 * np.finfo(float).eps, (name, slacks[name])
+    right = ncdomains.harness.PairDilation.right
+    monkeypatch.setattr(ncdomains.harness.PairDilation, "right", property(
+        lambda d: OperatorTuple(tuple(0.99 * m for m in right.fget(d).mats))))
+    rep = verify_inequality(pair, polys, dil, tol=1e-6)
+    failed = {c.name: c.value for c in rep.checks if not c.passed}
+    assert sorted(failed) == sorted(SHARP), rep.render()
+    assert all(v < -4e-3 for v in failed.values()), failed
+
+
 def test_commutant_lifting_square_and_rectangular():
     f = Z
     T1 = random_nilpotent_tuple(5, 1, 4, f)

@@ -41,8 +41,6 @@ ALLOWED = {
     "harness.ando_dilation(N)",
     "harness.ando_dilation(variety)",
     "harness.ando_dilation(tol)",
-    "harness.commutant_lifting(N)",
-    "harness.commutant_lifting(tol)",
     "harness.verify_inequality(dil_swapped)",
     "report.CheckRecord.kind",
     "report.VerificationReport.checks",
