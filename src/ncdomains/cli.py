@@ -42,6 +42,8 @@ config.default_tolerance, a fixed choice that no bound derives."""
 INEQUALITY_TOL_FLOOR = 1e-6
 """Floor of the norm_slack_* and eig_slack_* checks of verify and battery: a fixed
 choice, equal to the largest purity tail ||Phi^m(I)|| that choose_truncation accepts."""
+PURITY_NORM_TOL = 1e-6
+"""Tolerance of check-model's purity_norm_at_24 check on ||Phi^24(I)||: a fixed choice."""
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -108,7 +110,7 @@ def cmd_check_model(cfg: ExperimentConfig, tol_given: bool) -> int:
     rep.add_slack("ellipsoid_min_eig", mem.min_eig_ellipsoid, cfg.tol)
     if mem.in_domain:
         rep.add_residual("purity_norm_at_24",
-                         float(np.linalg.norm(phi_identity_power(f, T, 24), 2)), 1e-6)
+                         float(np.linalg.norm(phi_identity_power(f, T, 24), 2)), PURITY_NORM_TOL)
         N = cfg.N if cfg.N is not None else 8
         K = poisson_kernel(f, T, N)
         kernel_tol = _floored(cfg, KERNEL_TOL_FLOOR, tol_given)

@@ -55,8 +55,10 @@ def word_key(w: Word) -> str:
 
 
 def _scalar(kind: type, v, where: str):
-    """int(v) or float(v); a value that does not convert raises ConfigError at where."""
+    """kind(v), refusing booleans and, for int, fractions; else ConfigError at where."""
     try:
+        if isinstance(v, bool) or (kind is int and isinstance(v, float) and not v.is_integer()):
+            raise ValueError
         return kind(v)
     except (TypeError, ValueError, OverflowError):  # int(inf) overflows
         raise ConfigError(f"{where}: expected {kind.__name__}, got {v!r}") from None

@@ -22,6 +22,7 @@ kernel and the variety model (if any); W comes from f and N as index maps.
 from __future__ import annotations
 
 import functools
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -261,9 +262,25 @@ def random_commuting_pair(seed: int, dim: int, kind: str,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
+class DilatedTuple:
+    """n square dim x dim letters, known unbuilt; ``build`` runs once, on the first dense read."""
+
+    n: int
+    dim: int
+    build: Callable[[], tuple[np.ndarray, ...]]
+    rows = cols = property(lambda self: self.dim)
+    mats = property(lambda self: self.dense.mats)
+    word = OperatorTuple.word
+
+    @functools.cached_property
+    def dense(self) -> OperatorTuple:
+        return OperatorTuple(self.build())
+
+
+@dataclass(frozen=True)
 class PairDilation:
-    """The dilation of (T1, T2), each object stored once (module docstring);
-    ``left`` and ``right`` build the dense tuples on each read: bind them once."""
+    """The dilation of (T1, T2), each object stored once (module docstring); each read of
+    ``left`` or ``right`` is a new DilatedTuple on the kernel's range, (Fock or model) (x) C^r."""
 
     pair: CommutingPair
     N: int
@@ -278,18 +295,21 @@ class PairDilation:
         return max(self.transfer.r_out, self.transfer.r_in)
 
     @property
-    def left(self) -> OperatorTuple:
+    def left(self) -> DilatedTuple:
         """W_i (x) I_r, or B_i (x) I_r = (P (x) I) (W_i (x) I_r) (P (x) I)^* on a variety model."""
-        eye = np.eye(self.multiplicity)
-        if self.variety is not None:
-            return OperatorTuple(tuple(np.kron(b, eye) for b in self.variety.left.mats))
-        return OperatorTuple(tuple(w.dense(eye) for w in weighted_creation(self.pair.f, self.N)))
+        eye, model = np.eye(self.multiplicity), self.variety
+        return DilatedTuple(self.pair.f.n, len(self.kernel), lambda: (
+            tuple(w.dense(eye) for w in weighted_creation(self.pair.f, self.N)) if model is None
+            else tuple(np.kron(b, eye) for b in model.left.mats)))
 
     @property
-    def right(self) -> OperatorTuple:
+    def right(self) -> DilatedTuple:
         """psi_j = phi_(j) / sqrt(c_j), j the words (j,) of g, from the table over sqrt(c_j),
         scattered into the padded (Fock r)^2 layout, or on a variety model X^* psi_j X =
         ((basis^T (x) I) conj(psi_j^* X))^T, X = basis (x) I_r, with no dense block."""
+        return DilatedTuple(self.pair.g.n, len(self.kernel), self._psi)
+
+    def _psi(self) -> tuple[np.ndarray, ...]:
         tf, g, r = self.transfer, self.pair.g, self.multiplicity
         x = None if self.variety is None else np.kron(self.variety.basis, np.eye(r))
         table = None if x is None else np.zeros((tf.fock_size, r, r), dtype=complex)
@@ -303,7 +323,7 @@ class PairDilation:
             adjoint = _row_adjoint(table, tf.f, tf.N, x)  # psi_j^* X, conjugated in place
             psi.append(kron_identity_matmul(self.variety.basis.T,
                                             np.conjugate(adjoint, out=adjoint)).T)
-        return OperatorTuple(tuple(psi))
+        return tuple(psi)
 
 
 def choose_truncation(f: RegularPolynomial, T: OperatorTuple) -> int:
@@ -328,8 +348,8 @@ def ando_dilation(pair: CommutingPair, N: int | None = None,
     The transfer blocks of the degree-one words of g, divided by the square
     roots of their coefficients, are embedded into a common inner dimension
     r = max(r_out, r_in); padding coordinates carry no content, so the
-    compression identities are unaffected.  The dilation keeps the table and
-    builds the dense psi only when ``right`` is read.
+    compression identities are unaffected.  The dilation keeps the table; its dense
+    psi is built only on a dense read of ``right`` (here, the variety branch's Gram).
 
     psi_ellipsoid_min_eig is the least eigenvalue of I - sum_j c_j psi_j psi_j^*,
     1 - lambda_max of the Gram of the content rows: the padded rows only add
@@ -340,7 +360,7 @@ def ando_dilation(pair: CommutingPair, N: int | None = None,
     transfer._lambda_max, lambda_max <= theta + delta, with no factorization.
 
     psi{j}_multi_analytic checks the shift structure of the table, the bound
-    of transfer.multi_analytic_residual, not the dense psi read as ``right``;
+    of transfer.multi_analytic_residual, not the dense letters of ``right``;
     nothing in this report compares the dense psi with the table.
 
     Given generators (``variety``, nonempty) the model is built from f at the
@@ -423,8 +443,8 @@ def verify_inequality(pair: CommutingPair, polys: list[BiPolynomial],
     rep = VerificationReport("inequality-battery",
                              environment={"battery": BATTERY_VERSION,
                                           "kind": pair.kind, "seed": str(pair.seed)})
-    left, right = dil.left, dil.right
-    swapped = None if dil_swapped is None else (dil_swapped.right, dil_swapped.left)
+    left, right = dil.left.dense, dil.right.dense
+    swapped = None if dil_swapped is None else (dil_swapped.right.dense, dil_swapped.left.dense)
     for p in polys:
         if p.hermitian:
             lhs = float(np.linalg.eigvalsh(p.eval(pair.T1, pair.T2)).max())

@@ -21,7 +21,7 @@ by word lookups: the table is built a level at a time, and every reader follows
 one column plan (``_columns``): L_{u~} e_y = sqrt(b_y / b_{yu}) e_{yu}, the row
 of yu arithmetic in graded-lex order.  The row Gram is added in place through
 views of its level blocks, and the defect identity is read as a Frobenius norm.
-Only ``_scatter`` forms dense blocks, the padded psi of ``PairDilation.right``.
+Only ``_scatter`` forms dense blocks, on the first dense read of a ``PairDilation.right``.
 
 By the defect identity the row Gram G is I minus a matrix of rank at most w,
 so its lambda_max (contraction check, lift norm, psi ellipsoid gap) is read

@@ -11,9 +11,16 @@ signature, and that the functions ``bench/run.py`` names as strings exist.
 import ast
 import importlib
 import inspect
+import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
+
+import ncdomains.harness as harness
+from ncdomains.variety import commutator_generators
+
+from test_bench_workloads import load
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -103,3 +110,31 @@ def test_run_names_resolve_in_the_package():
         obj = importlib.import_module(f"ncdomains.{module}")
         if member:
             assert inspect.isfunction(getattr(obj, member, None)), f"bench/run.py names {name}"
+
+
+def test_twovar_size_reads_build_no_dense_letters(tmp_path, monkeypatch):
+    """``twovar_run`` records ``dil.right.dim`` inside its timed section.  At the twovar
+    pair (f = z1 + z2, dim 4, N = 6), and on a commutator-variety model of it, reading
+    ``dim`` and ``n`` of ``right`` and ``left`` builds no letter: no ``_scatter`` or
+    ``_row_adjoint`` call, under 1 MB of tracemalloc peak, and the dimension of the
+    dilation space, Fock (or model) times r."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # nothing is written under bench/
+    monkeypatch.setitem(sys.modules, "tracer", load("tracer"))  # worker.py's sibling import
+    worker = load("worker")
+    pair = worker.twovar_prepare(0, str(tmp_path))[0]["pair"]
+    plain = harness.ando_dilation(pair, N=worker.TWOVAR_N)
+    model = harness.ando_dilation(pair, N=worker.TWOVAR_N, variety=commutator_generators(2))
+    calls = []
+    for name in ("_scatter", "_row_adjoint"):
+        real = getattr(harness, name)
+        monkeypatch.setattr(harness, name,
+                            lambda *args, real=real: calls.append(args) or real(*args))
+    for dil, fock in ((plain, plain.transfer.fock_size), (model, model.variety.dim)):
+        tracemalloc.start()
+        sizes = (dil.right.dim, dil.left.dim, dil.right.n, dil.left.n)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert sizes == (fock * dil.multiplicity,) * 2 + (1, 2)
+        assert peak < 2**20, peak
+    assert calls == []
+    assert plain.transfer.fock_size * plain.multiplicity == 1016

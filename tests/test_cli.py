@@ -446,6 +446,23 @@ def test_cli_out_of_range_knob_exit_code(tmp_path, capsys, key, value, field, so
     assert f"error: {field}: expected" in err
 
 
+@pytest.mark.parametrize("field, patch", [
+    ("count", {"count": 1.9}),
+    ("dims[0]", {"dims": [3.7]}),
+    ("seed", {"seed": True}),
+    ("N", {"N": 5.5}),
+    ("f.n", {"f": {"n": 1.5, "coeffs": {"1": 1.0}}}),
+    ("g.n", {"g": {"n": True, "coeffs": {"1": 1.0}}}),
+])
+def test_cli_non_integral_int_value_exit_code(tmp_path, capsys, field, patch):
+    """A boolean or a fractional number where an int is expected is rejected, naming the
+    field, not truncated by int(v) (count 1.9 would run one pair)."""
+    assert main(["--config", scalar_config(tmp_path, **patch), "check-model"]) == 2
+    captured = capsys.readouterr()
+    assert f"error: {field}: expected int, got " in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("field, patch, token", [
     ("N", {"N": "@"}, "Infinity"),
     ("count", {"count": "@"}, "1e400"),

@@ -406,13 +406,30 @@ def test_sharp_jordan_pair_sees_a_one_percent_error_in_psi(monkeypatch):
     slacks = {c.name: c.value for c in rep.checks}
     for name in SHARP:
         assert abs(slacks[name]) <= 8 * np.finfo(float).eps, (name, slacks[name])
-    right = ncdomains.harness.PairDilation.right
-    monkeypatch.setattr(ncdomains.harness.PairDilation, "right", property(
-        lambda d: OperatorTuple(tuple(0.99 * m for m in right.fget(d).mats))))
+    psi = ncdomains.harness.PairDilation._psi  # the letters of ``right``, built on a dense read
+    monkeypatch.setattr(ncdomains.harness.PairDilation, "_psi",
+                        lambda d: tuple(0.99 * m for m in psi(d)))
     rep = verify_inequality(pair, polys, dil, tol=1e-6)
     failed = {c.name: c.value for c in rep.checks if not c.passed}
     assert sorted(failed) == sorted(SHARP), rep.render()
     assert all(v < -4e-3 for v in failed.values()), failed
+
+
+def test_dilated_tuples_build_their_letters_once(monkeypatch):
+    """``right`` knows its size without a scatter; its first dense read scatters each
+    psi_j once, and a second read of ``mats`` or a ``word`` of the same object none."""
+    dil = ando_dilation(random_commuting_pair(17, 3, "upper-triangular-commuting", Z, Z))
+    calls = []
+    scatter = ncdomains.harness._scatter
+    monkeypatch.setattr(ncdomains.harness, "_scatter",
+                        lambda *args: calls.append(args) or scatter(*args))
+    right, left = dil.right, dil.left
+    assert (right.n, right.dim, right.rows, right.cols) == (1,) + (len(dil.kernel),) * 3
+    assert (left.n, left.dim) == (1, len(dil.kernel)) and calls == []
+    mats = right.mats
+    assert len(calls) == 1 and mats[0].shape == (right.dim,) * 2
+    assert right.mats is mats and np.array_equal(right.word((1, 1)), mats[0] @ mats[0])
+    assert left.mats is left.mats and len(calls) == 1
 
 
 def test_commutant_lifting_square_and_rectangular():
