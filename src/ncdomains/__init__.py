@@ -14,6 +14,8 @@ Layers:
 * :mod:`ncdomains.variety` -- constrained (polynomially cut) model spaces
 * :mod:`ncdomains.harness` -- commuting pairs, two-tuple dilations, and the
   inequality battery (one k x k polynomial type, one norm / lambda_max check)
+* :mod:`ncdomains.parallel` -- the battery's pairs in forked worker processes
+  (imported by ``run_battery`` only)
 """
 
 from .domain import (OperatorTuple, RegularPolynomial, WeightedShift,

@@ -279,8 +279,11 @@ class DilatedTuple:
 
 @dataclass(frozen=True)
 class PairDilation:
-    """The dilation of (T1, T2), each object stored once (module docstring); each read of
-    ``left`` or ``right`` is a new DilatedTuple on the kernel's range, (Fock or model) (x) C^r."""
+    """The dilation of (T1, T2), each object stored once (module docstring); ``left`` and
+    ``right`` are DilatedTuples on the kernel's range, (Fock or model) (x) C^r, made on their
+    first read and kept, so each dilation builds its dense letters at most once.  Their
+    builders hold the fields they read, not the dilation, so no reference cycle delays
+    freeing a dilation and its letters."""
 
     pair: CommutingPair
     N: int
@@ -294,36 +297,38 @@ class PairDilation:
         """Common inner dimension r of the dilation space (Fock) (x) C^r."""
         return max(self.transfer.r_out, self.transfer.r_in)
 
-    @property
+    @functools.cached_property
     def left(self) -> DilatedTuple:
         """W_i (x) I_r, or B_i (x) I_r = (P (x) I) (W_i (x) I_r) (P (x) I)^* on a variety model."""
-        eye, model = np.eye(self.multiplicity), self.variety
-        return DilatedTuple(self.pair.f.n, len(self.kernel), lambda: (
-            tuple(w.dense(eye) for w in weighted_creation(self.pair.f, self.N)) if model is None
+        f, N, eye, model = self.pair.f, self.N, np.eye(self.multiplicity), self.variety
+        return DilatedTuple(f.n, len(self.kernel), lambda: (
+            tuple(w.dense(eye) for w in weighted_creation(f, N)) if model is None
             else tuple(np.kron(b, eye) for b in model.left.mats)))
 
-    @property
+    @functools.cached_property
     def right(self) -> DilatedTuple:
         """psi_j = phi_(j) / sqrt(c_j), j the words (j,) of g, from the table over sqrt(c_j),
         scattered into the padded (Fock r)^2 layout, or on a variety model X^* psi_j X =
         ((basis^T (x) I) conj(psi_j^* X))^T, X = basis (x) I_r, with no dense block."""
-        return DilatedTuple(self.pair.g.n, len(self.kernel), self._psi)
+        return DilatedTuple(self.pair.g.n, len(self.kernel), functools.partial(
+            _psi, self.transfer, self.pair.g, self.variety, self.multiplicity))
 
-    def _psi(self) -> tuple[np.ndarray, ...]:
-        tf, g, r = self.transfer, self.pair.g, self.multiplicity
-        x = None if self.variety is None else np.kron(self.variety.basis, np.eye(r))
-        table = None if x is None else np.zeros((tf.fock_size, r, r), dtype=complex)
-        psi = []
-        for j in range(1, g.n + 1):
-            theta = tf.theta[:, :, tf.block_words.index((j,))] / np.sqrt(g.coeffs[(j,)])
-            if x is None:
-                psi.append(_scatter(theta, tf.f, tf.N, (r, r)))
-                continue
-            table[:, :tf.r_out, :tf.r_in] = theta
-            adjoint = _row_adjoint(table, tf.f, tf.N, x)  # psi_j^* X, conjugated in place
-            psi.append(kron_identity_matmul(self.variety.basis.T,
-                                            np.conjugate(adjoint, out=adjoint)).T)
-        return tuple(psi)
+
+def _psi(tf: TransferFunction, g: RegularPolynomial, model: VarietyModel | None,
+         r: int) -> tuple[np.ndarray, ...]:
+    """The letters of ``PairDilation.right``."""
+    x = None if model is None else np.kron(model.basis, np.eye(r))
+    table = None if x is None else np.zeros((tf.fock_size, r, r), dtype=complex)
+    psi = []
+    for j in range(1, g.n + 1):
+        theta = tf.theta[:, :, tf.block_words.index((j,))] / np.sqrt(g.coeffs[(j,)])
+        if x is None:
+            psi.append(_scatter(theta, tf.f, tf.N, (r, r)))
+            continue
+        table[:, :tf.r_out, :tf.r_in] = theta
+        adjoint = _row_adjoint(table, tf.f, tf.N, x)  # psi_j^* X, conjugated in place
+        psi.append(kron_identity_matmul(model.basis.T, np.conjugate(adjoint, out=adjoint)).T)
+    return tuple(psi)
 
 
 def choose_truncation(f: RegularPolynomial, T: OperatorTuple) -> int:
@@ -539,24 +544,37 @@ def builtin_matrix_polys() -> list[BiPolynomial]:
             BiPolynomial("full", 1, 1, ((x, xy), (y, one)))]
 
 
+def _battery_pair(f: RegularPolynomial, g: RegularPolynomial, polys: list[BiPolynomial],
+                  tol: float, job: tuple[int, str, int]) -> list[VerificationReport]:
+    """The reports of one battery pair (seed, kind, dim): its two dilations' inequality
+    slacks and, on the f = g = z baseline, its distinguished-variety check."""
+    seed, kind, dim = job
+    pair = random_commuting_pair(seed, dim, kind, f, g)
+    dil = ando_dilation(pair, tol=tol)
+    dil_sw = ando_dilation(pair.swapped(), tol=tol)
+    reports = [verify_inequality(pair, polys, dil, dil_sw, tol=tol)]
+    if f.coeffs == {(1,): 1.0} and g.coeffs == {(1,): 1.0}:
+        reports.append(von_neumann_check(dil, [p for p in polys if not p.hermitian]))
+    return reports
+
+
 def run_battery(f: RegularPolynomial, g: RegularPolynomial, seeds: list[int],
                 dims: list[int], kinds: list[str] | None,
                 tol: float) -> VerificationReport:
-    """Seeded, deterministic sweep of the battery (all PAIR_KINDS when ``kinds`` is None)."""
+    """Seeded, deterministic sweep of the battery (all PAIR_KINDS when ``kinds`` is None).
+
+    Each pair depends only on its seed, kind and dim, so the pairs run side by side
+    (``parallel.map_in_order``); the report is byte-identical to a serial run's.
+    """
+    from .parallel import map_in_order  # only the battery compiles and imports it
     kinds = list(PAIR_KINDS) if kinds is None else kinds
     polys = builtin_bipolynomials() + builtin_matrix_polys() + builtin_hermitian()
-    plain = [p for p in polys if not p.hermitian]
     rep = VerificationReport("battery", environment={"battery": BATTERY_VERSION,
                                                      "pairs": str(len(seeds))})
-    baseline = f.coeffs == {(1,): 1.0} and g.coeffs == {(1,): 1.0}
-    for idx, seed in enumerate(seeds):
-        kind = kinds[idx % len(kinds)]
-        dim = dims[idx % len(dims)]
-        pair = random_commuting_pair(seed, dim, kind, f, g)
-        dil = ando_dilation(pair, tol=tol)
-        dil_sw = ando_dilation(pair.swapped(), tol=tol)
-        pre = f"s{seed}_{kind}_"
-        rep.extend(verify_inequality(pair, polys, dil, dil_sw, tol=tol), prefix=pre)
-        if baseline:
-            rep.extend(von_neumann_check(dil, plain), prefix=pre)
+    jobs = [(seed, kinds[idx % len(kinds)], dims[idx % len(dims)])
+            for idx, seed in enumerate(seeds)]
+    unit = functools.partial(_battery_pair, f, g, polys, tol)
+    for (seed, kind, _), reports in zip(jobs, map_in_order(unit, jobs)):
+        for part in reports:
+            rep.extend(part, prefix=f"s{seed}_{kind}_")
     return rep

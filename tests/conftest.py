@@ -1,3 +1,5 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -166,6 +168,19 @@ def kappa_eval(f: RegularPolynomial, mu: list[complex], lam: list[complex],
                   for w, b in b_by_word(f, M).items())
     tail = float(t) ** (M // f.degree + 1) / (1.0 - float(t))
     return complex(closed), complex(partial), float(tail)
+
+
+@pytest.fixture(autouse=True)
+def no_process_left_running():
+    """Fail a test that leaves a live child process, as the benchmark fails a run that
+    does (``run_battery`` forks workers); the children are ended first, so the fault
+    stays with the test that made it."""
+    yield
+    left = multiprocessing.active_children()
+    for proc in left:
+        proc.terminate()
+        proc.join(5)
+    assert not left, f"child processes left running: {left}"
 
 
 @pytest.fixture

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ncdomains
 from ncdomains.cli import main
 from ncdomains.config import (ConfigError, ExperimentConfig, default_tolerance,
                               parse_word)
@@ -199,6 +204,19 @@ def test_cli_battery_determinism(tmp_path, capsys):
     assert first == second
     assert "min slack" not in first  # structured lines only
     assert "summary pass=1" in first
+
+
+def test_cli_import_loads_no_pool_modules():
+    """Importing the CLI loads neither multiprocessing nor concurrent.futures, nor
+    ncdomains.parallel: run_battery imports them, the first two only when it forks
+    workers, so no other run pays for them."""
+    code = ("import sys, ncdomains.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('multiprocessing', 'concurrent') "
+            "or m == 'ncdomains.parallel'))")
+    src = str(Path(ncdomains.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True, timeout=60).stdout
+    assert out == "[]\n"
 
 
 def test_cli_report_rendering(tmp_path, capsys):

@@ -1,11 +1,18 @@
 import dataclasses
 import functools
+import json
+import multiprocessing
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ncdomains.harness
+import ncdomains.parallel
 import ncdomains.transfer
 from ncdomains import (BiPolynomial, OperatorTuple,
                        RegularPolynomial, apply_phi, ando_dilation, build_isometry,
@@ -18,6 +25,7 @@ from ncdomains.domain import kron_identity_matmul, weighted_creation
 from ncdomains.harness import (MAX_CHOSEN_WORDS, PAIR_KINDS, TORUS_RESOLUTION, CommutingPair,
                                choose_truncation, commutant_lifting, cross_commutation_residual,
                                scale_into_domain, spectral_norms, von_neumann_check)
+from ncdomains.report import parse_report
 from ncdomains.transfer import (_lambda_max, contraction_excess,
                                 defect_identity_residual, dilation_identity_report,
                                 eval_transfer, fourier_roundtrip_residual,
@@ -171,11 +179,14 @@ def test_grid_sup_norm_known_values():
     assert abs(grid_sup_norm(s, 512) - 2.0) <= 1e-3
 
 
-def test_battery_peak_below_one_grid_array():
+def test_battery_peak_below_one_grid_array(monkeypatch):
     """Memory guard of the baseline battery, seeds 0..5 at dims 3, 4, 5: under
     tracemalloc run_battery peaked at 3.1 MB (28-29 MB while the torus sups built
     the whole grid).  The bound, 4 MB, lies below one 512 x 512 complex array
-    (4.2 MB), so a whole-grid array of any battery polynomial exceeds it."""
+    (4.2 MB), so a whole-grid array of any battery polynomial exceeds it.  The
+    battery runs serially here: tracemalloc sees no allocation of a forked worker,
+    and a worker forked while tracing traces too, many times slower."""
+    monkeypatch.setattr(ncdomains.parallel, "usable_cpus", lambda: 1)
     tracemalloc.start()
     try:
         rep = run_battery(Z, Z, list(range(6)), [3, 4, 5], None, 1e-6)
@@ -406,10 +417,10 @@ def test_sharp_jordan_pair_sees_a_one_percent_error_in_psi(monkeypatch):
     slacks = {c.name: c.value for c in rep.checks}
     for name in SHARP:
         assert abs(slacks[name]) <= 8 * np.finfo(float).eps, (name, slacks[name])
-    psi = ncdomains.harness.PairDilation._psi  # the letters of ``right``, built on a dense read
-    monkeypatch.setattr(ncdomains.harness.PairDilation, "_psi",
-                        lambda d: tuple(0.99 * m for m in psi(d)))
-    rep = verify_inequality(pair, polys, dil, tol=1e-6)
+    psi = ncdomains.harness._psi  # the letters of ``right``, built on a dense read
+    monkeypatch.setattr(ncdomains.harness, "_psi",
+                        lambda *args: tuple(0.99 * m for m in psi(*args)))
+    rep = verify_inequality(pair, polys, ando_dilation(pair, N=6), tol=1e-6)
     failed = {c.name: c.value for c in rep.checks if not c.passed}
     assert sorted(failed) == sorted(SHARP), rep.render()
     assert all(v < -4e-3 for v in failed.values()), failed
@@ -417,7 +428,11 @@ def test_sharp_jordan_pair_sees_a_one_percent_error_in_psi(monkeypatch):
 
 def test_dilated_tuples_build_their_letters_once(monkeypatch):
     """``right`` knows its size without a scatter; its first dense read scatters each
-    psi_j once, and a second read of ``mats`` or a ``word`` of the same object none."""
+    psi_j once, and a second read of ``mats`` or a ``word``, or of the dilation's
+    ``right`` again, none.  On a variety model ``ncdomains verify`` reads ``right`` in
+    ando_dilation's Gram and in verify_inequality; the compressed psi is built once, one
+    ``_row_adjoint`` call per letter of g (g = z and g = 0.5 z1 + z2; minpoly and
+    commutator models)."""
     dil = ando_dilation(random_commuting_pair(17, 3, "upper-triangular-commuting", Z, Z))
     calls = []
     scatter = ncdomains.harness._scatter
@@ -430,6 +445,16 @@ def test_dilated_tuples_build_their_letters_once(monkeypatch):
     assert len(calls) == 1 and mats[0].shape == (right.dim,) * 2
     assert right.mats is mats and np.array_equal(right.word((1, 1)), mats[0] @ mats[0])
     assert left.mats is left.mats and len(calls) == 1
+    assert dil.right.mats is mats and dil.left is left and len(calls) == 1
+
+    adjoint, calls = ncdomains.harness._row_adjoint, []
+    monkeypatch.setattr(ncdomains.harness, "_row_adjoint",
+                        lambda *args: calls.append(args) or adjoint(*args))
+    models = [d for d in psi_dilations() if d.variety is not None]
+    assert len(models) == 4 and {d.pair.g.n for d in models} == {1, 2}
+    for d in models:
+        verify_inequality(d.pair, builtin_bipolynomials(), d, tol=1e-6)
+    assert len(calls) == sum(d.pair.g.n for d in models)
 
 
 def test_commutant_lifting_square_and_rectangular():
@@ -687,3 +712,77 @@ def test_choose_truncation_refuses_an_oversized_fock_space(monkeypatch):
     monkeypatch.setattr("ncdomains.words._word_table", no_tables)
     with pytest.raises(ValueError, match=msg):
         ando_dilation(pair)
+
+
+POOL_SCRIPT = """
+import contextlib, io, json, multiprocessing, sys
+import ncdomains.harness as harness
+import ncdomains.parallel as parallel
+from ncdomains.cli import main
+seed, fail = json.loads(sys.argv[1])
+dilation, make_pair, calls = harness.ando_dilation, harness.random_commuting_pair, []
+harness.ando_dilation = lambda *args, **kw: calls.append(args) or dilation(*args, **kw)
+
+def failing(s, *args):
+    if s in fail:
+        raise ValueError(f"injected failure at seed {s}")
+    return make_pair(s, *args)
+
+harness.random_commuting_pair = failing
+runs = []
+for cpus in (1, 2):
+    parallel.usable_cpus = lambda: cpus
+    calls.clear()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["battery", "--count", "6", "--seed", str(seed), "--dims", "3", "4", "5"])
+    runs.append([out.getvalue(), code, len(calls), len(multiprocessing.active_children())])
+print(json.dumps(runs))
+"""
+POOL_PLATFORM = (hasattr(os, "sched_getaffinity")
+                 and "fork" in multiprocessing.get_all_start_methods()
+                 and ncdomains.parallel.blas_threads() is not None)
+
+
+def battery_paths(seed: int, fail: list[int], threads: str = "1") -> list[list]:
+    """``ncdomains battery --count 6 --dims 3 4 5`` run serially (1 usable CPU) and in two
+    forked workers (2 usable CPUs, also on a one-CPU machine), in a fresh interpreter with
+    ``threads`` OpenBLAS threads (the pool needs one); the pairs of the seeds in ``fail``
+    raise ValueError, patched in before the fork.  Per run: standard output, exit code,
+    the ando_dilation calls made in the parent process (none of a worker's count) and
+    the live child processes after ``main`` returned."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+           "PYTHONPATH": str(Path(ncdomains.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", POOL_SCRIPT, json.dumps([seed, fail])],
+                          env=env, capture_output=True, text=True, check=True, timeout=120)
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.skipif(not POOL_PLATFORM, reason="the battery runs serially on this platform")
+@pytest.mark.parametrize("seed", [0, 7, 4242])
+def test_pooled_battery_matches_the_serial_run(seed):
+    """The battery's pairs in two forked workers give the serial run's report byte for
+    byte, no dilation runs in the parent process, and every worker is joined."""
+    serial, pooled = battery_paths(seed, [])
+    assert serial == [pooled[0], 0, 12, 0]
+    assert pooled[1:] == [0, 0, 0]
+
+
+@pytest.mark.skipif(not POOL_PLATFORM, reason="the battery runs serially on this platform")
+def test_pooled_battery_reports_the_first_failing_pair():
+    """A ValueError in the pairs of seeds 2 and 4 ends as the same pipeline_error record,
+    naming seed 2, with the same exit code on both paths, and every worker is joined."""
+    serial, pooled = battery_paths(0, [2, 4])
+    assert serial[:2] == pooled[:2] and serial[3] == pooled[3] == 0
+    assert pooled[2] == 0 and serial[2] == 4  # the dilations of seeds 0 and 1
+    rep = parse_report(pooled[0])
+    assert pooled[1] == 1 and [c.name for c in rep.checks] == ["pipeline_error"]
+    assert rep.environment["error"] == "injected failure at seed 2"
+
+
+@pytest.mark.skipif(not POOL_PLATFORM, reason="the battery runs serially on this platform")
+def test_battery_with_threaded_blas_runs_serially():
+    """With two OpenBLAS threads a worker per CPU would oversubscribe the CPUs, so both
+    runs stay in the parent process and agree."""
+    serial, pooled = battery_paths(0, [], threads="2")
+    assert serial == pooled and serial[1:] == [0, 12, 0]
