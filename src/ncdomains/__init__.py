@@ -4,8 +4,8 @@ Layers:
 
 * :mod:`ncdomains.words`   -- free-semigroup words, graded-lex order
 * :mod:`ncdomains.domain`  -- positive regular polynomials, inverse-series
-  weights, the weighted left/right creation operators as weighted shifts
-  (one builder, :func:`weighted_creation`), domain membership and purity
+  weights, the weighted left creation operators as weighted shifts
+  (:func:`weighted_creation`), domain membership and purity
 * :mod:`ncdomains.poisson` -- defect operators and Poisson kernels
 * :mod:`ncdomains.colligation` -- structural isometries and their unitary
   completions
@@ -27,7 +27,7 @@ from .colligation import (Colligation, IntertwiningTriple, PartialIsometry,
                           build_isometry, complete_to_unitary, series_oracle)
 from .harness import (BiPolynomial, CommutingPair, PairDilation, ando_dilation,
                       builtin_bipolynomials, builtin_hermitian,
-                      builtin_matrix_polys, grid_sup_norm,
+                      builtin_matrix_polys, builtin_polys, grid_sup_norm,
                       random_commuting_pair, run_battery, verify_inequality)
 from .poisson import DefectData, PoissonKernel, defect, poisson_kernel, \
     verify_kernel_identities

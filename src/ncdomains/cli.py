@@ -27,8 +27,7 @@ import numpy as np
 
 from .config import DEFAULT_TOL_ENV, KNOBS, ConfigError, ExperimentConfig, knob_value
 from .domain import RegularPolynomial, domain_membership, phi_identity_power
-from .harness import (CommutingPair, PairDilation, ando_dilation, builtin_bipolynomials,
-                      builtin_hermitian, builtin_matrix_polys, run_battery,
+from .harness import (CommutingPair, PairDilation, ando_dilation, builtin_polys, run_battery,
                       verify_inequality)
 from .poisson import poisson_kernel, verify_kernel_identities
 from .report import VerificationReport, parse_report
@@ -134,8 +133,7 @@ def cmd_dilate(cfg: ExperimentConfig) -> int:
 def cmd_verify(cfg: ExperimentConfig, tol_given: bool) -> int:
     dil = _dilation(cfg)
     tol = _floored(cfg, INEQUALITY_TOL_FLOOR, tol_given)
-    polys = builtin_bipolynomials() + builtin_matrix_polys() + builtin_hermitian()
-    rep = verify_inequality(dil.pair, polys, dil, tol=tol)
+    rep = verify_inequality(dil.pair, builtin_polys(), dil, tol=tol)
     rep.extend(dil.report, prefix="dilation_")
     return _emit(rep, cfg.output)
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -155,13 +155,9 @@ class Colligation:
     dims: dict[str, int]
     unitarity_residual: float
     prescribed_residual: float
-    fallback_padding: bool = False
-    triple: IntertwiningTriple | None = field(default=None, repr=False)
-    partial: PartialIsometry | None = field(default=None, repr=False)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.block([[self.A, self.B], [self.C, self.D]])
+    fallback_padding: bool
+    triple: IntertwiningTriple
+    partial: PartialIsometry
 
     @property
     def slot_dim(self) -> int:

@@ -6,9 +6,11 @@ positive single-letter coefficients) defines
 
 * the regular domain: tuples X with  sum a_w X_w X_w* <= I,
 * the weights b_w of the inverse series (1 - f)^{-1},
-* the weighted left/right creation operators W_i, L_i on the truncated Fock
-  space, stored as weighted shifts (a target index and a weight per basis
-  vector) rather than as dense matrices.
+* the weighted left creation operators W_i on the truncated Fock space, stored
+  as weighted shifts (a target index and a weight per basis vector) rather
+  than as dense matrices.  No right creations L_i e_w = sqrt(b_w / b_{w g_i})
+  e_{w g_i} are built: ``transfer._columns`` applies their words by level
+  arithmetic.
 
 Truncation semantics: creation operators are compressions to levels <= N, so
 the top level maps to 0.  Identities that involve only adjoints of creation
@@ -153,7 +155,6 @@ class OperatorTuple:
 @dataclass(frozen=True)
 class MembershipReport:
     in_domain: bool
-    in_ellipsoid: bool
     min_eig: float
     min_eig_ellipsoid: float
 
@@ -219,15 +220,9 @@ def shift_word(shifts: tuple[WeightedShift, ...], w: Word) -> WeightedShift:
     return out
 
 
-def weighted_creation(f: RegularPolynomial, N: int,
-                      side: str = "left") -> tuple[WeightedShift, ...]:
-    """Truncated weighted creation operators, one per letter; words of length N map to 0.
-
-    side="left":  W_i e_w = sqrt(b_w / b_{g_i w}) e_{g_i w};
-    side="right": L_i e_w = sqrt(b_w / b_{w g_i}) e_{w g_i}.
-    """
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+def weighted_creation(f: RegularPolynomial, N: int) -> tuple[WeightedShift, ...]:
+    """Truncated weighted left creation operators W_i e_w = sqrt(b_w / b_{g_i w}) e_{g_i w},
+    one per letter; words of length N map to 0."""
     n, b = f.n, b_coefficients(f, N)
     start = np.array([fock_size(n, m - 1) for m in range(N + 1)])  # index of level m
     below = start[-1]  # the columns below the top level
@@ -235,10 +230,9 @@ def weighted_creation(f: RegularPolynomial, N: int,
     rank = np.arange(below) - start[level]
     out = []
     for i in range(1, n + 1):
-        # one level up, g_i w has rank (i - 1) n^m + rank(w) and w g_i rank n rank(w) + i - 1
+        # one level up, g_i w has rank (i - 1) n^m + rank(w)
         target = np.arange(len(b))
-        target[:below] = start[level + 1] + ((i - 1) * n**level + rank if side == "left"
-                                             else n * rank + i - 1)
+        target[:below] = start[level + 1] + (i - 1) * n**level + rank
         weight = np.zeros(len(b))
         weight[:below] = np.sqrt(b[:below] / b[target[:below]])
         out.append(WeightedShift(target, weight))
@@ -246,12 +240,12 @@ def weighted_creation(f: RegularPolynomial, N: int,
 
 
 def weighted_left_creation(f: RegularPolynomial, N: int) -> tuple[WeightedShift, ...]:
-    """weighted_creation(f, N, "left").
+    """weighted_creation(f, N).
 
     Kept under this name because the benchmark tracer (bench/tracer.py) keys a
     per-layer metric on it.
     """
-    return weighted_creation(f, N, "left")
+    return weighted_creation(f, N)
 
 
 def apply_phi(f: RegularPolynomial, T: OperatorTuple,
@@ -308,7 +302,6 @@ def domain_membership(f: RegularPolynomial, T: OperatorTuple, tol: float = 1e-9)
         min_eig1 = float(np.linalg.eigvalsh((gap1 + gap1.conj().T) / 2).min())
     return MembershipReport(
         in_domain=min_eig >= -tol,
-        in_ellipsoid=min_eig1 >= -tol,
         min_eig=min_eig,
         min_eig_ellipsoid=min_eig1,
     )

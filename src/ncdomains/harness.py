@@ -33,9 +33,9 @@ from .domain import (OperatorTuple, RegularPolynomial, apply_phi, kron_identity_
                      purity_horizon, weighted_creation)
 from .poisson import poisson_kernel
 from .report import VerificationReport
-from .transfer import (TransferFunction, _lambda_max, _row_adjoint, _row_gram, _row_norm,
-                       _scatter, dilation_identity_report, eval_transfer,
-                       multi_analytic_residual, realization)
+from .transfer import (TransferFunction, _lambda_max, _row_adjoint, _row_gram, _scatter,
+                       dilation_identity_report, eval_transfer, multi_analytic_residual,
+                       realization)
 from .variety import Generator, VarietyModel, build_variety, constrained_poisson
 from .words import Word, check_word, fock_size
 
@@ -400,36 +400,6 @@ def ando_dilation(pair: CommutingPair, N: int | None = None,
     return dil
 
 
-def commutant_lifting(f: RegularPolynomial, T1: OperatorTuple, T1p: OperatorTuple,
-                      A: np.ndarray) -> VerificationReport:
-    """Lift an intertwiner A (A T1p_i = T1_i A) through the Poisson kernels.
-
-    This is the g = z specialization: the single transfer block psi satisfies
-    psi^* K_{T1} = K_{T1p} A^* and has the same norm as A.  A is normalized to
-    norm one before lifting; the report records the given norm as norm_A.
-    """
-    g = RegularPolynomial.single_variable([1.0])
-    a_norm = float(np.linalg.norm(A, 2))
-    if a_norm == 0.0:
-        raise ValueError("cannot normalize the zero intertwiner")
-    A = np.asarray(A, dtype=complex) / a_norm
-    triple = IntertwiningTriple(f, g, T1, T1p, OperatorTuple((A,)))
-    col = complete_to_unitary(build_isometry(triple))
-    N = max(choose_truncation(f, T1), choose_truncation(f, T1p))
-    tf = eval_transfer(col, N)
-
-    rep = VerificationReport("commutant-lifting",
-                             environment={"N": str(N), "norm_A": repr(a_norm)})
-    K1 = poisson_kernel(f, T1, N)
-    K1p = poisson_kernel(f, T1p, N)
-    rep.extend(dilation_identity_report(tf, K1, K1p, tol=1e-7), prefix="")
-    lift_norm = _row_norm(tf)
-    rep.environment["lift_norm"] = repr(lift_norm)
-    rep.add_residual("lift_norm_vs_A", abs(lift_norm - 1.0), 1e-8)
-    rep.add_residual("lift_multi_analytic", multi_analytic_residual(tf, (1,)), 1e-7)
-    return rep
-
-
 # ---------------------------------------------------------------------------
 # the inequality harness
 # ---------------------------------------------------------------------------
@@ -544,6 +514,11 @@ def builtin_matrix_polys() -> list[BiPolynomial]:
             BiPolynomial("full", 1, 1, ((x, xy), (y, one)))]
 
 
+def builtin_polys() -> list[BiPolynomial]:
+    """The polynomials that ``verify`` and the battery check, in report order."""
+    return builtin_bipolynomials() + builtin_matrix_polys() + builtin_hermitian()
+
+
 def _battery_pair(f: RegularPolynomial, g: RegularPolynomial, polys: list[BiPolynomial],
                   tol: float, job: tuple[int, str, int]) -> list[VerificationReport]:
     """The reports of one battery pair (seed, kind, dim): its two dilations' inequality
@@ -568,7 +543,7 @@ def run_battery(f: RegularPolynomial, g: RegularPolynomial, seeds: list[int],
     """
     from .parallel import map_in_order  # only the battery compiles and imports it
     kinds = list(PAIR_KINDS) if kinds is None else kinds
-    polys = builtin_bipolynomials() + builtin_matrix_polys() + builtin_hermitian()
+    polys = builtin_polys()
     rep = VerificationReport("battery", environment={"battery": BATTERY_VERSION,
                                                      "pairs": str(len(seeds))})
     jobs = [(seed, kinds[idx % len(kinds)], dims[idx % len(dims)])

@@ -31,10 +31,6 @@ class DefectData:
     basis: np.ndarray  # columns: orthonormal basis of the defect space
     rank: int
 
-    @property
-    def dim(self) -> int:
-        return self.delta.shape[0]
-
     def coords(self, x: np.ndarray) -> np.ndarray:
         """Express vectors/columns of x in defect-basis coordinates."""
         return self.basis.conj().T @ x

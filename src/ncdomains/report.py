@@ -19,7 +19,7 @@ class CheckRecord:
     value: float
     tolerance: float
     passed: bool
-    kind: str = "residual"  # "residual": value <= tol; "slack": value >= -tol
+    kind: str  # "residual": value <= tol; "slack": value >= -tol; "flag": passed
 
     def line(self) -> str:
         return (f"check {self.name} kind={self.kind} value={_fmt(self.value)} "

@@ -24,7 +24,7 @@ views of its level blocks, and the defect identity is read as a Frobenius norm.
 Only ``_scatter`` forms dense blocks, on the first dense read of a ``PairDilation.right``.
 
 By the defect identity the row Gram G is I minus a matrix of rank at most w,
-so its lambda_max (contraction check, lift norm, psi ellipsoid gap) is read
+so its lambda_max (contraction check, psi ellipsoid gap) is read
 as the certified Ritz value theta of ``_lambda_max``: Lanczos until its
 Krylov space closes, then the Rayleigh-Ritz residual R of that space
 certifies theta <= lambda_max <= theta + delta with no factorization.

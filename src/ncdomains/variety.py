@@ -192,7 +192,7 @@ def build_variety(f: RegularPolynomial, N: int, generators: list[Generator]) -> 
     for q in generators:
         check_generator(q, f.n)
     table = enumerate_words(f.n, N)
-    W = weighted_creation(f, N, "left")
+    W = weighted_creation(f, N)
     live = [(q, generator_degree(q)) for q in generators if generator_degree(q) > 0]
     build = _graded_complement if all(_is_homogeneous(q) for q, _ in live) else _span_complement
     basis, cols = build(table, W, live)

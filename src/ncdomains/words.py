@@ -22,10 +22,6 @@ def check_word(w: Word, n: int) -> None:
         raise ValueError(f"word {w!r} has letters outside 1..{n}")
 
 
-def reverse(u: Word) -> Word:
-    return tuple(u)[::-1]
-
-
 @dataclass(frozen=True)
 class WordTable:
     """All words of length <= N over {1..n}, graded-lex ordered; shared between

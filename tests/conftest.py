@@ -3,11 +3,13 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from ncdomains import (BiPolynomial, OperatorTuple, PairDilation, RegularPolynomial,
-                       TransferFunction, WeightedShift, b_coefficients, enumerate_words,
-                       weighted_creation)
-from ncdomains.harness import scale_into_domain
-from ncdomains.transfer import _columns, _scatter
+from ncdomains import (BiPolynomial, Colligation, IntertwiningTriple, OperatorTuple,
+                       PairDilation, RegularPolynomial, TransferFunction, VerificationReport,
+                       WeightedShift, b_coefficients, build_isometry, complete_to_unitary,
+                       dilation_identity_report, enumerate_words, eval_transfer,
+                       poisson_kernel, weighted_creation)
+from ncdomains.harness import choose_truncation, scale_into_domain
+from ncdomains.transfer import _columns, _row_norm, _scatter, multi_analytic_residual
 from ncdomains.variety import VarietyModel
 from ncdomains.words import EMPTY, Word, WordTable
 
@@ -52,6 +54,10 @@ def b_recursion(f: RegularPolynomial, N: int) -> dict[Word, float]:
     return values
 
 
+def reverse(u: Word) -> Word:
+    return tuple(u)[::-1]
+
+
 def word_index(table: WordTable) -> dict[Word, int]:
     """The graded-lex index of each word of the table."""
     return {w: i for i, w in enumerate(table.words)}
@@ -93,9 +99,33 @@ def gram_by_gather(table: np.ndarray, f: RegularPolynomial, K: int,
     return gram
 
 
+def right_creation(f: RegularPolynomial, N: int) -> tuple[WeightedShift, ...]:
+    """The weighted right creations L_i e_w = sqrt(b_w / b_{w g_i}) e_{w g_i}, one per
+    letter, from word-table lookups and ``b_recursion``; words of length N map to 0.
+
+    The package builds none: ``transfer._columns`` applies their words by level
+    arithmetic, and this oracle shares none of it."""
+    table, b = enumerate_words(f.n, N), b_recursion(f, N)
+    index = word_index(table)
+    out = []
+    for i in range(1, f.n + 1):
+        target, weight = np.arange(len(table)), np.zeros(len(table))
+        for j, w in enumerate(table.words):
+            if len(w) < N:
+                target[j] = index[w + (i,)]
+                weight[j] = np.sqrt(b[w] / b[w + (i,)])
+        out.append(WeightedShift(target, weight))
+    return tuple(out)
+
+
+def creation(f: RegularPolynomial, N: int, side: str) -> tuple[WeightedShift, ...]:
+    """The package's left creations W_i (side "left") or the oracle's L_i ("right")."""
+    return weighted_creation(f, N) if side == "left" else right_creation(f, N)
+
+
 def dense_creation(f: RegularPolynomial, N: int, side: str = "left") -> OperatorTuple:
     """The weighted creation operators of f at truncation N as dense matrices."""
-    return OperatorTuple(tuple(s.dense() for s in weighted_creation(f, N, side)))
+    return OperatorTuple(tuple(s.dense() for s in creation(f, N, side)))
 
 
 def dense_compression(v: VarietyModel, side: str) -> OperatorTuple:
@@ -103,7 +133,42 @@ def dense_compression(v: VarietyModel, side: str) -> OperatorTuple:
     oracle for the level-local ``v.left`` (side "left"), and C_i = P L_i P."""
     basis_h = v.basis.conj().T
     return OperatorTuple(tuple(shift_rmul(s, basis_h) @ v.basis
-                               for s in weighted_creation(v.f, v.N, side)))
+                               for s in creation(v.f, v.N, side)))
+
+
+def colligation_matrix(col: Colligation) -> np.ndarray:
+    """The unitary U = [[A, B], [C, D]] of a colligation."""
+    return np.block([[col.A, col.B], [col.C, col.D]])
+
+
+def commutant_lifting(f: RegularPolynomial, T1: OperatorTuple, T1p: OperatorTuple,
+                      A: np.ndarray) -> VerificationReport:
+    """Lift an intertwiner A (A T1p_i = T1_i A) through the Poisson kernels.
+
+    This is the g = z specialization: the single transfer block psi satisfies
+    psi^* K_{T1} = K_{T1p} A^* and has the same norm as A.  A is normalized to
+    norm one before lifting; the report records the given norm as norm_A.
+    """
+    g = RegularPolynomial.single_variable([1.0])
+    a_norm = float(np.linalg.norm(A, 2))
+    if a_norm == 0.0:
+        raise ValueError("cannot normalize the zero intertwiner")
+    A = np.asarray(A, dtype=complex) / a_norm
+    triple = IntertwiningTriple(f, g, T1, T1p, OperatorTuple((A,)))
+    col = complete_to_unitary(build_isometry(triple))
+    N = max(choose_truncation(f, T1), choose_truncation(f, T1p))
+    tf = eval_transfer(col, N)
+
+    rep = VerificationReport("commutant-lifting",
+                             environment={"N": str(N), "norm_A": repr(a_norm)})
+    K1 = poisson_kernel(f, T1, N)
+    K1p = poisson_kernel(f, T1p, N)
+    rep.extend(dilation_identity_report(tf, K1, K1p, tol=1e-7), prefix="")
+    lift_norm = _row_norm(tf)
+    rep.environment["lift_norm"] = repr(lift_norm)
+    rep.add_residual("lift_norm_vs_A", abs(lift_norm - 1.0), 1e-8)
+    rep.add_residual("lift_multi_analytic", multi_analytic_residual(tf, (1,)), 1e-7)
+    return rep
 
 
 def random_nilpotent_tuple(seed: int, n: int, dim: int,

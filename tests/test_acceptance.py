@@ -18,14 +18,14 @@ from ncdomains import (IntertwiningTriple, OperatorTuple, RegularPolynomial,
                        verify_kernel_identities, weighted_creation)
 from ncdomains.harness import (ando_dilation, builtin_bipolynomials,
                                builtin_hermitian, builtin_matrix_polys,
-                               commutant_lifting, grid_sup_norm, random_commuting_pair, run_battery,
+                               grid_sup_norm, random_commuting_pair, run_battery,
                                scale_into_domain)
 from ncdomains.transfer import (contraction_excess, defect_identity_residual,
                                 dilation_identity_report,
                                 fourier_roundtrip_residual)
 from ncdomains.words import enumerate_words, fock_size
 
-from conftest import compression_residual, kappa_eval, level_dimensions
+from conftest import commutant_lifting, compression_residual, kappa_eval, level_dimensions
 
 
 def verdict(criterion: str, ok: bool, detail: str) -> None:

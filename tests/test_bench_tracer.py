@@ -18,8 +18,8 @@ import pytest
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 
-# per-layer metrics whose member does not exist: the right-side creation
-# operators have one builder, weighted_creation(side="right"), and no alias
+# per-layer metrics whose member does not exist: the package builds no right-side
+# creation operators (the tests build them, conftest.right_creation)
 UNRESOLVED_METRICS = {"domain.weighted_right_creation"}
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +17,7 @@ from ncdomains.matio import dump_matrix, parse_matrix, read_matrix
 from ncdomains.report import VerificationReport, parse_report
 
 from ncdomains.domain import RegularPolynomial
-from ncdomains.harness import random_commuting_pair
+from ncdomains.harness import builtin_polys, random_commuting_pair
 
 from conftest import power_pair_tuple
 
@@ -204,6 +205,21 @@ def test_cli_battery_determinism(tmp_path, capsys):
     assert first == second
     assert "min slack" not in first  # structured lines only
     assert "summary pass=1" in first
+
+
+def test_verify_and_battery_check_the_same_polynomials(tmp_path, capsys):
+    """``verify`` and ``battery`` check the built-in polynomials by the same names in
+    the same order, those of ``harness.builtin_polys``."""
+    def polynomial_names(out: str) -> list[str]:
+        names = [m.group(1) for c in parse_report(out).checks
+                 if (m := re.search(r"(?:norm|eig)_slack_(.+)$", c.name))]
+        return list(dict.fromkeys(names))
+
+    assert main(["--config", scalar_config(tmp_path), "verify"]) == 0
+    verify = polynomial_names(capsys.readouterr().out)
+    assert main(["battery", "--count", "1", "--seed", "0", "--dims", "3"]) == 0
+    battery = polynomial_names(capsys.readouterr().out)
+    assert verify == battery == [p.name for p in builtin_polys()]
 
 
 def test_cli_import_loads_no_pool_modules():

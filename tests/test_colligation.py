@@ -10,7 +10,7 @@ from ncdomains.colligation import (Colligation, _delta1_hat, series_term_by_word
                                    solve_padding)
 from ncdomains.domain import coefficient_words
 
-from conftest import random_nilpotent_tuple
+from conftest import colligation_matrix, random_nilpotent_tuple
 
 Z = RegularPolynomial.single_variable([1.0])
 
@@ -38,7 +38,7 @@ def test_scalar_swap_example():
     assert np.allclose(partial.range_vectors, [[0.0], [1.0]])
     col = complete_to_unitary(partial)
     # the completion is the 2x2 swap
-    assert np.allclose(col.matrix, [[0.0, 1.0], [1.0, 0.0]], atol=1e-12)
+    assert np.allclose(colligation_matrix(col), [[0.0, 1.0], [1.0, 0.0]], atol=1e-12)
     assert col.unitarity_residual <= 1e-12
     assert col.prescribed_residual <= 1e-12
 
@@ -237,4 +237,4 @@ def test_dims_recorded():
     dims = col.dims
     total_dom = dims["d1"] + dims["pad_u"] + dims["m1"] * (dims["d2"] + dims["pad_e"])
     total_ran = dims["m2"] * (dims["d1p"] + dims["pad_v"]) + dims["d2"] + dims["pad_e"]
-    assert total_dom == total_ran == col.matrix.shape[0]
+    assert total_dom == total_ran == colligation_matrix(col).shape[0]

@@ -9,8 +9,8 @@ from ncdomains import (OperatorTuple, RegularPolynomial, apply_phi, b_coefficien
 from ncdomains.domain import kron_identity_matmul
 from ncdomains.words import enumerate_words, fock_size, words_of_lengths
 
-from conftest import (b_by_word, b_recursion, dense_creation, f_battery, is_reversal_symmetric,
-                      random_nilpotent_tuple, shift_rmul, word_index)
+from conftest import (b_by_word, b_recursion, creation, dense_creation, f_battery,
+                      is_reversal_symmetric, random_nilpotent_tuple, shift_rmul, word_index)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +206,7 @@ def test_weighted_shift_matches_dense_kron(side, r):
     rng = np.random.default_rng(11)
     N = 3
     for f in f_battery():
-        shifts = weighted_creation(f, N, side)
+        shifts = creation(f, N, side)
         dense = dense_creation_oracle(f, N, side)
         size = len(dense[0])
         x = rng.standard_normal((size * r, 4)) + 1j * rng.standard_normal((size * r, 4))
@@ -243,28 +243,22 @@ def test_kron_identity_matmul_matches_kron(r):
         assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 
 
-@pytest.mark.parametrize("side", ["left", "right"])
-def test_creation_targets_match_word_lookup(side):
+def test_creation_targets_match_word_lookup():
     """The arithmetic targets and the weights of weighted_creation equal the
-    word-table lookups of g_i w (left) or w g_i (right) and sqrt(b_w / b_target)
-    from the per-word recursion, bitwise; the top level stays put with weight 0."""
+    word-table lookups of g_i w and sqrt(b_w / b_{g_i w}) from the per-word
+    recursion, bitwise; the top level stays put with weight 0."""
     for f, N in [(f, 4) for f in f_battery()] + [(F_THREE, 5), (F_TWOVAR, 0),
                                                  (RegularPolynomial.single_variable([1.0]), 26)]:
         table, b = enumerate_words(f.n, N), b_recursion(f, N)
         index = word_index(table)
-        for i, s in enumerate(weighted_creation(f, N, side), 1):
-            tgt = [(i,) + w if side == "left" else w + (i,) for w in table.words]
+        for i, s in enumerate(weighted_creation(f, N), 1):
+            tgt = [(i,) + w for w in table.words]
             target = [index[t] if len(w) < N else j
                       for j, (w, t) in enumerate(zip(table.words, tgt))]
             weight = [np.sqrt(b[w] / b[t]) if len(w) < N else 0.0
                       for w, t in zip(table.words, tgt)]
             assert np.array_equal(s.target, target)
             assert np.array_equal(s.weight, weight)
-
-
-def test_weighted_creation_side_checked():
-    with pytest.raises(ValueError):
-        weighted_creation(RegularPolynomial.single_variable([1.0]), 2, "up")
 
 
 def flip_unitary(n: int, N: int) -> np.ndarray:
@@ -307,7 +301,7 @@ def test_left_creation_row_contraction():
     for f in f_battery():
         W = dense_creation(f, 5)
         rep = domain_membership(f, W)
-        assert rep.in_domain and rep.in_ellipsoid
+        assert rep.in_domain and rep.min_eig_ellipsoid >= -1e-9
 
 
 # ---------------------------------------------------------------------------

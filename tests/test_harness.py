@@ -17,13 +17,13 @@ import ncdomains.transfer
 from ncdomains import (BiPolynomial, OperatorTuple,
                        RegularPolynomial, apply_phi, ando_dilation, build_isometry,
                        builtin_bipolynomials, builtin_hermitian, builtin_matrix_polys,
-                       complete_to_unitary, domain_membership, grid_sup_norm,
+                       builtin_polys, complete_to_unitary, domain_membership, grid_sup_norm,
                        poisson_kernel, random_commuting_pair, run_battery,
                        verify_inequality)
 from ncdomains.colligation import embed_inner
 from ncdomains.domain import kron_identity_matmul, weighted_creation
 from ncdomains.harness import (MAX_CHOSEN_WORDS, PAIR_KINDS, TORUS_RESOLUTION, CommutingPair,
-                               choose_truncation, commutant_lifting, cross_commutation_residual,
+                               choose_truncation, cross_commutation_residual,
                                scale_into_domain, spectral_norms, von_neumann_check)
 from ncdomains.report import parse_report
 from ncdomains.transfer import (_lambda_max, contraction_excess,
@@ -32,8 +32,8 @@ from ncdomains.transfer import (_lambda_max, contraction_excess,
                                 multi_analytic_residual, realization)
 from ncdomains.variety import commutator_generators, minpoly_generator
 
-from conftest import (compression_residual, dense_block, dense_compression, power_pair_tuple,
-                      random_nilpotent_tuple)
+from conftest import (commutant_lifting, compression_residual, dense_block, dense_compression,
+                      power_pair_tuple, random_nilpotent_tuple)
 from test_transfer import commuting_triple
 
 Z = RegularPolynomial.single_variable([1.0])
@@ -89,15 +89,11 @@ def test_unknown_kind_rejected():
         random_commuting_pair(0, 3, "bogus", Z, Z)
 
 
-def all_builtins():
-    return builtin_bipolynomials() + builtin_matrix_polys() + builtin_hermitian()
-
-
 def test_bipoly_eval_scalar_matches_matrix():
     """On 1 x 1 tuples the matrix evaluation is the scalar one, for every built-in."""
     for z, w in ((0.3, 0.2), (0.4 - 0.3j, -0.2 + 0.5j), (-0.6j, 0.1 + 0.7j)):
         X, Y = OperatorTuple((np.array([[z]]),)), OperatorTuple((np.array([[w]]),))
-        for p in all_builtins():
+        for p in builtin_polys():
             want = p.eval_scalar(np.array(z), np.array(w))
             assert np.abs(p.eval(X, Y) - want).max() <= 1e-14, (p.name, z, w)
 
@@ -130,7 +126,7 @@ def test_builtin_eval_matches_written_formulas():
         "two_squares": sym(X @ h(X) + Y @ h(Y)),
         "mixed_gram": sym((X + Y) @ h(X + Y)),
     }
-    polys = all_builtins()
+    polys = builtin_polys()
     assert sorted(p.name for p in polys) == sorted(formulas)
     for p in polys:
         np.testing.assert_allclose(p.eval(pair.T1, pair.T2), formulas[p.name],
@@ -157,7 +153,7 @@ def test_bipoly_eval_skips_identity_factors_bitwise():
     pair = random_commuting_pair(4, 3, "upper-triangular-commuting", Z, Z)
     dil, dil_sw = ando_dilation(pair), ando_dilation(pair.swapped())
     sides = [(pair.T1, pair.T2), (dil.left, dil.right), (dil_sw.right, dil_sw.left)]
-    for p in all_builtins():
+    for p in builtin_polys():
         for X, Y in sides:
             assert np.array_equal(p.eval(X, Y), eval_with_identities(p, X, Y)), p.name
 
@@ -411,7 +407,7 @@ def test_sharp_jordan_pair_sees_a_one_percent_error_in_psi(monkeypatch):
     J = np.diag(np.ones(4), 1).astype(complex)
     pair = CommutingPair(Z, Z, OperatorTuple((J,)), OperatorTuple((J @ J,)))
     dil = ando_dilation(pair, N=6)
-    polys = builtin_bipolynomials() + builtin_matrix_polys() + builtin_hermitian()
+    polys = builtin_polys()
     rep = verify_inequality(pair, polys, dil, tol=1e-6)
     assert rep.passed, rep.render()
     slacks = {c.name: c.value for c in rep.checks}

@@ -1,13 +1,17 @@
-"""The settable values of the package, pinned.
+"""The settable values of the package, pinned, and a census of its members' readers.
 
 Every function parameter with a default and every dataclass field with a
 default is a value a caller can set, and each one doubles the configurations
 that tests must cover.  The set is pinned here: a new option fails this test
 until it is added to ``ALLOWED`` on purpose, and a removed one until it is
 taken out.
+
+Every module-level function, class or constant of the package needs a reader
+in the package or the benchmark; code that only tests read belongs in the tests.
 """
 
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ncdomains"
@@ -15,9 +19,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "ncdomains"
 ALLOWED = {
     "cli.main(argv)",
     "colligation.build_isometry(tol)",
-    "colligation.Colligation.fallback_padding",
-    "colligation.Colligation.triple",
-    "colligation.Colligation.partial",
     "config.parse_operator_tuple(base)",
     "config.ExperimentConfig.g",
     "config.ExperimentConfig.N",
@@ -33,7 +34,6 @@ ALLOWED = {
     "config.ExperimentConfig.file_keys",
     "config.ExperimentConfig.from_json(base)",
     "domain.WeightedShift.dense(inner)",
-    "domain.weighted_creation(side)",
     "domain.apply_phi(X)",
     "domain.domain_membership(tol)",
     "harness.CommutingPair.kind",
@@ -42,7 +42,6 @@ ALLOWED = {
     "harness.ando_dilation(variety)",
     "harness.ando_dilation(tol)",
     "harness.verify_inequality(dil_swapped)",
-    "report.CheckRecord.kind",
     "report.VerificationReport.checks",
     "report.VerificationReport.environment",
     "report.VerificationReport.extend(prefix)",
@@ -89,3 +88,54 @@ def test_settable_values_match_the_allowlist():
     found = settable_values()
     assert found - ALLOWED == set(), "new settable values; add them to ALLOWED on purpose"
     assert ALLOWED - found == set(), "removed settable values; take them out of ALLOWED"
+
+
+BENCH = SRC.parent.parent / "bench"
+
+
+def _read_names(node: ast.AST) -> set[str]:
+    """The names a node reads: loaded names, attributes and ``from ... import`` names."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            out.update(alias.name for alias in sub.names)
+    return out
+
+
+def _defined_names(stmt: ast.stmt) -> list[str]:
+    """The module-level function, class or constant a statement defines, if any."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = (stmt.targets if isinstance(stmt, ast.Assign)
+               else [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+    return [t.id for t in targets if isinstance(t, ast.Name) and not t.id.startswith("__")]
+
+
+def unread_members() -> set[str]:
+    """module.member for each module-level function, class or constant of the
+    package that nothing reads.  A reader is a statement of another module
+    (``__init__`` re-exports do not count), another top-level statement of the
+    same module, or a whole-word mention in ``bench/*.py``, whose tracer keys
+    metrics on members by name."""
+    modules = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    reads = {stem: [(stmt, _read_names(stmt)) for stmt in tree.body]
+             for stem, tree in modules.items()}
+    bench = " ".join(path.read_text() for path in sorted(BENCH.glob("*.py")))
+    unread = set()
+    for stem, statements in reads.items():
+        elsewhere = set().union(*(names for other, sts in reads.items()
+                                  if other not in (stem, "__init__") for _, names in sts))
+        for stmt, _ in statements:
+            read = elsewhere.union(*(names for st, names in statements if st is not stmt))
+            unread.update(f"{stem}.{name}" for name in _defined_names(stmt)
+                          if name not in read
+                          and not re.search(rf"\b{re.escape(name)}\b", bench))
+    return unread
+
+
+def test_every_member_has_a_reader():
+    assert unread_members() == set(), "members no package module or benchmark reads"

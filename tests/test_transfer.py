@@ -19,9 +19,10 @@ from ncdomains.transfer import (TransferFunction, _coefficient_table, _gram, _la
                                 _row_adjoint, _row_gram, _scatter, contraction_excess,
                                 defect_identity_residual, dilation_identity_report,
                                 multi_analytic_residual)
-from ncdomains.words import enumerate_words, fock_size, reverse
+from ncdomains.words import enumerate_words, fock_size
 
-from conftest import b_by_word, dense_block, f_battery, gram_by_gather, word_index
+from conftest import (b_by_word, dense_block, f_battery, gram_by_gather, reverse,
+                      right_creation, word_index)
 from test_colligation import nilpotent_triple
 
 Z = RegularPolynomial.single_variable([1.0])
@@ -33,7 +34,7 @@ def dense_resolvent(col: Colligation, N: int) -> tuple[np.ndarray, np.ndarray]:
     creations (so X_{w~} = L_{w~}), and M = (I (x) C^*)(I - Q)^{-1} from the dense
     (Fock w)^2 resolvent, Q = sum_w sqrt(a_w) L_{w~} (x) D_(w)^*."""
     f = col.triple.f
-    lam = weighted_creation(f, N, "right")
+    lam = right_creation(f, N)
     size = lam[0].size
     q = 0.0
     for i, w in enumerate(coefficient_words(f)):
@@ -154,7 +155,7 @@ def test_runtime_paths_read_no_word_table_above_deg_f(monkeypatch):
         f, T = col.triple.f, col.triple.T1
         tf = eval_transfer(col, N)
         K = poisson_kernel(f, T, N)
-        shifts = weighted_creation(f, N) + weighted_creation(f, N, "right")
+        shifts = weighted_creation(f, N)
         return [b_coefficients(f, N), tf.theta, K.matrix,
                 *[a for s in shifts for a in (s.target, s.weight)],
                 contraction_excess(tf), defect_identity_residual(tf),
@@ -560,7 +561,7 @@ def test_swap_transfer_is_lambda():
     col = swap_colligation()
     N = 5
     tf = eval_transfer(col, N)
-    lam = weighted_creation(Z, N, "right")
+    lam = right_creation(Z, N)
     assert np.linalg.norm(dense_block(tf, (1,)) - lam[0].dense(), 2) <= 1e-13
 
 
@@ -582,6 +583,7 @@ def test_constant_transfer_when_b_zero():
                       dims={"d1": 1, "d1p": 1, "d2": 1, "m1": 1, "m2": 1,
                             "pad_e": 0, "pad_u": 0, "pad_v": 0},
                       unitarity_residual=0.0, prescribed_residual=0.0,
+                      fallback_padding=False, partial=None,
                       triple=IntertwiningTriple(Z, Z,
                                                 OperatorTuple((np.zeros((1, 1)),)),
                                                 OperatorTuple((np.zeros((1, 1)),)),

@@ -4,10 +4,9 @@ import dataclasses
 import pytest
 from hypothesis import given, strategies as st
 
-from ncdomains.words import (EMPTY, check_word, enumerate_words, fock_size,
-                             reverse, words_of_lengths)
+from ncdomains.words import EMPTY, check_word, enumerate_words, fock_size, words_of_lengths
 
-from conftest import word_index
+from conftest import reverse, word_index
 
 
 def graded_lex_key(w: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
