@@ -50,16 +50,18 @@ class IntertwiningTriple:
             raise ValueError("T2 must map the space of T1' into the space of T1")
         if self.g.degree >= 2 and self.T2.rows != self.T2.cols:
             raise ValueError("deg g >= 2 requires a square intertwining tuple")
-        res = self.cross_residual()
+        res = intertwining_residual(self.T1, self.T1p, self.T2)
         if res > 1e-8:
             raise ValueError(f"intertwining residual {res:.3e} exceeds tol 1.0e-08")
 
-    def cross_residual(self) -> float:
-        res = 0.0
-        for t2 in self.T2.mats:
-            for t1, t1p in zip(self.T1.mats, self.T1p.mats):
-                res = max(res, float(np.linalg.norm(t2 @ t1p - t1 @ t2, 2)))
-        return res
+
+def intertwining_residual(T1: OperatorTuple, T1p: OperatorTuple, T2: OperatorTuple) -> float:
+    """max ||T2_j T1'_i - T1_i T2_j|| over the letters i of T1, T1' and j of T2."""
+    res = 0.0
+    for t2 in T2.mats:
+        for t1, t1p in zip(T1.mats, T1p.mats):
+            res = max(res, float(np.linalg.norm(t2 @ t1p - t1 @ t2, 2)))
+    return res
 
 
 @dataclass(frozen=True)
@@ -88,21 +90,15 @@ def build_isometry(triple: IntertwiningTriple, tol: float = 1e-8) -> PartialIsom
     """
     f, g, T1, T1p, T2 = triple.f, triple.g, triple.T1, triple.T1p, triple.T2
     dd1 = defect(f, T1)
-    dd1p = defect(f, T1p)
+    dd1p = dd1 if T1p is T1 else defect(f, T1p)
     dd2 = defect(g, T2)
 
-    dom_blocks = [dd1.coords(dd1.delta)]
-    for w in coefficient_words(f):
-        a = f.coeffs.get(w, 0.0)
-        dom_blocks.append(np.sqrt(a) * dd2.coords(dd2.delta @ T1.word(w).conj().T))
-    ran_blocks = []
-    for w in coefficient_words(g):
-        c = g.coeffs.get(w, 0.0)
-        ran_blocks.append(np.sqrt(c) * dd1p.coords(dd1p.delta @ T2.word(w).conj().T))
-    ran_blocks.append(dd2.coords(dd2.delta))
-
-    dom = np.vstack(dom_blocks)
-    ran = np.vstack(ran_blocks)
+    dom = np.vstack([dd1.coords(dd1.delta)] + [
+        np.sqrt(f.coeffs.get(w, 0.0)) * dd2.coords(dd2.delta @ T1.word(w).conj().T)
+        for w in coefficient_words(f)])
+    ran = np.vstack([
+        np.sqrt(g.coeffs.get(w, 0.0)) * dd1p.coords(dd1p.delta @ T2.word(w).conj().T)
+        for w in coefficient_words(g)] + [dd2.coords(dd2.delta)])
     gram_res = float(np.linalg.norm(dom.conj().T @ dom - ran.conj().T @ ran, 2))
     if gram_res > tol:
         raise ValueError(f"prescribed map is not isometric on its span "
@@ -249,9 +245,8 @@ def complete_to_unitary(partial: PartialIsometry) -> Colligation:
 
 
 def _delta1_hat(col: Colligation) -> np.ndarray:
-    p = col.partial
     d1 = col.dims["d1"]
-    return embed_inner(p.d1_defect.coords(p.d1_defect.delta), 1, d1, d1 + col.dims["pad_u"])
+    return embed_inner(col.partial.domain_vectors[:d1], 1, d1, d1 + col.dims["pad_u"])
 
 
 def series_terms(col: Colligation, p_max: int) -> list[np.ndarray]:
@@ -309,27 +304,20 @@ def series_term_by_words(col: Colligation, p: int) -> np.ndarray:
 def series_oracle(col: Colligation, p_max: int) -> VerificationReport:
     """Check the structural series against the stacked intertwining data.
 
-    Compares A Delta_1 + B sum_p term_p with diag(Delta_1') [sqrt(c_b) T2_b^*],
-    reports the residual and the theoretical tail ||Phi^{p_max+2}(I)||^{1/2},
+    Compares A Delta_1 + B sum_p term_p with the stored range rows diag(Delta_1')
+    [sqrt(c_b) T2_b^*], reports the residual and the tail ||Phi^{p_max+2}(I)||^{1/2},
     and cross-checks the nested-diag terms p <= 3 against the word-indexed
     expansion.
     """
     tol = 1e-10
-    triple = col.triple
-    f, g, T1, T1p, T2 = triple.f, triple.g, triple.T1, triple.T1p, triple.T2
-    p = col.partial
+    f, T1 = col.triple.f, col.triple.T1
     rep = VerificationReport("series-oracle", environment=dict(INTERPRETIVE_FLAGS))
     rep.environment.update({k: str(v) for k, v in col.dims.items()})
 
     terms = series_terms(col, p_max)
     rhs = col.A @ _delta1_hat(col) + sum(terms)
-    lhs_blocks = []
-    for w in coefficient_words(g):
-        c = g.coeffs.get(w, 0.0)
-        lhs_blocks.append(np.sqrt(c) * p.d1p_defect.coords(
-            p.d1p_defect.delta @ T2.word(w).conj().T))
-    d1p = col.dims["d1p"]
-    lhs = embed_inner(np.vstack(lhs_blocks), len(lhs_blocks), d1p, d1p + col.dims["pad_v"])
+    d1p, m2 = col.dims["d1p"], col.dims["m2"]
+    lhs = embed_inner(col.partial.range_vectors[:m2 * d1p], m2, d1p, d1p + col.dims["pad_v"])
     residual = float(np.linalg.norm(lhs - rhs, 2))
     tail = float(np.linalg.norm(phi_identity_power(f, T1, p_max + 2), 2)) ** 0.5
     rep.add_residual("series_vs_intertwining", residual, max(tol, tail + tol))

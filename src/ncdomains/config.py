@@ -97,7 +97,7 @@ def parse_polynomial(obj, where: str) -> RegularPolynomial:
         raise ConfigError(f"{where}: {exc}") from None
 
 
-def parse_operator_tuple(obj, where: str, base: str = ".") -> OperatorTuple:
+def parse_operator_tuple(obj, where: str, base: str) -> OperatorTuple:
     """A list of matrices; each is inline [[...]] rows or a path string."""
     if not isinstance(obj, list) or not obj:
         raise ConfigError(f"{where}: expected a nonempty list of matrices")

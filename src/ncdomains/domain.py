@@ -4,13 +4,15 @@ weighted creation operators.
 A positive regular polynomial f = sum a_w Z_w (no constant term, strictly
 positive single-letter coefficients) defines
 
-* the regular domain: tuples X with  sum a_w X_w X_w* <= I,
-* the weights b_w of the inverse series (1 - f)^{-1},
-* the weighted left creation operators W_i on the truncated Fock space, stored
-  as weighted shifts (a target index and a weight per basis vector) rather
-  than as dense matrices.  No right creations L_i e_w = sqrt(b_w / b_{w g_i})
-  e_{w g_i} are built: ``transfer._columns`` applies their words by level
-  arithmetic.
+* the regular domain: tuples X with Phi_{f,X}(I) = sum a_w X_w X_w* <= I, Phi_{f,X} the
+  completely positive map of ``apply_phi`` (membership: ``domain_membership``),
+* the weights b_w of the inverse series (1 - f)^{-1}, one read-only array in word-table
+  order built a level at a time (``b_coefficients``),
+* the weighted left creation operators W_i on the truncated Fock space, stored as weighted
+  shifts (a target index, by level arithmetic, and a weight per basis vector), not as
+  dense matrices.  The right creations L_i are not built: ``transfer._columns`` applies
+  their words by level arithmetic, and the tests build them from word lookups as an
+  oracle.  No runtime path reads a word table above level deg f.
 
 Truncation semantics: creation operators are compressions to levels <= N, so
 the top level maps to 0.  Identities that involve only adjoints of creation

@@ -15,8 +15,9 @@ for every matrix of polynomials in the two tuples, and the analogous bound
 with the roles of T1 and T2 swapped (the harness reports the minimum).  On
 f = g = z the bound by sup over the torus of ||p|| is checked on the dilation's
 distinguished variety (``von_neumann_check``).
-A ``PairDilation`` stores the coefficient table of the transfer function, the
-kernel and the variety model (if any); W comes from f and N as index maps.
+A ``CommutingPair`` is validated on construction as the triple (f, g, T1, T1, T2) that
+``ando_dilation`` dilates.  A ``PairDilation`` stores the transfer table, the kernel and
+the variety model (if any); W comes from f and N as index maps.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .colligation import (IntertwiningTriple, build_isometry, colligation_report,
-                          complete_to_unitary, embed_inner)
+                          complete_to_unitary, embed_inner, intertwining_residual)
 from .domain import (OperatorTuple, RegularPolynomial, apply_phi, kron_identity_matmul,
                      purity_horizon, weighted_creation)
 from .poisson import poisson_kernel
@@ -145,6 +146,8 @@ def grid_sup_norm(p: BiPolynomial, resolution: int) -> float:
 
 @dataclass(frozen=True)
 class CommutingPair:
+    """A pair in D_f x_c D_g, validated on construction as its triple (f, g, T1, T1, T2)."""
+
     f: RegularPolynomial
     g: RegularPolynomial
     T1: OperatorTuple
@@ -153,9 +156,11 @@ class CommutingPair:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        res = cross_commutation_residual(self.T1, self.T2)
-        if res > 1e-8:
-            raise ValueError(f"tuples do not commute entrywise (residual {res:.3e})")
+        self.triple  # built, and so validated, once
+
+    @functools.cached_property
+    def triple(self) -> IntertwiningTriple:
+        return IntertwiningTriple(self.f, self.g, self.T1, self.T1, self.T2)
 
     def swapped(self) -> "CommutingPair":
         return CommutingPair(self.g, self.f, self.T2, self.T1,
@@ -163,11 +168,7 @@ class CommutingPair:
 
 
 def cross_commutation_residual(T1: OperatorTuple, T2: OperatorTuple) -> float:
-    res = 0.0
-    for a in T1.mats:
-        for b in T2.mats:
-            res = max(res, float(np.linalg.norm(a @ b - b @ a, 2)))
-    return res
+    return intertwining_residual(T1, T1, T2)
 
 
 def scale_into_domain(f: RegularPolynomial, T: OperatorTuple, target: float) -> OperatorTuple:
@@ -373,8 +374,7 @@ def ando_dilation(pair: CommutingPair, N: int | None = None,
     """
     f, g, T1, T2 = pair.f, pair.g, pair.T1, pair.T2
     N = N if N is not None else choose_truncation(f, T1)
-    triple = IntertwiningTriple(f, g, T1, T1, T2)
-    col = complete_to_unitary(build_isometry(triple, tol=max(tol, 1e-8)))
+    col = complete_to_unitary(build_isometry(pair.triple, tol=max(tol, 1e-8)))
     tf = eval_transfer(col, N)
 
     r = max(tf.r_out, tf.r_in)

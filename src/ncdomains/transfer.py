@@ -19,13 +19,15 @@ the Fourier round trip checks it against the closed form ``realization``.
 The Fock space is addressed by level arithmetic (``words.fock_size``), never
 by word lookups: the table is built a level at a time, and every reader follows
 one column plan (``_columns``): L_{u~} e_y = sqrt(b_y / b_{yu}) e_{yu}, the row
-of yu arithmetic in graded-lex order.  The row Gram is added in place through
-views of its level blocks, and the defect identity is read as a Frobenius norm.
-Only ``_scatter`` forms dense blocks, on the first dense read of a ``PairDilation.right``.
+of yu arithmetic in graded-lex order.  Its readers are the scatter, the row Gram (added
+in place through views of its level blocks), phi_(w)^* X level by level (the dilation
+identity; X^* psi X on a variety model) and the multi-analyticity bound.  The defect
+identity is read as a Frobenius norm.  Only ``_scatter`` forms dense blocks, on the first
+dense read of a ``PairDilation.right``; the N-level dense phi_(w) is a test oracle.
 
 By the defect identity the row Gram G is I minus a matrix of rank at most w,
-so its lambda_max (contraction check, psi ellipsoid gap) is read
-as the certified Ritz value theta of ``_lambda_max``: Lanczos until its
+so its lambda_max (contraction check, psi ellipsoid gap, the tests' lift norm) is
+read as the certified Ritz value theta of ``_lambda_max``: Lanczos until its
 Krylov space closes, then the Rayleigh-Ritz residual R of that space
 certifies theta <= lambda_max <= theta + delta with no factorization.
 
@@ -359,12 +361,6 @@ def _residual_norm(gram: np.ndarray, basis: np.ndarray, s: np.ndarray, theta: fl
     return float(np.sqrt(total))
 
 
-def _row_norm(tf: TransferFunction) -> float:
-    """||[phi_(w) : all w]|| = sqrt(theta), theta the certified Ritz value of
-    ``_lambda_max`` on the row Gram of all rows: lambda_max <= theta + delta."""
-    return float(np.sqrt(max(_lambda_max(_row_gram(tf, tf.N)), 0.0)))
-
-
 def _row_adjoint(table: np.ndarray, f: RegularPolynomial, K: int, x: np.ndarray) -> np.ndarray:
     """(sum_u L_{u~} (x) table[k])^* x with no dense block: row block y is
     sum_u sqrt(b_y / b_{yu}) table[k]^* x_{yu}, x_{yu} row block yu of x."""
@@ -443,7 +439,7 @@ def contraction_excess(tf: TransferFunction) -> float:
     """max(0, sigma_max(full transfer row) - 1), from the row Gram of the table;
     sigma_max^2 is the certified Ritz value theta of ``_lambda_max``, so the
     true lambda_max of the Gram is at most theta + delta."""
-    return max(0.0, _row_norm(tf) - 1.0)
+    return max(0.0, float(np.sqrt(max(_lambda_max(_row_gram(tf, tf.N)), 0.0))) - 1.0)
 
 
 def dilation_identity_report(tf: TransferFunction, K1: PoissonKernel,

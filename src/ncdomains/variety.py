@@ -12,13 +12,14 @@ unconstrained one onto N_J.
 For homogeneous generators J is graded: W_i raises the level by one, so
 J_m = sum_i W_i J_{m-1} + span{ q_s(W) e_v : |v| = m - deg q_s }.  N_J is then
 co-invariant (W_i^* N_J in N_J), and its level m is cut from the n d_{m-1}
-vectors W_i (W_i^* W_i)^{-1} N_{m-1} by the generator columns at level m, read
-as the frame rows at the shift targets: one thin QR and one SVD of an
-(n d_{m-1})-row block per level, with no basis of J.  The model basis is the
-level complements b_m in level order, and B_i is formed a level at a time as
-b_{m+1}^* (W_i b_m).  Other generators go through one SVD of the whole span.
-Both use one rank rule: a singular value counts when it exceeds 1e-9 times the
-largest one of its block.
+vectors W_i (W_i^* W_i)^{-1} N_{m-1} by the generator columns at level m, read as the
+frame rows at the shift targets: one thin QR and one SVD of an (n d_{m-1})-row block per
+level, with no basis of J and no Fock-row generator block.  The model basis is the level
+complements b_m in level order, and B_i is formed a level at a time as b_{m+1}^* (W_i b_m).
+Other generators go through one SVD of the whole span.  Both use one rank rule: a singular
+value counts when it exceeds 1e-9 times the largest one of its block.  Constrained kernels
+are applied as (P (x) I) K by reshape, not ``kron``; the right compressions P L_i P are
+not built (the tests keep them as an oracle).
 
 Truncation semantics: the span above is only reliable at levels
 |u| + deg q_s + |v| <= N, so levels within max(deg q_s) of the boundary are

@@ -9,7 +9,8 @@ from ncdomains import (BiPolynomial, Colligation, IntertwiningTriple, OperatorTu
                        dilation_identity_report, enumerate_words, eval_transfer,
                        poisson_kernel, weighted_creation)
 from ncdomains.harness import choose_truncation, scale_into_domain
-from ncdomains.transfer import _columns, _row_norm, _scatter, multi_analytic_residual
+from ncdomains.transfer import (_columns, _lambda_max, _row_gram, _scatter,
+                                multi_analytic_residual)
 from ncdomains.variety import VarietyModel
 from ncdomains.words import EMPTY, Word, WordTable
 
@@ -164,7 +165,7 @@ def commutant_lifting(f: RegularPolynomial, T1: OperatorTuple, T1p: OperatorTupl
     K1 = poisson_kernel(f, T1, N)
     K1p = poisson_kernel(f, T1p, N)
     rep.extend(dilation_identity_report(tf, K1, K1p, tol=1e-7), prefix="")
-    lift_norm = _row_norm(tf)
+    lift_norm = float(np.sqrt(max(_lambda_max(_row_gram(tf, tf.N)), 0.0)))
     rep.environment["lift_norm"] = repr(lift_norm)
     rep.add_residual("lift_norm_vs_A", abs(lift_norm - 1.0), 1e-8)
     rep.add_residual("lift_multi_analytic", multi_analytic_residual(tf, (1,)), 1e-7)

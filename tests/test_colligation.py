@@ -4,6 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
+import ncdomains.colligation
 from ncdomains import (IntertwiningTriple, OperatorTuple, RegularPolynomial,
                        build_isometry, complete_to_unitary, series_oracle)
 from ncdomains.colligation import (Colligation, _delta1_hat, series_term_by_words,
@@ -41,6 +42,24 @@ def test_scalar_swap_example():
     assert np.allclose(colligation_matrix(col), [[0.0, 1.0], [1.0, 0.0]], atol=1e-12)
     assert col.unitarity_residual <= 1e-12
     assert col.prescribed_residual <= 1e-12
+
+
+def test_build_isometry_reuses_the_defect_of_t1_as_that_of_t1p(monkeypatch):
+    """An Ando triple (T1' is T1) computes T1's defect once and T2's once; an equal
+    but distinct T1' still gets its own defect."""
+    calls = []
+    defect = ncdomains.colligation.defect
+    monkeypatch.setattr(ncdomains.colligation, "defect",
+                        lambda f, T: calls.append(T) or defect(f, T))
+    triple = nilpotent_triple(3, 4)
+    ando = build_isometry(triple)
+    assert len(calls) == 2 and ando.d1p_defect is ando.d1_defect
+    calls.clear()
+    T1p = OperatorTuple(tuple(m.copy() for m in triple.T1.mats))
+    distinct = build_isometry(dataclasses.replace(triple, T1p=T1p))
+    assert len(calls) == 3
+    assert np.array_equal(distinct.domain_vectors, ando.domain_vectors)
+    assert np.array_equal(distinct.range_vectors, ando.range_vectors)
 
 
 def test_complete_to_unitary_rejects_row_mismatch():

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ncdomains.colligation
 import ncdomains.harness
 import ncdomains.parallel
 import ncdomains.transfer
@@ -82,6 +83,33 @@ def test_random_pairs_commute_and_are_members():
             assert cross_commutation_residual(pair.T1, pair.T2) <= 1e-10
             assert domain_membership(Z, pair.T1).in_domain
             assert domain_membership(Z, pair.T2).in_domain
+
+
+@pytest.mark.parametrize("slot", ["T1", "T2"])
+def test_pair_refuses_a_wrong_length_when_constructed(slot):
+    """A tuple whose length misses its polynomial is refused by the pair's own triple,
+    before any dilation, even when its letters commute."""
+    letters = {"T1": (0.3 * np.eye(2),), "T2": (0.2 * np.eye(2),)}
+    letters[slot] = letters[slot] * 2
+    with pytest.raises(ValueError, match="length must match"):
+        CommutingPair(Z, Z, OperatorTuple(letters["T1"]), OperatorTuple(letters["T2"]))
+
+
+def test_non_commuting_pair_is_refused_with_the_triple_residual():
+    up, down = np.array([[0.0, 0.5], [0.0, 0.0]]), np.array([[0.0, 0.0], [0.5, 0.0]])
+    with pytest.raises(ValueError, match=r"intertwining residual 2\.500e-01 exceeds tol"):
+        CommutingPair(Z, Z, OperatorTuple((up,)), OperatorTuple((down,)))
+
+
+def test_battery_pair_checks_its_commutation_once_per_pair(monkeypatch):
+    """A battery pair and its swap each validate their triple; the two dilations
+    reuse those triples and compute no further residual."""
+    calls = []
+    residual = ncdomains.colligation.intertwining_residual
+    monkeypatch.setattr(ncdomains.colligation, "intertwining_residual",
+                        lambda *args: calls.append(args) or residual(*args))
+    ncdomains.harness._battery_pair(Z, Z, builtin_polys(), 1e-6, (0, "jointly-nilpotent", 3))
+    assert len(calls) == 2
 
 
 def test_unknown_kind_rejected():

@@ -19,7 +19,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "ncdomains"
 ALLOWED = {
     "cli.main(argv)",
     "colligation.build_isometry(tol)",
-    "config.parse_operator_tuple(base)",
     "config.ExperimentConfig.g",
     "config.ExperimentConfig.N",
     "config.ExperimentConfig.tol",
