@@ -119,6 +119,9 @@ def parse_operator_tuple(obj, where: str, base: str) -> OperatorTuple:
                 raise ConfigError(f"{loc}: {exc}") from None
         else:
             raise ConfigError(f"{loc}: expected a path or a nested list")
+        if 0 in mats[-1].shape:
+            raise ConfigError(f"{loc}: expected at least one row and one column, "
+                              f"got shape {mats[-1].shape}")
     try:
         return OperatorTuple(tuple(mats))
     except ValueError as exc:

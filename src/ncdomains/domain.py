@@ -308,15 +308,3 @@ def domain_membership(f: RegularPolynomial, T: OperatorTuple, tol: float = 1e-9)
         min_eig_ellipsoid=min_eig1,
     )
 
-
-def purity_horizon(f: RegularPolynomial, T: OperatorTuple) -> tuple[int, float]:
-    """Smallest m <= 48 with ||Phi^m(I)|| <= 1e-13, and that norm.
-
-    Returns (48, last norm) when the tolerance is unreachable within 48 steps.
-    """
-    nrm = 1.0  # ||Phi^0(I)||
-    for m, x in enumerate(phi_identity_iterates(f, T, 48), start=1):
-        nrm = float(np.linalg.norm(x, 2))
-        if nrm <= 1e-13:
-            return m, nrm
-    return 48, nrm

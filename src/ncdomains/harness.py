@@ -16,8 +16,9 @@ with the roles of T1 and T2 swapped (the harness reports the minimum).  On
 f = g = z the bound by sup over the torus of ||p|| is checked on the dilation's
 distinguished variety (``von_neumann_check``).
 A ``CommutingPair`` is validated on construction as the triple (f, g, T1, T1, T2) that
-``ando_dilation`` dilates.  A ``PairDilation`` stores the transfer table, the kernel and
-the variety model (if any); W comes from f and N as index maps.
+``ando_dilation`` dilates.  ``ando_dilation`` only assembles: a ``PairDilation`` stores
+the transfer table, the kernels and the variety model (if any), W comes from f and N as
+index maps, and its checks run on the first read of ``PairDilation.report``.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ import numpy as np
 from .colligation import (IntertwiningTriple, build_isometry, colligation_report,
                           complete_to_unitary, embed_inner, intertwining_residual)
 from .domain import (OperatorTuple, RegularPolynomial, apply_phi, kron_identity_matmul,
-                     purity_horizon, weighted_creation)
-from .poisson import poisson_kernel
+                     phi_identity_iterates, weighted_creation)
+from .poisson import PoissonKernel, poisson_kernel
 from .report import VerificationReport
 from .transfer import (TransferFunction, _lambda_max, _row_adjoint, _row_gram, _scatter,
                        dilation_identity_report, eval_transfer, multi_analytic_residual,
@@ -291,7 +292,8 @@ class PairDilation:
     kernel: np.ndarray     # columns: the (padded/compressed) Poisson kernel of T1
     transfer: TransferFunction
     variety: VarietyModel | None
-    report: VerificationReport
+    K1: PoissonKernel      # T1's unpadded kernel, read by the dilation identity
+    tol: float             # the tolerance ando_dilation was given
 
     @property
     def multiplicity(self) -> int:
@@ -314,6 +316,39 @@ class PairDilation:
         return DilatedTuple(self.pair.g.n, len(self.kernel), functools.partial(
             _psi, self.transfer, self.pair.g, self.variety, self.multiplicity))
 
+    @functools.cached_property
+    def report(self) -> VerificationReport:
+        """The checks of the dilation, run on the first read and kept.
+
+        psi_ellipsoid_min_eig is the least eigenvalue of I - sum_j c_j psi_j psi_j^*,
+        1 - lambda_max of the Gram of the content rows: the padded rows only add
+        the eigenvalue 1.  Without a variety model the Gram comes from the
+        coefficient table (transfer._row_gram), with one from the compressed psi_j
+        of ``right`` (its padded rows are zero; _lambda_max drops the exactly-zero
+        rows).  lambda_max is read as the certified Ritz value theta of
+        transfer._lambda_max, lambda_max <= theta + delta, with no factorization.
+
+        psi{j}_multi_analytic checks the shift structure of the table, the bound
+        of transfer.multi_analytic_residual, not the dense letters of ``right``;
+        nothing in this report compares the dense psi with the table.
+        """
+        tf, g, tol = self.transfer, self.pair.g, self.tol
+        rep = VerificationReport("pair-dilation", environment={
+            "N": str(self.N), "r": str(self.multiplicity), "kind": self.pair.kind,
+            "seed": str(self.pair.seed)})
+        rep.extend(colligation_report(tf.colligation), prefix="colligation_")
+        rep.add_residual("kernel_isometry", float(np.linalg.norm(
+            self.kernel.conj().T @ self.kernel - np.eye(self.pair.T1.dim), 2)), max(tol, 1e-7))
+        rep.extend(dilation_identity_report(tf, self.K1, self.K1, tol=max(tol, 1e-7)))
+        for j in range(1, g.n + 1):
+            rep.add_residual(f"psi{j}_multi_analytic", multi_analytic_residual(tf, (j,)),
+                             max(tol, 1e-7))
+        gram = (_row_gram(tf, self.N, [(j,) for j in range(1, g.n + 1)]) if self.variety is None
+                else sum(g.coeffs[(j,)] * (m @ m.conj().T)
+                         for j, m in enumerate(self.right.mats, 1)))
+        rep.add_slack("psi_ellipsoid_min_eig", 1.0 - _lambda_max(gram), 1e-8)
+        return rep
+
 
 def _psi(tf: TransferFunction, g: RegularPolynomial, model: VarietyModel | None,
          r: int) -> tuple[np.ndarray, ...]:
@@ -333,9 +368,13 @@ def _psi(tf: TransferFunction, g: RegularPolynomial, model: VarietyModel | None,
 
 
 def choose_truncation(f: RegularPolynomial, T: OperatorTuple) -> int:
-    """Truncation level from the purity decay of T (plus a one-level margin), refused
+    """Truncation level from the purity decay of T: N = m + 1 for the smallest m <= 48 with
+    ||Phi^m(I)|| <= 1e-13 (else m = 48), accepted when ||Phi^m(I)|| <= 1e-6, and refused
     before anything is built when its Fock space has more than MAX_CHOSEN_WORDS words."""
-    m, tail = purity_horizon(f, T)
+    for m, x in enumerate(phi_identity_iterates(f, T, 48), start=1):
+        tail = float(np.linalg.norm(x, 2))
+        if tail <= 1e-13:
+            break
     if tail > 1e-6:
         raise ValueError(f"tuple is not pure enough for a truncated dilation "
                          f"(||Phi^{m}(I)|| = {tail:.3e})")
@@ -355,24 +394,13 @@ def ando_dilation(pair: CommutingPair, N: int | None = None,
     roots of their coefficients, are embedded into a common inner dimension
     r = max(r_out, r_in); padding coordinates carry no content, so the
     compression identities are unaffected.  The dilation keeps the table; its dense
-    psi is built only on a dense read of ``right`` (here, the variety branch's Gram).
-
-    psi_ellipsoid_min_eig is the least eigenvalue of I - sum_j c_j psi_j psi_j^*,
-    1 - lambda_max of the Gram of the content rows: the padded rows only add
-    the eigenvalue 1.  Without a variety model the Gram comes from the
-    coefficient table (transfer._row_gram), with one from the compressed psi_j
-    (its padded rows are zero; _lambda_max drops the exactly-zero rows).
-    lambda_max is read as the certified Ritz value theta of
-    transfer._lambda_max, lambda_max <= theta + delta, with no factorization.
-
-    psi{j}_multi_analytic checks the shift structure of the table, the bound
-    of transfer.multi_analytic_residual, not the dense letters of ``right``;
-    nothing in this report compares the dense psi with the table.
+    psi is built only on a dense read of ``right``.  This assembles only: the checks
+    run on the first read of ``PairDilation.report``, with ``tol``.
 
     Given generators (``variety``, nonempty) the model is built from f at the
     chosen N, and the kernel is that of ``constrained_poisson``, padded to r.
     """
-    f, g, T1, T2 = pair.f, pair.g, pair.T1, pair.T2
+    f, T1 = pair.f, pair.T1
     N = N if N is not None else choose_truncation(f, T1)
     col = complete_to_unitary(build_isometry(pair.triple, tol=max(tol, 1e-8)))
     tf = eval_transfer(col, N)
@@ -382,22 +410,7 @@ def ando_dilation(pair: CommutingPair, N: int | None = None,
     model = build_variety(f, N, variety) if variety else None
     kmat = (embed_inner(K1.matrix, tf.fock_size, K1.multiplicity, r) if model is None else
             embed_inner(constrained_poisson(model, K1).matrix, model.dim, K1.multiplicity, r))
-    rep = VerificationReport("pair-dilation", environment={
-        "N": str(N), "r": str(r), "kind": pair.kind, "seed": str(pair.seed)})
-    dil = PairDilation(pair=pair, N=N, kernel=kmat, transfer=tf, variety=model, report=rep)
-    gram = (_row_gram(tf, N, [(j,) for j in range(1, g.n + 1)]) if model is None else
-            sum(g.coeffs[(j,)] * (m @ m.conj().T) for j, m in enumerate(dil.right.mats, 1)))
-    rep.extend(colligation_report(col), prefix="colligation_")
-    rep.add_residual("kernel_isometry",
-                     float(np.linalg.norm(kmat.conj().T @ kmat - np.eye(T1.dim), 2)),
-                     max(tol, 1e-7))
-    rep.extend(dilation_identity_report(tf, K1, K1, tol=max(tol, 1e-7)),
-               prefix="")
-    for j in range(1, g.n + 1):
-        rep.add_residual(f"psi{j}_multi_analytic", multi_analytic_residual(tf, (j,)),
-                         max(tol, 1e-7))
-    rep.add_slack("psi_ellipsoid_min_eig", 1.0 - _lambda_max(gram), 1e-8)
-    return dil
+    return PairDilation(pair=pair, N=N, kernel=kmat, transfer=tf, variety=model, K1=K1, tol=tol)
 
 
 # ---------------------------------------------------------------------------

@@ -32,20 +32,16 @@ class VerificationReport:
     checks: list[CheckRecord] = field(default_factory=list)
     environment: dict[str, str] = field(default_factory=dict)
 
-    def add_residual(self, name: str, value: float, tol: float) -> CheckRecord:
-        rec = CheckRecord(name, float(value), float(tol), bool(value <= tol), "residual")
-        self.checks.append(rec)
-        return rec
+    def add_residual(self, name: str, value: float, tol: float) -> None:
+        self.checks.append(CheckRecord(name, float(value), float(tol), bool(value <= tol),
+                                       "residual"))
 
-    def add_slack(self, name: str, value: float, tol: float) -> CheckRecord:
-        rec = CheckRecord(name, float(value), float(tol), bool(value >= -tol), "slack")
-        self.checks.append(rec)
-        return rec
+    def add_slack(self, name: str, value: float, tol: float) -> None:
+        self.checks.append(CheckRecord(name, float(value), float(tol), bool(value >= -tol),
+                                       "slack"))
 
-    def add_flag(self, name: str, ok: bool) -> CheckRecord:
-        rec = CheckRecord(name, 0.0 if ok else 1.0, 0.0, bool(ok), "flag")
-        self.checks.append(rec)
-        return rec
+    def add_flag(self, name: str, ok: bool) -> None:
+        self.checks.append(CheckRecord(name, 0.0 if ok else 1.0, 0.0, bool(ok), "flag"))
 
     def extend(self, other: "VerificationReport", prefix: str = "") -> None:
         for rec in other.checks:

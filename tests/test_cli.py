@@ -443,6 +443,18 @@ def test_cli_malformed_scalar_exit_code(tmp_path, capsys, field, patch):
     assert f"error: {field}:" in err
 
 
+@pytest.mark.parametrize("verb", ["check-model", "dilate", "verify"])
+def test_cli_zero_size_matrix_file_exit_code(tmp_path, capsys, verb):
+    """A '0 0' matrix file, which parse_matrix reads, for T1 and T2 exits 2 naming
+    matrices.T1[0], with no traceback and no pipeline_error."""
+    (tmp_path / "empty.txt").write_text("0 0\n")
+    mats = {"T1": ["empty.txt"], "T2": ["empty.txt"]}
+    assert main(["--config", scalar_config(tmp_path, matrices=mats), verb]) == 2
+    captured = capsys.readouterr()
+    assert "error: matrices.T1[0]: expected at least one row and one column" in captured.err
+    assert "Traceback" not in captured.err and "pipeline_error" not in captured.out
+
+
 @pytest.mark.parametrize("verb", ["dilate", "verify"])
 def test_cli_pair_shape_mismatch_exit_code(tmp_path, capsys, verb):
     """A 2x3 T2 against a 2x2 T1 exits 2 naming matrices.T2, not a pipeline_error."""

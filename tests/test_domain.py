@@ -4,9 +4,9 @@ from hypothesis import given, strategies as st
 
 from ncdomains import (OperatorTuple, RegularPolynomial, apply_phi, b_coefficients,
                        block_count, coefficient_words, domain_membership,
-                       phi_identity_power, purity_horizon, shift_word,
-                       weighted_creation)
+                       phi_identity_power, shift_word, weighted_creation)
 from ncdomains.domain import kron_identity_matmul
+from ncdomains.harness import choose_truncation
 from ncdomains.words import enumerate_words, fock_size, words_of_lengths
 
 from conftest import (b_by_word, b_recursion, creation, dense_creation, f_battery,
@@ -317,18 +317,22 @@ def test_membership_scalar():
 
 
 def test_purity_nilpotent():
+    """choose_truncation picks N = m + 1, m the first power with Phi^m(I) = 0."""
     T = random_nilpotent_tuple(0, 2, 4)
     f = RegularPolynomial(2, {(1,): 1.0, (2,): 1.0})
     assert not phi_identity_power(f, T, 6).any()
-    m, tail = purity_horizon(f, T)
-    assert m <= 4 and tail == 0.0
+    m = choose_truncation(f, T) - 1
+    assert m <= 4 and float(np.linalg.norm(phi_identity_power(f, T, m), 2)) == 0.0
 
 
 def test_purity_horizon_scalar():
+    """At T = 1/2, ||Phi^m(I)|| = 4^-m: m is the first power at or below 1e-13."""
     f = RegularPolynomial.single_variable([1.0])
     T = OperatorTuple((np.array([[0.5]]),))
-    m, tail = purity_horizon(f, T)
+    m = choose_truncation(f, T) - 1
+    tail = float(np.linalg.norm(phi_identity_power(f, T, m), 2))
     assert abs(0.25**m - tail) <= 1e-15 and tail <= 1e-13
+    assert float(np.linalg.norm(phi_identity_power(f, T, m - 1), 2)) > 1e-13
 
 
 def test_operator_tuple_word():

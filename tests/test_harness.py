@@ -112,6 +112,38 @@ def test_battery_pair_checks_its_commutation_once_per_pair(monkeypatch):
     assert len(calls) == 2
 
 
+DILATION_CHECKS = ("colligation_report", "dilation_identity_report", "multi_analytic_residual",
+                   "_lambda_max")
+
+
+def spy_checks(monkeypatch) -> list[str]:
+    """The names of the dilation checks called through ``harness`` from now on."""
+    calls = []
+    for name in DILATION_CHECKS:
+        real = getattr(ncdomains.harness, name)
+        monkeypatch.setattr(ncdomains.harness, name, lambda *args, name=name, real=real, **kw:
+                            calls.append(name) or real(*args, **kw))
+    return calls
+
+
+def test_battery_pair_builds_no_dilation_report(monkeypatch):
+    """ando_dilation only assembles and the battery reads no ``report``, so a battery
+    pair runs none of the dilation checks."""
+    calls = spy_checks(monkeypatch)
+    ncdomains.harness._battery_pair(Z, Z, builtin_polys(), 1e-6, (0, "jointly-nilpotent", 3))
+    assert calls == []
+
+
+def test_dilation_report_is_built_once_on_first_read(monkeypatch):
+    """The checks run on the first read of ``report``, once each, and the report is kept."""
+    calls = spy_checks(monkeypatch)
+    dil = ando_dilation(random_commuting_pair(0, 3, "jointly-nilpotent", Z, Z))
+    assert calls == []
+    rep = dil.report
+    assert rep is dil.report and rep.passed, rep.render()
+    assert sorted(calls) == sorted(DILATION_CHECKS)
+
+
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         random_commuting_pair(0, 3, "bogus", Z, Z)
@@ -454,7 +486,7 @@ def test_dilated_tuples_build_their_letters_once(monkeypatch):
     """``right`` knows its size without a scatter; its first dense read scatters each
     psi_j once, and a second read of ``mats`` or a ``word``, or of the dilation's
     ``right`` again, none.  On a variety model ``ncdomains verify`` reads ``right`` in
-    ando_dilation's Gram and in verify_inequality; the compressed psi is built once, one
+    the Gram of ``report`` and in verify_inequality; the compressed psi is built once, one
     ``_row_adjoint`` call per letter of g (g = z and g = 0.5 z1 + z2; minpoly and
     commutator models)."""
     dil = ando_dilation(random_commuting_pair(17, 3, "upper-triangular-commuting", Z, Z))
@@ -477,6 +509,7 @@ def test_dilated_tuples_build_their_letters_once(monkeypatch):
     models = [d for d in psi_dilations() if d.variety is not None]
     assert len(models) == 4 and {d.pair.g.n for d in models} == {1, 2}
     for d in models:
+        assert d.report.passed, d.report.render()
         verify_inequality(d.pair, builtin_bipolynomials(), d, tol=1e-6)
     assert len(calls) == sum(d.pair.g.n for d in models)
 
@@ -706,14 +739,16 @@ def test_transfer_checks_peak_below_one_dense_block():
 
 def test_ando_dilation_peak_below_one_padded_psi_block():
     """Memory guard at the twovar pair shape (f = z1 + z2, N = 6, r = 8): under
-    tracemalloc ando_dilation peaks below one padded psi block, 1016 x 1016
-    complex or 16.5 MB, and the dilation it returns holds less than 1 MB."""
+    tracemalloc ando_dilation and the first read of its ``report`` peak below one
+    padded psi block, 1016 x 1016 complex or 16.5 MB, and the dilation with its
+    report holds less than 1 MB."""
     f_pair = RegularPolynomial(2, {(1,): 1.0, (2,): 1.0})
     tr = commuting_triple(6, 4, f_pair)
     pair = CommutingPair(f_pair, Z, tr.T1, tr.T2)
     tracemalloc.start()
     try:
         dil = ando_dilation(pair, N=6)
+        assert dil.report.passed, dil.report.render()
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

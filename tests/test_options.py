@@ -6,12 +6,14 @@ that tests must cover.  The set is pinned here: a new option fails this test
 until it is added to ``ALLOWED`` on purpose, and a removed one until it is
 taken out.
 
-Every module-level function, class or constant of the package needs a reader
-in the package or the benchmark; code that only tests read belongs in the tests.
+Every module-level function, class or constant of the package, and every method,
+property, class attribute or dataclass field of its classes, needs a reader in
+the package or the benchmark; code that only tests read belongs in the tests.
 """
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ncdomains"
@@ -106,7 +108,7 @@ def _read_names(node: ast.AST) -> set[str]:
 
 
 def _defined_names(stmt: ast.stmt) -> list[str]:
-    """The module-level function, class or constant a statement defines, if any."""
+    """The function, class or constant a module- or class-level statement defines, if any."""
     if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
         return [stmt.name]
     targets = (stmt.targets if isinstance(stmt, ast.Assign)
@@ -114,12 +116,23 @@ def _defined_names(stmt: ast.stmt) -> list[str]:
     return [t.id for t in targets if isinstance(t, ast.Name) and not t.id.startswith("__")]
 
 
+def _attribute_reads(node: ast.AST) -> Counter:
+    """How often each name is read as an attribute, ``x.name``, inside a node."""
+    return Counter(sub.attr for sub in ast.walk(node)
+                   if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load))
+
+
 def unread_members() -> set[str]:
     """module.member for each module-level function, class or constant of the
     package that nothing reads.  A reader is a statement of another module
     (``__init__`` re-exports do not count), another top-level statement of the
     same module, or a whole-word mention in ``bench/*.py``, whose tracer keys
-    metrics on members by name."""
+    metrics on members by name.
+
+    module.Class.member for each method, property, class attribute or dataclass
+    field of a class (dunder names left out) that nothing reads: a reader is an
+    attribute read ``x.member`` outside the member's own statement, anywhere in
+    the package, or a whole-word ``.member`` in ``bench/*.py``."""
     modules = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     reads = {stem: [(stmt, _read_names(stmt)) for stmt in tree.body]
              for stem, tree in modules.items()}
@@ -133,6 +146,15 @@ def unread_members() -> set[str]:
             unread.update(f"{stem}.{name}" for name in _defined_names(stmt)
                           if name not in read
                           and not re.search(rf"\b{re.escape(name)}\b", bench))
+    package = sum((_attribute_reads(tree) for tree in modules.values()), Counter())
+    for stem, tree in modules.items():
+        for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+            for stmt in cls.body:
+                own = _attribute_reads(stmt)
+                unread.update(f"{stem}.{cls.name}.{name}" for name in _defined_names(stmt)
+                              if not (name.startswith("__") and name.endswith("__"))
+                              and package[name] == own[name]
+                              and not re.search(rf"\.{re.escape(name)}\b", bench))
     return unread
 
 
