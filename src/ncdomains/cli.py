@@ -25,7 +25,8 @@ import sys
 
 import numpy as np
 
-from .config import DEFAULT_TOL_ENV, KNOBS, ConfigError, ExperimentConfig, knob_value
+from .config import (DEFAULT_TOL_ENV, KNOBS, ConfigError, ExperimentConfig, default_tolerance,
+                     knob_value)
 from .domain import RegularPolynomial, domain_membership, phi_identity_power
 from .harness import (CommutingPair, PairDilation, ando_dilation, builtin_polys, run_battery,
                       verify_inequality)
@@ -169,6 +170,8 @@ def main(argv: list[str] | None = None) -> int:
         else:
             cfg = ExperimentConfig(f=Z, g=Z)
         cfg = _merge(cfg, ns)
+        if cfg.tol is None:
+            cfg.tol = default_tolerance()
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -217,7 +217,7 @@ class ExperimentConfig:
     f: RegularPolynomial
     g: RegularPolynomial | None = None
     N: int | None = None
-    tol: float = field(default_factory=default_tolerance)
+    tol: float | None = None  # None: the CLI reads default_tolerance() when no flag or key sets it
     seed: int = 0
     count: int = 10
     dims: list[int] = field(default_factory=lambda: [2, 3, 4])

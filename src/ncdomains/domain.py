@@ -4,8 +4,8 @@ weighted creation operators.
 A positive regular polynomial f = sum a_w Z_w (no constant term, strictly
 positive single-letter coefficients) defines
 
-* the regular domain: tuples X with Phi_{f,X}(I) = sum a_w X_w X_w* <= I, Phi_{f,X} the
-  completely positive map of ``apply_phi`` (membership: ``domain_membership``),
+* the regular domain: tuples X with Phi_{f,X}(I) = sum a_w X_w X_w* <= I, by ``apply_phi``
+  (membership: ``domain_membership``; the iterates Phi^m(I): ``phi_identity_iterates``),
 * the weights b_w of the inverse series (1 - f)^{-1}, one read-only array in word-table
   order built a level at a time (``b_coefficients``),
 * the weighted left creation operators W_i on the truncated Fock space, stored as weighted
@@ -250,38 +250,27 @@ def weighted_left_creation(f: RegularPolynomial, N: int) -> tuple[WeightedShift,
     return weighted_creation(f, N)
 
 
-def apply_phi(f: RegularPolynomial, T: OperatorTuple,
-              X: np.ndarray | None = None) -> np.ndarray:
-    """The completely positive map sum_{1<=|w|<=k} a_w T_w X T_w^*.
+def apply_phi(f: RegularPolynomial, T: OperatorTuple) -> np.ndarray:
+    """Phi_{f,T}(I) = sum_{1<=|w|<=k} a_w T_w T_w^*, the first of ``phi_identity_iterates``.
 
-    ``T`` may be rectangular (maps H' -> H); then X acts on H' and the result
-    on H, and words of length >= 2 require square matrices.  Without X this is
-    Phi(I) = sum a_w T_w T_w^*, with no product by the identity.
+    ``T`` may be rectangular (maps H' -> H) when deg f = 1; the result acts on H.
     """
-    if T.n != f.n:
-        raise ValueError(f"tuple length {T.n} does not match the {f.n} indeterminates of f")
-    if X is not None:
-        X = np.asarray(X, dtype=complex)
-        if X.shape != (T.cols, T.cols):
-            raise ValueError(f"argument shape {X.shape} does not match tuple domain {T.cols}")
-    if f.degree >= 2 and T.rows != T.cols:
-        raise ValueError("degree >= 2 terms need a square operator tuple")
-    out = np.zeros((T.rows, T.rows), dtype=complex)
-    for w, a in f.coeffs.items():
-        tw = T.word(w)
-        out += a * ((tw if X is None else tw @ X) @ tw.conj().T)
-    return out
+    return next(phi_identity_iterates(f, T, 1))
 
 
 def phi_identity_iterates(f: RegularPolynomial, T: OperatorTuple,
-                         m_max: int) -> Iterator[np.ndarray]:
-    """Phi(I), Phi^2(I), ..., Phi^{m_max}(I), one at a time."""
-    if m_max < 1:
-        return
-    x = apply_phi(f, T)
-    yield x
-    for _ in range(m_max - 1):
-        x = apply_phi(f, T, x)
+                          m_max: int) -> Iterator[np.ndarray]:
+    """Phi(I), Phi^2(I), ..., Phi^{m_max}(I), one at a time, for the completely positive
+    map Phi(X) = sum_{1<=|w|<=k} a_w T_w X T_w^*.  T's words are formed once, and each
+    iterate is computed only when it is asked for."""
+    if T.n != f.n:
+        raise ValueError(f"tuple length {T.n} does not match the {f.n} indeterminates of f")
+    if f.degree >= 2 and T.rows != T.cols:
+        raise ValueError("degree >= 2 terms need a square operator tuple")
+    terms = [(a, T.word(w)) for w, a in f.coeffs.items()]
+    x = None
+    for _ in range(m_max):
+        x = sum(a * ((tw if x is None else tw @ x) @ tw.conj().T) for a, tw in terms)
         yield x
 
 

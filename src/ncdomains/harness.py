@@ -173,33 +173,20 @@ def cross_commutation_residual(T1: OperatorTuple, T2: OperatorTuple) -> float:
 
 
 def scale_into_domain(f: RegularPolynomial, T: OperatorTuple, target: float) -> OperatorTuple:
-    """Scale T so that lambda_max(Phi_{f,sT}(I)) is at most `target` (< 1).
+    """sT with s = sqrt(target / lambda_max(Phi_{f,T}(I))), so that lambda_max(Phi_{f,sT}(I))
+    is at most `target` (< 1).  Tuples already at or below the target are returned unchanged.
 
-    Phi grows monotonically in the scale, so a bisection suffices.  It stops
-    once the midpoint rounds to an end of the interval: no later step can
-    change the interval then.  Tuples already below the target are returned
-    unchanged.
+    Every word of f has length >= 1, so Phi_{f,sT}(I) <= s^2 Phi_{f,T}(I) for s <= 1: the
+    scale is exact when deg f = 1, and above that the provable one, not the largest one.
     """
     if not 0.0 < target < 1.0:
         raise ValueError("target must lie in (0, 1)")
-
-    def top(s: float) -> float:
-        st = OperatorTuple(tuple(s * m for m in T.mats))
-        val = apply_phi(f, st)
-        return float(np.linalg.eigvalsh((val + val.conj().T) / 2).max())
-
-    if top(1.0) <= target:
+    val = apply_phi(f, T)
+    top = float(np.linalg.eigvalsh((val + val.conj().T) / 2).max())
+    if top <= target:
         return T
-    lo, hi = 0.0, 1.0
-    for _ in range(80):
-        mid = (lo + hi) / 2
-        if mid in (lo, hi):
-            break
-        if top(mid) <= target:
-            lo = mid
-        else:
-            hi = mid
-    return OperatorTuple(tuple(lo * m for m in T.mats))
+    s = float(np.sqrt(target / top))
+    return OperatorTuple(tuple(s * m for m in T.mats))
 
 
 PAIR_KINDS = ("jointly-nilpotent", "polynomial-of-single", "upper-triangular-commuting")
@@ -216,8 +203,10 @@ def random_commuting_pair(seed: int, dim: int, kind: str,
     * upper-triangular-commuting: both quadratic polynomials (with constant
       term) in a common strictly upper N.
 
-    Both tuples are rescaled into their domains; nilpotent pairs to level
-    0.9, others to 0.4 so that truncated checks converge quickly.
+    Both tuples are rescaled into their domains by ``scale_into_domain``: nilpotent pairs
+    to level 0.9, others to 0.4 so that truncated checks converge quickly.  The level is
+    reached when deg f = 1; for deg f >= 2 the scale is the provable one, so the level
+    lambda_max(Phi(I)) is at most 0.9 or 0.4.
     """
     if f.n != 1 or g.n != 1:
         raise ValueError("the pair generators are single-variable")

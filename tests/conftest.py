@@ -172,6 +172,26 @@ def commutant_lifting(f: RegularPolynomial, T1: OperatorTuple, T1p: OperatorTupl
     return rep
 
 
+def phi_map(f: RegularPolynomial, T: OperatorTuple, X: np.ndarray) -> np.ndarray:
+    """The oracle of ``phi_identity_iterates``: Phi_{f,T}(X) = sum a_w T_w X T_w^*, every
+    word formed anew."""
+    return sum(a * (T.word(w) @ X @ T.word(w).conj().T) for w, a in f.coeffs.items())
+
+
+def bisection_scale(f: RegularPolynomial, T: OperatorTuple, target: float) -> float:
+    """The oracle of ``scale_into_domain``: the scale s in [0, 1] of T, after 80 bisection
+    steps, with lambda_max(Phi_{f,sT}(I)) <= target."""
+    def top(s: float) -> float:
+        val = phi_map(f, OperatorTuple(tuple(s * m for m in T.mats)), np.eye(T.cols))
+        return float(np.linalg.eigvalsh((val + val.conj().T) / 2).max())
+
+    lo, hi = 0.0, 1.0
+    for _ in range(80):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if top(mid) <= target else (lo, mid)
+    return lo
+
+
 def random_nilpotent_tuple(seed: int, n: int, dim: int,
                            f: RegularPolynomial | None = None,
                            target: float = 0.9) -> OperatorTuple:

@@ -106,7 +106,7 @@ def test_criterion_2_vacuum_projection():
     for f in f_battery():
         W = OperatorTuple(tuple(s.dense() for s in weighted_creation(f, N)))
         size = W.rows
-        gap = np.eye(size, dtype=complex) - apply_phi(f, W, np.eye(size, dtype=complex))
+        gap = np.eye(size, dtype=complex) - apply_phi(f, W)
         proj = np.zeros((size, size), dtype=complex)
         proj[0, 0] = 1.0
         top = fock_size(f.n, N - f.degree)

@@ -408,6 +408,19 @@ def test_cli_config_without_tol_uses_env(tmp_path, capsys, monkeypatch):
     assert "warning" not in captured.err
 
 
+def test_cli_malformed_env_tol_is_read_only_when_it_sets_the_tolerance(tmp_path, capsys,
+                                                                      monkeypatch):
+    """NCDOMAINS_TOL applies when neither the file nor --tol gives a tolerance; a
+    malformed value is refused (exit 2, naming it) only then."""
+    monkeypatch.setenv("NCDOMAINS_TOL", "abc")
+    assert main(["--tol", "1e-6", "battery", "--count", "1", "--dims", "2"]) == 0
+    assert "error" not in capsys.readouterr().err
+    assert main(["--config", scalar_config(tmp_path, tol=1e-6), "check-model"]) == 0
+    assert "env tol=1e-06" in capsys.readouterr().out
+    assert main(["--config", scalar_config(tmp_path), "check-model"]) == 2
+    assert "NCDOMAINS_TOL: expected float" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("field, patch", [
     ("N", {"N": "x"}),
     ("tol", {"tol": "tight"}),

@@ -11,7 +11,7 @@ from ncdomains.colligation import (Colligation, _delta1_hat, series_term_by_word
                                    solve_padding)
 from ncdomains.domain import coefficient_words
 
-from conftest import colligation_matrix, random_nilpotent_tuple
+from conftest import colligation_matrix, phi_map, random_nilpotent_tuple
 
 Z = RegularPolynomial.single_variable([1.0])
 
@@ -87,13 +87,13 @@ def test_gram_identity_random_triples():
 
 def test_defect_identity_direct():
     """Delta1^2 + Phi_f(Delta2^2) = Phi_g(Delta1'^2) + Delta2^2 for triples."""
-    from ncdomains import apply_phi, defect
+    from ncdomains import defect
     tr = nilpotent_triple(4, 4)
     d1 = defect(tr.f, tr.T1).delta
     d1p = defect(tr.f, tr.T1p).delta
     d2 = defect(tr.g, tr.T2).delta
-    lhs = d1 @ d1 + apply_phi(tr.f, tr.T1, d2 @ d2)
-    rhs = apply_phi(tr.g, tr.T2, d1p @ d1p) + d2 @ d2
+    lhs = d1 @ d1 + phi_map(tr.f, tr.T1, d2 @ d2)
+    rhs = phi_map(tr.g, tr.T2, d1p @ d1p) + d2 @ d2
     assert np.linalg.norm(lhs - rhs, 2) <= 1e-12
 
 

@@ -5,12 +5,13 @@ from hypothesis import given, strategies as st
 from ncdomains import (OperatorTuple, RegularPolynomial, apply_phi, b_coefficients,
                        block_count, coefficient_words, domain_membership,
                        phi_identity_power, shift_word, weighted_creation)
-from ncdomains.domain import kron_identity_matmul
+from ncdomains.domain import kron_identity_matmul, phi_identity_iterates
 from ncdomains.harness import choose_truncation
 from ncdomains.words import enumerate_words, fock_size, words_of_lengths
 
 from conftest import (b_by_word, b_recursion, creation, dense_creation, f_battery,
-                      is_reversal_symmetric, random_nilpotent_tuple, shift_rmul, word_index)
+                      is_reversal_symmetric, phi_map, random_nilpotent_tuple, shift_rmul,
+                      word_index)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +291,7 @@ def test_vacuum_projection_identity():
     for f in f_battery():
         W = dense_creation(f, N)
         size = W.rows
-        gap = np.eye(size, dtype=complex) - apply_phi(f, W, np.eye(size, dtype=complex))
+        gap = np.eye(size, dtype=complex) - apply_phi(f, W)
         proj = np.zeros((size, size), dtype=complex)
         proj[0, 0] = 1.0
         top = fock_size(f.n, N - f.degree)
@@ -314,6 +315,23 @@ def test_membership_scalar():
     outside = OperatorTuple((np.array([[1.5]]),))
     assert domain_membership(f, inside).in_domain
     assert not domain_membership(f, outside).in_domain
+
+
+def test_phi_iterates_match_the_map():
+    """Phi^m(I) from words formed once is bitwise the map applied m times, words formed anew."""
+    f = RegularPolynomial(2, {(1,): 1.0, (2,): 1.0, (1, 2): 0.5})
+    rng = np.random.default_rng(3)
+    T = OperatorTuple(tuple(0.3 * (rng.standard_normal((4, 4))
+                                   + 1j * rng.standard_normal((4, 4))) for _ in range(2)))
+    x = np.eye(4, dtype=complex)
+    iterates = list(phi_identity_iterates(f, T, 6))
+    assert len(iterates) == 6
+    for got in iterates:
+        x = phi_map(f, T, x)
+        assert np.array_equal(got, x)
+    assert np.array_equal(apply_phi(f, T), iterates[0])
+    assert list(phi_identity_iterates(f, T, 0)) == []
+    assert np.array_equal(phi_identity_power(f, T, 0), np.eye(4))
 
 
 def test_purity_nilpotent():
@@ -350,7 +368,7 @@ def test_rectangular_tuple():
         _ = A.dim
     f2 = RegularPolynomial.single_variable([1.0, 1.0])
     with pytest.raises(ValueError):
-        apply_phi(f2, A, np.eye(2))
+        apply_phi(f2, A)
 
 
 def test_coefficient_words_uniform():

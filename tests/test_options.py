@@ -35,7 +35,6 @@ ALLOWED = {
     "config.ExperimentConfig.file_keys",
     "config.ExperimentConfig.from_json(base)",
     "domain.WeightedShift.dense(inner)",
-    "domain.apply_phi(X)",
     "domain.domain_membership(tol)",
     "harness.CommutingPair.kind",
     "harness.CommutingPair.seed",
