@@ -19,10 +19,8 @@ Layers:
 """
 
 from .domain import (OperatorTuple, RegularPolynomial, WeightedShift,
-                     apply_phi, b_coefficients, block_count,
-                     coefficient_words, domain_membership,
-                     phi_identity_power,
-                     shift_word, weighted_creation)
+                     apply_phi, b_coefficients, domain_membership,
+                     phi_identity_power, shift_word, weighted_creation)
 from .colligation import (Colligation, IntertwiningTriple, PartialIsometry,
                           build_isometry, complete_to_unitary, series_oracle)
 from .harness import (BiPolynomial, CommutingPair, PairDilation, ando_dilation,

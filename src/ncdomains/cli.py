@@ -134,7 +134,7 @@ def cmd_dilate(cfg: ExperimentConfig) -> int:
 def cmd_verify(cfg: ExperimentConfig, tol_given: bool) -> int:
     dil = _dilation(cfg)
     tol = _floored(cfg, INEQUALITY_TOL_FLOOR, tol_given)
-    rep = verify_inequality(dil.pair, builtin_polys(), dil, tol=tol)
+    rep = verify_inequality(builtin_polys(), dil, tol=tol)
     rep.extend(dil.report, prefix="dilation_")
     return _emit(rep, cfg.output)
 

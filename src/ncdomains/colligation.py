@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import (OperatorTuple, RegularPolynomial, block_count,
-                     coefficient_words, phi_identity_power)
+from .domain import OperatorTuple, RegularPolynomial, phi_identity_power
 from .poisson import DefectData, canonical_phases, defect
 from .report import VerificationReport
 from .words import Word
@@ -79,7 +78,7 @@ class PartialIsometry:
     @property
     def dims(self) -> tuple[int, int, int, int, int]:
         return (self.d1_defect.rank, self.d1p_defect.rank, self.d2_defect.rank,
-                block_count(self.triple.f), block_count(self.triple.g))
+                len(self.triple.f.coeffs), len(self.triple.g.coeffs))
 
 
 def build_isometry(triple: IntertwiningTriple, tol: float = 1e-8) -> PartialIsometry:
@@ -94,11 +93,11 @@ def build_isometry(triple: IntertwiningTriple, tol: float = 1e-8) -> PartialIsom
     dd2 = defect(g, T2)
 
     dom = np.vstack([dd1.coords(dd1.delta)] + [
-        np.sqrt(f.coeffs.get(w, 0.0)) * dd2.coords(dd2.delta @ T1.word(w).conj().T)
-        for w in coefficient_words(f)])
+        np.sqrt(f.coeffs[w]) * dd2.coords(dd2.delta @ T1.word(w).conj().T)
+        for w in f.support()])
     ran = np.vstack([
-        np.sqrt(g.coeffs.get(w, 0.0)) * dd1p.coords(dd1p.delta @ T2.word(w).conj().T)
-        for w in coefficient_words(g)] + [dd2.coords(dd2.delta)])
+        np.sqrt(g.coeffs[w]) * dd1p.coords(dd1p.delta @ T2.word(w).conj().T)
+        for w in g.support()] + [dd2.coords(dd2.delta)])
     gram_res = float(np.linalg.norm(dom.conj().T @ dom - ran.conj().T @ ran, 2))
     if gram_res > tol:
         raise ValueError(f"prescribed map is not isometric on its span "
@@ -140,8 +139,9 @@ def embed_inner(mat: np.ndarray, fock: int, inner_from: int, inner_to: int) -> n
 class Colligation:
     """Unitary U = [[A, B], [C, D]] completing the structural isometry.
 
-    Block shapes (w = d2 + pad_e, r_out = d1 + pad_u, r_in = d1p + pad_v):
-    A: m2*r_in x r_out, B: m2*r_in x m1*w, C: w x r_out, D: w x m1*w.
+    Block shapes (w = d2 + pad_e, r_out = d1 + pad_u, r_in = d1p + pad_v, m1 and m2
+    the support sizes of f and g): A: m2*r_in x r_out, B: m2*r_in x m1*w, C: w x r_out,
+    D: w x m1*w.
     """
 
     A: np.ndarray
@@ -169,11 +169,12 @@ class Colligation:
         return self.dims["d1p"] + self.dims["pad_v"]
 
     def d_block(self, i: int) -> np.ndarray:
-        """D_(w) for the i-th coefficient word of f (graded-lex)."""
+        """D_(w) for the i-th support word w of f (graded-lex)."""
         w = self.slot_dim
         return self.D[:, i * w:(i + 1) * w]
 
     def b_block(self, i: int) -> np.ndarray:
+        """B_(w) for the i-th support word w of f (graded-lex)."""
         w = self.slot_dim
         return self.B[:, i * w:(i + 1) * w]
 
@@ -252,8 +253,7 @@ def _delta1_hat(col: Colligation) -> np.ndarray:
 def series_terms(col: Colligation, p_max: int) -> list[np.ndarray]:
     """Nested-diag partial-sum terms of the structural series, term p for p=0..p_max."""
     f, T1 = col.triple.f, col.triple.T1
-    xstar = [np.sqrt(f.coeffs.get(w, 0.0)) * T1.word(w).conj().T
-             for w in coefficient_words(f)]
+    xstar = [np.sqrt(f.coeffs[w]) * T1.word(w).conj().T for w in f.support()]
     g_cur = col.C @ _delta1_hat(col)
     terms = []
     for _ in range(p_max + 1):
@@ -266,7 +266,7 @@ def series_terms(col: Colligation, p_max: int) -> list[np.ndarray]:
 def series_term_by_words(col: Colligation, p: int) -> np.ndarray:
     """Term p computed from explicit word-indexed products (independent path).
 
-    Stacked over the outermost coefficient word w_{p+1}:
+    Stacked over the outermost support word w_{p+1} of f:
       sum over (w_1..w_p) of D_(w_p)...D_(w_1) C Delta1 *
           sqrt(a_{w_1}...a_{w_{p+1}}) (T1_{w_{p+1} w_p ... w_1})^*.
     Each prefix product D_(w_j)...D_(w_1) C Delta1 and each T1 word is formed
@@ -274,7 +274,7 @@ def series_term_by_words(col: Colligation, p: int) -> np.ndarray:
     (T1_{v c} = T1_v T1_c, the order of ``OperatorTuple.word``).
     """
     f, T1 = col.triple.f, col.triple.T1
-    words = coefficient_words(f)
+    words = f.support()
 
     @functools.cache
     def chain(tup: tuple[int, ...]) -> np.ndarray:
@@ -288,11 +288,9 @@ def series_term_by_words(col: Colligation, p: int) -> np.ndarray:
     for w_outer in words:
         acc = np.zeros((col.slot_dim, T1.dim), dtype=complex)
         for tup in itertools.product(range(len(words)), repeat=p):
-            coef = f.coeffs.get(w_outer, 0.0)
+            coef = f.coeffs[w_outer]
             for idx in tup:
-                coef *= f.coeffs.get(words[idx], 0.0)
-            if coef == 0.0:
-                continue
+                coef *= f.coeffs[words[idx]]
             full_word: Word = w_outer
             for idx in reversed(tup):
                 full_word = full_word + words[idx]

@@ -231,7 +231,7 @@ class ExperimentConfig:
     KNOWN = {"f", "g", *KNOBS, "kinds", "matrices", "variety", "output"}
 
     @staticmethod
-    def from_json(text: str, base: str = ".") -> "ExperimentConfig":
+    def from_json(text: str, base: str) -> "ExperimentConfig":
         try:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:

@@ -64,27 +64,14 @@ class RegularPolynomial:
         return max(len(w) for w in self.coeffs)
 
     def support(self) -> list[Word]:
-        """Coefficient words in graded-lex order."""
-        return [w for w in words_of_lengths(self.n, 1, self.degree) if w in self.coeffs]
+        """The words with a nonzero coefficient in graded-lex order: the index set of
+        every block row and column built from f."""
+        return sorted(self.coeffs, key=lambda w: (len(w), w))
 
     @staticmethod
     def single_variable(coeffs: list[float]) -> "RegularPolynomial":
         """One indeterminate; coeffs[j] is the coefficient of Z^{j+1}."""
         return RegularPolynomial(1, {(1,) * (j + 1): c for j, c in enumerate(coeffs)})
-
-
-# word count m = card{w : 1 <= |w| <= k}, the block multiplicity of f
-def block_count(f: RegularPolynomial) -> int:
-    return fock_size(f.n, f.degree) - 1
-
-
-def coefficient_words(f: RegularPolynomial) -> list[Word]:
-    """All words with 1 <= |w| <= deg f in graded-lex order (zero coeffs kept).
-
-    This is the index set of every block row/column built from f; keeping the
-    zero-coefficient slots makes the block bookkeeping uniform.
-    """
-    return words_of_lengths(f.n, 1, f.degree)
 
 
 def b_coefficients(f: RegularPolynomial, N: int) -> np.ndarray:
@@ -198,10 +185,8 @@ class WeightedShift:
                                                   x.shape[1])
         return (self.weight[:, None, None] * xb[self.target]).reshape(x.shape)
 
-    def dense(self, inner: np.ndarray | None = None) -> np.ndarray:
-        """The dense matrix kron(S, inner), one Fock block per live column; inner
-        defaults to the 1 x 1 identity."""
-        inner = np.ones((1, 1)) if inner is None else inner
+    def dense(self, inner: np.ndarray) -> np.ndarray:
+        """The dense matrix kron(S, inner), one Fock block per live column."""
         out = np.zeros((self.size, inner.shape[0], self.size, inner.shape[1]), dtype=complex)
         live = np.flatnonzero(self.weight)
         out[self.target[live], :, live, :] = self.weight[live, None, None] * inner

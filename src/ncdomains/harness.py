@@ -406,17 +406,17 @@ def ando_dilation(pair: CommutingPair, N: int | None = None,
 # the inequality harness
 # ---------------------------------------------------------------------------
 
-def verify_inequality(pair: CommutingPair, polys: list[BiPolynomial],
-                      dil: PairDilation,
+def verify_inequality(polys: list[BiPolynomial], dil: PairDilation,
                       dil_swapped: PairDilation | None = None, *,
                       tol: float) -> VerificationReport:
-    """Check ||p(T1, T2)|| <= min over available dilations of ||p(dilated)||,
-    and lambda_max(q(T1, T2)) <= lambda_max(q(dilated)) for Hermitian q.
+    """Check ||p(T1, T2)|| <= min over available dilations of ||p(dilated)||, and
+    lambda_max(q(T1, T2)) <= lambda_max(q(dilated)) for Hermitian q; (T1, T2) = dil.pair.
 
     With the swapped dilation the polynomial is evaluated as
     p(psi', W^g (x) I): the second tuple becomes the creation side.  Hermitian
     polynomials are checked on ``dil`` only.
     """
+    pair = dil.pair
     rep = VerificationReport("inequality-battery",
                              environment={"battery": BATTERY_VERSION,
                                           "kind": pair.kind, "seed": str(pair.seed)})
@@ -529,7 +529,7 @@ def _battery_pair(f: RegularPolynomial, g: RegularPolynomial, polys: list[BiPoly
     pair = random_commuting_pair(seed, dim, kind, f, g)
     dil = ando_dilation(pair, tol=tol)
     dil_sw = ando_dilation(pair.swapped(), tol=tol)
-    reports = [verify_inequality(pair, polys, dil, dil_sw, tol=tol)]
+    reports = [verify_inequality(polys, dil, dil_sw, tol=tol)]
     if f.coeffs == {(1,): 1.0} and g.coeffs == {(1,): 1.0}:
         reports.append(von_neumann_check(dil, [p for p in polys if not p.hermitian]))
     return reports

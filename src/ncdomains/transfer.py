@@ -43,17 +43,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .colligation import Colligation, INTERPRETIVE_FLAGS, embed_inner
-from .domain import (RegularPolynomial, b_coefficients, coefficient_words,
-                     weighted_creation)
+from .domain import RegularPolynomial, b_coefficients, weighted_creation
 from .poisson import PoissonKernel, kernel_intertwining
 from .report import VerificationReport
-from .words import Word, fock_size
+from .words import Word, fock_size, level_rank
 
 
 @dataclass(frozen=True)
 class TransferFunction:
     """The transfer row as its coefficient table: ``theta[k, :, j]`` is Theta_u
-    (r_out x r_in) of the block phi_(b_j), b_j the j-th coefficient word of g,
+    (r_out x r_in) of the block phi_(b_j), b_j the j-th support word of g,
     for the k-th word u (|u| <= N, graded-lex), the coefficient of the operator
     appending u.
     """
@@ -72,7 +71,7 @@ class TransferFunction:
 
     @property
     def block_words(self) -> tuple[Word, ...]:
-        return tuple(coefficient_words(self.colligation.triple.g))
+        return tuple(self.colligation.triple.g.support())
 
     @property
     def r_out(self) -> int:
@@ -86,19 +85,18 @@ class TransferFunction:
 def _coefficient_table(col: Colligation, N: int, head: Callable[[int], np.ndarray],
                        empty: np.ndarray) -> np.ndarray:
     """``empty`` at the empty word and C^* Z_u for 1 <= |u| <= N (graded-lex),
-    Z_u the sum over u = v w, w a coefficient word of f, of sqrt(a_w) head(w)^*
+    Z_u the sum over u = v w, w a support word of f, of sqrt(a_w) head(w)^*
     if v is empty, else of sqrt(a_w) D_(w)^* Z_v.  head(i) is the block of the
-    i-th coefficient word: Z_u is the coefficient of L_{u~} in
+    i-th support word: Z_u is the coefficient of L_{u~} in
     (I - Q)^{-1} Gamma (I (x) B^*) for col.b_block, in (I - Q)^{-1} - I for col.d_block.
 
     A level at a time: the words of level L ending in w (length k, rank s) are
     the slice s::n^k, their prefixes v the level L - k in order.
     """
     f, n = col.triple.f, col.triple.f.n
-    terms = [(len(w), i + 1 - fock_size(n, len(w) - 1), np.sqrt(a),
+    terms = [(len(w), level_rank(w, n), np.sqrt(f.coeffs[w]),
               col.d_block(i).conj().T, head(i).conj().T)
-             for i, w in enumerate(coefficient_words(f))
-             if (a := f.coeffs.get(w, 0.0)) != 0.0]
+             for i, w in enumerate(f.support())]
     cstar = col.C.conj().T
     z = [None]
     table = np.empty((fock_size(n, N), *empty.shape), dtype=complex)
@@ -204,8 +202,8 @@ def realization(col: Colligation, X: Sequence[np.ndarray]) -> np.ndarray:
     (x) Theta_u where the inverse is its Neumann series (X nilpotent, or small).
     Block phi_(b_j) is the j-th of the m2 groups of r_in columns of each X column."""
     f, eye = col.triple.f, np.eye(X[0].shape[-1])
-    xw = [(i, np.sqrt(a) * functools.reduce(lambda p, c: X[c - 1] @ p, w, eye))
-          for i, w in enumerate(coefficient_words(f)) if (a := f.coeffs.get(w, 0.0)) != 0.0]
+    xw = [(i, np.sqrt(f.coeffs[w]) * functools.reduce(lambda p, c: X[c - 1] @ p, w, eye))
+          for i, w in enumerate(f.support())]
     q = sum(_kron(x, col.d_block(i).conj().T) for i, x in xw)
     head = sum(_kron(x, col.b_block(i).conj().T) for i, x in xw)
     y = np.linalg.solve(np.eye(q.shape[-1]) - q, head)
@@ -421,8 +419,8 @@ def defect_identity_residual(tf: TransferFunction) -> float:
     if K < 0:
         raise ValueError(f"N = {tf.N} is below deg f = {f.degree}: no level is checked")
     # the diagonal of sum_w a_w L_{w~} L_{w~}^*: L_{w~} appends w, column index(w)
-    terms = [(k, f.coeffs[w]) for k, w in enumerate(coefficient_words(f), 1)
-             if w in f.coeffs and len(w) <= K]
+    terms = [(fock_size(f.n, len(w) - 1) + level_rank(w, f.n), f.coeffs[w])
+             for w in f.support() if len(w) <= K]
     lam_gram = np.zeros(fock_size(f.n, K))
     for _, rows, weights in _columns(f, K):
         for k, a in terms:

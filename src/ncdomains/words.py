@@ -47,6 +47,11 @@ def fock_size(n: int, m: int) -> int:
     return max(m + 1, 0) if n == 1 else (n ** max(m + 1, 0) - 1) // (n - 1)
 
 
+def level_rank(w: Word, n: int) -> int:
+    """The rank rho of w among the words of its length in graded-lex order (``fock_size``)."""
+    return functools.reduce(lambda rank, c: rank * n + c - 1, w, 0)
+
+
 @functools.lru_cache(maxsize=64)
 def _word_table(n: int, N: int) -> WordTable:
     return WordTable(n=n, N=N, words=tuple(words_of_lengths(n, 0, N)))

@@ -126,7 +126,7 @@ def creation(f: RegularPolynomial, N: int, side: str) -> tuple[WeightedShift, ..
 
 def dense_creation(f: RegularPolynomial, N: int, side: str = "left") -> OperatorTuple:
     """The weighted creation operators of f at truncation N as dense matrices."""
-    return OperatorTuple(tuple(s.dense() for s in creation(f, N, side)))
+    return OperatorTuple(tuple(s.dense(np.ones((1, 1))) for s in creation(f, N, side)))
 
 
 def dense_compression(v: VarietyModel, side: str) -> OperatorTuple:

@@ -104,7 +104,8 @@ def test_criterion_2_vacuum_projection():
     worst = 0.0
     N = 8
     for f in f_battery():
-        W = OperatorTuple(tuple(s.dense() for s in weighted_creation(f, N)))
+        W = OperatorTuple(tuple(s.dense(np.ones((1, 1)))
+                                for s in weighted_creation(f, N)))
         size = W.rows
         gap = np.eye(size, dtype=complex) - apply_phi(f, W)
         proj = np.zeros((size, size), dtype=complex)

@@ -12,12 +12,12 @@ from hypothesis import given, settings, strategies as st
 import ncdomains
 from ncdomains.cli import main
 from ncdomains.config import (ConfigError, ExperimentConfig, default_tolerance,
-                              parse_word)
+                              parse_word, word_key)
 from ncdomains.matio import dump_matrix, parse_matrix, read_matrix
 from ncdomains.report import VerificationReport, parse_report
 
-from ncdomains.domain import RegularPolynomial
-from ncdomains.harness import builtin_polys, random_commuting_pair
+from ncdomains.domain import OperatorTuple, RegularPolynomial
+from ncdomains.harness import builtin_polys, random_commuting_pair, scale_into_domain
 
 from conftest import power_pair_tuple
 
@@ -79,23 +79,23 @@ def test_matrix_file_io(tmp_path):
 
 def test_minimal_config():
     cfg = ExperimentConfig.from_json(
-        '{"f": {"n": 1, "coeffs": {"1": 1.0}}, "matrices": {"T1": [[[0]]]}}')
+        '{"f": {"n": 1, "coeffs": {"1": 1.0}}, "matrices": {"T1": [[[0]]]}}', ".")
     assert cfg.f.n == 1 and cfg.T1.dim == 1
 
 
 def test_unknown_field_named():
     with pytest.raises(ConfigError, match="bogus"):
-        ExperimentConfig.from_json('{"f": {"n": 1, "coeffs": {"1": 1}}, "bogus": 1}')
+        ExperimentConfig.from_json('{"f": {"n": 1, "coeffs": {"1": 1}}, "bogus": 1}', ".")
 
 
 def test_constant_term_cited():
     with pytest.raises(ConfigError, match="regular"):
-        ExperimentConfig.from_json('{"f": {"n": 1, "coeffs": {"": 1, "1": 1}}}')
+        ExperimentConfig.from_json('{"f": {"n": 1, "coeffs": {"": 1, "1": 1}}}', ".")
 
 
 def test_json_error_located():
     with pytest.raises(ConfigError, match="line"):
-        ExperimentConfig.from_json('{"f": }')
+        ExperimentConfig.from_json('{"f": }', ".")
 
 
 def test_parse_word():
@@ -108,7 +108,7 @@ def test_parse_word():
 def test_variety_spec_minpoly_coeffs():
     cfg = ExperimentConfig.from_json(
         '{"f": {"n": 1, "coeffs": {"1": 1}}, '
-        '"variety": {"kind": "minpoly", "coeffs": [-0.5, 1]}}')
+        '"variety": {"kind": "minpoly", "coeffs": [-0.5, 1]}}', ".")
     assert cfg.variety is not None and cfg.variety[0][(1,)] == 1
 
 
@@ -173,6 +173,38 @@ def test_cli_check_model(tmp_path, capsys):
     assert "summary pass=1" in out
 
 
+def tuple_config(tmp_path, f: RegularPolynomial, T: OperatorTuple, **extra) -> str:
+    """A config of f and T1 = T, complex entries written as [re, im]."""
+    obj = {"f": {"n": f.n, "coeffs": {word_key(w): a for w, a in f.coeffs.items()}},
+           "matrices": {"T1": [[[[z.real, z.imag] for z in row] for row in m] for m in T.mats]},
+           **extra}
+    path = tmp_path / "tuple.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+@pytest.mark.parametrize("f, N, variety", [
+    (RegularPolynomial.single_variable([1.0, 1.0]), 8, None),
+    (RegularPolynomial(2, {(1,): 1.0, (2,): 1.0, (1, 2): 0.5}), 6, {"kind": "commutator"})])
+def test_cli_check_model_graded_tail(tmp_path, capsys, f, N, variety):
+    """deg f = 2: the word-length truncation lines up with no Phi horizon, so the
+    kernel Gram check (and the variety one) allows 2 ||Phi^m(I)||, m = N // 2 + 1,
+    recorded as graded_tail_bound; on seeded tuples (a, a^2)[:n] scaled to 0.5 the
+    Gram residual stays below it (measured at most 3.2e-6 against 2.6e-3)."""
+    prefixes = ("kernel_",) if variety is None else ("kernel_", "variety_")
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        T = scale_into_domain(f, OperatorTuple((a, a @ a)[:f.n]), 0.5)
+        assert main(["--config", tuple_config(tmp_path, f, T, N=N, variety=variety),
+                     "check-model"]) == 0
+        rep = parse_report(capsys.readouterr().out)
+        for prefix in prefixes:
+            bound = float(rep.environment[prefix + "graded_tail_bound"])
+            gram = next(c for c in rep.checks if c.name == prefix + "gram_vs_defect_horizon")
+            assert gram.value <= bound
+
+
 def test_cli_dilate_and_verify(tmp_path, capsys):
     assert main(["--config", scalar_config(tmp_path), "dilate"]) == 0
     assert main(["--config", scalar_config(tmp_path), "verify"]) == 0
@@ -183,7 +215,7 @@ def test_cli_dilate_and_verify(tmp_path, capsys):
 def test_cli_swap_example_end_to_end(tmp_path, capsys):
     """Scalar zero pair: every residual vanishes within 1e-10."""
     cfg = scalar_config(tmp_path)
-    obj = json.loads(open(cfg).read())
+    obj = json.loads(Path(cfg).read_text())
     obj["matrices"] = {"T1": [[[0]]], "T2": [[[0]]]}
     path = tmp_path / "swap.json"
     path.write_text(json.dumps(obj))
@@ -355,7 +387,7 @@ def test_cli_unreadable_config_file_exit_code(tmp_path, capsys, name):
 def test_cli_pipeline_error_becomes_failed_record(tmp_path, capsys):
     # T1 outside the domain: the dilate pipeline fails as a report, not a crash
     cfg = scalar_config(tmp_path)
-    obj = json.loads(open(cfg).read())
+    obj = json.loads(Path(cfg).read_text())
     obj["matrices"]["T1"] = [[[0, 5.0], [0, 0]]]
     path = tmp_path / "outside.json"
     path.write_text(json.dumps(obj))

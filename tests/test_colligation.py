@@ -9,7 +9,6 @@ from ncdomains import (IntertwiningTriple, OperatorTuple, RegularPolynomial,
                        build_isometry, complete_to_unitary, series_oracle)
 from ncdomains.colligation import (Colligation, _delta1_hat, series_term_by_words,
                                    solve_padding)
-from ncdomains.domain import coefficient_words
 
 from conftest import colligation_matrix, phi_map, random_nilpotent_tuple
 
@@ -217,20 +216,18 @@ def series_term_from_scratch(col: Colligation, p: int) -> np.ndarray:
     """Oracle of ``series_term_by_words``: every prefix product and every T1 word
     rebuilt for each word tuple (the body before the products were shared)."""
     f, T1 = col.triple.f, col.triple.T1
-    words = coefficient_words(f)
+    words = f.support()
     cd1 = col.C @ _delta1_hat(col)
     h = cd1.shape[1]
     blocks = []
     for w_outer in words:
         acc = np.zeros((col.slot_dim, h), dtype=complex)
         for tup in itertools.product(range(len(words)), repeat=p):
-            coef = f.coeffs.get(w_outer, 0.0)
+            coef = f.coeffs[w_outer]
             mat = cd1
             for idx in tup:
-                coef *= f.coeffs.get(words[idx], 0.0)
+                coef *= f.coeffs[words[idx]]
                 mat = col.d_block(idx) @ mat
-            if coef == 0.0:
-                continue
             full_word = w_outer
             for idx in reversed(tup):
                 full_word = full_word + words[idx]

@@ -320,16 +320,16 @@ def test_inequality_basics_all_kinds():
                  "upper-triangular-commuting"):
         pair = random_commuting_pair(2, 3, kind, Z, Z)
         dil = ando_dilation(pair)
-        rep = verify_inequality(pair, builtin_bipolynomials(), dil, tol=1e-6)
+        rep = verify_inequality(builtin_bipolynomials(), dil, tol=1e-6)
         assert rep.passed, rep.render()
-        hrep = verify_inequality(pair, builtin_hermitian(), dil, tol=1e-6)
+        hrep = verify_inequality(builtin_hermitian(), dil, tol=1e-6)
         assert hrep.passed, hrep.render()
 
 
 def test_matrix_polynomials():
     pair = random_commuting_pair(9, 4, "jointly-nilpotent", Z, Z)
     dil = ando_dilation(pair)
-    rep = verify_inequality(pair, builtin_matrix_polys(), dil, tol=1e-6)
+    rep = verify_inequality(builtin_matrix_polys(), dil, tol=1e-6)
     assert rep.passed, rep.render()
 
 
@@ -337,7 +337,7 @@ def test_swapped_dilation_tightens():
     pair = random_commuting_pair(4, 3, "polynomial-of-single", Z, Z)
     dil = ando_dilation(pair)
     dil_sw = ando_dilation(pair.swapped())
-    rep = verify_inequality(pair, builtin_bipolynomials(), dil, dil_sw, tol=1e-6)
+    rep = verify_inequality(builtin_bipolynomials(), dil, dil_sw, tol=1e-6)
     assert rep.passed, rep.render()
 
 
@@ -456,7 +456,7 @@ def test_degree_two_f_dilation():
     pair = random_commuting_pair(8, 4, "jointly-nilpotent", f2, Z)
     dil = ando_dilation(pair)
     assert dil.report.passed, dil.report.render()
-    rep = verify_inequality(pair, builtin_bipolynomials(), dil, tol=1e-6)
+    rep = verify_inequality(builtin_bipolynomials(), dil, tol=1e-6)
     assert rep.passed, rep.render()
 
 
@@ -487,7 +487,7 @@ def test_sharp_jordan_pair_sees_a_one_percent_error_in_psi(monkeypatch):
     pair = CommutingPair(Z, Z, OperatorTuple((J,)), OperatorTuple((J @ J,)))
     dil = ando_dilation(pair, N=6)
     polys = builtin_polys()
-    rep = verify_inequality(pair, polys, dil, tol=1e-6)
+    rep = verify_inequality(polys, dil, tol=1e-6)
     assert rep.passed, rep.render()
     slacks = {c.name: c.value for c in rep.checks}
     for name in SHARP:
@@ -495,7 +495,7 @@ def test_sharp_jordan_pair_sees_a_one_percent_error_in_psi(monkeypatch):
     psi = ncdomains.harness._psi  # the letters of ``right``, built on a dense read
     monkeypatch.setattr(ncdomains.harness, "_psi",
                         lambda *args: tuple(0.99 * m for m in psi(*args)))
-    rep = verify_inequality(pair, polys, ando_dilation(pair, N=6), tol=1e-6)
+    rep = verify_inequality(polys, ando_dilation(pair, N=6), tol=1e-6)
     failed = {c.name: c.value for c in rep.checks if not c.passed}
     assert sorted(failed) == sorted(SHARP), rep.render()
     assert all(v < -4e-3 for v in failed.values()), failed
@@ -529,7 +529,7 @@ def test_dilated_tuples_build_their_letters_once(monkeypatch):
     assert len(models) == 4 and {d.pair.g.n for d in models} == {1, 2}
     for d in models:
         assert d.report.passed, d.report.render()
-        verify_inequality(d.pair, builtin_bipolynomials(), d, tol=1e-6)
+        verify_inequality(builtin_bipolynomials(), d, tol=1e-6)
     assert len(calls) == sum(d.pair.g.n for d in models)
 
 
@@ -733,14 +733,14 @@ def test_transfer_checks_stay_on_the_fock_r_out_side(monkeypatch):
 
 
 def test_transfer_checks_peak_below_one_dense_block():
-    """Memory guard at twovar shapes (N = 6, r_out 4, r_in 24): under tracemalloc
+    """Memory guard at twovar shapes (N = 6, r_out 4, r_in 12): under tracemalloc
     every transfer check and the dilation identity peaks below one dense
-    (Fock r_out) x (Fock r_in) complex block, 508 x 3048 or 24.8 MB."""
+    (Fock r_out) x (Fock r_in) complex block, 508 x 1524 or 12.4 MB."""
     f_triple = RegularPolynomial(2, {(1,): 1.0, (2,): 1.0, (1, 2): 0.5})
     N = 6
     tr = commuting_triple(N + 10, 4, f_triple)
     tf = eval_transfer(complete_to_unitary(build_isometry(tr)), N)
-    assert (tf.fock_size, tf.r_out, tf.r_in) == (127, 4, 24)
+    assert (tf.fock_size, tf.r_out, tf.r_in) == (127, 4, 12)
     block_bytes = tf.fock_size * tf.r_out * tf.fock_size * tf.r_in * 16
     K1 = poisson_kernel(f_triple, tr.T1, N)
     for check in (lambda: contraction_excess(tf), lambda: defect_identity_residual(tf),

@@ -33,8 +33,6 @@ ALLOWED = {
     "config.ExperimentConfig.variety",
     "config.ExperimentConfig.output",
     "config.ExperimentConfig.file_keys",
-    "config.ExperimentConfig.from_json(base)",
-    "domain.WeightedShift.dense(inner)",
     "domain.domain_membership(tol)",
     "harness.CommutingPair.kind",
     "harness.CommutingPair.seed",

@@ -12,8 +12,7 @@ from ncdomains import (IntertwiningTriple, OperatorTuple, RegularPolynomial,
                        build_isometry, complete_to_unitary, eval_transfer,
                        fourier_roundtrip_residual, poisson_kernel, realization, transfer)
 from ncdomains.colligation import Colligation
-from ncdomains.domain import (WeightedShift, b_coefficients, coefficient_words, shift_word,
-                              weighted_creation)
+from ncdomains.domain import WeightedShift, b_coefficients, shift_word, weighted_creation
 from ncdomains.harness import scale_into_domain
 from ncdomains.transfer import (TransferFunction, _coefficient_table, _gram, _lambda_max,
                                 _row_adjoint, _row_gram, _scatter, contraction_excess,
@@ -36,14 +35,13 @@ def dense_resolvent(col: Colligation, N: int) -> tuple[np.ndarray, np.ndarray]:
     f = col.triple.f
     lam = right_creation(f, N)
     size = lam[0].size
+    one = np.ones((1, 1))
     q = 0.0
-    for i, w in enumerate(coefficient_words(f)):
-        a = f.coeffs.get(w, 0.0)
-        if a != 0.0:
-            q = q + np.sqrt(a) * np.kron(shift_word(lam, reverse(w)).dense(),
-                                         col.d_block(i).conj().T)
+    for i, w in enumerate(f.support()):
+        q = q + np.sqrt(f.coeffs[w]) * np.kron(shift_word(lam, reverse(w)).dense(one),
+                                               col.d_block(i).conj().T)
     cstar = np.kron(np.eye(size), col.C.conj().T)
-    return (realization(col, [s.dense() for s in lam]),
+    return (realization(col, [s.dense(one) for s in lam]),
             cstar @ np.linalg.inv(np.eye(size * col.slot_dim) - q))
 
 
@@ -93,9 +91,8 @@ def coefficient_table_by_words(col: Colligation, N: int, head, empty: np.ndarray
     """The oracle of ``_coefficient_table``: Z_u keyed by word, the sum over
     u = v w of sqrt(a_w) head(w)^* (v empty) or sqrt(a_w) D_(w)^* Z_v, one word at a time."""
     f = col.triple.f
-    terms = [(w, np.sqrt(a), col.d_block(i).conj().T, head(i).conj().T)
-             for i, w in enumerate(coefficient_words(f))
-             if (a := f.coeffs.get(w, 0.0)) != 0.0]
+    terms = [(w, np.sqrt(f.coeffs[w]), col.d_block(i).conj().T, head(i).conj().T)
+             for i, w in enumerate(f.support())]
     words = enumerate_words(f.n, N).words
     z = {}
     table = np.empty((len(words), *empty.shape), dtype=complex)
@@ -562,7 +559,8 @@ def test_swap_transfer_is_lambda():
     N = 5
     tf = eval_transfer(col, N)
     lam = right_creation(Z, N)
-    assert np.linalg.norm(dense_block(tf, (1,)) - lam[0].dense(), 2) <= 1e-13
+    one = np.ones((1, 1))
+    assert np.linalg.norm(dense_block(tf, (1,)) - lam[0].dense(one), 2) <= 1e-13
 
 
 def test_swap_fourier_single_coefficient():
@@ -647,9 +645,8 @@ def test_fourier_roundtrip_sees_the_weights_of_the_d_term():
     for col in twovar_colligations()[1:]:
         f, w, N = col.triple.f, col.slot_dim, 6
         d = col.D.copy()
-        for i, word in enumerate(coefficient_words(f)):
-            if f.coeffs.get(word, 0.0):
-                d[:, i * w:(i + 1) * w] /= np.sqrt(f.coeffs[word])
+        for i, word in enumerate(f.support()):
+            d[:, i * w:(i + 1) * w] /= np.sqrt(f.coeffs[word])
         mutant = TransferFunction(col, N, eval_transfer(dataclasses.replace(col, D=d), N).theta)
         assert fourier_roundtrip_residual(mutant, (1,), 2) <= 1e-15
         assert fourier_roundtrip_residual(mutant, (1,), N) > 1e-8
@@ -720,3 +717,28 @@ def test_degree_two_g_blocks(fib_poly):
     rep = dilation_identity_report(tf, K1, K1, tol=1e-7)
     assert rep.passed, rep.render()
     assert contraction_excess(tf) <= 1e-8
+
+
+def test_blocks_run_over_the_support():
+    """One block per nonzero coefficient: f = z1 + z2 + 0.5 z1 z2 has 3 support
+    words of the 6 up to its degree, and g = z + z^3 has 2 of 3, so the
+    colligation has m1 = 3 column blocks in B and D and m2 = |supp g| row
+    blocks, the transfer row is indexed by g's support, and every transfer
+    check, the dilation identity and the series oracle pass."""
+    from ncdomains import series_oracle
+    for g in (Z, RegularPolynomial.single_variable([1.0, 0.0, 1.0])):
+        tr = commuting_triple(16, 4, F_TRIPLE, g)
+        col = complete_to_unitary(build_isometry(tr))
+        assert (col.dims["m1"], col.dims["m2"]) == (3, len(g.support()))
+        assert col.B.shape[1] == col.D.shape[1] == 3 * col.slot_dim
+        tf = eval_transfer(col, 6)
+        assert tf.block_words == tuple(g.support())
+        K1 = poisson_kernel(F_TRIPLE, tr.T1, tf.N)
+        rep = dilation_identity_report(tf, K1, K1, tol=1e-7)
+        assert rep.passed, rep.render()
+        assert series_oracle(col, p_max=4).passed
+        assert contraction_excess(tf) <= 1e-8
+        assert defect_identity_residual(tf) <= 1e-12
+        for w in tf.block_words:
+            assert multi_analytic_residual(tf, w) <= 1e-8
+            assert fourier_roundtrip_residual(tf, w, tf.N) <= 1e-14

@@ -4,7 +4,8 @@ import dataclasses
 import pytest
 from hypothesis import given, strategies as st
 
-from ncdomains.words import EMPTY, check_word, enumerate_words, fock_size, words_of_lengths
+from ncdomains.words import (EMPTY, check_word, enumerate_words, fock_size, level_rank,
+                             words_of_lengths)
 
 from conftest import reverse, word_index
 
@@ -34,6 +35,14 @@ def test_counts():
             table = enumerate_words(n, N)
             assert len(table) == sum(n**m for m in range(N + 1))
             assert fock_size(table.n, N) == len(table)
+
+
+def test_level_rank_gives_the_word_table_index():
+    """fock_size(n, |w| - 1) + level_rank(w, n) is w's index in the word table."""
+    for n in (1, 2, 3):
+        table = enumerate_words(n, 4)
+        for k, w in enumerate(table.words):
+            assert fock_size(n, len(w) - 1) + level_rank(w, n) == k
 
 
 def test_level_slice():
