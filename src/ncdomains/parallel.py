@@ -1,15 +1,13 @@
-"""Independent jobs in forked worker processes, for the battery's pairs.
-
-``map_in_order(unit, jobs)`` returns [unit(job) for job in jobs], computed in
-min(jobs, usable CPUs) forked workers where that is safe and useful, and
-serially otherwise.  Only ``harness.run_battery`` imports this module, inside
-the call, so no other run compiles or imports it, or the process-pool modules.
-"""
+"""Independent jobs (the battery's pairs) in forked children: a plain fork-join on
+``os.fork``, ``os.pipe`` and ``pickle``, imported only inside ``harness.run_battery``."""
 
 from __future__ import annotations
 
 import os
+import pickle
+import threading
 from collections.abc import Callable, Sequence
+from contextlib import suppress
 
 _OPENBLAS_THREADS = ("openblas_get_num_threads", "openblas_get_num_threads64_",
                      "scipy_openblas_get_num_threads", "scipy_openblas_get_num_threads64_")
@@ -17,51 +15,83 @@ _OPENBLAS_THREADS = ("openblas_get_num_threads", "openblas_get_num_threads64_",
 
 def usable_cpus() -> int:
     """The CPUs this process may run on; 1 where the platform cannot say."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    return 1 if affinity is None else len(affinity(0))
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
 def blas_threads() -> int | None:
-    """The thread count of the OpenBLAS mapped into this process (numpy's), or None
-    where /proc/self/maps lists no OpenBLAS that answers."""
+    """The thread count of numpy's OpenBLAS; None if /proc/self/maps lists none that answers."""
     import ctypes
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = sorted({line.split(maxsplit=5)[5].strip() for line in fh
-                            if "openblas" in line.lower()})
-    except OSError:
-        return None
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for name in _OPENBLAS_THREADS:
-            if hasattr(lib, name):
-                get = getattr(lib, name)
-                get.argtypes, get.restype = [], ctypes.c_int
-                return get()
+    with suppress(OSError), open("/proc/self/maps") as fh:
+        for path in sorted({line.split(maxsplit=5)[5].strip() for line in fh
+                            if "openblas" in line.lower()}):
+            with suppress(OSError):  # not loadable: try the next
+                lib = ctypes.CDLL(path)
+                for get in (getattr(lib, n) for n in _OPENBLAS_THREADS if hasattr(lib, n)):
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    return get()
     return None
 
 
-def map_in_order(unit: Callable, jobs: Sequence) -> list:
-    """[unit(job) for job in jobs], run in min(jobs, usable CPUs) forked workers.
+def _pipe() -> tuple:
+    read, write = os.pipe()  # the read end unbuffered, so that it takes no record ahead
+    return open(read, "rb", buffering=0), open(write, "wb")
 
-    The results, and the first exception in job order, are those of a serial run; the
-    ``with`` block joins every worker before this returns or raises.  Fork, not spawn: a
-    spawned worker imports numpy and the package again (about 80 ms), more than a
-    battery pair takes; the caller must have no other threads, as the command line has
-    none.  The jobs run serially here on one CPU, without fork, or unless
-    numpy's BLAS is an OpenBLAS running one thread: a worker keeps its parent's BLAS
-    threads, and with two per worker 6 battery pairs on 2 CPUs took up to 5.7 s against
-    0.3 s serially (and another BLAS, an OpenMP one say, may not survive a fork).
-    """
-    workers = min(len(jobs), usable_cpus())
-    if workers > 1 and blas_threads() == 1:
-        import multiprocessing
-        if "fork" in multiprocessing.get_all_start_methods():
-            from concurrent.futures import ProcessPoolExecutor
-            fork = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(workers, mp_context=fork) as pool:
-                return list(pool.map(unit, jobs))
-    return list(map(unit, jobs))
+
+def _work(unit: Callable, jobs: Sequence, files: list) -> int:
+    """A child: run the jobs whose 4-byte indices it reads from files[0] (a pipe read of
+    at most PIPE_BUF bytes is atomic); send [(index, (ok, value))] through files[-1]."""
+    for f in files[1:-1]:
+        f.close()
+    done = []
+    while len(record := files[0].read(4)) == 4:
+        i = int.from_bytes(record, "little")
+        try:
+            done.append((i, (True, unit(jobs[i]))))
+        except Exception as exc:
+            try:
+                pickle.loads(pickle.dumps(exc))
+            except Exception:  # sent as a RuntimeError that carries its text
+                exc = RuntimeError(f"{type(exc).__name__}: {exc}")
+            done.append((i, (False, exc)))
+    with files[-1] as out:
+        pickle.dump(done, out)
+    return 0
+
+
+def map_in_order(unit: Callable, jobs: Sequence) -> list:
+    """[unit(job) for job in jobs] in min(jobs, usable CPUs) forked children (a spawned
+    one imports numpy again, 80 ms) that take job indices from one pipe as they come
+    free; the parent runs no job and reaps them.  Results and the first exception in job
+    order are a serial run's; a failed child raises ChildProcessError with its exit
+    status.  Serial on one CPU, without fork, while another thread runs (a forked child
+    can deadlock), or unless numpy's BLAS is an OpenBLAS on one thread (at two threads a
+    child, 6 battery pairs on 2 CPUs took 5.7 s, against 0.3 s serially)."""
+    if ((workers := min(len(jobs), usable_cpus())) < 2 or not hasattr(os, "fork")
+            or threading.active_count() != 1 or blas_threads() != 1):
+        return list(map(unit, jobs))
+    files, children = list(_pipe()), {}  # the job queue's two ends first
+    try:
+        for _ in range(workers):
+            files += _pipe()
+            if (pid := os.fork()) == 0:
+                try:
+                    os._exit(_work(unit, jobs, files))
+                finally:  # _work raised
+                    os._exit(1)
+            children[pid] = files[-2]
+            files[-1].close()
+        files[0].close()  # the queue is fed after the forks, so a long one cannot block
+        with suppress(BrokenPipeError), files[1]:  # broken pipe: every child has ended
+            files[1].write(b"".join(i.to_bytes(4, "little") for i in range(len(jobs))))
+        sent = {pid: read.read() for pid, read in children.items()}
+    finally:
+        for f in files:
+            f.close()
+        status = {pid: os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in children}
+    if failed := {pid: code for pid, code in status.items() if code}:
+        raise ChildProcessError(f"worker processes failed, exit status by pid: {failed}")
+    results = dict(item for data in sent.values() for item in pickle.loads(data))
+    ordered = [results[i] for i in range(len(jobs))]
+    if failed := [value for ok, value in ordered if not ok]:
+        raise failed[0]
+    return [value for _, value in ordered]

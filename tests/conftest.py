@@ -1,4 +1,7 @@
-import multiprocessing
+import os
+import signal
+from contextlib import suppress
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -256,16 +259,31 @@ def kappa_eval(f: RegularPolynomial, mu: list[complex], lam: list[complex],
     return complex(closed), complex(partial), float(tail)
 
 
+def child_pids() -> list[int]:
+    """The children of this process, exited but unreaped ones included, from the
+    per-thread lists of /proc/self/task.  Where the kernel keeps no such list, one
+    ``os.waitpid(-1, WNOHANG)`` probe: the pid it reaps, or 0 for a live child."""
+    lists = list(Path("/proc/self/task").glob("*/children"))
+    if lists:
+        return sorted(int(pid) for path in lists for pid in path.read_text().split())
+    try:
+        return [os.waitpid(-1, os.WNOHANG)[0]]
+    except ChildProcessError:
+        return []
+
+
 @pytest.fixture(autouse=True)
 def no_process_left_running():
-    """Fail a test that leaves a live child process, as the benchmark fails a run that
-    does (``run_battery`` forks workers); the children are ended first, so the fault
+    """Fail a test that leaves a child process, as the benchmark fails a run that does
+    (``run_battery`` forks workers).  A raw ``os.fork`` child counts too, not only a
+    ``multiprocessing`` one; the children are killed and reaped first, so the fault
     stays with the test that made it."""
     yield
-    left = multiprocessing.active_children()
-    for proc in left:
-        proc.terminate()
-        proc.join(5)
+    left = child_pids()
+    for pid in filter(None, left):
+        with suppress(ProcessLookupError, ChildProcessError):
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
     assert not left, f"child processes left running: {left}"
 
 

@@ -1,7 +1,6 @@
 import dataclasses
 import functools
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -793,7 +792,7 @@ def test_choose_truncation_refuses_an_oversized_fock_space(monkeypatch):
 
 
 POOL_SCRIPT = """
-import contextlib, io, json, multiprocessing, sys
+import contextlib, glob, io, json, sys
 import ncdomains.harness as harness
 import ncdomains.parallel as parallel
 from ncdomains.cli import main
@@ -807,6 +806,10 @@ def failing(s, *args):
     return make_pair(s, *args)
 
 harness.random_commuting_pair = failing
+
+def children():
+    return sum(len(open(p).read().split()) for p in glob.glob("/proc/self/task/*/children"))
+
 runs = []
 for cpus in (1, 2):
     parallel.usable_cpus = lambda: cpus
@@ -814,21 +817,21 @@ for cpus in (1, 2):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(["battery", "--count", "6", "--seed", str(seed), "--dims", "3", "4", "5"])
-    runs.append([out.getvalue(), code, len(calls), len(multiprocessing.active_children())])
+    runs.append([out.getvalue(), code, len(calls), children()])
 print(json.dumps(runs))
 """
-POOL_PLATFORM = (hasattr(os, "sched_getaffinity")
-                 and "fork" in multiprocessing.get_all_start_methods()
+POOL_PLATFORM = (hasattr(os, "sched_getaffinity") and hasattr(os, "fork")
+                 and any(Path("/proc/self/task").glob("*/children"))
                  and ncdomains.parallel.blas_threads() is not None)
 
 
 def battery_paths(seed: int, fail: list[int], threads: str = "1") -> list[list]:
     """``ncdomains battery --count 6 --dims 3 4 5`` run serially (1 usable CPU) and in two
     forked workers (2 usable CPUs, also on a one-CPU machine), in a fresh interpreter with
-    ``threads`` OpenBLAS threads (the pool needs one); the pairs of the seeds in ``fail``
+    ``threads`` OpenBLAS threads (forking needs one); the pairs of the seeds in ``fail``
     raise ValueError, patched in before the fork.  Per run: standard output, exit code,
     the ando_dilation calls made in the parent process (none of a worker's count) and
-    the live child processes after ``main`` returned."""
+    the child processes, live or unreaped, that /proc lists after ``main`` returned."""
     env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
            "PYTHONPATH": str(Path(ncdomains.__file__).resolve().parents[1])}
     proc = subprocess.run([sys.executable, "-c", POOL_SCRIPT, json.dumps([seed, fail])],
