@@ -37,9 +37,21 @@ def _pipe() -> tuple:
     return open(read, "rb", buffering=0), open(write, "wb")
 
 
+def _sendable(i: int, result: tuple) -> tuple:
+    """(ok, value) as it pickles, or (False, RuntimeError) naming job i and the error."""
+    try:
+        pickle.dumps(result)
+    except Exception as exc:
+        return False, RuntimeError(f"job {i}: its result does not pickle: "
+                                   f"{type(exc).__name__}: {exc}")
+    return result
+
+
 def _work(unit: Callable, jobs: Sequence, files: list) -> int:
     """A child: run the jobs whose 4-byte indices it reads from files[0] (a pipe read of
-    at most PIPE_BUF bytes is atomic); send [(index, (ok, value))] through files[-1]."""
+    at most PIPE_BUF bytes is atomic); send [(index, (ok, value))] through files[-1],
+    pickled whole before any byte is written, so that a value that does not pickle is
+    sent as an error in its place."""
     for f in files[1:-1]:
         f.close()
     done = []
@@ -53,8 +65,12 @@ def _work(unit: Callable, jobs: Sequence, files: list) -> int:
             except Exception:  # sent as a RuntimeError that carries its text
                 exc = RuntimeError(f"{type(exc).__name__}: {exc}")
             done.append((i, (False, exc)))
+    try:
+        data = pickle.dumps(done)
+    except Exception:
+        data = pickle.dumps([(i, _sendable(i, result)) for i, result in done])
     with files[-1] as out:
-        pickle.dump(done, out)
+        out.write(data)
     return 0
 
 
@@ -62,7 +78,8 @@ def map_in_order(unit: Callable, jobs: Sequence) -> list:
     """[unit(job) for job in jobs] in min(jobs, usable CPUs) forked children (a spawned
     one imports numpy again, 80 ms) that take job indices from one pipe as they come
     free; the parent runs no job and reaps them.  Results and the first exception in job
-    order are a serial run's; a failed child raises ChildProcessError with its exit
+    order are a serial run's, except that a result that does not pickle raises a
+    RuntimeError naming its job; a failed child raises ChildProcessError with its exit
     status.  Serial on one CPU, without fork, while another thread runs (a forked child
     can deadlock), or unless numpy's BLAS is an OpenBLAS on one thread (at two threads a
     child, 6 battery pairs on 2 CPUs took 5.7 s, against 0.3 s serially)."""

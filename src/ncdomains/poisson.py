@@ -13,13 +13,19 @@ from .words import fock_size
 
 
 def canonical_phases(vectors: np.ndarray) -> np.ndarray:
-    """Rotate each column so its first entry of magnitude > 1e-12 is real positive."""
+    """Rotate each column so its first entry of magnitude > 1e-12 (``argmax`` finds it)
+    is real positive; a column with no such entry is copied as it is.  The product goes
+    to a fresh array by a (1, cols) row of phases: an in-place product, or a 1-d row
+    times a 1 x 1 block, can take numpy's unfused multiply and differ in the last bit
+    from a column times a scalar."""
+    big = np.abs(vectors) > 1e-12
+    live = big.any(axis=0)
+    if live.all() and big.size:
+        lead = vectors[big.argmax(axis=0), np.arange(vectors.shape[1])]
+        return vectors * (np.abs(lead) / lead)[None, :]
     out = vectors.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        nz = np.flatnonzero(np.abs(col) > 1e-12)
-        if nz.size:
-            out[:, j] = col * (np.abs(col[nz[0]]) / col[nz[0]])
+    if live.any():
+        out[:, live] = canonical_phases(vectors[:, live])
     return out
 
 

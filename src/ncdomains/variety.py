@@ -13,13 +13,14 @@ For homogeneous generators J is graded: W_i raises the level by one, so
 J_m = sum_i W_i J_{m-1} + span{ q_s(W) e_v : |v| = m - deg q_s }.  N_J is then
 co-invariant (W_i^* N_J in N_J), and its level m is cut from the n d_{m-1}
 vectors W_i (W_i^* W_i)^{-1} N_{m-1} by the generator columns at level m, read as the
-frame rows at the shift targets: one thin QR and one SVD of an (n d_{m-1})-row block per
-level, with no basis of J and no Fock-row generator block.  The model basis is the level
-complements b_m in level order, and B_i is formed a level at a time as b_{m+1}^* (W_i b_m).
-Other generators go through one SVD of the whole span.  Both use one rank rule: a singular
-value counts when it exceeds 1e-9 times the largest one of its block.  Constrained kernels
-are applied as (P (x) I) K by reshape, not ``kron``; the right compressions P L_i P are
-not built (the tests keep them as an oracle).
+frame rows at the shift targets.  W_i maps level m-1 onto its own run of level m, so the
+frame is n thin QRs of n^{m-1} x d_{m-1} blocks, taken in one batched call, and each level
+ends in one SVD of an (n d_{m-1})-row block (of its R factor when the block is wide), with
+no basis of J and no Fock-row generator block.  The model basis is the level complements
+b_m in level order, and B_i is formed a level at a time as b_{m+1}^* (W_i b_m).  Other
+generators go through one SVD of the whole span.  Both use one rank rule, ``RANK_RTOL``.
+Constrained kernels are applied as (P (x) I) K by reshape, not ``kron``; the right
+compressions P L_i P are not built (the tests keep them as an oracle).
 
 Truncation semantics: the span above is only reliable at levels
 |u| + deg q_s + |v| <= N, so levels within max(deg q_s) of the boundary are
@@ -99,15 +100,33 @@ def _is_homogeneous(q: Generator) -> bool:
     return len(lengths) <= 1
 
 
-def _split_span(cand: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the complement of the column span of cand.
+RANK_RTOL = 1e-9
+"""The one rank rule of the model build: a singular value of a block counts when it
+exceeds RANK_RTOL times the largest one of that block.
 
-    The one rank rule: keep the singular values s > 1e-9 * max(s).  Only
-    a tall block needs the full left factor; for a wide one the thin SVD's is
-    already square and no cols^2 right factor is formed.
+It decides which directions of a generator block lie in J, so it sets every level
+dimension of N_J (and the dimension of a whole-span model): below it a singular value is
+taken as the rounding of dependent columns, near eps times the largest one.
+``_split_span`` first reduces a wide block to the R* of a Householder QR of its conjugate
+transpose.  That QR is backward stable: R* is the exact factor of the block plus an E with
+||E|| <= c eps ||block||, c a low multiple of the block's size, so by Weyl's inequality
+each singular value moves by at most c eps ||block||.  For blocks of a few hundred columns
+that is near 1e-13 of the largest value, four orders below the cut, and the rule counts
+the same values on R* as on the block.
+"""
+
+
+def _split_span(cand: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the complement of the column span of cand, by ``RANK_RTOL``.
+
+    A tall block takes the full left factor of its SVD.  A wide one (rows < cols) is first
+    reduced to the square R* of ``qr(cand^*)``: cand = R* Q^* has the column span and the
+    singular values of R*, and the SVD of R* forms no rows x cols right factor.
     """
+    if cand.shape[0] < cand.shape[1]:
+        cand = np.linalg.qr(cand.conj().T, mode="r").conj().T
     u_m, s, _ = np.linalg.svd(cand, full_matrices=cand.shape[0] > cand.shape[1])
-    rank = int(np.sum(s > 1e-9 * (s[0] if s.size else 0.0)))
+    rank = int(np.sum(s > RANK_RTOL * (s[0] if s.size else 0.0)))
     return u_m[:, rank:]
 
 
@@ -120,14 +139,16 @@ def _next_level(table: WordTable, W: tuple[WeightedShift, ...],
     orthogonal to the generator columns q(W) e_v at level m.  The first condition
     puts the slot-i block of x in N_{m-1} / w_i, so N_m is the complement of the
     generator columns inside the span V_m of those n d_{m-1} candidates, met as
-    frame^* q(W) e_v = sum_w c_w s_w(v) frame^* e_{wv}, with no Fock-row block.
+    frame^* q(W) e_v = sum_w c_w s_w(v) frame^* e_{wv}, with no Fock-row block.  The
+    candidates of letter i fill only the rows W_i maps level m - 1 to, so the frame is
+    the thin QRs of the n blocks ``below / w_i``, scattered to those rows.
     """
     prev, cur = table.level_slice(m - 1), table.level_slice(m)
     d = below.shape[1]
-    cand = np.zeros((cur.stop - cur.start, len(W) * d), dtype=complex)
-    for i, w in enumerate(W):
-        cand[w.target[prev] - cur.start, i * d:(i + 1) * d] = below / w.weight[prev, None]
-    frame = np.linalg.qr(cand)[0]
+    blocks = np.linalg.qr(below / np.stack([w.weight[prev] for w in W])[:, :, None])[0]
+    frame = np.zeros((cur.stop - cur.start, len(W) * d), dtype=complex)
+    for i, (w, q) in enumerate(zip(W, blocks)):
+        frame[w.target[prev] - cur.start, i * d:(i + 1) * d] = q
     gens = [np.zeros((frame.shape[1], 0), dtype=complex)]
     for dq, terms in shifts:
         if dq <= m:

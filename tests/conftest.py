@@ -220,6 +220,18 @@ def power_pair_tuple() -> tuple[RegularPolynomial, OperatorTuple]:
     return f, scale_into_domain(f, OperatorTuple((a, a @ a)), 0.4)
 
 
+def canonical_phases_loop(vectors: np.ndarray) -> np.ndarray:
+    """The former column loop of ``poisson.canonical_phases``: each column times the
+    phase that makes its first entry of magnitude > 1e-12 real positive."""
+    out = vectors.copy()
+    for j in range(out.shape[1]):
+        col = out[:, j]
+        nz = np.flatnonzero(np.abs(col) > 1e-12)
+        if nz.size:
+            out[:, j] = col * (np.abs(col[nz[0]]) / col[nz[0]])
+    return out
+
+
 def compression_residual(dil: PairDilation, p: BiPolynomial) -> float:
     """|| p(T1, T2) - K^* p(left, psi) K || (exact for nilpotent pairs)."""
     lhs = p.eval(dil.pair.T1, dil.pair.T2)

@@ -51,6 +51,10 @@ def raise_unpicklable(job: int) -> int:
     return job
 
 
+def return_lambda_at_two(job: int):
+    return (lambda: job) if job == 2 else job
+
+
 def test_queue_longer_than_a_pipe_buffer(forks):
     """20,000 4-byte indices overfill a 64 KiB pipe buffer (16,384 records); the queue is
     fed after the forks, so it drains, and the results come back in job order."""
@@ -68,6 +72,15 @@ def test_child_that_exits_raises_with_its_status(forks):
 def test_unpicklable_exception_comes_back_with_its_text(forks):
     with pytest.raises(RuntimeError, match="^TwoArgError: job 4: no way back$"):
         parallel.map_in_order(raise_unpicklable, range(6))
+    assert forks == [1, 1] and child_pids() == []
+
+
+def test_unpicklable_result_comes_back_as_an_error(forks):
+    """A result that does not pickle comes back as a RuntimeError that names its job and
+    the pickling error, not as a bare exit status."""
+    with pytest.raises(RuntimeError, match=r"^job 2: its result does not pickle: "
+                                           r"\w*Error: .*lambda"):
+        parallel.map_in_order(return_lambda_at_two, range(6))
     assert forks == [1, 1] and child_pids() == []
 
 
