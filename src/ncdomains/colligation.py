@@ -8,8 +8,11 @@ T2 : H' -> H in the g-domain, the map
 
 is an isometry on its span (the last range component is forced by the defect
 identity; the bare display of the relation omits it).  Completing it to a
-unitary U = [[A, B], [C, D]] yields the colligation whose adjoint generates
-the transfer function.
+unitary U = [[A, B], [C, D]], the polar part of X = V + (I - V V^*)(I + V^*)(I - V^* V)
+for the prescribed map V (:func:`complete_to_unitary`: U = V on the domain, and U follows
+any unitary change of coordinates), yields the colligation whose adjoint generates the
+transfer function.  tests/test_invariance.py holds every printed value to rounding when
+the pair is written in another basis.
 """
 
 from __future__ import annotations
@@ -21,14 +24,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import OperatorTuple, RegularPolynomial, phi_identity_power
-from .poisson import DefectData, canonical_phases, defect
+from .poisson import DefectData, defect
 from .report import VerificationReport
 from .words import Word
 
 # flags echoed into every report that depends on these interpretive choices
 INTERPRETIVE_FLAGS = {
     "iso_range_includes_defect2": "1",
-    "completion": "svd-span-match+ordered-complement",
+    "completion": "polar-part-of-prescribed-map",
 }
 
 
@@ -179,20 +182,17 @@ class Colligation:
         return self.B[:, i * w:(i + 1) * w]
 
 
-def _ordered_frames(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """The full SVD u, s, vh of mat and its rank: the first rank columns of u
-    are an orthonormal basis of col(mat), the others its ordered complement."""
-    u, s, vh = np.linalg.svd(mat, full_matrices=True)
-    rank = int(np.sum(s > 1e-10 * max(s[0] if s.size else 1.0, 1.0)))
-    return u, s, vh, rank
-
-
 def complete_to_unitary(partial: PartialIsometry) -> Colligation:
-    """Pad dimensions, then extend the prescribed isometry to a unitary.
+    """Pad dimensions, then extend the prescribed isometry to a unitary, the polar part of
 
-    The prescribed spans are matched through the SVD of the domain columns;
-    both orthocomplements are mapped onto each other in index order, and the
-    result is snapped to the nearest unitary.
+        X = V + (I - V V^*)(I + V^*)(I - V^* V),  V = ran dom^+ (thin SVD, rank cut 1e-10).
+
+    V^* (I - V V^*) = 0 and I - V^* V = 0 on range(dom), so X^* X is the identity there and
+    leaves the complement invariant: U = V on range(dom), the prescribed action.  The
+    middle term maps the domain complement into the range complement; its I + V^* pairs
+    what the product of the two complement projections leaves singular (zero tuples on
+    f = g = z give the swap).  X depends on V alone, so (L dom, L ran) for a unitary L on
+    C^total gives L X L^* and L U L^*, whatever bases the SVDs return.
     """
     d1, d1p, d2, m1, m2 = partial.dims
     rows = (partial.domain_vectors.shape[0], partial.range_vectors.shape[0])
@@ -210,16 +210,12 @@ def complete_to_unitary(partial: PartialIsometry) -> Colligation:
     ])
     total = dom.shape[0]
 
-    u_d, s_d, vh, rank = _ordered_frames(dom)
-    qx = u_d[:, :rank]
-    qy = ran @ vh.conj().T[:, :rank] / s_d[:rank]  # orthonormal: the Gram matrices agree
-    u_r, _, _, rank_r = _ordered_frames(ran)
-    # the ranks agree when the Gram matrices do; complement bases are mapped
-    # onto each other in SVD order with canonical column phases
-    comp_d = canonical_phases(u_d[:, rank:])
-    comp_r = canonical_phases(u_r[:, rank_r:])
-    u0 = qy @ qx.conj().T + comp_r @ comp_d.conj().T
-    pu, _, pvh = np.linalg.svd(u0)
+    u_d, s_d, vh = np.linalg.svd(dom, full_matrices=False)
+    rank = int(np.sum(s_d > 1e-10 * max(s_d[0] if s_d.size else 1.0, 1.0)))
+    v = (ran @ vh[:rank].conj().T / s_d[:rank]) @ u_d[:, :rank].conj().T
+    eye = np.eye(total)
+    x = v + (eye - v @ v.conj().T) @ (eye + v.conj().T) @ (eye - v.conj().T @ v)
+    pu, _, pvh = np.linalg.svd(x)
     unitary = pu @ pvh
 
     dims = {"d1": d1, "d1p": d1p, "d2": d2, "m1": m1, "m2": m2,

@@ -544,6 +544,7 @@ def run_battery(f: RegularPolynomial, g: RegularPolynomial, seeds: list[int],
     (``parallel.map_in_order``); the report is byte-identical to a serial run's.
     """
     from .parallel import map_in_order  # only the battery compiles and imports it
+    import numpy.random  # noqa: F401  each pair's first use; loaded once, before the forks
     kinds = list(PAIR_KINDS) if kinds is None else kinds
     polys = builtin_polys()
     rep = VerificationReport("battery", environment={"battery": BATTERY_VERSION,

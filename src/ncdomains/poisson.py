@@ -12,23 +12,6 @@ from .report import VerificationReport
 from .words import fock_size
 
 
-def canonical_phases(vectors: np.ndarray) -> np.ndarray:
-    """Rotate each column so its first entry of magnitude > 1e-12 (``argmax`` finds it)
-    is real positive; a column with no such entry is copied as it is.  The product goes
-    to a fresh array by a (1, cols) row of phases: an in-place product, or a 1-d row
-    times a 1 x 1 block, can take numpy's unfused multiply and differ in the last bit
-    from a column times a scalar."""
-    big = np.abs(vectors) > 1e-12
-    live = big.any(axis=0)
-    if live.all() and big.size:
-        lead = vectors[big.argmax(axis=0), np.arange(vectors.shape[1])]
-        return vectors * (np.abs(lead) / lead)[None, :]
-    out = vectors.copy()
-    if live.any():
-        out[:, live] = canonical_phases(vectors[:, live])
-    return out
-
-
 @dataclass(frozen=True)
 class DefectData:
     """Hermitian square root of I - Phi(I) plus an orthonormal range basis."""
@@ -43,11 +26,13 @@ class DefectData:
 
 
 def defect(f: RegularPolynomial, T: OperatorTuple) -> DefectData:
-    """Defect operator (I - Phi_{f,T}(I))^{1/2} with a deterministic range basis.
+    """Defect operator (I - Phi_{f,T}(I))^{1/2} with an orthonormal range basis.
 
     Eigenvalues are sorted descending; tiny negatives (>= -1e-9) are clamped
     to zero, anything below -1e-9 means the tuple is outside the domain.  The
-    rank counts the eigenvalues above 1e-9.
+    rank counts the eigenvalues above 1e-9.  The basis keeps ``eigh``'s column phases:
+    delta does not depend on them, and for an Ando pair on f = g = z another basis is one
+    unitary on the colligation's C^total, which its polar completion follows.
     """
     gap = np.eye(T.rows) - apply_phi(f, T)
     gap = (gap + gap.conj().T) / 2
@@ -57,7 +42,6 @@ def defect(f: RegularPolynomial, T: OperatorTuple) -> DefectData:
     if evals[-1] < -1e-9:
         raise ValueError(f"tuple outside the domain: min eigenvalue {evals[-1]:.3e}")
     evals = np.clip(evals, 0.0, None)
-    evecs = canonical_phases(evecs)
     delta = (evecs * np.sqrt(evals)) @ evecs.conj().T
     rank = int(np.sum(evals > 1e-9))
     return DefectData(delta=delta, basis=evecs[:, :rank], rank=rank)

@@ -38,7 +38,7 @@ import numpy as np
 from .domain import (OperatorTuple, RegularPolynomial, WeightedShift,
                      kron_identity_matmul, phi_identity_power, shift_word,
                      weighted_creation)
-from .poisson import PoissonKernel, add_gram_check, canonical_phases
+from .poisson import PoissonKernel, add_gram_check
 from .report import VerificationReport
 from .words import Word, WordTable, check_word, enumerate_words, fock_size
 
@@ -155,7 +155,7 @@ def _next_level(table: WordTable, W: tuple[WeightedShift, ...],
             v = np.arange(len(table))[table.level_slice(m - dq)]
             gens.append(sum(c * s.weight[v] * frame[s.target[v] - cur.start].conj().T
                             for c, s in terms))
-    return canonical_phases(frame @ _split_span(np.hstack(gens)))
+    return frame @ _split_span(np.hstack(gens))
 
 
 def _graded_complement(table: WordTable, W: tuple[WeightedShift, ...],
@@ -202,7 +202,7 @@ def _span_complement(table: WordTable, W: tuple[WeightedShift, ...],
                 break
             top = fock_size(table.n, table.N - dq - len(u))
             cols.append(shift_word(W, u).apply(qw[:, :top]))
-    return canonical_phases(_split_span(np.hstack(cols))), [slice(None)] * (table.N + 1)
+    return _split_span(np.hstack(cols)), [slice(None)] * (table.N + 1)
 
 
 def build_variety(f: RegularPolynomial, N: int, generators: list[Generator]) -> VarietyModel:

@@ -220,16 +220,11 @@ def power_pair_tuple() -> tuple[RegularPolynomial, OperatorTuple]:
     return f, scale_into_domain(f, OperatorTuple((a, a @ a)), 0.4)
 
 
-def canonical_phases_loop(vectors: np.ndarray) -> np.ndarray:
-    """The former column loop of ``poisson.canonical_phases``: each column times the
-    phase that makes its first entry of magnitude > 1e-12 real positive."""
-    out = vectors.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        nz = np.flatnonzero(np.abs(col) > 1e-12)
-        if nz.size:
-            out[:, j] = col * (np.abs(col[nz[0]]) / col[nz[0]])
-    return out
+def seeded_unitary(seed: int, dim: int) -> np.ndarray:
+    """The Q factor of a seeded complex Gaussian dim x dim matrix, its R diagonal made positive."""
+    rng = np.random.default_rng([seed, dim])
+    q, r = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def compression_residual(dil: PairDilation, p: BiPolynomial) -> float:

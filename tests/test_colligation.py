@@ -10,7 +10,7 @@ from ncdomains import (IntertwiningTriple, OperatorTuple, RegularPolynomial,
 from ncdomains.colligation import (Colligation, _delta1_hat, series_term_by_words,
                                    solve_padding)
 
-from conftest import colligation_matrix, phi_map, random_nilpotent_tuple
+from conftest import colligation_matrix, phi_map, random_nilpotent_tuple, seeded_unitary
 
 Z = RegularPolynomial.single_variable([1.0])
 
@@ -160,6 +160,38 @@ def test_unitarity_and_prescribed_action_many_seeds():
         col = complete_to_unitary(build_isometry(nilpotent_triple(seed, 3 + seed % 3)))
         assert col.unitarity_residual <= 1e-10
         assert col.prescribed_residual <= 1e-10
+
+
+def seeded_partials():
+    """Structural isometries of f = g = z triples (no padding, so C^total is both the
+    domain and the range space), and one of rank 2 on four columns: a seeded
+    (6 x 2)(2 x 4) block and its image under a seeded unitary."""
+    partials = [build_isometry(nilpotent_triple(seed, 3 + seed % 3)) for seed in range(8)]
+    rng = np.random.default_rng(11)
+    low = rng.standard_normal((6, 2)) @ rng.standard_normal((2, 4)) / 4
+    partials.append(dataclasses.replace(partials[0], domain_vectors=low,
+                                        range_vectors=seeded_unitary(12, 6) @ low))
+    return partials
+
+
+def test_completion_is_the_polar_part_of_x_and_follows_a_change_of_basis():
+    """U = X (X^* X)^{-1/2} with V = ran dom^+ and X = V + (I - V V^*)(I + V^*)(I - V^* V),
+    U dom = ran, and the completion of (L dom, L ran) is L U L^* for a unitary L on
+    C^total.  The eigh route to the polar part loses eps / sigma_min(X)^2 (3.1e-14 at
+    sigma_min 0.063, seed 7), so it is held to 1e-12."""
+    for k, partial in enumerate(seeded_partials()):
+        dom, ran = partial.domain_vectors, partial.range_vectors
+        u = colligation_matrix(complete_to_unitary(partial))
+        assert np.abs(u @ dom - ran).max() <= 1e-13
+        lam = seeded_unitary(100 + k, len(dom))
+        moved = complete_to_unitary(dataclasses.replace(
+            partial, domain_vectors=lam @ dom, range_vectors=lam @ ran))
+        assert np.abs(colligation_matrix(moved) - lam @ u @ lam.conj().T).max() <= 1e-13
+        v = ran @ np.linalg.pinv(dom, rcond=1e-10)
+        eye = np.eye(len(v))
+        x = v + (eye - v @ v.conj().T) @ (eye + v.conj().T) @ (eye - v.conj().T @ v)
+        evals, evecs = np.linalg.eigh(x.conj().T @ x)
+        assert np.abs(u - x @ (evecs / np.sqrt(evals)) @ evecs.conj().T).max() <= 1e-12
 
 
 def test_series_oracle_nilpotent_terminates():

@@ -125,3 +125,24 @@ def test_forked_battery_loads_no_pool_modules():
     proc = subprocess.run([sys.executable, "-c", BATTERY_SCRIPT], env=env,
                           capture_output=True, text=True, check=True, timeout=120)
     assert json.loads(proc.stdout) == [0, 2, []]
+
+
+RANDOM_AT_FORK_SCRIPT = """
+import contextlib, io, json, sys
+import ncdomains.parallel as parallel
+from ncdomains.cli import main
+seen, real = [], parallel.map_in_order
+parallel.map_in_order = lambda unit, jobs: seen.append("numpy.random" in sys.modules) or real(unit, jobs)
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["battery", "--count", "2", "--dims", "3"])
+print(json.dumps([code, seen]))
+"""
+
+
+def test_battery_workers_inherit_numpy_random():
+    """``run_battery`` imports numpy.random (each pair's first use of it) before it calls
+    ``map_in_order``, so forked workers inherit it instead of each importing it."""
+    env = {**os.environ, "PYTHONPATH": str(Path(ncdomains.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", RANDOM_AT_FORK_SCRIPT], env=env,
+                          capture_output=True, text=True, check=True, timeout=120)
+    assert json.loads(proc.stdout) == [0, [True]]

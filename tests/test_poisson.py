@@ -5,11 +5,9 @@ from ncdomains import (OperatorTuple, RegularPolynomial, defect, poisson_kernel,
                        verify_kernel_identities)
 from ncdomains.domain import phi_identity_power
 from ncdomains.harness import scale_into_domain
-from ncdomains.poisson import canonical_phases
 from ncdomains.words import enumerate_words
 
-from conftest import (b_by_word, canonical_phases_loop, f_battery,
-                      random_nilpotent_tuple)
+from conftest import b_by_word, f_battery, random_nilpotent_tuple
 
 
 def test_defect_scalar():
@@ -33,40 +31,6 @@ def test_defect_rank_deficient():
     assert dd.rank == 1
     assert dd.basis.shape == (2, 1)
     assert np.linalg.norm(dd.delta @ dd.delta - (np.eye(2) - T.mats[0] @ T.mats[0].conj().T)) <= 1e-14
-
-
-def test_canonical_phases():
-    v = np.array([[1j], [1.0]])
-    out = canonical_phases(v)
-    assert abs(out[0, 0].imag) <= 1e-15 and out[0, 0].real > 0
-
-
-def assert_bitwise(a: np.ndarray, b: np.ndarray) -> None:
-    assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
-def test_canonical_phases_matches_column_loop():
-    """The one-pass phases equal the former column loop bit for bit: on zero columns, on
-    columns whose leading entries are below 1e-12 (and signed zeros), on one-row, empty,
-    strided, Fortran-ordered and real blocks."""
-    rng = np.random.default_rng(3)
-    for trial in range(400):
-        rows, cols = rng.integers(0, 40), rng.integers(0, 30)
-        v = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-        v[:, rng.random(cols) < 0.3] = 0
-        v[:rng.integers(0, rows + 1), rng.random(cols) < 0.3] = 1e-13 * (1 - 1j)
-        v[rng.random((rows, cols)) < 0.2] *= -0.0
-        v = (v, v[::2], v[:, ::2], np.asfortranarray(v), v.real.copy())[trial % 5]
-        assert_bitwise(canonical_phases(v), canonical_phases_loop(v))
-    for shape in ((0, 3), (3, 0), (0, 0), (1, 1), (1, 4)):
-        v = np.full(shape, 0.3 - 0.4j)
-        assert_bitwise(canonical_phases(v), canonical_phases_loop(v))
-    # the lead of column 0 is its third entry (1e-12 is not above the cut); column 1 has none
-    tiny = np.array([[1e-13j, 0.0], [1e-12, 0.0], [2e-12 - 1e-12j, -0.0]])
-    out = canonical_phases(tiny)
-    assert_bitwise(out, canonical_phases_loop(tiny))
-    assert abs(out[2, 0].imag) <= 1e-15 * out[2, 0].real
-    assert_bitwise(out[:, 1], tiny[:, 1])
 
 
 def test_kernel_isometric_for_nilpotent():
