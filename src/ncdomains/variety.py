@@ -22,6 +22,20 @@ generators go through one SVD of the whole span.  Both use one rank rule, ``RANK
 Constrained kernels are applied as (P (x) I) K by reshape, not ``kron``; the right
 compressions P L_i P are not built (the tests keep them as an oracle).
 
+The commutator ideal (``commutator_generators(n)``) has its model in closed form, with no
+QR, SVD or rank decision.  W_w e_v = sqrt(b_v / b_{wv}) e_{wv}, so
+W_u (W_j W_i - W_i W_j) e_v = sqrt(b_v) (e_{ujiv} / sqrt(b_{ujiv}) - e_{uijv} / sqrt(b_{uijv})),
+and x is orthogonal to it exactly when x_w / sqrt(b_w) is unchanged by swapping two
+adjacent letters.  Swaps join every two words of one content (letter counts) alpha, so
+x_w = c_alpha sqrt(b_w): N_J = span{u_alpha = sum_{content(w) = alpha} sqrt(b_w) e_w}, one
+vector per alpha with |alpha| <= N, at every level <= N and for every positive regular f.
+With beta_alpha = sum_{content(w) = alpha} b_w the orthonormal basis is
+u_alpha / sqrt(beta_alpha), and <W_i u_alpha, u_{alpha + e_i}> = beta_alpha gives
+B_i e_alpha = sqrt(beta_alpha / beta_{alpha + e_i}) e_{alpha + e_i}.  The contents are coded
+base N + 1 in int64, so the closed form is taken when (N + 1)^n fits there.  Any other
+generator list, one that holds the commutators among others included, takes the graded or
+whole-span build.
+
 Truncation semantics: the span above is only reliable at levels
 |u| + deg q_s + |v| <= N, so levels within max(deg q_s) of the boundary are
 marked unstable and excluded from exact checks.  Only homogeneous-friendly
@@ -35,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import (OperatorTuple, RegularPolynomial, WeightedShift,
+from .domain import (OperatorTuple, RegularPolynomial, WeightedShift, b_coefficients,
                      kron_identity_matmul, phi_identity_power, shift_word,
                      weighted_creation)
 from .poisson import PoissonKernel, add_gram_check
@@ -101,7 +115,7 @@ def _is_homogeneous(q: Generator) -> bool:
 
 
 RANK_RTOL = 1e-9
-"""The one rank rule of the model build: a singular value of a block counts when it
+"""The one rank rule of the factorized builds: a singular value of a block counts when it
 exceeds RANK_RTOL times the largest one of that block.
 
 It decides which directions of a generator block lie in J, so it sets every level
@@ -205,20 +219,62 @@ def _span_complement(table: WordTable, W: tuple[WeightedShift, ...],
     return _split_span(np.hstack(cols)), [slice(None)] * (table.N + 1)
 
 
+def _commutative_model(table: WordTable, b: np.ndarray) -> tuple[np.ndarray, OperatorTuple]:
+    """N_J of the commutator ideal in closed form, with its compressed tuple.
+
+    The content alpha of a word is coded as sum_i alpha_i (N + 1)^(i - 1), extended one
+    letter at a time: the level-m word of rank rho is its level-(m - 1) prefix of rank
+    rho // n followed by the letter rho % n + 1.  Each level's sorted codes index its
+    classes, and beta_alpha sums b_w over the words of content alpha.  The column of
+    class alpha is u_alpha / sqrt(beta_alpha), so Fock row w has the one nonzero
+    sqrt(b_w / beta_alpha), and B_i maps it to sqrt(beta_alpha / beta_{alpha + e_i})
+    times the column of alpha + e_i (module docstring).
+    """
+    step = (table.N + 1) ** np.arange(table.n, dtype=np.int64)
+    codes, classes = np.zeros(1, dtype=np.int64), []
+    for m in range(table.N + 1):
+        if m:
+            codes = (codes[:, None] + step).ravel()
+        uniq, inv = np.unique(codes, return_inverse=True)
+        classes.append((uniq, inv, np.bincount(inv, weights=b[table.level_slice(m)])))
+    starts = np.cumsum([0] + [uniq.size for uniq, _, _ in classes])
+    basis = np.zeros((len(table), starts[-1]), dtype=complex)
+    mats = np.zeros((table.n, starts[-1], starts[-1]), dtype=complex)
+    for m, (uniq, inv, beta) in enumerate(classes):
+        rows = table.level_slice(m)
+        basis[np.arange(rows.start, rows.stop), starts[m] + inv] = np.sqrt(b[rows] / beta[inv])
+        if m < table.N:
+            up, _, beta_up = classes[m + 1]
+            src = starts[m] + np.arange(uniq.size)
+            for i in range(table.n):
+                dst = np.searchsorted(up, uniq + step[i])
+                mats[i, starts[m + 1] + dst, src] = np.sqrt(beta / beta_up[dst])
+    return basis, OperatorTuple(tuple(mats))
+
+
+def _is_commutator_ideal(generators: list[Generator], n: int, N: int) -> bool:
+    """The generators are ``commutator_generators(n)`` and every content code fits int64."""
+    return generators == commutator_generators(n) and (N + 1) ** n <= np.iinfo(np.int64).max
+
+
 def build_variety(f: RegularPolynomial, N: int, generators: list[Generator]) -> VarietyModel:
     """Orthonormal basis of N_J and the compressed left creation tuple.
 
-    Built level by level from the level below when every generator is
-    homogeneous, else by one SVD of the whole span (module docstring).
+    In closed form for the generators ``commutator_generators(f.n)``; otherwise built
+    level by level from the level below when every generator is homogeneous, else by
+    one SVD of the whole span (module docstring).
     """
     for q in generators:
         check_generator(q, f.n)
     table = enumerate_words(f.n, N)
-    W = weighted_creation(f, N)
-    live = [(q, generator_degree(q)) for q in generators if generator_degree(q) > 0]
-    build = _graded_complement if all(_is_homogeneous(q) for q, _ in live) else _span_complement
-    basis, cols = build(table, W, live)
-    left = OperatorTuple(tuple(_compress(w, table, basis, cols) for w in W))
+    if _is_commutator_ideal(generators, f.n, N):
+        basis, left = _commutative_model(table, b_coefficients(f, N))
+    else:
+        W = weighted_creation(f, N)
+        live = [(q, generator_degree(q)) for q in generators if generator_degree(q) > 0]
+        homogeneous = all(_is_homogeneous(q) for q, _ in live)
+        basis, cols = (_graded_complement if homogeneous else _span_complement)(table, W, live)
+        left = OperatorTuple(tuple(_compress(w, table, basis, cols) for w in W))
     margin = max((generator_degree(q) for q in generators), default=0)
     return VarietyModel(f=f, N=N, generators=tuple(generators), basis=basis,
                         left=left, unstable_margin=margin)

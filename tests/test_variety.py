@@ -1,16 +1,22 @@
+import json
 import tracemalloc
 from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ncdomains import (OperatorTuple, RegularPolynomial, build_variety,
+import ncdomains.variety as variety
+from ncdomains import (OperatorTuple, RegularPolynomial, b_coefficients, build_variety,
                        commutator_generators, constrained_poisson, enumerate_words,
                        minpoly_generator, poisson_kernel,
                        verify_constrained_kernel, weighted_creation)
+from ncdomains.cli import main
 from ncdomains.domain import kron_identity_matmul
-from ncdomains.variety import (VarietyModel, _span_complement, _split_span,
-                               generator_degree)
+from ncdomains.harness import scale_into_domain
+from ncdomains.report import parse_report
+from ncdomains.variety import (VarietyModel, _graded_complement, _span_complement,
+                               _split_span, generator_degree)
 
 from conftest import (dense_compression, dense_creation, f_battery, kappa_eval,
                       level_dimensions)
@@ -107,35 +113,243 @@ def symmetric_level_basis(n: int, m: int) -> np.ndarray:
     return out / np.sqrt(out.sum(axis=0))
 
 
-def test_commutator_model_is_the_symmetric_fock_space():
+def assert_symmetric_fock(basis: np.ndarray, n: int, N: int) -> None:
     """Closed-form oracle: for f = z1 + ... + zn every weight is 1, and the model
     of the commutator ideal is the symmetric Fock space at every level.  With
     equal dimensions, ||Q Q^* - S S^*||_2 = ||Q - S S^* Q||_2 for orthonormal Q, S,
     so the level projectors are compared without a Fock^2 matrix."""
+    table = enumerate_words(n, N)
+    for m in range(N + 1):
+        q = basis[table.level_slice(m)]
+        q = q[:, np.linalg.norm(q, axis=0) > 0]
+        s = symmetric_level_basis(n, m)
+        assert q.shape[1] == s.shape[1] == comb(n + m - 1, m)
+        assert np.linalg.norm(q - s @ (s.T @ q), 2) <= 1e-12
+
+
+def graded_commutator_basis(f: RegularPolynomial, N: int) -> np.ndarray:
+    """The level-by-level build of the commutator ideal's model, called directly."""
+    live = [(q, 2) for q in commutator_generators(f.n)]
+    return _graded_complement(enumerate_words(f.n, N), weighted_creation(f, N), live)[0]
+
+
+def test_commutator_model_is_the_symmetric_fock_space():
+    """The closed-form build of ``build_variety`` (see ``assert_symmetric_fock``)."""
     for n, N in ((3, 7), (2, 8)):
-        v = build_variety(drury_poly(n), N, commutator_generators(n))
-        table = enumerate_words(n, N)
-        for m in range(N + 1):
-            q = v.basis[table.level_slice(m)]
-            q = q[:, np.linalg.norm(q, axis=0) > 0]
-            s = symmetric_level_basis(n, m)
-            assert q.shape[1] == s.shape[1] == comb(n + m - 1, m)
-            assert np.linalg.norm(q - s @ (s.T @ q), 2) <= 1e-12
+        assert_symmetric_fock(build_variety(drury_poly(n), N, commutator_generators(n)).basis,
+                              n, N)
+
+
+def test_graded_commutator_model_is_the_symmetric_fock_space():
+    """The level-by-level build on the same cases (see ``assert_symmetric_fock``)."""
+    for n, N in ((3, 7), (2, 8)):
+        assert_symmetric_fock(graded_commutator_basis(drury_poly(n), N), n, N)
+
+
+def traced_peak(build) -> int:
+    """The ``tracemalloc`` peak of one call of build, after a warm-up call."""
+    build()  # warm the word table and weights
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_commutator_build_peak_memory():
-    """The level-local build at (n, N) = (3, 7), Fock 3,280 and model dimension
-    120, peaks below 10 MB (9.0 MB measured): no Fock-row generator block, no dense
-    compression, and a frame from per-letter QRs with no candidate block beside it."""
+    """The closed-form build at (n, N) = (3, 7), Fock 3,280 and model dimension
+    120, peaks below 10 MB (7.2 MB measured, 6.3 MB of it the basis): no factorization
+    and no dense compression."""
     f = drury_poly(3)
-    build_variety(f, 7, commutator_generators(3))  # warm the word table and weights
-    tracemalloc.start()
-    try:
-        build_variety(f, 7, commutator_generators(3))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: build_variety(f, 7, commutator_generators(3)))
     assert peak < 10e6, peak
+
+
+def test_graded_commutator_build_peak_memory():
+    """The level-by-level build of the same model, its weights included, peaks below
+    10 MB (9.0 MB measured): no Fock-row generator block, and a frame from per-letter
+    QRs with no candidate block beside it."""
+    f = drury_poly(3)
+    peak = traced_peak(lambda: graded_commutator_basis(f, 7))
+    assert peak < 10e6, peak
+
+
+def content_beta(f: RegularPolynomial, N: int) -> dict[tuple[int, ...], float]:
+    """beta_alpha = sum of b_w over the words w of content (letter counts) alpha, word by word."""
+    table, b = enumerate_words(f.n, N), b_coefficients(f, N)
+    beta: dict[tuple[int, ...], float] = {}
+    for w, bw in zip(table.words, b):
+        alpha = tuple(w.count(i) for i in range(1, f.n + 1))
+        beta[alpha] = beta.get(alpha, 0.0) + bw
+    return beta
+
+
+def assert_closed_form_entries(v: VarietyModel) -> None:
+    """Each basis column lives on the words of one content alpha, and B_i maps it to
+    sqrt(beta_alpha / beta_{alpha + e_i}) times the column of alpha + e_i, and nowhere else."""
+    table, beta = enumerate_words(v.f.n, v.N), content_beta(v.f, v.N)
+    column = {}
+    for j in range(v.dim):
+        contents = {tuple(table.words[k].count(i) for i in range(1, v.f.n + 1))
+                    for k in np.flatnonzero(v.basis[:, j])}
+        assert len(contents) == 1
+        column[contents.pop()] = j
+    assert sorted(column) == sorted(beta)
+    for i, got in enumerate(v.left.mats):
+        want = np.zeros_like(got)
+        for alpha, j in column.items():
+            up = tuple(a + (k == i) for k, a in enumerate(alpha))
+            if up in column:
+                want[column[up], j] = np.sqrt(beta[alpha] / beta[up])
+        assert np.abs(got - want).max() <= 1e-15
+
+
+def projector_gap(q: np.ndarray, s: np.ndarray) -> float:
+    """||Q Q^* - S S^*||_2 for orthonormal Q, S of one shape, as ||Q - S S^* Q||_2."""
+    assert q.shape == s.shape
+    return float(np.linalg.norm(q - s @ (s.conj().T @ q), 2))
+
+
+def test_closed_form_matches_graded_and_span_builds():
+    """The closed-form commutator model against ``_graded_complement`` and
+    ``_span_complement`` called directly: level dimensions C(n+m-1, m) up to N, the
+    same projector to 1e-12, B_i equal to the dense compressions, and the B_i
+    entries sqrt(beta_alpha / beta_{alpha + e_i}) from a word-by-word beta."""
+    varying = RegularPolynomial(2, {(1,): 0.5, (2,): 2.0, (1, 2): 0.7, (2, 2): 0.2})
+    varying3 = RegularPolynomial(3, {(1,): 0.5, (2,): 1.0, (3,): 2.0, (1, 3): 0.4, (2, 2): 0.3})
+    asymmetric = RegularPolynomial(2, {(1,): 0.5, (2,): 0.3, (1, 2): 0.1})
+    for f, N in ((drury_poly(2), 6), (drury_poly(3), 5), (drury_poly(3), 6),
+                 (asymmetric, 5), (varying, 5), (varying3, 5)):
+        v = build_variety(f, N, commutator_generators(f.n))
+        assert level_dimensions(v) == [comb(f.n + m - 1, m) for m in range(N + 1)]
+        assert np.linalg.norm(v.basis.conj().T @ v.basis - np.eye(v.dim), 2) <= 1e-12
+        table, W = enumerate_words(f.n, N), weighted_creation(f, N)
+        live = [(q, 2) for q in commutator_generators(f.n)]
+        for build in (_graded_complement, _span_complement):
+            assert projector_gap(v.basis, build(table, W, live)[0]) <= 1e-12
+        assert_left_matches_dense(v)
+        assert_closed_form_entries(v)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.sampled_from([2, 3]), N=st.integers(1, 5),
+       letters=st.lists(st.floats(0.05, 3.0), min_size=3, max_size=3),
+       squares=st.lists(st.one_of(st.just(0.0), st.floats(0.01, 1.0)), min_size=9, max_size=9))
+def test_closed_form_matches_span_oracle_on_random_f(n, N, letters, squares):
+    """Random positive f with degree-1 and degree-2 support words: the closed-form
+    model projects as the whole-span complement, to 1e-12."""
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    f = RegularPolynomial(n, {**{(i,): letters[i - 1] for i in range(1, n + 1)},
+                              **dict(zip(pairs, squares))})
+    v = build_variety(f, N, commutator_generators(n))
+    live = [(q, 2) for q in commutator_generators(n)]
+    oracle = _span_complement(enumerate_words(n, N), weighted_creation(f, N), live)[0]
+    assert v.dim == oracle.shape[1] == comb(n + N, N)
+    assert np.linalg.norm(v.basis.conj().T @ v.basis - np.eye(v.dim), 2) <= 1e-12
+    assert projector_gap(v.basis, oracle) <= 1e-12
+
+
+class Refusing:
+    """A module stand-in: the ``override`` attributes, and the rest of ``inner``."""
+
+    def __init__(self, inner, **override):
+        self.inner, self.override = inner, override
+
+    def __getattr__(self, name):
+        return self.override[name] if name in self.override else getattr(self.inner, name)
+
+
+def refuse_factorizations(monkeypatch) -> None:
+    """``np.linalg.qr`` and ``np.linalg.svd`` raise when ``ncdomains.variety`` calls them."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a QR or SVD in ncdomains.variety")
+    linalg = Refusing(np.linalg, qr=refuse, svd=refuse)
+    monkeypatch.setattr(variety, "np", Refusing(np, linalg=linalg))
+
+
+def entries(m: np.ndarray) -> list:
+    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+
+
+def commutator_check_model_config(tmp_path) -> str:
+    """The variety workload's shape: f = z1 + z2 + z3, N = 6, the commutator ideal and
+    a 4 x 4 T1 of three polynomials in one nilpotent, scaled to level 0.9."""
+    f = drury_poly(3)
+    rng = np.random.default_rng(3)
+    nil = np.triu(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)), 1)
+    T1 = scale_into_domain(f, OperatorTuple((nil, nil @ nil - 0.5 * nil, 0.3 * nil @ nil)), 0.9)
+    obj = {"f": {"n": 3, "coeffs": {"1": 1.0, "2": 1.0, "3": 1.0}}, "N": 6,
+           "matrices": {"T1": [entries(m) for m in T1.mats]}, "variety": {"kind": "commutator"}}
+    path = tmp_path / "commutator.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def commutator_dilate_config(tmp_path) -> str:
+    """f = z1 + z2 over g = z at N = 4 with the commutator ideal: T1 two polynomials in
+    one nilpotent and T2 a third one, each scaled to level 0.9."""
+    f = drury_poly(2)
+    rng = np.random.default_rng(5)
+    nil = np.triu(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)), 1)
+    T1 = scale_into_domain(f, OperatorTuple((nil, 0.4 * nil - nil @ nil)), 0.9)
+    T2 = scale_into_domain(RegularPolynomial.single_variable([1.0]),
+                           OperatorTuple((0.7 * nil + nil @ nil,)), 0.9)
+    obj = {"f": {"n": 2, "coeffs": {"1": 1.0, "2": 1.0}}, "g": {"n": 1, "coeffs": {"1": 1.0}},
+           "N": 4, "matrices": {"T1": [entries(m) for m in T1.mats],
+                                "T2": [entries(m) for m in T2.mats]},
+           "variety": {"kind": "commutator"}}
+    path = tmp_path / "dilate.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def test_commutator_model_takes_no_factorization(tmp_path, capsys, monkeypatch):
+    """With ``np.linalg.qr`` and ``np.linalg.svd`` refused inside ``ncdomains.variety``,
+    the commutator ideal's model still builds, and so does ``check-model`` through a
+    config; the graded build of the same ideal, from its generators in another order,
+    is refused."""
+    refuse_factorizations(monkeypatch)
+    for n, N in ((2, 6), (3, 6)):
+        assert build_variety(drury_poly(n), N, commutator_generators(n)).dim == comb(n + N, N)
+    with pytest.raises(AssertionError):
+        build_variety(drury_poly(3), 4, commutator_generators(3)[::-1])
+    assert main(["--config", commutator_check_model_config(tmp_path), "check-model"]) == 0
+    rep = parse_report(capsys.readouterr().out)
+    assert rep.passed and rep.environment["variety_model_dim"] == "84"
+
+
+def test_closed_form_needs_int64_content_codes():
+    """The content codes are base N + 1 in int64: the closed form is taken while
+    (N + 1)^n fits there (3^39 < 2^63 < 3^40), and only for the commutator list itself."""
+    assert variety._is_commutator_ideal(commutator_generators(39), 39, 2)
+    assert not variety._is_commutator_ideal(commutator_generators(40), 40, 2)
+    assert not variety._is_commutator_ideal(commutator_generators(3)[::-1], 3, 5)
+    assert not variety._is_commutator_ideal(commutator_generators(3) + [{(1, 1): 1.0}], 3, 5)
+
+
+@pytest.mark.parametrize("verb, config", [("check-model", commutator_check_model_config),
+                                          ("dilate", commutator_dilate_config)])
+def test_commutator_reports_match_the_graded_build(tmp_path, capsys, monkeypatch, verb, config):
+    """The reports from the closed-form model and from a run forced onto the graded
+    build have the same check names, kinds and env keys, and every value within 1e-12."""
+    path = config(tmp_path)
+    reports = []
+    for forced in (False, True):
+        if forced:
+            monkeypatch.setattr(variety, "_is_commutator_ideal", lambda *args: False)
+        assert main(["--config", path, verb]) == 0
+        reports.append(parse_report(capsys.readouterr().out))
+    closed, graded = reports
+    assert [(c.name, c.kind) for c in closed.checks] == [(c.name, c.kind) for c in graded.checks]
+    for a, b in zip(closed.checks, graded.checks):
+        assert abs(a.value - b.value) <= 1e-12 and a.tolerance == b.tolerance, a.name
+    assert closed.environment.keys() == graded.environment.keys()
+    for key, value in closed.environment.items():
+        try:
+            assert abs(float(value) - float(graded.environment[key])) <= 1e-12, key
+        except ValueError:
+            assert value == graded.environment[key], key
 
 
 def test_trivial_variety_is_full_fock():
