@@ -32,7 +32,7 @@ from .harness import (CommutingPair, PairDilation, ando_dilation, builtin_polys,
                       verify_inequality)
 from .poisson import poisson_kernel, verify_kernel_identities
 from .report import VerificationReport, parse_report
-from .variety import build_variety, constrained_poisson, verify_constrained_kernel
+from .variety import build_variety, verify_constrained_kernel
 
 Z = RegularPolynomial.single_variable([1.0])  # the default f = g = z
 
@@ -116,8 +116,8 @@ def cmd_check_model(cfg: ExperimentConfig, tol_given: bool) -> int:
         kernel_tol = _floored(cfg, KERNEL_TOL_FLOOR, tol_given)
         rep.extend(verify_kernel_identities(K, tol=kernel_tol), prefix="kernel_")
         if cfg.variety:
-            ck = constrained_poisson(build_variety(f, N, cfg.variety), K)
-            rep.extend(verify_constrained_kernel(ck, tol=kernel_tol), prefix="variety_")
+            rep.extend(verify_constrained_kernel(build_variety(f, N, cfg.variety), K,
+                                                 tol=kernel_tol), prefix="variety_")
     return _emit(rep, cfg.output)
 
 

@@ -398,7 +398,7 @@ def ando_dilation(pair: CommutingPair, N: int | None = None,
     K1 = poisson_kernel(f, T1, N)
     model = build_variety(f, N, variety) if variety else None
     kmat = (embed_inner(K1.matrix, tf.fock_size, K1.multiplicity, r) if model is None else
-            embed_inner(constrained_poisson(model, K1).matrix, model.dim, K1.multiplicity, r))
+            embed_inner(constrained_poisson(model, K1), model.dim, K1.multiplicity, r))
     return PairDilation(pair=pair, N=N, kernel=kmat, transfer=tf, variety=model, K1=K1, tol=tol)
 
 

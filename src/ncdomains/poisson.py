@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +65,11 @@ class PoissonKernel:
     def multiplicity(self) -> int:
         return self.defect.rank
 
+    @functools.cached_property
+    def horizon(self) -> np.ndarray:
+        """Phi^{N+1}(I), the kernel mass beyond the truncation, formed on the first read."""
+        return phi_identity_power(self.f, self.T, self.N + 1)
+
 
 def poisson_kernel(f: RegularPolynomial, T: OperatorTuple, N: int) -> PoissonKernel:
     """Row blocks sqrt(b_w) basis^H Delta T_w^*, a Fock level at a time: level m
@@ -79,23 +85,24 @@ def poisson_kernel(f: RegularPolynomial, T: OperatorTuple, N: int) -> PoissonKer
     return PoissonKernel(matrix=blocks.reshape(-1, T.rows), N=N, f=f, T=T, defect=dd)
 
 
-def add_gram_check(rep: VerificationReport, kmat: np.ndarray, f: RegularPolynomial,
-                   T: OperatorTuple, N: int, tol: float, tail: np.ndarray) -> None:
-    """Compare the Gram matrix of a kernel truncated at N with I - Phi^{N+1}(I).
+def add_gram_check(rep: VerificationReport, kmat: np.ndarray, K: PoissonKernel,
+                   tol: float) -> None:
+    """Compare the Gram matrix of ``kmat`` (K's matrix, or a projection of it that
+    keeps its Gram matrix) with I - Phi^{N+1}(I), read from ``K.horizon``.
 
-    ``tail`` is Phi^{N+1}(I), the horizon recorded in the report.  For
-    deg f >= 2 the word-length truncation does not line up with any Phi
-    horizon; both mismatched tails are dominated by Phi^m(I) with
-    m = floor(N / deg f) + 1, so 2 ||Phi^m(I)|| is allowed on top of tol and
-    recorded as graded_tail_bound.
+    N + 1 is the horizon recorded in the report.  For deg f >= 2 the word-length
+    truncation does not line up with any Phi horizon; both mismatched tails are
+    dominated by Phi^m(I) with m = floor(N / deg f) + 1, so 2 ||Phi^m(I)|| is allowed
+    on top of tol and recorded as graded_tail_bound.
     """
+    f, T, N = K.f, K.T, K.N
     if f.degree >= 2:
         bound = 2.0 * float(np.linalg.norm(phi_identity_power(f, T, N // f.degree + 1), 2))
         rep.environment["graded_tail_bound"] = repr(bound)
         tol = max(tol, bound + tol)
     gram = kmat.conj().T @ kmat
     rep.add_residual("gram_vs_defect_horizon",
-                     float(np.linalg.norm(gram - (np.eye(T.dim) - tail), 2)), tol)
+                     float(np.linalg.norm(gram - (np.eye(T.dim) - K.horizon), 2)), tol)
     rep.environment["horizon"] = str(N + 1)
 
 
@@ -120,11 +127,10 @@ def verify_kernel_identities(K: PoissonKernel, tol: float) -> VerificationReport
     """Check the creation intertwinings (:func:`kernel_intertwining`) and the
     Gram identity of a kernel against I - Phi^{N+1}(I) (:func:`add_gram_check`).
     """
-    f, T, N = K.f, K.T, K.N
     rep = VerificationReport("poisson-kernel",
-                             environment={"N": str(N), "rank": str(K.defect.rank)})
+                             environment={"N": str(K.N), "rank": str(K.defect.rank)})
     rep.extend(kernel_intertwining(K, tol))
-    add_gram_check(rep, K.matrix, f, T, N, tol, phi_identity_power(f, T, N + 1))
+    add_gram_check(rep, K.matrix, K, tol)
     sigma = float(np.linalg.norm(K.matrix, 2))
     rep.add_residual("contraction_sigma_max_minus_1", max(sigma - 1.0, 0.0), 1e-10)
     return rep

@@ -36,11 +36,14 @@ base N + 1 in int64, so the closed form is taken when (N + 1)^n fits there.  Any
 generator list, one that holds the commutators among others included, takes the graded or
 whole-span build.
 
-Truncation semantics: the span above is only reliable at levels
-|u| + deg q_s + |v| <= N, so levels within max(deg q_s) of the boundary are
-marked unstable and excluded from exact checks.  Only homogeneous-friendly
-generator families (graded ideals, or single-variable minimal polynomials)
-are exercised by the built-in checks.
+Truncation semantics: J is the span above at |u| + deg q_s + |v| <= N only, and no
+check excludes the levels near N.  A tuple T with every q_s(T) = 0 has a kernel K with
+K T_i^* = (W_i^* (x) I) K off level N, so K^* (W_u q_s(W) e_v (x) d) = T_u q_s(T) K^*(e_v (x) d)
+= 0 and ran K is orthogonal to J (x) D exactly.  Then (B_i^* (x) I) K_J = (P^* W_i^* (x) I) K
+is K_J T_i^* read from the rows below level N, so the intertwining holds to rounding on every
+model direction; only the level-N rows of K T_i^* are left to the tail bound.  Only
+homogeneous-friendly generator families (graded ideals, or single-variable minimal
+polynomials) are exercised by the built-in checks.
 """
 
 from __future__ import annotations
@@ -50,8 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import (OperatorTuple, RegularPolynomial, WeightedShift, b_coefficients,
-                     kron_identity_matmul, phi_identity_power, shift_word,
-                     weighted_creation)
+                     kron_identity_matmul, shift_word, weighted_creation)
 from .poisson import PoissonKernel, add_gram_check
 from .report import VerificationReport
 from .words import Word, WordTable, check_word, enumerate_words, fock_size
@@ -102,7 +104,6 @@ class VarietyModel:
     generators: tuple[Generator, ...]
     basis: np.ndarray          # Fock-size x model-dim, orthonormal columns
     left: OperatorTuple        # B_i = P W_i P on the model space
-    unstable_margin: int       # levels > N - margin are boundary-affected
 
     @property
     def dim(self) -> int:
@@ -275,21 +276,20 @@ def build_variety(f: RegularPolynomial, N: int, generators: list[Generator]) -> 
         homogeneous = all(_is_homogeneous(q) for q, _ in live)
         basis, cols = (_graded_complement if homogeneous else _span_complement)(table, W, live)
         left = OperatorTuple(tuple(_compress(w, table, basis, cols) for w in W))
-    margin = max((generator_degree(q) for q in generators), default=0)
-    return VarietyModel(f=f, N=N, generators=tuple(generators), basis=basis,
-                        left=left, unstable_margin=margin)
+    return VarietyModel(f=f, N=N, generators=tuple(generators), basis=basis, left=left)
 
 
-@dataclass(frozen=True)
-class ConstrainedKernel:
-    matrix: np.ndarray  # (model-dim * rank) x dim H
-    variety: VarietyModel
-    base: PoissonKernel
+def _project(basis: np.ndarray, kmat: np.ndarray) -> np.ndarray:
+    """(basis^* (x) I) kmat as conj((basis^T (x) I) conj(kmat)): the Fock x dim basis is
+    not conjugated."""
+    return kron_identity_matmul(basis.T, kmat.conj()).conj()
 
 
-def constrained_poisson(variety: VarietyModel, base: PoissonKernel) -> ConstrainedKernel:
-    """(P_{N_J} (x) I) K_{f,T} for the kernel ``base`` of a tuple T satisfying
-    the generators (each q(T) of norm <= 1e-8), built from the model's f and N.
+def constrained_poisson(variety: VarietyModel, base: PoissonKernel) -> np.ndarray:
+    """K_J = (P_{N_J} (x) I) K_{f,T}, (model-dim * rank) x dim H, for the kernel ``base``
+    of a tuple T satisfying the generators (each q(T) of norm <= 1e-8), built from the
+    model's f and N.  ran K_{f,T} is orthogonal to J (x) D (module docstring), so K_J has
+    the Gram matrix of K_{f,T}.
     """
     for q in variety.generators:
         res = float(np.linalg.norm(eval_generator(q, base.T), 2))
@@ -297,44 +297,37 @@ def constrained_poisson(variety: VarietyModel, base: PoissonKernel) -> Constrain
             raise ValueError(f"tuple does not satisfy a generator (residual {res:.3e})")
     if base.N != variety.N or base.f.coeffs != variety.f.coeffs:
         raise ValueError("the Poisson kernel must be built from the model's f and N")
-    # basis^* K = conj((basis^T (x) I) conj(K)): the Fock x dim basis is not conjugated
-    matrix = kron_identity_matmul(variety.basis.T, base.matrix.conj()).conj()
-    return ConstrainedKernel(matrix=matrix, variety=variety, base=base)
+    return _project(variety.basis, base.matrix)
 
 
-def verify_constrained_kernel(ck: ConstrainedKernel, tol: float) -> VerificationReport:
-    """Intertwining K_J T_i^* = (B_i^* (x) I) K_J and the Gram identity.
+def verify_constrained_kernel(variety: VarietyModel, K: PoissonKernel,
+                              tol: float) -> VerificationReport:
+    """Intertwining K_J T_i^* = (B_i^* (x) I) K_J and the Gram identity of
+    K_J = ``constrained_poisson(variety, K)``.
 
-    intertwine_B{i} checks the model columns that live (to 1e-12) at the stable levels
-    <= N - 1 - unstable_margin and reads 0.0 if none do, as on a minimal-polynomial
-    model: then only intertwine_B{i}_full, against the leak bound, is a real check.
-    The Gram matrix is compared with I - Phi^{N+1}(I).
+    (B_i^* (x) I) K_J equals (P_{<N}^* (x) I)(K T_i^*)_{<N}, K_J T_i^* read from the rows
+    below level N (module docstring): intertwine_B{i} is the distance between the two over
+    every model direction, to rounding in every build.  intertwine_B{i}_full compares
+    K_J T_i^* itself, which adds the level-N rows, against 10 ||Phi^{N+1}(I)||^{1/2}.  The
+    Gram matrix is compared with I - Phi^{N+1}(I); both read ``K.horizon``.
     """
-    variety, base = ck.variety, ck.base
-    f, T, N = base.f, base.T, base.N
-    r = base.multiplicity
+    f, T, N = K.f, K.T, K.N
+    kj = constrained_poisson(variety, K)
+    margin = max((generator_degree(q) for q in variety.generators), default=0)
     rep = VerificationReport("constrained-kernel",
                              environment={"N": str(N), "model_dim": str(variety.dim),
-                                          "margin": str(variety.unstable_margin)})
-    # model rows living (numerically) inside the stable levels: the column norms of
-    # the tail summed from its real and imaginary views, with no copy of the tail
-    tail = variety.basis[fock_size(f.n, max(N - 1 - variety.unstable_margin, 0)):]
-    norms = np.einsum("ij,ij->j", tail.real, tail.real) + np.einsum("ij,ij->j", tail.imag, tail.imag)
-    stable_cols = np.flatnonzero(np.sqrt(norms) < 1e-12)
-    row_idx = np.concatenate([j * r + np.arange(r) for j in stable_cols]) \
-        if stable_cols.size else np.array([], dtype=int)
-
-    # kernel mass beyond the truncation; bounds the boundary leakage of the
-    # non-graded part of the intertwining
-    edge = phi_identity_power(f, T, N + 1)
-    leak = float(np.linalg.norm(edge, 2)) ** 0.5
+                                          "margin": str(margin)})
+    low = fock_size(f.n, N - 1)  # the rows below level N: none at N = 0
+    kept = (_project(variety.basis[:low], K.matrix[:low * K.multiplicity]) if low
+            else np.zeros_like(kj))
+    # kernel mass beyond the truncation; bounds the level-N rows of K_J T_i^*
+    leak = float(np.linalg.norm(K.horizon, 2)) ** 0.5
     for i in range(f.n):
-        lhs = ck.matrix @ T.mats[i].conj().T
-        rhs = kron_identity_matmul(variety.left.mats[i].conj().T, ck.matrix)
-        res = float(np.linalg.norm((lhs - rhs)[row_idx], 2)) if row_idx.size else 0.0
-        rep.add_residual(f"intertwine_B{i + 1}", res, tol)
-        full = float(np.linalg.norm(lhs - rhs, 2))
-        rep.add_residual(f"intertwine_B{i + 1}_full", full, max(tol, 10.0 * leak))
+        t_h = T.mats[i].conj().T
+        rhs = kron_identity_matmul(variety.left.mats[i].conj().T, kj)
+        rep.add_residual(f"intertwine_B{i + 1}", float(np.linalg.norm(kept @ t_h - rhs, 2)), tol)
+        rep.add_residual(f"intertwine_B{i + 1}_full", float(np.linalg.norm(kj @ t_h - rhs, 2)),
+                         max(tol, 10.0 * leak))
     rep.environment["tail_leak"] = repr(leak)
-    add_gram_check(rep, ck.matrix, f, T, N, tol, edge)
+    add_gram_check(rep, kj, K, tol)
     return rep

@@ -37,7 +37,7 @@ def level_dimensions(v: VarietyModel) -> list[int]:
     """Rank of the level-m compression of the model space, m = 0..N.
 
     For graded (homogeneous) generator ideals these are the graded component
-    dimensions; levels beyond N - unstable_margin are boundary artifacts.
+    dimensions; levels beyond N - max deg q_s are boundary artifacts.
     """
     table = enumerate_words(v.f.n, v.N)
     return [int(np.sum(np.linalg.svd(v.basis[table.level_slice(m), :], compute_uv=False) > 1e-9))

@@ -263,9 +263,9 @@ def test_criterion_8_variety_structure():
     # constrained-kernel Gram identity
     T = OperatorTuple((np.diag(roots).astype(complex),))
     v = build_variety(Z, 14, [gen])
-    ck = constrained_poisson(v, poisson_kernel(Z, T, 14))
+    kj = constrained_poisson(v, poisson_kernel(Z, T, 14))
     gram = float(np.linalg.norm(
-        ck.matrix.conj().T @ ck.matrix
+        kj.conj().T @ kj
         - (np.eye(4) - phi_identity_power(Z, T, 15)), 2))
     # ellipsoid eigenvalue of the dilated second tuple, plain and constrained
     pair = random_commuting_pair(17, 3, "upper-triangular-commuting", Z, Z)

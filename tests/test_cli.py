@@ -205,6 +205,42 @@ def test_cli_check_model_graded_tail(tmp_path, capsys, f, N, variety):
             assert gram.value <= bound
 
 
+@pytest.mark.parametrize("f, T, variety", [
+    (Z, OperatorTuple((np.diag([0.3, -0.2]).astype(complex),)),
+     {"kind": "minpoly", "roots": [0.3, -0.2]}),
+    (RegularPolynomial(2, {(1,): 0.5, (2,): 0.5}),
+     OperatorTuple((np.diag([0.3, -0.2]).astype(complex), np.diag([0.5, 0.1]).astype(complex))),
+     {"kind": "commutator"})])
+def test_cli_check_model_at_the_lowest_truncations(tmp_path, capsys, f, T, variety):
+    """At N = 0 no row lies below level N, so the restricted side of the constrained
+    intertwining is 0, as is (B_i^* (x) I) K_J with B_i = 0: check-model passes at
+    N = 0, 1 and 2, with no traceback."""
+    for N in (0, 1, 2):
+        assert main(["--config", tuple_config(tmp_path, f, T, N=N, variety=variety),
+                     "check-model"]) == 0, N
+        out, err = capsys.readouterr()
+        assert "Traceback" not in out + err
+        assert parse_report(out).passed
+
+
+def test_cli_check_model_forms_the_horizon_once(tmp_path, capsys, monkeypatch):
+    """check-model with the commutator ideal at deg f = 1 forms Phi^m(I) twice: for
+    purity at m = 24 and for the kernels' shared horizon at m = N + 1."""
+    calls, original = [], ncdomains.domain.phi_identity_power
+
+    def spy(f, T, m):
+        calls.append(m)
+        return original(f, T, m)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "ncdomains" and getattr(module, "phi_identity_power", None) is original:
+            monkeypatch.setattr(module, "phi_identity_power", spy)
+    f = RegularPolynomial(2, {(1,): 0.5, (2,): 0.5})
+    T = OperatorTuple((np.diag([0.3, -0.2]).astype(complex), np.diag([0.5, 0.1]).astype(complex)))
+    assert main(["--config", tuple_config(tmp_path, f, T, N=4, variety={"kind": "commutator"}),
+                 "check-model"]) == 0
+    assert sorted(calls) == [5, 24]
+
+
 def test_cli_dilate_and_verify(tmp_path, capsys):
     assert main(["--config", scalar_config(tmp_path), "dilate"]) == 0
     assert main(["--config", scalar_config(tmp_path), "verify"]) == 0

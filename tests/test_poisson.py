@@ -96,3 +96,12 @@ def test_prefix_kernel_matches_word_path_bitwise():
             ref = np.vstack([np.sqrt(b[w]) * dd.coords(dd.delta @ T.word(w).conj().T)
                              for w in enumerate_words(f.n, N).words])
             assert np.array_equal(K.matrix, ref)
+
+
+def test_horizon_is_formed_once():
+    """K.horizon is Phi^{N+1}(I) bitwise, and the same array on every read."""
+    for f in f_battery():
+        T = random_nilpotent_tuple(5, f.n, 3, f, target=0.8)
+        K = poisson_kernel(f, T, 4)
+        assert np.array_equal(K.horizon, phi_identity_power(f, T, 5))
+        assert K.horizon is K.horizon

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tracemalloc
 from math import comb
@@ -15,6 +16,7 @@ from ncdomains.cli import main
 from ncdomains.domain import kron_identity_matmul
 from ncdomains.harness import scale_into_domain
 from ncdomains.report import parse_report
+from ncdomains.words import fock_size
 from ncdomains.variety import (VarietyModel, _graded_complement, _span_complement,
                                _split_span, generator_degree)
 
@@ -385,15 +387,14 @@ def test_constrained_poisson_reuses_caller_kernel():
     T = OperatorTuple((np.diag(roots).astype(complex),))
     v = build_variety(z, 8, [minpoly_generator(roots)])
     K = poisson_kernel(z, T, 8)
-    ck = constrained_poisson(v, K)
     dense = np.kron(v.basis.conj().T, np.eye(K.multiplicity)) @ K.matrix
-    assert ck.base is K and np.linalg.norm(ck.matrix - dense, 2) <= 1e-14
+    assert np.linalg.norm(constrained_poisson(v, K) - dense, 2) <= 1e-14
     # conj((basis^T (x) I) conj(K)) is (basis^* (x) I) K with the conjugated basis, bitwise
     nil = np.triu(np.arange(1.0, 17.0).reshape(4, 4) * (1 + 0.5j), 1) / 40
     T3 = OperatorTuple((nil, 0.5 * nil @ nil, nil - nil @ nil))
     for model, base in ((v, K), (build_variety(drury_poly(3), 6, commutator_generators(3)),
                                  poisson_kernel(drury_poly(3), T3, 6))):
-        assert np.array_equal(constrained_poisson(model, base).matrix,
+        assert np.array_equal(constrained_poisson(model, base),
                               kron_identity_matmul(model.basis.conj().T, base.matrix))
     with pytest.raises(ValueError):
         constrained_poisson(v, poisson_kernel(z, T, 7))
@@ -414,8 +415,7 @@ def test_constrained_kernel_gram_and_intertwining():
     roots = [0.3, -0.2 + 0.1j, 0.1j]
     T = OperatorTuple((np.diag(roots).astype(complex),))
     v = build_variety(z, 14, [minpoly_generator(roots)])
-    ck = constrained_poisson(v, poisson_kernel(z, T, 14))
-    rep = verify_constrained_kernel(ck, tol=1e-9)
+    rep = verify_constrained_kernel(v, poisson_kernel(z, T, 14), tol=1e-9)
     assert rep.passed, rep.render()
 
 
@@ -428,9 +428,77 @@ def test_commutator_model_kernel():
     # two commuting nilpotents: nil and nil^2
     T = OperatorTuple((nil, 0.5 * nil @ nil))
     v = build_variety(f, N, commutator_generators(2))
-    ck = constrained_poisson(v, poisson_kernel(f, T, N))
-    rep = verify_constrained_kernel(ck, tol=1e-9)
+    rep = verify_constrained_kernel(v, poisson_kernel(f, T, N), tol=1e-9)
     assert rep.passed, rep.render()
+
+
+def slow_minpoly_case() -> tuple:
+    """f = z, T = diag(0.7, 0.5) + 0.3 * superdiagonal scaled to lambda_max Phi(I) = 0.95,
+    N = 10 and the minimal polynomial of T: the kernel's tail decays slowly."""
+    t = np.diag([0.7, 0.5]) + 0.3 * np.eye(2, k=1)
+    t *= np.sqrt(0.95 / np.linalg.eigvalsh(t @ t.T).max())
+    z = RegularPolynomial.single_variable([1.0])
+    return z, OperatorTuple((t.astype(complex),)), 10, [minpoly_generator(list(np.diag(t)))]
+
+
+def roots_case() -> tuple:
+    roots = [0.8, -0.6 + 0.2j, 0.3j]
+    return (RegularPolynomial.single_variable([1.0]), OperatorTuple((np.diag(roots).astype(complex),)),
+            12, [minpoly_generator(roots)])
+
+
+def commuting_case(n: int, N: int) -> tuple:
+    """The commutator ideal of f = z1 + ... + zn at N, with a diagonalizable commuting
+    3 x 3 tuple S D_i S^{-1} scaled to level 0.5."""
+    f = drury_poly(n)
+    rng = np.random.default_rng(n)
+    s = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    mats = tuple(s @ np.diag(rng.standard_normal(3) + 1j * rng.standard_normal(3)) @ np.linalg.inv(s)
+                 for _ in range(n))
+    return f, scale_into_domain(f, OperatorTuple(mats), 0.5), N, commutator_generators(n)
+
+
+INTERTWINING_CASES = [("slow-minpoly", slow_minpoly_case, False), ("roots", roots_case, False),
+                      ("commutator-3-5", lambda: commuting_case(3, 5), False),
+                      ("commutator-3-5-graded", lambda: commuting_case(3, 5), True),
+                      ("commutator-2-6", lambda: commuting_case(2, 6), False),
+                      ("commutator-2-6-graded", lambda: commuting_case(2, 6), True)]
+
+
+@pytest.mark.parametrize("case, graded", [c[1:] for c in INTERTWINING_CASES],
+                         ids=[c[0] for c in INTERTWINING_CASES])
+def test_constrained_intertwining_reads_every_model_direction(monkeypatch, case, graded):
+    """On the rows below level N, K_J T_i^* = (B_i^* (x) I) K_J holds to rounding in the
+    closed form, the graded build and the whole-span build, while the full residual,
+    which adds the level-N rows, is far from it; the two differ by exactly the level-N
+    cut (basis_N^* (x) I)(K T_i^*)_N, taken here by a dense kron."""
+    f, T, N, gens = case()
+    if graded:
+        monkeypatch.setattr(variety, "_is_commutator_ideal", lambda *args: False)
+    v = build_variety(f, N, gens)
+    K = poisson_kernel(f, T, N)
+    rep = verify_constrained_kernel(v, K, tol=1e-9)
+    assert rep.passed, rep.render()
+    values = {c.name: c.value for c in rep.checks}
+    kj, r, top = constrained_poisson(v, K), K.multiplicity, fock_size(f.n, N - 1)
+    for i in range(f.n):
+        t_h = T.mats[i].conj().T
+        full = kj @ t_h - np.kron(v.left.mats[i].conj().T, np.eye(r)) @ kj
+        cut = np.kron(v.basis[top:].conj().T, np.eye(r)) @ (K.matrix[top * r:] @ t_h)
+        assert values[f"intertwine_B{i + 1}"] <= 1e-13
+        assert values[f"intertwine_B{i + 1}_full"] >= 1e-5
+        assert abs(np.linalg.norm(full - cut, 2) - values[f"intertwine_B{i + 1}"]) <= 1e-13
+
+
+def test_constrained_intertwining_catches_a_planted_fault():
+    """A 1e-6 error in B_1 fails intertwine_B1 on the slow-decay minpoly model, where
+    intertwine_B1_full stays within its tail bound."""
+    f, T, N, gens = slow_minpoly_case()
+    v = build_variety(f, N, gens)
+    bad = dataclasses.replace(v, left=OperatorTuple((v.left.mats[0] + 1e-6 * np.eye(v.dim, k=-1),)))
+    rep = verify_constrained_kernel(bad, poisson_kernel(f, T, N), tol=1e-9)
+    failed = [c.name for c in rep.checks if not c.passed]
+    assert failed == ["intertwine_B1"], rep.render()
 
 
 def test_right_compression_matches_dense_construction():
